@@ -17,7 +17,6 @@ from .errors import (
     NumericalDegeneracy,
 )
 from .sem import (
-    CONNECTED,
     STRUCTURES,
     Cov2,
     InterventionSpec,
@@ -42,16 +41,13 @@ from .priors import (
     pushforward_prior_logpdf,
 )
 from .exact import (
-    AugmentedStats,
     StructurePosterior,
     augmented_odds_statistic,
-    log_inverse_odds,
     log_marginal_mixed,
     log_marginal_obs,
     posterior,
 )
 from .approx import (
-    FisherBlock,
     HessianReport,
     Regime,
     fisher,

@@ -2,8 +2,8 @@
 tensor-quadrature evidence oracle.
 
 Parameter ordering is uniformly ``(w, tau1_sq, tau2_sq)`` for the connected
-structures and ``(tau1_sq, tau2_sq)`` for ``S3``, for both Fisher blocks and
-Hessians.
+structures and ``(tau1_sq, tau2_sq)`` for ``S3``, for both Fisher information
+matrices and Hessians.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    DegenerateData,
     InvalidParameter,
     NonConcaveAtMle,
     NonConvergedQuadrature,
@@ -23,9 +24,7 @@ from .errors import (
 )
 from .estimation import SuffStats, loglik, mle_mixed
 from .priors import BgeHyper
-from .sem import InterventionSpec, Params, Structure, param_dim
-
-_LOG_2PI = math.log(2.0 * math.pi)
+from .sem import _LOG_2PI, InterventionSpec, Params, Structure, param_dim
 
 
 class Regime(Enum):
@@ -33,26 +32,14 @@ class Regime(Enum):
     INTERVENTIONAL = "interventional"
 
 
-@dataclass(frozen=True)
-class FisherBlock:
-    """Per-regime expected information matrix (diagonal for this model)."""
-
-    matrix: np.ndarray
-    structure: Structure
-    regime: Regime
-
-    @property
-    def det(self) -> float:
-        return float(np.prod(np.diag(self.matrix)))
-
-
 def fisher(
     s: Structure,
     theta: Params,
     regime: Regime,
     iv: InterventionSpec | None = None,
-) -> FisherBlock:
-    """Expected information of one sample of the given regime at ``theta``.
+) -> np.ndarray:
+    """Expected information of one sample of the given regime at ``theta``,
+    as a diagonal matrix (the parameters are orthogonal in this model).
 
     Interventional blocks are singular: the regime carries no information
     about parameters that do not enter the post-intervention law (the edge
@@ -79,7 +66,7 @@ def fisher(
             diag = (t1 / t2, i1, i2)
         else:
             diag = (i1, i2)
-    return FisherBlock(matrix=np.diag(diag), structure=s, regime=regime)
+    return np.diag(diag)
 
 
 def mixed_fisher(
@@ -91,10 +78,10 @@ def mixed_fisher(
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidParameter(f"eta must lie in [0, 1], got {eta!r}")
-    fx = fisher(s, theta, Regime.OBSERVATIONAL).matrix
+    fx = fisher(s, theta, Regime.OBSERVATIONAL)
     if eta == 1.0:
         return fx
-    fy = fisher(s, theta, Regime.INTERVENTIONAL, iv).matrix
+    fy = fisher(s, theta, Regime.INTERVENTIONAL, iv)
     return eta * fx + (1.0 - eta) * fy
 
 
@@ -133,20 +120,13 @@ def loglik_hessian(st: SuffStats, s: Structure, theta: Params) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HessianReport:
-    """Diagnostic report on the log-likelihood Hessian at a point.
-
-    ``det_factored`` carries the closed-form factorization
-    ``-(n^3 * tau2_hat^2 / (4 t1^3 t2^2)) * (1 - 2*tau1_hat^2/t1) * (1 - 2*tau2_hat^2/t2)``
-    for observational ``S1`` data (None otherwise); it must agree with
-    ``determinant``.
-    """
+    """Diagnostic report on the log-likelihood Hessian at a point."""
 
     structure: Structure
     matrix: np.ndarray
     eigenvalues: np.ndarray
     determinant: float
     negative_definite: bool
-    det_factored: float | None
 
 
 def hessian_diagnostics(st: SuffStats, s: Structure, theta: Params) -> HessianReport:
@@ -157,26 +137,12 @@ def hessian_diagnostics(st: SuffStats, s: Structure, theta: Params) -> HessianRe
     """
     h = loglik_hessian(st, s, theta)
     eig = np.linalg.eigvalsh(h)
-    det = float(np.linalg.det(h))
-    factored = None
-    if s is Structure.S1 and st.m == 0 and st.n >= 2:
-        hat = mle_mixed(st).theta1
-        n = st.n
-        t1, t2 = theta.tau1_sq, theta.tau2_sq
-        factored = (
-            -(n ** 3)
-            * hat.tau2_sq
-            / (4.0 * t1 ** 3 * t2 ** 2)
-            * (1.0 - 2.0 * hat.tau1_sq / t1)
-            * (1.0 - 2.0 * hat.tau2_sq / t2)
-        )
     return HessianReport(
         structure=s,
         matrix=h,
         eigenvalues=eig,
-        determinant=det,
+        determinant=float(np.linalg.det(h)),
         negative_definite=bool(np.all(eig < 0.0)),
-        det_factored=factored,
     )
 
 
@@ -256,18 +222,18 @@ def _refine_1d(logf: Callable[[np.ndarray], np.ndarray], center: float) -> float
     )
 
 
-def _quadrature_centers(st: SuffStats, s: Structure, h: BgeHyper) -> tuple[float, float]:
-    """Centers for the log-variance grids: MLE when available, prior mode otherwise."""
-    a1, a2 = h.alphas_for(s)
-    prior1 = math.log(h.beta / (a1 + 1.0))
-    prior2 = math.log(h.beta / (a2 + 1.0))
-    if st.n >= 2:
-        try:
-            hat = mle_mixed(st).for_structure(s)
-            return math.log(hat.tau1_sq), math.log(hat.tau2_sq)
-        except Exception:
-            pass
-    return prior1, prior2
+def _quadrature_centers(
+    st: SuffStats, s: Structure, fallback: tuple[float, float]
+) -> tuple[float, float]:
+    """Centers for the log-variance grids: the log MLE variances when the MLE
+    exists, the caller's ``fallback`` otherwise."""
+    if st.n < 2:
+        return fallback
+    try:
+        hat = mle_mixed(st).for_structure(s)
+    except DegenerateData:
+        return fallback
+    return math.log(hat.tau1_sq), math.log(hat.tau2_sq)
 
 
 def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
@@ -325,7 +291,10 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
 
         return logf
 
-    c1, c2 = _quadrature_centers(st, s, h)
+    # fallback: the modes of the log-variance priors
+    c1, c2 = _quadrature_centers(
+        st, s, (math.log(h.beta / (a1 + 1.0)), math.log(h.beta / (a2 + 1.0)))
+    )
     log_i1 = _refine_1d(make_logf(quad1, n1, a1), c1)
     log_i2 = _refine_1d(make_logf(quad2, n2, a2), c2)
     return -(n + 0.5 * m) * _LOG_2PI + const + log_i1 + log_i2
@@ -360,7 +329,7 @@ def quadrature_log_marginal_generic(
         w_moment = 0.0
         w_center = 0.0
 
-    c1, c2 = _quadrature_centers_generic(st, s)
+    c1, c2 = _quadrature_centers(st, s, (0.0, 0.0))
     u1, wu1 = _gl_nodes(nodes, c1 - _LOG_WINDOW, c1 + _LOG_WINDOW)
     u2, wu2 = _gl_nodes(nodes, c2 - _LOG_WINDOW, c2 + _LOG_WINDOW)
 
@@ -402,13 +371,3 @@ def quadrature_log_marginal_generic(
     for weight, lv in cells:
         total += weight * math.exp(lv - peak)
     return peak + math.log(total)
-
-
-def _quadrature_centers_generic(st: SuffStats, s: Structure) -> tuple[float, float]:
-    if st.n >= 2:
-        try:
-            hat = mle_mixed(st).for_structure(s)
-            return math.log(hat.tau1_sq), math.log(hat.tau2_sq)
-        except Exception:
-            pass
-    return 0.0, 0.0

@@ -20,16 +20,13 @@ from . import experiments as xp
 from .approx import laplace_log_marginal, quadrature_log_marginal
 from .errors import BicausalError, ConfigError, DataFormatError, DegenerateData
 from .estimation import mle_mixed, suffstats
-from .exact import log_marginal_mixed, posterior
+from .exact import StructurePosterior, log_marginal_mixed
+from .experiments import _fmt
 from .priors import BgeHyper, bge_symmetric_hyper, prior_logpdf
-from .rates import RateId, RateInput, d12, d13, d21, d23, mixing_helps_s1, optimal_eta
+from .rates import RateId, mixing_helps_s1, optimal_eta
 from .sem import InterventionSpec, Params, Structure, sample_interv, sample_obs
 
 _METHODS = ("exact", "laplace", "quadrature")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +242,7 @@ def cmd_posterior(args) -> int:
             f"occam penalty gap (3-parameter vs 2-parameter structure): {_fmt(occam)}"
         )
 
-    shifted = np.array(logm) - max(logm)
-    p = np.exp(shifted) / np.sum(np.exp(shifted))
+    p = StructurePosterior.from_logp(logm).p
     for i, s in enumerate(Structure):
         lines.append(f"log_marginal[{s.value}] = {_fmt(logm[i])}")
     lines.append("posterior: " + ", ".join(f"p({s.value})={_fmt(p[i])}" for i, s in enumerate(Structure)))
@@ -280,34 +276,16 @@ def cmd_posterior(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_rates_csv(path: Path, theta: Params, y: float, points: int, header: list[str]) -> None:
-    grid = np.linspace(1e-9, 1.0 - 1e-9, points)
-    lines = list(header)
-    eta12, v12 = optimal_eta(RateId.D12, theta, y)
-    eta21, v21 = optimal_eta(RateId.D21, theta, y)
-    lines.append(f"# mixing_helps_s1 = {mixing_helps_s1(theta, y)}")
-    lines.append(f"# optimal_eta_d12 = {_fmt(eta12)} (value {_fmt(v12)})")
-    lines.append(f"# optimal_eta_d21 = {_fmt(eta21)} (value {_fmt(v21)})")
-    lines.append("eta,d12,d21,d13,d23,d12_gain,d21_gain")
-    for e in grid:
-        ri = RateInput(theta, y, float(e))
-        a, b, c, d = d12(ri), d21(ri), d13(ri), d23(ri)
-        lines.append(
-            f"{_fmt(e)},{_fmt(a)},{_fmt(b)},{_fmt(c)},{_fmt(d)},"
-            f"{_fmt(a / (1.0 - e))},{_fmt(b / (1.0 - e))}"
-        )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_rates(args) -> int:
     res = Resolver(parse_config(args.config) if args.config else {})
     theta = _theta(res, args)
     y = res.get_float("model", "y", args.y, required=True)
     points = res.get_int("rates", "grid_points", args.grid_points, default=999)
+    if points < 1:
+        raise ConfigError(f"[rates] grid_points must be >= 1, got {points}")
     out = res.get("rates", "out", args.out, default="rates.csv")
-    _write_rates_csv(Path(out), theta, y, points, res.header_lines())
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    xp.write_rates_csv(out, theta, y, points, res.header_lines())
     helps = mixing_helps_s1(theta, y)
     eta12, v12 = optimal_eta(RateId.D12, theta, y)
     eta21, v21 = optimal_eta(RateId.D21, theta, y)
@@ -374,14 +352,9 @@ PRESETS: dict[str, dict] = {
         "sizes": (100, 316, 1000, 3162, 10000, 31623, 100000),
         "trials": 20,
     },
-    "figure7": {
-        "kind": "rates",
-        "sets": [
-            ("a", Params(1.0, 1.0, 4.0), 0.1),
-            ("b", Params(1.0, 1.0, 1.0), 2.0),
-        ],
-    },
 }
+#: The source's figure 7 revisits figure 1's two parameter sets.
+PRESETS["figure7"] = PRESETS["figure1"]
 
 
 def _preset_config(preset: dict, eta, seed: int, hyper: BgeHyper) -> xp.ExperimentConfig:
@@ -401,7 +374,7 @@ def _run_experiment_bundle(kind: str, preset: dict, seed: int, outdir: Path, hyp
     outdir.mkdir(parents=True, exist_ok=True)
     if kind == "rates":
         for tag, theta, y in preset["sets"]:
-            _write_rates_csv(
+            xp.write_rates_csv(
                 outdir / f"rates_{tag}.csv",
                 theta,
                 y,
@@ -439,11 +412,7 @@ def _run_experiment_bundle(kind: str, preset: dict, seed: int, outdir: Path, hyp
             xp.write_concentration_csv(outdir / f"concentration_{tag}.csv", cfg, result)
             print(f"wrote concentration_{tag}.csv ({len(result.records)} records)")
             if eta is not None and cfg.true_model is not Structure.S3:
-                fit_sizes = [
-                    s for s in cfg.sample_sizes if s >= preset.get("fit_min_size", 0)
-                ]
-                means = [result.mean_log_inv_odds(s) for s in fit_sizes]
-                fit = xp.fit_slope(np.array(fit_sizes, float), np.array(means))
+                fit = xp.fitted_exponent(cfg, result, min_size=preset.get("fit_min_size", 0))
                 theory = xp.theory_exponent(cfg)
                 slope_rows.append((eta, fit.slope, theory))
                 print(

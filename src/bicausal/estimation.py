@@ -19,9 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateData, InvalidParameter
-from .sem import Params, Structure
-
-_LOG_2PI = math.log(2.0 * math.pi)
+from .sem import _LOG_2PI, Params, Structure
 
 # Variance estimates at or below this are treated as exactly degenerate.
 _VARIANCE_FLOOR = 1e-300

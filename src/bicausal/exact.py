@@ -28,34 +28,9 @@ from .approx import mixed_fisher
 from .errors import InvalidParameter, NumericalDegeneracy
 from .estimation import SuffStats
 from .priors import BgeHyper, prior_logpdf
-from .sem import InterventionSpec, Params, Structure, STRUCTURES
+from .sem import _LOG_2PI, InterventionSpec, Params, Structure, STRUCTURES
 
 _LOG_PI = math.log(math.pi)
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class AugmentedStats:
-    """Second moments augmented by the prior scales.
-
-    ``*_beta`` adds ``2*beta`` (variance-posterior rates), ``*_lambda`` adds
-    ``1/lam`` (weight-prior precision). Each is strictly larger than the raw
-    statistic.
-    """
-
-    s1x_beta: float
-    s2x_beta: float
-    s1x_lambda: float
-    s2x_lambda: float
-
-    @classmethod
-    def from_stats(cls, st: SuffStats, h: BgeHyper) -> "AugmentedStats":
-        return cls(
-            s1x_beta=st.s1x + 2.0 * h.beta,
-            s2x_beta=st.s2x + 2.0 * h.beta,
-            s1x_lambda=st.s1x + 1.0 / h.lam,
-            s2x_lambda=st.s2x + 1.0 / h.lam,
-        )
 
 
 def _log_ratio(u_minus_v: float, v: float) -> float:
@@ -70,25 +45,28 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float:
     gives 0 for every structure.
     """
     n, m = st.n, st.m
-    aug = AugmentedStats.from_stats(st, h)
+    # second moments augmented by the variance-prior rate (2*beta) and the
+    # weight-prior precision (1/lam)
+    s1x_beta = st.s1x + 2.0 * h.beta
+    s2x_beta = st.s2x + 2.0 * h.beta
     lam_minus_beta = 1.0 / h.lam - 2.0 * h.beta
 
     if s is Structure.S1:
         a_c, a_o = h.alpha1, h.alpha2
-        u = aug.s2x_lambda + st.s2y
-        v = aug.s2x_beta
+        u = st.s2x + 1.0 / h.lam + st.s2y
+        v = s2x_beta
         log_uv = _log_ratio(lam_minus_beta + st.s2y, v)
-        delta = (aug.s1x_beta + st.s1y) * u - (st.s12x + st.s12y) ** 2
+        delta = (s1x_beta + st.s1y) * u - (st.s12x + st.s12y) ** 2
         coef_u = a_c + 0.5 * (n + m - 1)
         coef_v = a_o + 0.5 * n
         coef_delta = a_c + 0.5 * (n + m)
         lg_data = math.lgamma(a_c + 0.5 * (n + m)) + math.lgamma(a_o + 0.5 * n)
     elif s is Structure.S2:
         a_c, a_o = h.alpha4, h.alpha3
-        u = aug.s1x_lambda
-        v = aug.s1x_beta + st.s1y
+        u = st.s1x + 1.0 / h.lam
+        v = s1x_beta + st.s1y
         log_uv = _log_ratio(lam_minus_beta - st.s1y, v)
-        delta = u * aug.s2x_beta - st.s12x ** 2
+        delta = u * s2x_beta - st.s12x ** 2
         coef_u = a_c + 0.5 * (n - 1)
         coef_v = a_o + 0.5 * (n + m)
         coef_delta = a_c + 0.5 * n
@@ -102,8 +80,8 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float:
             + math.lgamma(a2 + 0.5 * n)
             - math.lgamma(a1)
             - math.lgamma(a2)
-            - (a1 + 0.5 * (n + m)) * math.log(aug.s1x_beta + st.s1y)
-            - (a2 + 0.5 * n) * math.log(aug.s2x_beta)
+            - (a1 + 0.5 * (n + m)) * math.log(s1x_beta + st.s1y)
+            - (a2 + 0.5 * n) * math.log(s2x_beta)
         )
         return lg
 
@@ -135,12 +113,20 @@ def log_marginal_obs(st: SuffStats, s: Structure, h: BgeHyper) -> float:
 class StructurePosterior:
     """Normalized posterior over ``(S1, S2, S3)`` carried in log space.
 
-    ``logp`` holds the unnormalized log posterior scores (log marginal plus
-    log structure prior); ``p`` the log-sum-exp normalized probabilities.
+    ``logp`` holds the log marginal likelihoods (the uniform structure prior
+    cancels in the normalization); ``p`` the log-sum-exp normalized
+    probabilities.
     """
 
     logp: np.ndarray
     p: np.ndarray
+
+    @classmethod
+    def from_logp(cls, logp) -> "StructurePosterior":
+        """Normalize log scores in canonical structure order."""
+        logp = np.asarray(logp, dtype=np.float64)
+        weights = np.exp(logp - np.max(logp))
+        return cls(logp=logp, p=weights / np.sum(weights))
 
     def prob(self, s: Structure) -> float:
         return float(self.p[STRUCTURES.index(s)])
@@ -148,42 +134,17 @@ class StructurePosterior:
     def log_odds(self, a: Structure, b: Structure) -> float:
         return float(self.logp[STRUCTURES.index(a)] - self.logp[STRUCTURES.index(b)])
 
-
-def posterior(
-    st: SuffStats,
-    h: BgeHyper,
-    mixed: bool | None = None,
-    structure_logprior: tuple[float, float, float] | None = None,
-) -> StructurePosterior:
-    """Structure posterior from the closed-form marginals.
-
-    The structure prior is uniform by default; ``structure_logprior``
-    overrides it (an experimentation extension; the default matches the
-    uniform-prior setting everywhere else in the library).
-    """
-    if mixed is not None and mixed != (st.m > 0):
-        raise InvalidParameter(
-            f"mixed={mixed} inconsistent with statistics (m={st.m})"
-        )
-    if structure_logprior is None:
-        structure_logprior = (math.log(1.0 / 3.0),) * 3
-    logp = np.array(
-        [
-            log_marginal_mixed(st, s, h) + lp
-            for s, lp in zip(STRUCTURES, structure_logprior)
-        ]
-    )
-    shifted = logp - np.max(logp)
-    weights = np.exp(shifted)
-    p = weights / np.sum(weights)
-    return StructurePosterior(logp=logp, p=p)
+    def log_inverse_odds(self, true_structure: Structure) -> float:
+        """``log(1/p_true - 1)`` computed in log space (safe when ``p_true -> 1``)."""
+        logp = dict(zip(STRUCTURES, self.logp))
+        a, b = (v for s, v in logp.items() if s is not true_structure)
+        return float(np.logaddexp(a, b) - logp[true_structure])
 
 
-def log_inverse_odds(st: SuffStats, h: BgeHyper, true_structure: Structure) -> float:
-    """``log(1/p_true - 1)`` computed in log space (safe when ``p_true -> 1``)."""
-    logs = {s: log_marginal_mixed(st, s, h) for s in STRUCTURES}
-    others = [logs[s] for s in STRUCTURES if s is not true_structure]
-    return float(np.logaddexp(others[0], others[1]) - logs[true_structure])
+def posterior(st: SuffStats, h: BgeHyper) -> StructurePosterior:
+    """Structure posterior from the closed-form marginals under a uniform
+    structure prior."""
+    return StructurePosterior.from_logp([log_marginal_mixed(st, s, h) for s in STRUCTURES])
 
 
 def augmented_odds_statistic(

@@ -12,10 +12,12 @@ CSV schemas (one file per experiment; floats use 17 significant digits):
 * ``plateau.csv``: trial, n, ratio_12, theory_limit
 * ``chi2.csv``: trial, stat_s1, stat_s2
 * ``slopes.csv``: eta, fitted_slope, theory_exponent, rel_err
+* ``rates.csv``: eta, d12, d21, d13, d23, d12_gain, d21_gain
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,9 +25,18 @@ import numpy as np
 
 from .errors import DegenerateData, InvalidParameter
 from .estimation import SuffStats, suffstats
-from .exact import augmented_odds_statistic, log_inverse_odds, posterior
+from .exact import StructurePosterior, augmented_odds_statistic, posterior
 from .priors import BgeHyper, prior_logpdf, pushforward_prior_logpdf
-from .rates import RateInput, d12, d21
+from .rates import (
+    RateId,
+    RateInput,
+    d12,
+    d21,
+    gain_transform,
+    mixing_helps_s1,
+    optimal_eta,
+    sample_curve,
+)
 from .sem import InterventionSpec, Params, Structure, gamma_map_inverse, sample_interv, sample_obs
 
 _TRIAL_SEED_STRIDE = 10 ** 6
@@ -131,6 +142,21 @@ def _simulate_cell(cfg: ExperimentConfig, trial: int, size_index: int) -> SuffSt
     return suffstats(obs, interv)
 
 
+def _record(
+    cfg: ExperimentConfig, trial: int, total: int, st: SuffStats, post: StructurePosterior, **stats
+) -> TrialRecord:
+    return TrialRecord(
+        trial=trial,
+        total=total,
+        n=st.n,
+        m=st.m,
+        p=(float(post.p[0]), float(post.p[1]), float(post.p[2])),
+        log_inv_odds=post.log_inverse_odds(cfg.true_model),
+        ratio_12=_safe_exp(post.log_odds(Structure.S1, Structure.S2)),
+        **stats,
+    )
+
+
 def run_concentration(cfg: ExperimentConfig) -> ExperimentResult:
     """Posterior records over the (trial, size) grid for the configured model.
 
@@ -143,22 +169,10 @@ def run_concentration(cfg: ExperimentConfig) -> ExperimentResult:
             try:
                 st = _simulate_cell(cfg, trial, idx)
                 post = posterior(st, cfg.hyper)
-                lio = log_inverse_odds(st, cfg.hyper, cfg.true_model)
-                ratio = _safe_exp(post.log_odds(Structure.S1, Structure.S2))
             except DegenerateData:
                 result.skipped += 1
                 continue
-            result.records.append(
-                TrialRecord(
-                    trial=trial,
-                    total=total,
-                    n=st.n,
-                    m=st.m,
-                    p=(float(post.p[0]), float(post.p[1]), float(post.p[2])),
-                    log_inv_odds=lio,
-                    ratio_12=ratio,
-                )
-            )
+            result.records.append(_record(cfg, trial, total, st, post))
     return result
 
 
@@ -207,23 +221,10 @@ def run_chi2_diagnostic(cfg: ExperimentConfig) -> tuple[ExperimentResult, float,
             post = posterior(st, cfg.hyper)
             s1 = augmented_odds_statistic(st, Structure.S1, cfg.theta_star, cfg.hyper)
             s2 = augmented_odds_statistic(st, Structure.S2, cfg.theta_star, cfg.hyper)
-            lio = log_inverse_odds(st, cfg.hyper, cfg.true_model)
         except DegenerateData:
             result.skipped += 1
             continue
-        result.records.append(
-            TrialRecord(
-                trial=trial,
-                total=total,
-                n=st.n,
-                m=st.m,
-                p=(float(post.p[0]), float(post.p[1]), float(post.p[2])),
-                log_inv_odds=lio,
-                ratio_12=_safe_exp(post.log_odds(Structure.S1, Structure.S2)),
-                stat_s1=s1,
-                stat_s2=s2,
-            )
-        )
+        result.records.append(_record(cfg, trial, total, st, post, stat_s1=s1, stat_s2=s2))
     ks1, p1 = ks_test_chi2_1(np.array([r.stat_s1 for r in result.records]))
     ks2, p2 = ks_test_chi2_1(np.array([r.stat_s2 for r in result.records]))
     if ks1 >= ks2:
@@ -259,10 +260,12 @@ def fit_slope(x_values, y_values) -> SlopeFit:
     return SlopeFit(slope=slope, intercept=intercept, r_squared=r2)
 
 
-def fitted_exponent(cfg: ExperimentConfig, result: ExperimentResult) -> SlopeFit:
-    """Slope of trial-averaged ``log(1/p_true - 1)`` against total sample size."""
-    means = [result.mean_log_inv_odds(total) for total in cfg.sample_sizes]
-    return fit_slope(np.array(cfg.sample_sizes, dtype=np.float64), np.array(means))
+def fitted_exponent(cfg: ExperimentConfig, result: ExperimentResult, min_size: int = 0) -> SlopeFit:
+    """Slope of trial-averaged ``log(1/p_true - 1)`` against total sample size,
+    over the configured sizes of at least ``min_size``."""
+    sizes = [total for total in cfg.sample_sizes if total >= min_size]
+    means = [result.mean_log_inv_odds(total) for total in sizes]
+    return fit_slope(np.array(sizes, dtype=np.float64), np.array(means))
 
 
 def theory_exponent(cfg: ExperimentConfig) -> float:
@@ -326,8 +329,12 @@ def ks_test_chi2_1(samples: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+#: Every float in a written file: 17 significant digits, enough to round-trip.
+_FLOAT = "%.17g"
+
+
 def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+    return _FLOAT % v
 
 
 def _header_lines(cfg: ExperimentConfig, extra: dict | None = None) -> list[str]:
@@ -422,7 +429,26 @@ def write_slopes_csv(path, rows: list[tuple[float, float, float]], header_lines:
     _write_lines(path, lines)
 
 
-def _write_lines(path, lines: list[str]) -> None:
+def write_rates_csv(path, theta: Params, y: float, points: int, header_lines: list[str]) -> None:
+    """The four exponents and the two gains on ``points`` grid values of eta."""
+    curves = [
+        sample_curve(r, theta, y, num=points)
+        for r in (RateId.D12, RateId.D21, RateId.D13, RateId.D23)
+    ]
+    gains = [gain_transform(c) for c in curves[:2]]
+    columns = [curves[0].eta] + [c.values for c in curves + gains]
+    eta12, v12 = optimal_eta(RateId.D12, theta, y)
+    eta21, v21 = optimal_eta(RateId.D21, theta, y)
+    lines = list(header_lines) + [
+        f"# mixing_helps_s1 = {mixing_helps_s1(theta, y)}",
+        f"# optimal_eta_d12 = {_fmt(eta12)} (value {_fmt(v12)})",
+        f"# optimal_eta_d21 = {_fmt(eta21)} (value {_fmt(v21)})",
+        "eta,d12,d21,d13,d23,d12_gain,d21_gain",
+    ]
+    row = ",".join([_FLOAT] * len(columns))
+    _write_lines(path, itertools.chain(lines, (row % values for values in zip(*columns))))
+
+
+def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.writelines(f"{line}\n" for line in lines)

@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
-from .sem import Params, Structure, gamma_log_jacobian_det, gamma_map
-
-_LOG_2PI = math.log(2.0 * math.pi)
+from .sem import Params, Structure, _norm_logpdf, gamma_log_jacobian_det, gamma_map
 
 
 @dataclass(frozen=True)
@@ -81,10 +79,6 @@ def invgamma_logpdf(x: float, shape: float, rate: float) -> float:
     if x <= 0.0:
         raise InvalidParameter(f"inverse-gamma support is (0, inf), got {x!r}")
     return shape * math.log(rate) - math.lgamma(shape) - (shape + 1.0) * math.log(x) - rate / x
-
-
-def _norm_logpdf(x: float, var: float) -> float:
-    return -0.5 * (_LOG_2PI + math.log(var)) - x * x / (2.0 * var)
 
 
 def prior_logpdf(theta: Params, s: Structure, h: BgeHyper) -> float:

@@ -27,16 +27,23 @@ class RateInput:
     """Generating parameters, intervention value, and observational ratio.
 
     ``eta`` may take the boundary values 0 and 1, where the exponents equal
-    their analytic limits.
+    their analytic limits. It may also be a float array, in which case every
+    exponent returns the array of its values at each entry.
     """
 
     theta_star: Params
     y: float
-    eta: float
+    eta: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eta) and 0.0 <= self.eta <= 1.0):
-            raise InvalidParameter(f"eta must lie in [0, 1], got {self.eta!r}")
+        eta = self.eta
+        if isinstance(eta, np.ndarray):
+            # NaN fails both comparisons
+            valid = bool(np.all((eta >= 0.0) & (eta <= 1.0)))
+        else:
+            valid = 0.0 <= eta <= 1.0
+        if not valid:
+            raise InvalidParameter(f"eta must lie in [0, 1], got {eta!r}")
         if not math.isfinite(self.y):
             raise InvalidParameter(f"y must be finite, got {self.y!r}")
 
@@ -75,7 +82,7 @@ def _sigmas_s1(theta: Params, y: float) -> tuple[float, float]:
     return w2 * theta.tau2_sq + theta.tau1_sq, w2 * y * y + theta.tau1_sq
 
 
-def d12(ri: RateInput) -> float:
+def d12(ri: RateInput) -> float | np.ndarray:
     """Exponent governing posterior concentration on a true ``S1`` model.
 
     ``0.5 * log[(eta*s_x + (1-eta)*s_y) / (s_x^eta * tau1_sq^(1-eta))]`` with
@@ -84,13 +91,13 @@ def d12(ri: RateInput) -> float:
     sx, sy = _sigmas_s1(ri.theta_star, ri.y)
     eta, etabar = ri.eta, 1.0 - ri.eta
     return 0.5 * (
-        math.log(eta * sx + etabar * sy)
+        np.log(eta * sx + etabar * sy)
         - eta * math.log(sx)
         - etabar * math.log(ri.theta_star.tau1_sq)
     )
 
 
-def d21(ri: RateInput) -> float:
+def d21(ri: RateInput) -> float | np.ndarray:
     """Exponent governing posterior concentration on a true ``S2`` model.
 
     ``0.5 * log(1 - eta^2*w^2*tau1_sq / (eta*s_y + (1-eta)*y^2))
@@ -103,13 +110,15 @@ def d21(ri: RateInput) -> float:
     w2t1 = th.w * th.w * th.tau1_sq
     sy = w2t1 + th.tau2_sq
     eta, etabar = ri.eta, 1.0 - ri.eta
-    denom = eta * sy + etabar * ri.y * ri.y
-    if eta > 0.0 and denom <= 0.0:
-        raise ArgumentOutOfDomain("d21 undefined: zero mixture denominator (y = 0, eta -> 0)")
-    inner = 1.0 - (eta * eta * w2t1) / denom if eta > 0.0 else 1.0
-    if inner <= 0.0:
-        raise ArgumentOutOfDomain(f"d21 inner log argument non-positive ({inner!r})")
-    return 0.5 * math.log(inner) + 0.5 * eta * math.log(sy / th.tau2_sq)
+    if ri.y * ri.y == 0.0:
+        # one factor of eta cancels, which keeps eta = 0 defined
+        inner = 1.0 - eta * w2t1 / sy
+    else:
+        inner = 1.0 - (eta * eta * w2t1) / (eta * sy + etabar * ri.y * ri.y)
+    low = inner.min(initial=1.0) if isinstance(inner, np.ndarray) else inner
+    if low <= 0.0:
+        raise ArgumentOutOfDomain(f"d21 inner log argument non-positive ({float(low)!r})")
+    return 0.5 * np.log(inner) + 0.5 * eta * math.log(sy / th.tau2_sq)
 
 
 def obs_kl_s1_vs_s3(theta_star: Params) -> float:
@@ -119,13 +128,13 @@ def obs_kl_s1_vs_s3(theta_star: Params) -> float:
     return 0.5 * math.log1p(th.w * th.w * th.tau2_sq / th.tau1_sq)
 
 
-def d13(ri: RateInput) -> float:
+def d13(ri: RateInput) -> float | np.ndarray:
     """Exponent against the independence model for a true ``S1`` model:
     ``d12 + eta * obs_kl_s1_vs_s3``. Dominates ``d12`` except at ``eta = 0``."""
     return d12(ri) + ri.eta * obs_kl_s1_vs_s3(ri.theta_star)
 
 
-def d23(ri: RateInput) -> float:
+def d23(ri: RateInput) -> float | np.ndarray:
     """Exponent against the independence model for a true ``S2`` model:
     ``(eta/2) * log(1 + w^2*tau1_sq/tau2_sq)``."""
     th = ri.theta_star
@@ -209,8 +218,7 @@ def sample_curve(
     if eta_grid is None:
         eta_grid = np.linspace(_ETA_CLAMP, 1.0 - _ETA_CLAMP, num)
     eta_grid = np.clip(np.asarray(eta_grid, dtype=np.float64), _ETA_CLAMP, 1.0 - _ETA_CLAMP)
-    values = np.array([f(RateInput(theta_star, y, float(e))) for e in eta_grid])
-    return RateCurve(eta=eta_grid, values=values, exponent_id=exponent_id)
+    return RateCurve(eta=eta_grid, values=f(RateInput(theta_star, y, eta_grid)), exponent_id=exponent_id)
 
 
 def gain_transform(curve: RateCurve) -> RateCurve:

@@ -38,9 +38,6 @@ class Structure(str, Enum):
     S3 = "S3"
 
 
-#: The two connected (Markov equivalent) structures.
-CONNECTED = (Structure.S1, Structure.S2)
-
 #: All structures in canonical order.
 STRUCTURES = (Structure.S1, Structure.S2, Structure.S3)
 

@@ -1,4 +1,4 @@
-"""Fisher blocks, exact Hessians, Laplace evidence, and the quadrature
+"""Fisher information, exact Hessians, Laplace evidence, and the quadrature
 engine itself."""
 
 import math
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bicausal import (
+    DegenerateData,
     InterventionSpec,
     InvalidParameter,
     NonConcaveAtMle,
@@ -35,9 +36,9 @@ from conftest import random_params
 
 class TestFisher:
     def test_s1_observational_unit(self):
-        block = fisher(Structure.S1, Params(0.3, 1.0, 1.0), Regime.OBSERVATIONAL)
-        np.testing.assert_array_equal(np.diag(block.matrix), [1.0, 0.5, 0.5])
-        assert block.det == 0.25
+        info = fisher(Structure.S1, Params(0.3, 1.0, 1.0), Regime.OBSERVATIONAL)
+        np.testing.assert_array_equal(info, np.diag([1.0, 0.5, 0.5]))
+        assert float(np.prod(np.diag(info))) == 0.25
 
     def test_interventional_requires_spec(self):
         with pytest.raises(InvalidParameter):
@@ -87,7 +88,7 @@ class TestFisher:
                     fd[i, j] = fd[j, i] = (
                         f(p0 + ei + ej) - f(p0 + ei - ej) - f(p0 - ei + ej) + f(p0 - ei - ej)
                     ) / (4 * eps ** 2)
-        expected = -fisher(s, hat, Regime.OBSERVATIONAL).matrix
+        expected = -fisher(s, hat, Regime.OBSERVATIONAL)
         np.testing.assert_allclose(fd, expected, rtol=1e-4, atol=1e-6)
 
     @pytest.mark.parametrize("s", [Structure.S1, Structure.S2, Structure.S3])
@@ -120,7 +121,7 @@ class TestFisher:
             ei = np.zeros(dim)
             ei[i] = eps
             fd[i, i] = (f(p0 + ei) - 2 * f(p0) + f(p0 - ei)) / eps ** 2
-        expected = -fisher(s, point, Regime.INTERVENTIONAL, iv).matrix
+        expected = -fisher(s, point, Regime.INTERVENTIONAL, iv)
         np.testing.assert_allclose(np.diag(fd), np.diag(expected), rtol=1e-3, atol=1e-6)
 
 
@@ -129,17 +130,28 @@ class TestHessianDiagnostics:
         return suffstats(sample_obs(Structure.S1, Params(0.9, 1.1, 0.8), n, seed))
 
     def test_determinant_matches_factorization(self):
+        # observational S1 data: at any theta, det H factors as
+        # -(n^3 tau2_hat / (4 t1^3 t2^2)) (1 - 2 tau1_hat/t1) (1 - 2 tau2_hat/t2)
         st = self._stats()
         rng = np.random.default_rng(6)
         hat = mle_mixed(st).theta1
+        n = st.n
         for _ in range(50):
             theta = Params(
                 hat.w + rng.normal(0, 0.3),
                 hat.tau1_sq * math.exp(rng.normal(0, 0.4)),
                 hat.tau2_sq * math.exp(rng.normal(0, 0.4)),
             )
+            t1, t2 = theta.tau1_sq, theta.tau2_sq
             rep = hessian_diagnostics(st, Structure.S1, theta)
-            assert rep.determinant == pytest.approx(rep.det_factored, rel=1e-9)
+            factored = (
+                -(n ** 3)
+                * hat.tau2_sq
+                / (4.0 * t1 ** 3 * t2 ** 2)
+                * (1.0 - 2.0 * hat.tau1_sq / t1)
+                * (1.0 - 2.0 * hat.tau2_sq / t2)
+            )
+            assert rep.determinant == pytest.approx(factored, rel=1e-9)
 
     def test_at_mle(self):
         st = self._stats()
@@ -250,6 +262,16 @@ class TestQuadratureEngine:
         st = suffstats(np.empty((0, 2)))
         for s in Structure:
             assert abs(quadrature_log_marginal(st, s, symmetric_hyper)) < 1e-9
+
+    def test_degenerate_data_falls_back_to_prior_centers(self, symmetric_hyper):
+        # identically zero data has no MLE; the grids center on the prior modes
+        st = suffstats(np.zeros((3, 2)))
+        with pytest.raises(DegenerateData):
+            mle_mixed(st)
+        for s in Structure:
+            exact = log_marginal_mixed(st, s, symmetric_hyper)
+            oracle = quadrature_log_marginal(st, s, symmetric_hyper)
+            assert abs(math.expm1(oracle - exact)) < 1e-4
 
     def test_cost_guard(self, symmetric_hyper):
         st = suffstats(sample_obs(Structure.S1, Params(1, 1, 1), 100, 3))

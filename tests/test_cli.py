@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import bicausal as bc
 from bicausal.cli import main, parse_config, read_dataset
 from bicausal.sem import Params
 from bicausal import mixing_helps_s1
@@ -86,6 +87,15 @@ class TestPosterior:
         for a, b in zip(marginals(exact_out), marginals(quad_out)):
             assert abs(math.expm1(b - a)) < 1e-4
 
+    def test_exact_probabilities_match_library(self, tmp_path, capsys):
+        data = self._simulate(tmp_path, n=40, m=15, seed=4)
+        run_cli("posterior", data, "--method", "exact")
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("posterior:"))
+        got = [float(part.split("=")[1]) for part in line[len("posterior:"):].split(",")]
+        obs, interv = read_dataset(str(data))
+        want = bc.posterior(bc.suffstats(obs, interv), bc.bge_symmetric_hyper(3.0, 0.5)).p
+        assert got == want.tolist()
+
     def test_laplace_reports_occam_gap(self, tmp_path, capsys):
         data = self._simulate(tmp_path, n=60, seed=8)
         run_cli("posterior", data, "--method", "laplace")
@@ -134,6 +144,17 @@ class TestRates:
         last = [float(v) for v in rows[-1].split(",")]
         assert abs(first[2]) < 1e-6 and abs(last[2]) < 1e-6
 
+    def test_nonpositive_grid_points_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "rates.csv"
+        for points in ("0", "-1"):
+            code = run_cli(
+                "rates", "--w", "1.0", "--tau1-sq", "1.0", "--tau2-sq", "1.0",
+                "--y", "1.0", "--grid-points", points, "--out", out,
+            )
+            assert code == 2
+            assert "category=config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mixing_flag_matches_inequality(self, tmp_path, capsys):
         for w, t1, t2, y in ((1.0, 1.0, 4.0, 0.1), (1.0, 1.0, 1.0, 2.0)):
             out = tmp_path / "r.csv"
@@ -175,6 +196,14 @@ class TestExperimentCommand:
         out3 = tmp_path / "b3"
         run_cli("experiment", "--config", cfg, "--out", out3)  # config seed = 2
         assert (out3 / "concentration_eta0.5.csv").read_bytes() != f1.read_bytes()
+
+    def test_figure7_is_figure1(self, tmp_path):
+        for preset in ("figure1", "figure7"):
+            assert run_cli("experiment", "--preset", preset, "--out", tmp_path / preset) == 0
+        names = sorted(p.name for p in (tmp_path / "figure1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "figure7").iterdir()) and names
+        for name in names:
+            assert (tmp_path / "figure1" / name).read_bytes() == (tmp_path / "figure7" / name).read_bytes()
 
     def test_unknown_preset_is_config_error(self, capsys):
         assert run_cli("experiment", "--preset", "figure99") == 2

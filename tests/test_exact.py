@@ -12,9 +12,9 @@ from bicausal import (
     InvalidParameter,
     Params,
     Structure,
+    StructurePosterior,
     augmented_odds_statistic,
     bge_symmetric_hyper,
-    log_inverse_odds,
     log_marginal_mixed,
     log_marginal_obs,
     posterior,
@@ -118,10 +118,22 @@ class TestPosterior:
         post = posterior(st, symmetric_hyper)
         assert post.prob(Structure.S3) > 0.9
 
-    def test_mixed_flag_validated(self, symmetric_hyper):
-        st = suffstats(np.empty((0, 2)))
-        with pytest.raises(InvalidParameter):
-            posterior(st, symmetric_hyper, mixed=True)
+    def test_scores_are_raw_log_marginals(self, symmetric_hyper):
+        # a uniform structure prior cancels in the normalization, so the
+        # scores are the marginals themselves and a common shift moves nothing
+        st = random_dataset(np.random.default_rng(9), 30, 10)
+        post = posterior(st, symmetric_hyper)
+        raw = [log_marginal_mixed(st, s, symmetric_hyper) for s in Structure]
+        np.testing.assert_array_equal(post.logp, raw)
+        shifted = StructurePosterior.from_logp(post.logp + math.log(1.0 / 3.0))
+        np.testing.assert_allclose(shifted.p, post.p, rtol=1e-14)
+
+    def test_log_inverse_odds_matches_probabilities(self, symmetric_hyper):
+        st = random_dataset(np.random.default_rng(10), 20, 5)
+        post = posterior(st, symmetric_hyper)
+        for s in Structure:
+            p = post.prob(s)
+            assert post.log_inverse_odds(s) == pytest.approx(math.log((1.0 - p) / p), rel=1e-12)
 
     def test_log_inverse_odds_safe_at_huge_n(self, symmetric_hyper):
         # synthetic statistics at n = 1e6: no overflow anywhere in log space
@@ -129,7 +141,7 @@ class TestPosterior:
         st = SuffStats(2.0 * n, 1.0 * n, 1.0 * n, 0.0, 0.0, 0.0, n, 0)
         vals = [log_marginal_mixed(st, s, symmetric_hyper) for s in Structure]
         assert all(math.isfinite(v) for v in vals)
-        assert math.isfinite(log_inverse_odds(st, symmetric_hyper, Structure.S1))
+        assert math.isfinite(posterior(st, symmetric_hyper).log_inverse_odds(Structure.S1))
 
     def test_monotone_sanity_sweep(self, symmetric_hyper):
         # growing perfectly correlated evidence makes S3 monotonically less likely

@@ -7,25 +7,30 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import bicausal.exact
 from bicausal import (
     ExperimentConfig,
     InvalidParameter,
     Params,
+    RateId,
     Structure,
     chi2_1_cdf,
     fit_slope,
     fitted_exponent,
+    gain_transform,
     ks_test_chi2_1,
     plateau_theory_ratio,
     run_chi2_diagnostic,
     run_concentration,
     run_odds_plateau,
+    sample_curve,
     theory_exponent,
 )
 from bicausal.experiments import (
     write_chi2_csv,
     write_concentration_csv,
     write_plateau_csv,
+    write_rates_csv,
 )
 
 
@@ -75,6 +80,21 @@ class TestDeterminism:
         res = run_concentration(cfg)
         keys = [(r.trial, r.total) for r in res.records]
         assert keys == sorted(keys)
+
+    def test_evidence_computed_once_per_cell(self, symmetric_hyper, monkeypatch):
+        calls = []
+        original = bicausal.exact.log_marginal_mixed
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(bicausal.exact, "log_marginal_mixed", counting)
+        cfg = small_config(hyper=symmetric_hyper)
+        res = run_concentration(cfg)
+        cells = cfg.trials * len(cfg.sample_sizes)
+        assert len(res.records) == cells
+        assert len(calls) == 3 * cells
 
     def test_no_skips_at_defaults(self, symmetric_hyper):
         res = run_concentration(small_config(hyper=symmetric_hyper, trials=20))
@@ -137,6 +157,15 @@ class TestSlopeVsTheory:
         res = run_concentration(cfg)
         fit = fitted_exponent(cfg, res)
         assert abs(fit.slope + theory_exponent(cfg)) / theory_exponent(cfg) < 0.1
+
+    def test_min_size_restricts_fit(self, symmetric_hyper):
+        cfg = small_config(hyper=symmetric_hyper, sample_sizes=(50, 100, 200, 400, 800, 1600))
+        res = run_concentration(cfg)
+        sizes = [200, 400, 800, 1600]
+        want = fit_slope(sizes, [res.mean_log_inv_odds(s) for s in sizes])
+        assert fitted_exponent(cfg, res, min_size=200) == want
+        with pytest.raises(InvalidParameter):
+            fitted_exponent(cfg, res, min_size=800)
 
 
 class TestPlateau:
@@ -228,3 +257,19 @@ class TestCsv:
         res3, ks, p = run_chi2_diagnostic(cfg3)
         write_chi2_csv(tmp_path / "chi2.csv", cfg3, res3, ks, p)
         assert "stat_s1,stat_s2" in (tmp_path / "chi2.csv").read_text()
+
+    def test_rates_writer_matches_curves(self, tmp_path):
+        theta, y = Params(1.0, 1.0, 4.0), 0.1
+        path = tmp_path / "rates.csv"
+        write_rates_csv(path, theta, y, 51, ["# preset"])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# preset"
+        rows = [l for l in lines if not l.startswith("#")]
+        assert rows[0] == "eta,d12,d21,d13,d23,d12_gain,d21_gain"
+        table = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        curves = [sample_curve(r, theta, y, num=51) for r in (RateId.D12, RateId.D21, RateId.D13, RateId.D23)]
+        np.testing.assert_array_equal(table[:, 0], curves[0].eta)
+        for col, curve in enumerate(curves, start=1):
+            np.testing.assert_array_equal(table[:, col], curve.values)
+        np.testing.assert_array_equal(table[:, 5], gain_transform(curves[0]).values)
+        np.testing.assert_array_equal(table[:, 6], gain_transform(curves[1]).values)

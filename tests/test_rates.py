@@ -194,6 +194,19 @@ class TestOptimalEta:
             assert abs(eta_star - grid[int(np.argmax(vals))]) < 1e-3
 
 
+class TestArrayEta:
+    @pytest.mark.parametrize(
+        "theta, y",
+        [(Params(1.0, 1.0, 4.0), 0.1), (UNIT, 2.0), (Params(0.7, 0.5, 2.0), 0.4)],
+        ids=["mixing-helps", "mixing-hurts", "generic"],
+    )
+    def test_curve_equals_scalar_calls_bitwise(self, theta, y):
+        for rid, f in ((RateId.D12, d12), (RateId.D21, d21), (RateId.D13, d13), (RateId.D23, d23)):
+            curve = sample_curve(rid, theta, y, num=999)
+            scalar = [f(ri(theta, y, float(e))) for e in curve.eta]
+            np.testing.assert_array_equal(curve.values, scalar)
+
+
 class TestGainTransform:
     def test_constant_gain_when_mixture_collapses(self):
         curve = sample_curve(RateId.D12, UNIT, 1.0, num=101)
@@ -316,10 +329,10 @@ class TestNonidentPosteriorLimit:
 
 class TestValidation:
     def test_rate_input_domain(self):
-        with pytest.raises(InvalidParameter):
-            RateInput(UNIT, 1.0, -0.1)
-        with pytest.raises(InvalidParameter):
-            RateInput(UNIT, 1.0, 1.5)
+        for bad in (-0.1, 1.5, math.nan, np.array([0.2, np.nan]), np.array([0.2, 1.5]), np.array([-0.1, 0.5])):
+            with pytest.raises(InvalidParameter):
+                RateInput(UNIT, 1.0, bad)
+        RateInput(UNIT, 1.0, np.array([0.0, 0.5, 1.0]))
 
     def test_curve_grid_validated(self):
         with pytest.raises(InvalidParameter):
@@ -328,3 +341,7 @@ class TestValidation:
     def test_d21_zero_intervention_value_allowed_inside(self):
         # y = 0 is permitted for eta in (0, 1]; the exponent stays finite
         assert math.isfinite(d21(ri(UNIT, 0.0, 0.5)))
+        # and at eta = 0, where the mixture denominator vanishes, it is 0
+        assert d21(ri(UNIT, 0.0, 0.0)) == 0.0
+        grid = np.array([0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(d21(ri(UNIT, 0.0, grid)), [d21(ri(UNIT, 0.0, float(e))) for e in grid])
