@@ -10,6 +10,7 @@ config-file values. Every output file carries its resolved configuration in
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -21,9 +22,8 @@ from .approx import laplace_log_marginal, quadrature_log_marginal
 from .errors import BicausalError, ConfigError, DataFormatError, DegenerateData
 from .estimation import mle_mixed, suffstats
 from .exact import StructurePosterior, log_marginal_mixed
-from .experiments import _fmt
+from .experiments import _FLOAT, _fmt
 from .priors import BgeHyper, bge_symmetric_hyper, prior_logpdf
-from .rates import RateId, mixing_helps_s1, optimal_eta
 from .sem import InterventionSpec, Params, Structure, sample_interv, sample_obs
 
 _METHODS = ("exact", "laplace", "quadrature")
@@ -76,23 +76,16 @@ class Resolver:
             self.resolved[f"{section}.{key}"] = str(value)
         return value
 
-    def get_float(self, section, key, override=None, default=None, required=False):
+    def get_as(self, kind: type, section, key, override=None, default=None, required=False):
+        """``get`` converted by ``kind`` (``float`` or ``int``)."""
         v = self.get(section, key, override, default, required)
         if v is None:
             return None
         try:
-            return float(v)
+            return kind(v)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"[{section}] {key}: expected a number, got {v!r}") from exc
-
-    def get_int(self, section, key, override=None, default=None, required=False):
-        v = self.get(section, key, override, default, required)
-        if v is None:
-            return None
-        try:
-            return int(v)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {v!r}") from exc
+            expected = "a number" if kind is float else "an integer"
+            raise ConfigError(f"[{section}] {key}: expected {expected}, got {v!r}") from exc
 
     def header_lines(self) -> list[str]:
         # output locations are not part of the generative configuration
@@ -112,32 +105,21 @@ def _structure(name: str) -> Structure:
 
 def _theta(res: Resolver, args) -> Params:
     return Params(
-        w=res.get_float("model", "w", getattr(args, "w", None), required=True),
-        tau1_sq=res.get_float("model", "tau1_sq", getattr(args, "tau1_sq", None), required=True),
-        tau2_sq=res.get_float("model", "tau2_sq", getattr(args, "tau2_sq", None), required=True),
+        *(
+            res.get_as(float, "model", key, getattr(args, key, None), required=True)
+            for key in ("w", "tau1_sq", "tau2_sq")
+        )
     )
 
 
 def _hyper(res: Resolver, args) -> BgeHyper:
-    sec = res.sections.get("prior", {})
-    explicit = [k for k in sec if k.startswith("alpha")]
-    if getattr(args, "bge_alpha", None) is not None or ("bge_alpha" in sec and not explicit):
-        alpha = res.get_float("prior", "bge_alpha", getattr(args, "bge_alpha", None), default=3.0)
-        beta = res.get_float("prior", "bge_beta", getattr(args, "bge_beta", None), default=0.5)
-        return bge_symmetric_hyper(alpha, beta)
-    if explicit:
-        return BgeHyper(
-            alpha1=res.get_float("prior", "alpha1", required=True),
-            alpha2=res.get_float("prior", "alpha2", required=True),
-            alpha3=res.get_float("prior", "alpha3", required=True),
-            alpha4=res.get_float("prior", "alpha4", required=True),
-            alpha5=res.get_float("prior", "alpha5", required=True),
-            alpha6=res.get_float("prior", "alpha6", required=True),
-            beta=res.get_float("prior", "beta", required=True),
-            lam=res.get_float("prior", "lambda", required=True),
-        )
-    alpha = res.get_float("prior", "bge_alpha", getattr(args, "bge_alpha", None), default=3.0)
-    beta = res.get_float("prior", "bge_beta", getattr(args, "bge_beta", None), default=0.5)
+    """The explicit ``alpha1..6, beta, lambda`` prior when the config gives one
+    and ``--bge-alpha`` is unset; otherwise the symmetric prior."""
+    if args.bge_alpha is None and any(k.startswith("alpha") for k in res.sections.get("prior", {})):
+        keys = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6", "beta", "lambda")
+        return BgeHyper(*(res.get_as(float, "prior", k, required=True) for k in keys))
+    alpha = res.get_as(float, "prior", "bge_alpha", args.bge_alpha, default=3.0)
+    beta = res.get_as(float, "prior", "bge_beta", args.bge_beta, default=0.5)
     return bge_symmetric_hyper(alpha, beta)
 
 
@@ -150,27 +132,21 @@ def cmd_simulate(args) -> int:
     res = Resolver(parse_config(args.config) if args.config else {})
     s = _structure(res.get("model", "structure", args.structure, required=True))
     theta = _theta(res, args)
-    n = res.get_int("simulate", "n", args.n, default=0)
-    m = res.get_int("simulate", "m", args.m, default=0)
-    seed = res.get_int("simulate", "seed", args.seed, default=0)
+    n = res.get_as(int, "simulate", "n", args.n, default=0)
+    m = res.get_as(int, "simulate", "m", args.m, default=0)
+    seed = res.get_as(int, "simulate", "seed", args.seed, default=0)
     out = res.get("simulate", "out", args.out, required=True)
-    y = res.get_float("model", "y", args.y, default=None)
+    y = res.get_as(float, "model", "y", args.y, default=None)
     if m > 0 and y is None:
         raise ConfigError("interventional samples requested but no intervention value y")
 
     rng = np.random.default_rng(seed)
-    obs = sample_obs(s, theta, n, rng)
-    lines = res.header_lines()
-    lines.append("regime,x1,x2")
-    for row in obs:
-        lines.append(f"obs,{_fmt(row[0])},{_fmt(row[1])}")
+    blocks = [("obs", sample_obs(s, theta, n, rng))]
     if m > 0:
-        interv = sample_interv(s, theta, InterventionSpec(y), m, rng)
-        for row in interv:
-            lines.append(f"int,{_fmt(row[0])},{_fmt(row[1])}")
+        blocks.append(("int", sample_interv(s, theta, InterventionSpec(y), m, rng)))
+    rows = (f"{regime},{_FLOAT},{_FLOAT}" % (a, b) for regime, data in blocks for a, b in data.tolist())
     Path(out).parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    xp._write_lines(out, itertools.chain(res.header_lines(), ["regime,x1,x2"], rows))
     print(f"wrote {n} observational + {m} interventional samples to {out}")
     return 0
 
@@ -203,6 +179,8 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
             x1, x2 = float(parts[1]), float(parts[2])
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: non-numeric sample {raw!r}") from None
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            raise DataFormatError(f"{path}:{lineno}: non-finite sample {raw!r}")
         if regime == "obs":
             obs_rows.append((x1, x2))
         elif regime in ("int", "interv"):
@@ -227,6 +205,7 @@ def cmd_posterior(args) -> int:
 
     lines: list[str] = [f"dataset: {args.dataset} (n={st.n}, m={st.m})", f"method: {method}"]
     logm_exact = [log_marginal_mixed(st, s, h) for s in Structure]
+    triple = None
     if method == "exact":
         logm = logm_exact
     elif method == "quadrature":
@@ -248,7 +227,7 @@ def cmd_posterior(args) -> int:
     lines.append("posterior: " + ", ".join(f"p({s.value})={_fmt(p[i])}" for i, s in enumerate(Structure)))
     if st.n >= 2:
         try:
-            triple = mle_mixed(st)
+            triple = triple or mle_mixed(st)
         except DegenerateData as exc:
             lines.append(f"mle: unavailable ({exc}); collect non-collinear samples")
         else:
@@ -279,16 +258,13 @@ def cmd_posterior(args) -> int:
 def cmd_rates(args) -> int:
     res = Resolver(parse_config(args.config) if args.config else {})
     theta = _theta(res, args)
-    y = res.get_float("model", "y", args.y, required=True)
-    points = res.get_int("rates", "grid_points", args.grid_points, default=999)
+    y = res.get_as(float, "model", "y", args.y, required=True)
+    points = res.get_as(int, "rates", "grid_points", args.grid_points, default=999)
     if points < 1:
         raise ConfigError(f"[rates] grid_points must be >= 1, got {points}")
     out = res.get("rates", "out", args.out, default="rates.csv")
     Path(out).parent.mkdir(parents=True, exist_ok=True)
-    xp.write_rates_csv(out, theta, y, points, res.header_lines())
-    helps = mixing_helps_s1(theta, y)
-    eta12, v12 = optimal_eta(RateId.D12, theta, y)
-    eta21, v21 = optimal_eta(RateId.D21, theta, y)
+    helps, (eta12, v12), (eta21, v21) = xp.write_rates_csv(out, theta, y, points, res.header_lines())
     print(f"wrote {out}")
     print(f"mixing_helps_s1: {helps}")
     print(f"optimal eta (true S1 exponent): {_fmt(eta12)} -> {_fmt(v12)}")
@@ -300,169 +276,38 @@ def cmd_rates(args) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
-_SYMMETRIC = ("bge", 3.0, 0.5)
-
-#: Preset definitions. Generating parameters the source figures leave
-#: unstated are artifact defaults and are flagged in the output headers.
-PRESETS: dict[str, dict] = {
-    "figure1": {
-        "kind": "rates",
-        "sets": [
-            ("a", Params(1.0, 1.0, 4.0), 0.1),
-            ("b", Params(1.0, 1.0, 1.0), 2.0),
-        ],
-    },
-    "figure2": {
-        "kind": "concentration",
-        "true_model": Structure.S3,
-        "theta": Params(0.0, 1.0, 1.0),
-        "sizes": (100, 1000, 10000, 100000),
-        "trials": 200,
-    },
-    "figure3": {
-        "kind": "chi2",
-        "true_model": Structure.S3,
-        "theta": Params(0.0, 1.0, 1.0),
-        "sizes": (5000,),
-        "trials": 500,
-    },
-    "figure4": {
-        "kind": "concentration",
-        "true_model": Structure.S1,
-        "theta": Params(1.0, 1.0, 1.0),
-        "y": 1.5,
-        "etas": (0.1, 0.5, 0.9),
-        "sizes": (50, 100, 200, 400, 800, 1600, 3200),
-        "trials": 100,
-        "fit_min_size": 200,
-    },
-    "figure5": {
-        "kind": "concentration",
-        "true_model": Structure.S3,
-        "theta": Params(0.0, 1.0, 1.0),
-        "y": 1.5,
-        "etas": (0.5,),
-        "sizes": (100, 1000, 10000, 100000),
-        "trials": 200,
-    },
-    "figure6": {
-        "kind": "plateau",
-        "true_model": Structure.S1,
-        "theta": Params(1.0, 1.0, 1.0),
-        "sizes": (100, 316, 1000, 3162, 10000, 31623, 100000),
-        "trials": 20,
-    },
-}
-#: The source's figure 7 revisits figure 1's two parameter sets.
-PRESETS["figure7"] = PRESETS["figure1"]
-
-
-def _preset_config(preset: dict, eta, seed: int, hyper: BgeHyper) -> xp.ExperimentConfig:
-    return xp.ExperimentConfig(
-        true_model=preset["true_model"],
-        theta_star=preset["theta"],
-        hyper=hyper,
-        y=preset.get("y", 0.0),
-        eta=eta,
-        sample_sizes=preset["sizes"],
-        trials=preset["trials"],
-        base_seed=seed,
-    )
-
-
-def _run_experiment_bundle(kind: str, preset: dict, seed: int, outdir: Path, hyper: BgeHyper) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    if kind == "rates":
-        for tag, theta, y in preset["sets"]:
-            xp.write_rates_csv(
-                outdir / f"rates_{tag}.csv",
-                theta,
-                y,
-                999,
-                [f"# preset parameter set {tag} (artifact defaults; source unstated)"],
-            )
-            print(f"wrote rates_{tag}.csv")
-        return
-    if kind == "chi2":
-        cfg = _preset_config(preset, None, seed, hyper)
-        result, ks, pvalue = xp.run_chi2_diagnostic(cfg)
-        xp.write_chi2_csv(outdir / "chi2.csv", cfg, result, ks, pvalue)
-        print(f"chi2.csv: KS distance {_fmt(ks)}, p-value {_fmt(pvalue)} over {len(result.records)} trials")
-        return
-    if kind == "plateau":
-        cfg = _preset_config(preset, None, seed, hyper)
-        result = xp.run_odds_plateau(cfg)
-        xp.write_plateau_csv(outdir / "plateau.csv", cfg, result)
-        limit = xp.plateau_theory_ratio(cfg)
-        largest = cfg.sample_sizes[-1]
-        tail = [r.ratio_12 for r in result.records if r.total == largest]
-        mean_tail = sum(tail) / len(tail)
-        print(
-            f"plateau.csv: mean ratio at n={largest} is {_fmt(mean_tail)}, "
-            f"theory limit {_fmt(limit)}"
-        )
-        return
-    if kind == "concentration":
-        etas = preset.get("etas", (None,))
-        slope_rows = []
-        for eta in etas:
-            cfg = _preset_config(preset, eta, seed, hyper)
-            result = xp.run_concentration(cfg)
-            tag = "obs" if eta is None else f"eta{eta:g}"
-            xp.write_concentration_csv(outdir / f"concentration_{tag}.csv", cfg, result)
-            print(f"wrote concentration_{tag}.csv ({len(result.records)} records)")
-            if eta is not None and cfg.true_model is not Structure.S3:
-                fit = xp.fitted_exponent(cfg, result, min_size=preset.get("fit_min_size", 0))
-                theory = xp.theory_exponent(cfg)
-                slope_rows.append((eta, fit.slope, theory))
-                print(
-                    f"  eta={eta:g}: fitted slope {_fmt(fit.slope)} vs theory {_fmt(-theory)} "
-                    f"(r2 {fit.r_squared:.4f})"
-                )
-        if slope_rows:
-            xp.write_slopes_csv(
-                outdir / "slopes.csv",
-                slope_rows,
-                [f"# fit over sizes >= {preset.get('fit_min_size', 0)}", f"# base_seed = {seed}"],
-            )
-            print("wrote slopes.csv")
-        return
-    raise ConfigError(f"unknown experiment kind {kind!r}")
-
-
 def cmd_experiment(args) -> int:
     res = Resolver(parse_config(args.config) if args.config else {})
-    seed = res.get_int("experiment", "seed", args.seed, default=0)
+    seed = res.get_as(int, "experiment", "seed", args.seed, default=0)
     outdir = Path(res.get("experiment", "out", args.out, default="experiment_out"))
     hyper = _hyper(res, args)
     preset_name = res.get("experiment", "preset", args.preset, default=None)
     if preset_name:
-        preset = PRESETS.get(preset_name.lower())
-        if preset is None:
-            raise ConfigError(
-                f"unknown preset {preset_name!r}; expected figure1..figure7"
-            )
-        _run_experiment_bundle(preset["kind"], preset, seed, outdir, hyper)
-        return 0
-
-    kind = res.get("experiment", "kind", None, required=True)
-    sizes = res.get("experiment", "sample_sizes", None, required=True)
-    preset = {
-        "true_model": _structure(res.get("model", "structure", None, required=True)),
-        "theta": Params(
-            res.get_float("model", "w", required=True),
-            res.get_float("model", "tau1_sq", required=True),
-            res.get_float("model", "tau2_sq", required=True),
-        ),
-        "y": res.get_float("model", "y", default=0.0),
-        "sizes": tuple(int(v) for v in sizes.split(",")),
-        "trials": res.get_int("experiment", "trials", default=100),
-        "fit_min_size": res.get_int("experiment", "fit_min_size", default=0),
-    }
-    eta = res.get_float("model", "eta", default=None)
-    if eta is not None:
-        preset["etas"] = (eta,)
-    _run_experiment_bundle(kind, preset, seed, outdir, hyper)
+        if preset_name.lower() not in xp.PRESETS:
+            raise ConfigError(f"unknown preset {preset_name!r}; expected figure1..figure7")
+        kind, spec = xp.PRESETS[preset_name.lower()]
+    else:
+        kind = res.get("experiment", "kind", None, required=True)
+        if kind == "rates":
+            raise ConfigError("experiment kind 'rates' runs from a preset only; use the rates command")
+        sizes = res.get("experiment", "sample_sizes", None, required=True)
+        try:
+            sizes = tuple(int(v) for v in sizes.split(","))
+        except ValueError:
+            raise ConfigError(f"[experiment] sample_sizes: expected integers, got {sizes!r}") from None
+        spec = {
+            "true_model": _structure(res.get("model", "structure", None, required=True)),
+            "theta_star": _theta(res, args),
+            "y": res.get_as(float, "model", "y", default=0.0),
+            "sample_sizes": sizes,
+            "trials": res.get_as(int, "experiment", "trials", default=100),
+            "fit_min_size": res.get_as(int, "experiment", "fit_min_size", default=0),
+        }
+        eta = res.get_as(float, "model", "eta", default=None)
+        if eta is not None:
+            spec["etas"] = (eta,)
+    for line in xp.run_bundle(kind, spec, seed, hyper, outdir):
+        print(line)
     return 0
 
 

@@ -65,15 +65,23 @@ class SuffStats:
     y: float | None = None
 
     def __post_init__(self) -> None:
+        names = ("s1x", "s2x", "s12x", "s1y", "s2y", "s12y") + (() if self.y is None else ("y",))
+        for name in names:
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise InvalidParameter(
+                    f"{name} must be finite, got {v!r}; the data hold a non-finite value "
+                    "or values too large to square"
+                )
         if self.n < 0 or self.m < 0:
             raise InvalidParameter(f"counts must be >= 0, got n={self.n}, m={self.m}")
         if self.s1x < 0.0 or self.s2x < 0.0 or self.s1y < 0.0 or self.s2y < 0.0:
             raise InvalidParameter("sums of squares must be nonnegative")
         # Cauchy-Schwarz, with slack for accumulated rounding.
         slack = 1e-9
-        if self.s12x ** 2 > self.s1x * self.s2x * (1.0 + slack) + slack:
+        if self.s12x * self.s12x > self.s1x * self.s2x * (1.0 + slack) + slack:
             raise InvalidParameter("observational block violates Cauchy-Schwarz")
-        if self.s12y ** 2 > self.s1y * self.s2y * (1.0 + slack) + slack:
+        if self.s12y * self.s12y > self.s1y * self.s2y * (1.0 + slack) + slack:
             raise InvalidParameter("interventional block violates Cauchy-Schwarz")
         if self.m > 0 and self.y is None:
             raise InvalidParameter("y must be set when m > 0")
@@ -96,25 +104,23 @@ def suffstats(obs, interv=None) -> SuffStats:
     :func:`bicausal.sem.sample_interv`).
     """
     x = np.asarray(obs, dtype=np.float64).reshape(-1, 2)
-    n = x.shape[0]
-    s1x = _csum(x[:, 0] * x[:, 0])
-    s2x = _csum(x[:, 1] * x[:, 1])
-    s12x = _csum(x[:, 0] * x[:, 1])
-
-    if interv is None:
-        return SuffStats(s1x, s2x, s12x, 0.0, 0.0, 0.0, n, 0, None)
-
-    yv = np.asarray(interv, dtype=np.float64).reshape(-1, 2)
-    m = yv.shape[0]
-    if m == 0:
-        return SuffStats(s1x, s2x, s12x, 0.0, 0.0, 0.0, n, 0, None)
-    y = float(yv[0, 1])
-    if not np.all(yv[:, 1] == y):
-        raise InvalidParameter("interventional samples must share one intervention value")
-    y1 = yv[:, 0]
-    s1y = _csum(y1 * y1)
-    s2y = m * y * y
-    s12y = y * _csum(y1)
+    yv = np.asarray([] if interv is None else interv, dtype=np.float64).reshape(-1, 2)
+    n, m = x.shape[0], yv.shape[0]
+    # Non-finite input, or sums that overflow, come out as inf or nan, which
+    # SuffStats rejects; numpy need not warn about them on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1x = _csum(x[:, 0] * x[:, 0])
+        s2x = _csum(x[:, 1] * x[:, 1])
+        s12x = _csum(x[:, 0] * x[:, 1])
+        if m == 0:
+            return SuffStats(s1x, s2x, s12x, 0.0, 0.0, 0.0, n, 0, None)
+        y = float(yv[0, 1])
+        if not np.all(yv[:, 1] == y):
+            raise InvalidParameter("interventional samples must share one intervention value")
+        y1 = yv[:, 0]
+        s1y = _csum(y1 * y1)
+        s2y = m * y * y
+        s12y = y * _csum(y1)
     return SuffStats(s1x, s2x, s12x, s1y, s2y, s12y, n, m, y)
 
 

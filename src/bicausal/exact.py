@@ -149,12 +149,15 @@ def posterior(st: SuffStats, h: BgeHyper) -> StructurePosterior:
 
 def augmented_odds_statistic(
     st: SuffStats,
+    post: StructurePosterior,
     i: Structure,
     theta_star: Params,
     h: BgeHyper,
     total: int | None = None,
 ) -> float:
     """Bias-corrected scaled log posterior odds of ``i`` against ``S3``.
+
+    ``post`` is ``posterior(st, h)``; the odds are read from its evidence.
 
     Under a true independence model with parameters ``theta_star`` the
     statistic converges in distribution to chi-squared with one degree of
@@ -177,7 +180,7 @@ def augmented_odds_statistic(
     eta = st.n / n_total
     iv = InterventionSpec(value=st.y) if st.m > 0 else None
 
-    log_odds = log_marginal_mixed(st, i, h) - log_marginal_mixed(st, Structure.S3, h)
+    log_odds = post.log_odds(i, Structure.S3)
     log_prior_ratio = prior_logpdf(theta_star, i, h) - prior_logpdf(theta_star, Structure.S3, h)
     det_i = float(np.prod(np.diag(mixed_fisher(i, theta_star, eta, iv))))
     det_3 = float(np.prod(np.diag(mixed_fisher(Structure.S3, theta_star, eta, iv))))

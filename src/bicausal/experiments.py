@@ -6,13 +6,17 @@ execution order and a full run is reproducible byte for byte. Records are
 kept in fixed ``(trial, N)`` order; trial averages are accumulated in trial
 order for the same reason.
 
-CSV schemas (one file per experiment; floats use 17 significant digits):
+``PRESETS`` holds the experiments behind the source's figures, and
+:func:`run_bundle` runs one preset or config-file experiment into a bundle
+directory. The files a bundle holds (floats use 17 significant digits):
 
-* ``concentration.csv``: trial, N, n, m, p_s1, p_s2, p_s3, log_inv_odds
+* ``concentration_obs.csv`` (observational) or ``concentration_eta<eta>.csv``
+  (one per mixing proportion): trial, N, n, m, p_s1, p_s2, p_s3, log_inv_odds
 * ``plateau.csv``: trial, n, ratio_12, theory_limit
 * ``chi2.csv``: trial, stat_s1, stat_s2
 * ``slopes.csv``: eta, fitted_slope, theory_exponent, rel_err
-* ``rates.csv``: eta, d12, d21, d13, d23, d12_gain, d21_gain
+* ``rates_a.csv``, ``rates_b.csv`` (one per preset parameter set):
+  eta, d12, d21, d13, d23, d12_gain, d21_gain
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateData, InvalidParameter
+from .errors import ConfigError, DegenerateData, InvalidParameter
 from .estimation import SuffStats, suffstats
 from .exact import StructurePosterior, augmented_odds_statistic, posterior
 from .priors import BgeHyper, prior_logpdf, pushforward_prior_logpdf
@@ -219,8 +224,8 @@ def run_chi2_diagnostic(cfg: ExperimentConfig) -> tuple[ExperimentResult, float,
         try:
             st = _simulate_cell(cfg, trial, idx)
             post = posterior(st, cfg.hyper)
-            s1 = augmented_odds_statistic(st, Structure.S1, cfg.theta_star, cfg.hyper)
-            s2 = augmented_odds_statistic(st, Structure.S2, cfg.theta_star, cfg.hyper)
+            s1 = augmented_odds_statistic(st, post, Structure.S1, cfg.theta_star, cfg.hyper)
+            s2 = augmented_odds_statistic(st, post, Structure.S2, cfg.theta_star, cfg.hyper)
         except DegenerateData:
             result.skipped += 1
             continue
@@ -429,26 +434,146 @@ def write_slopes_csv(path, rows: list[tuple[float, float, float]], header_lines:
     _write_lines(path, lines)
 
 
-def write_rates_csv(path, theta: Params, y: float, points: int, header_lines: list[str]) -> None:
-    """The four exponents and the two gains on ``points`` grid values of eta."""
+def write_rates_csv(
+    path, theta: Params, y: float, points: int, header_lines: list[str]
+) -> tuple[bool, tuple[float, float], tuple[float, float]]:
+    """The four exponents and the two gains on ``points`` grid values of eta.
+
+    Returns the ``mixing_helps_s1`` flag and the ``(eta, value)`` optima of
+    ``d12`` and ``d21`` that the header records.
+    """
     curves = [
         sample_curve(r, theta, y, num=points)
         for r in (RateId.D12, RateId.D21, RateId.D13, RateId.D23)
     ]
     gains = [gain_transform(c) for c in curves[:2]]
     columns = [curves[0].eta] + [c.values for c in curves + gains]
+    helps = mixing_helps_s1(theta, y)
     eta12, v12 = optimal_eta(RateId.D12, theta, y)
     eta21, v21 = optimal_eta(RateId.D21, theta, y)
     lines = list(header_lines) + [
-        f"# mixing_helps_s1 = {mixing_helps_s1(theta, y)}",
+        f"# mixing_helps_s1 = {helps}",
         f"# optimal_eta_d12 = {_fmt(eta12)} (value {_fmt(v12)})",
         f"# optimal_eta_d21 = {_fmt(eta21)} (value {_fmt(v21)})",
         "eta,d12,d21,d13,d23,d12_gain,d21_gain",
     ]
     row = ",".join([_FLOAT] * len(columns))
     _write_lines(path, itertools.chain(lines, (row % values for values in zip(*columns))))
+    return helps, (eta12, v12), (eta21, v21)
 
 
 def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{line}\n" for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# presets and bundles
+# ---------------------------------------------------------------------------
+
+_INDEPENDENT, _UNIT = Params(0.0, 1.0, 1.0), Params(1.0, 1.0, 1.0)
+_DECADES = (100, 1000, 10000, 100000)
+
+#: Preset experiments by name, as ``(kind, spec)``. A spec holds
+#: :class:`ExperimentConfig` fields plus, optionally, ``etas`` (one run per
+#: mixing proportion) and ``fit_min_size`` (smallest size in the slope fit); a
+#: ``rates`` spec holds the ``(tag, theta, y)`` parameter ``sets`` it writes.
+#: Generating parameters the source figures leave unstated are artifact
+#: defaults and are flagged in the output headers.
+PRESETS: dict[str, tuple[str, dict]] = {
+    "figure1": ("rates", {"sets": [("a", Params(1.0, 1.0, 4.0), 0.1), ("b", _UNIT, 2.0)]}),
+    "figure2": (
+        "concentration",
+        {"true_model": Structure.S3, "theta_star": _INDEPENDENT, "sample_sizes": _DECADES, "trials": 200},
+    ),
+    "figure3": (
+        "chi2",
+        {"true_model": Structure.S3, "theta_star": _INDEPENDENT, "sample_sizes": (5000,), "trials": 500},
+    ),
+    "figure4": (
+        "concentration",
+        {
+            "true_model": Structure.S1, "theta_star": _UNIT, "y": 1.5, "etas": (0.1, 0.5, 0.9),
+            "sample_sizes": (50, 100, 200, 400, 800, 1600, 3200), "trials": 100, "fit_min_size": 200,
+        },
+    ),
+    "figure5": (
+        "concentration",
+        {
+            "true_model": Structure.S3, "theta_star": _INDEPENDENT, "y": 1.5, "etas": (0.5,),
+            "sample_sizes": _DECADES, "trials": 200,
+        },
+    ),
+    "figure6": (
+        "plateau",
+        {
+            "true_model": Structure.S1, "theta_star": _UNIT,
+            "sample_sizes": (100, 316, 1000, 3162, 10000, 31623, 100000), "trials": 20,
+        },
+    ),
+}
+#: The source's figure 7 revisits figure 1's two parameter sets.
+PRESETS["figure7"] = PRESETS["figure1"]
+
+
+def run_bundle(kind: str, spec: dict, seed: int, hyper: BgeHyper, outdir) -> list[str]:
+    """Run one experiment of ``kind`` and write its files into ``outdir``.
+
+    ``spec`` has the shape of a :data:`PRESETS` spec; ``seed`` and ``hyper``
+    complete its :class:`ExperimentConfig`. The ``chi2`` and ``plateau``
+    kinds are observational and ignore ``etas``. Returns one summary line per
+    file written or fit made.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    if kind == "rates":
+        lines = []
+        for tag, theta, y in spec["sets"]:
+            header = [f"# preset parameter set {tag} (artifact defaults; source unstated)"]
+            write_rates_csv(outdir / f"rates_{tag}.csv", theta, y, 999, header)
+            lines.append(f"wrote rates_{tag}.csv")
+        return lines
+
+    fields = {k: v for k, v in spec.items() if k not in ("etas", "fit_min_size")}
+    min_size = spec.get("fit_min_size", 0)
+
+    def config(eta: float | None = None) -> ExperimentConfig:
+        return ExperimentConfig(hyper=hyper, eta=eta, base_seed=seed, **fields)
+
+    if kind == "chi2":
+        cfg = config()
+        result, ks, pvalue = run_chi2_diagnostic(cfg)
+        write_chi2_csv(outdir / "chi2.csv", cfg, result, ks, pvalue)
+        return [f"chi2.csv: KS distance {_fmt(ks)}, p-value {_fmt(pvalue)} over {len(result.records)} trials"]
+    if kind == "plateau":
+        cfg = config()
+        result = run_odds_plateau(cfg)
+        write_plateau_csv(outdir / "plateau.csv", cfg, result)
+        largest = cfg.sample_sizes[-1]
+        tail = [r.ratio_12 for r in result.records if r.total == largest]
+        return [
+            f"plateau.csv: mean ratio at n={largest} is {_fmt(sum(tail) / len(tail))}, "
+            f"theory limit {_fmt(plateau_theory_ratio(cfg))}"
+        ]
+    if kind == "concentration":
+        lines, slope_rows = [], []
+        for eta in spec.get("etas", (None,)):
+            cfg = config(eta)
+            result = run_concentration(cfg)
+            tag = "obs" if eta is None else f"eta{eta:g}"
+            write_concentration_csv(outdir / f"concentration_{tag}.csv", cfg, result)
+            lines.append(f"wrote concentration_{tag}.csv ({len(result.records)} records)")
+            if eta is not None and cfg.true_model is not Structure.S3:
+                fit = fitted_exponent(cfg, result, min_size=min_size)
+                theory = theory_exponent(cfg)
+                slope_rows.append((eta, fit.slope, theory))
+                lines.append(
+                    f"  eta={eta:g}: fitted slope {_fmt(fit.slope)} vs theory {_fmt(-theory)} "
+                    f"(r2 {fit.r_squared:.4f})"
+                )
+        if slope_rows:
+            header = [f"# fit over sizes >= {min_size}", f"# base_seed = {seed}"]
+            write_slopes_csv(outdir / "slopes.csv", slope_rows, header)
+            lines.append("wrote slopes.csv")
+        return lines
+    raise ConfigError(f"unknown experiment kind {kind!r}")

@@ -110,6 +110,20 @@ class TestPosterior:
         run_cli("posterior", data, "--out", report)
         assert "posterior:" in report.read_text()
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_token_is_data_format_error(self, tmp_path, capsys, token):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"regime,x1,x2\nobs,1.0,2.0\nobs,{token},1.0\n")
+        assert run_cli("posterior", bad) == 3
+        err = capsys.readouterr().err
+        assert "bad.csv:3" in err and "category=data-format" in err
+
+    def test_overflowing_sample_is_invalid_parameter(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("regime,x1,x2\nobs,1e200,1.0\nobs,1.0,2.0\nobs,0.5,0.1\n")
+        assert run_cli("posterior", big) == 1
+        assert "category=invalid-parameter" in capsys.readouterr().err
+
     def test_parse_error_carries_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("regime,x1,x2\nobs,1.0\n")
@@ -208,6 +222,71 @@ class TestExperimentCommand:
     def test_unknown_preset_is_config_error(self, capsys):
         assert run_cli("experiment", "--preset", "figure99") == 2
         assert "category=config" in capsys.readouterr().err
+
+    def test_config_restating_preset_matches_preset(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[model]\nstructure = S1\nw = 1\ntau1_sq = 1\ntau2_sq = 1\ny = 1.5\neta = 0.5\n"
+            "[experiment]\nkind = concentration\nsample_sizes = 50,100,200,400,800,1600,3200\n"
+            "trials = 100\n"
+        )
+        name = "concentration_eta0.5.csv"
+        assert run_cli("experiment", "--config", cfg, "--seed", "7", "--out", tmp_path / "c") == 0
+        assert run_cli("experiment", "--preset", "figure4", "--seed", "7", "--out", tmp_path / "p") == 0
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+    def test_non_integer_sample_sizes_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[model]\nstructure = S1\nw = 1\ntau1_sq = 1\ntau2_sq = 1\n"
+            "[experiment]\nkind = concentration\nsample_sizes = 100,1e3\n"
+        )
+        assert run_cli("experiment", "--config", cfg, "--out", tmp_path / "b") == 2
+        assert "sample_sizes" in capsys.readouterr().err
+
+    def test_config_rates_kind_is_config_error(self, tmp_path, capsys):
+        # the rates kind takes its parameter sets from a preset only
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[model]\nstructure = S1\nw = 1\ntau1_sq = 1\ntau2_sq = 1\n"
+            "[experiment]\nkind = rates\nsample_sizes = 100\n"
+        )
+        assert run_cli("experiment", "--config", cfg, "--out", tmp_path / "b") == 2
+        assert "category=config" in capsys.readouterr().err
+
+
+class TestHyperPrecedence:
+    """Which prior an experiment runs under, read from its bundle header."""
+
+    EXPLICIT = "[prior]\nalpha1 = 4\nalpha2 = 2.5\nalpha3 = 2.5\nalpha4 = 3\nalpha5 = 3\nalpha6 = 3\nbeta = 0.5\nlambda = 1\n"
+
+    def _alpha_header(self, tmp_path, prior, *flags):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[model]\nstructure = S1\nw = 1\ntau1_sq = 1\ntau2_sq = 1\n" + prior
+            + "[experiment]\nkind = concentration\nsample_sizes = 50,100\ntrials = 1\n"
+        )
+        out = tmp_path / "b"
+        assert run_cli("experiment", "--config", cfg, "--out", out, *flags) == 0
+        lines = (out / "concentration_obs.csv").read_text().splitlines()
+        return next(l for l in lines if l.startswith("# alpha = "))
+
+    @staticmethod
+    def _expected(h):
+        alphas = (h.alpha1, h.alpha2, h.alpha3, h.alpha4, h.alpha5, h.alpha6)
+        return "# alpha = " + ",".join("%.17g" % a for a in alphas)
+
+    def test_explicit_list_beats_config_bge_alpha(self, tmp_path):
+        got = self._alpha_header(tmp_path, self.EXPLICIT + "bge_alpha = 5\n")
+        assert got == self._expected(bc.BgeHyper(4, 2.5, 2.5, 3, 3, 3, 0.5, 1))
+
+    def test_bge_alpha_flag_beats_explicit_list(self, tmp_path):
+        got = self._alpha_header(tmp_path, self.EXPLICIT + "bge_alpha = 5\n", "--bge-alpha", "4")
+        assert got == self._expected(bc.bge_symmetric_hyper(4.0, 0.5))
+
+    def test_default_symmetric_prior(self, tmp_path):
+        got = self._alpha_header(tmp_path, "")
+        assert got == self._expected(bc.bge_symmetric_hyper(3.0, 0.5))
 
 
 class TestConfigParsing:

@@ -8,6 +8,7 @@ import pytest
 from bicausal import (
     DegenerateData,
     InterventionSpec,
+    InvalidParameter,
     Params,
     Structure,
     gamma_map,
@@ -50,6 +51,24 @@ class TestSuffStats:
     def test_mixed_intervention_values_rejected(self):
         with pytest.raises(Exception):
             suffstats(np.empty((0, 2)), [(1.0, 2.0), (1.0, 3.0)])
+
+    # 1e200 is finite but its square overflows; tier-1 turns a numpy
+    # RuntimeWarning on the way into an error, so none may be emitted
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+    @pytest.mark.parametrize("block", ["obs", "interv"])
+    def test_non_finite_statistics_rejected(self, bad, block):
+        obs = [[bad, 1.0], [1.0, 2.0], [0.5, 0.1]]
+        interv = None
+        if block == "interv":
+            obs, interv = [[1.0, 2.0], [3.0, 1.0], [0.5, 0.2]], [[bad, 1.5], [1.0, 1.5]]
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            suffstats(obs, interv)
+
+    def test_non_finite_field_rejected(self):
+        with pytest.raises(InvalidParameter, match="s12x must be finite"):
+            SuffStats(1.0, 1.0, math.nan, 0.0, 0.0, 0.0, 3, 0)
+        with pytest.raises(InvalidParameter, match="y must be finite"):
+            SuffStats(1.0, 1.0, 0.5, 1.0, 1.0, 0.5, 3, 1, math.inf)
 
 
 class TestMleObs:

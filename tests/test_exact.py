@@ -158,18 +158,20 @@ class TestPosterior:
 class TestAugmentedOdds:
     def test_rejects_connected_theta(self, symmetric_hyper):
         st = suffstats(sample_obs(Structure.S3, Params(0, 1, 1), 100, 0))
+        post = posterior(st, symmetric_hyper)
         with pytest.raises(InvalidParameter):
-            augmented_odds_statistic(st, Structure.S1, Params(0.5, 1, 1), symmetric_hyper)
+            augmented_odds_statistic(st, post, Structure.S1, Params(0.5, 1, 1), symmetric_hyper)
         with pytest.raises(InvalidParameter):
-            augmented_odds_statistic(st, Structure.S3, Params(0.0, 1, 1), symmetric_hyper)
+            augmented_odds_statistic(st, post, Structure.S3, Params(0.0, 1, 1), symmetric_hyper)
 
     def test_finite_for_nondegenerate_data(self, symmetric_hyper):
         rng = np.random.default_rng(17)
         theta = Params(0.0, 1.0, 1.0)
         for seed in range(25):
             st = suffstats(sample_obs(Structure.S3, theta, 500, seed))
+            post = posterior(st, symmetric_hyper)
             for s in (Structure.S1, Structure.S2):
-                assert math.isfinite(augmented_odds_statistic(st, s, theta, symmetric_hyper))
+                assert math.isfinite(augmented_odds_statistic(st, post, s, theta, symmetric_hyper))
 
     def test_median_near_chi2_median(self, symmetric_hyper):
         # chi-squared(1) median is 0.4549; prior correction enters with its
@@ -178,6 +180,7 @@ class TestAugmentedOdds:
         stats = []
         for seed in range(500):
             st = suffstats(sample_obs(Structure.S3, theta, 5000, 9000 + seed))
-            stats.append(augmented_odds_statistic(st, Structure.S1, theta, symmetric_hyper))
+            post = posterior(st, symmetric_hyper)
+            stats.append(augmented_odds_statistic(st, post, Structure.S1, theta, symmetric_hyper))
         med = float(np.median(stats))
         assert med == pytest.approx(0.4549, abs=0.12)

@@ -96,6 +96,12 @@ class TestDeterminism:
         assert len(res.records) == cells
         assert len(calls) == 3 * cells
 
+        calls.clear()
+        chi2_cfg = small_config(hyper=symmetric_hyper, true_model=Structure.S3, theta_star=Params(0.0, 1.0, 1.0))
+        res, _, _ = run_chi2_diagnostic(chi2_cfg)
+        assert len(res.records) == chi2_cfg.trials
+        assert len(calls) == 3 * chi2_cfg.trials
+
     def test_no_skips_at_defaults(self, symmetric_hyper):
         res = run_concentration(small_config(hyper=symmetric_hyper, trials=20))
         assert res.skipped == 0
