@@ -22,7 +22,7 @@ from .errors import (
     NonConvergedQuadrature,
     NumericalDegeneracy,
 )
-from .estimation import SuffStats, loglik, mle_mixed
+from .estimation import Factor, SuffStats, loglik, mle_mixed
 from .priors import BgeHyper
 from .sem import _LOG_2PI, InterventionSpec, Params, Structure, param_dim
 
@@ -91,30 +91,14 @@ def loglik_hessian(st: SuffStats, s: Structure, theta: Params) -> np.ndarray:
     Cross terms between the weight and its child variance vanish at the MLE
     but are included so the Hessian is correct at any ``theta``.
     """
-    n, m = st.n, st.m
-    w, t1, t2 = theta.w, theta.tau1_sq, theta.tau2_sq
-    if s is Structure.S1:
-        a = st.s1x + st.s1y
-        b = st.s12x + st.s12y
-        c = st.s2x + st.s2y
-        quad = a - 2.0 * w * b + w * w * c
-        h = np.zeros((3, 3))
-        h[0, 0] = -c / t1
-        h[0, 1] = h[1, 0] = -(b - w * c) / (t1 * t1)
-        h[1, 1] = 0.5 * (n + m) / (t1 * t1) - quad / (t1 * t1 * t1)
-        h[2, 2] = 0.5 * n / (t2 * t2) - st.s2x / (t2 * t2 * t2)
-        return h
-    if s is Structure.S2:
-        quad = st.s2x - 2.0 * w * st.s12x + w * w * st.s1x
-        h = np.zeros((3, 3))
-        h[0, 0] = -st.s1x / t2
-        h[0, 2] = h[2, 0] = -(st.s12x - w * st.s1x) / (t2 * t2)
-        h[1, 1] = 0.5 * (n + m) / (t1 * t1) - (st.s1x + st.s1y) / (t1 * t1 * t1)
-        h[2, 2] = 0.5 * n / (t2 * t2) - quad / (t2 * t2 * t2)
-        return h
-    h = np.zeros((2, 2))
-    h[0, 0] = 0.5 * (n + m) / (t1 * t1) - (st.s1x + st.s1y) / (t1 * t1 * t1)
-    h[1, 1] = 0.5 * n / (t2 * t2) - st.s2x / (t2 * t2 * t2)
+    w = theta.w
+    d = param_dim(s)
+    h = np.zeros((d, d))
+    for i, (f, t) in enumerate(zip(st.factors[s], (theta.tau1_sq, theta.tau2_sq)), start=d - 2):
+        h[i, i] = 0.5 * f.count / (t * t) - f.residual(w) / (t * t * t)
+        if f.has_parent:
+            h[0, 0] = -f.xx / t
+            h[0, i] = h[i, 0] = -(f.xy - w * f.xx) / (t * t)
     return h
 
 
@@ -236,6 +220,15 @@ def _quadrature_centers(
     return math.log(hat.tau1_sq), math.log(hat.tau2_sq)
 
 
+def _weight_collapsed(f: Factor, lam: float) -> tuple[float, float]:
+    """(residual quadratic form, log normalizer) of a factor with its
+    ``N(0, lam * tau_child_sq)`` weight integrated out; ``(yy, 0)`` for a root."""
+    if not f.has_parent:
+        return f.yy, 0.0
+    xx_lam = f.xx + 1.0 / lam
+    return f.yy - f.xy * f.xy / xx_lam, -0.5 * math.log(lam * xx_lam)
+
+
 def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
     """Brute-force log evidence under the hierarchical prior.
 
@@ -251,29 +244,11 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
             f"got {st.total}"
         )
     n, m = st.n, st.m
-    a1, a2 = h.alphas_for(s)
-
-    if s is Structure.S1:
-        aa = st.s1x + st.s1y
-        bb = st.s12x + st.s12y
-        cc = (st.s2x + st.s2y) + 1.0 / h.lam
-        quad1 = aa - bb * bb / cc
-        quad2 = st.s2x
-        const = -0.5 * math.log(h.lam * cc)
-        n1, n2 = n + m, n
-    elif s is Structure.S2:
-        s1lam = st.s1x + 1.0 / h.lam
-        quad1 = st.s1x + st.s1y
-        quad2 = st.s2x - st.s12x ** 2 / s1lam
-        const = -0.5 * math.log(h.lam * s1lam)
-        n1, n2 = n + m, n
-    else:
-        quad1 = st.s1x + st.s1y
-        quad2 = st.s2x
-        const = 0.0
-        n1, n2 = n + m, n
+    f1, f2 = st.factors[s]
+    (quad1, const1), (quad2, const2) = (_weight_collapsed(f, h.lam) for f in (f1, f2))
     if quad1 < 0.0 or quad2 < 0.0:
         raise NumericalDegeneracy("negative residual quadratic form in quadrature oracle")
+    const = const1 + const2
 
     def make_logf(quad: float, cnt: int, shape: float):
         def logf(u: np.ndarray) -> np.ndarray:
@@ -291,12 +266,13 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
 
         return logf
 
+    a1, a2 = h.alphas_for(s)
     # fallback: the modes of the log-variance priors
     c1, c2 = _quadrature_centers(
         st, s, (math.log(h.beta / (a1 + 1.0)), math.log(h.beta / (a2 + 1.0)))
     )
-    log_i1 = _refine_1d(make_logf(quad1, n1, a1), c1)
-    log_i2 = _refine_1d(make_logf(quad2, n2, a2), c2)
+    log_i1 = _refine_1d(make_logf(quad1, f1.count, a1), c1)
+    log_i2 = _refine_1d(make_logf(quad2, f2.count, a2), c2)
     return -(n + 0.5 * m) * _LOG_2PI + const + log_i1 + log_i2
 
 
@@ -319,15 +295,11 @@ def quadrature_log_marginal_generic(
     """
     if st.total > _MAX_DATA_FOR_QUADRATURE:
         raise InvalidParameter("generic quadrature limited to n + m <= 64")
-    if s is Structure.S1:
-        w_moment = st.s2x + st.s2y
-        w_center = (st.s12x + st.s12y) / w_moment if w_moment > 0.0 else 0.0
-    elif s is Structure.S2:
-        w_moment = st.s1x
-        w_center = st.s12x / w_moment if w_moment > 0.0 else 0.0
-    else:
-        w_moment = 0.0
-        w_center = 0.0
+    factors = st.factors[s]
+    # the weight enters only its child's factor; S3 has none
+    child = next((i for i, f in enumerate(factors) if f.has_parent), None)
+    w_moment = 0.0 if child is None else factors[child].xx
+    w_center = factors[child].xy / w_moment if w_moment > 0.0 else 0.0
 
     c1, c2 = _quadrature_centers(st, s, (0.0, 0.0))
     u1, wu1 = _gl_nodes(nodes, c1 - _LOG_WINDOW, c1 + _LOG_WINDOW)
@@ -339,13 +311,13 @@ def quadrature_log_marginal_generic(
         t1 = math.exp(a)
         for k, b in enumerate(u2):
             t2 = math.exp(b)
-            if s is Structure.S3:
+            if child is None:
                 theta = Params(0.0, t1, t2)
                 lv = loglik(st, s, theta) + prior_logpdf_fn(theta) + a + b
                 cells.append((wu1[j] * wu2[k], lv))
                 peak = max(peak, lv)
                 continue
-            t_child = t1 if s is Structure.S1 else t2
+            t_child = (t1, t2)[child]
             lo, hi = w_window
             if w_moment > 0.0:
                 half = 12.0 * math.sqrt(t_child / w_moment)

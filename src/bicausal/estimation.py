@@ -9,20 +9,33 @@ The six sufficient statistics for the mixed dataset are
 
 All estimators and likelihoods below are functions of these sums plus the
 counts ``(n, m)`` and the intervention value ``y``.
+
+Each structure's likelihood is a product of two per-node Gaussian
+regressions (the local decomposition behind BGe scoring).
+:attr:`SuffStats.factors` maps each structure to its (node 1, node 2)
+factors, and every reader here and in :mod:`bicausal.approx` applies one
+per-factor formula to both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateData, InvalidParameter
-from .sem import _LOG_2PI, Params, Structure
+from .sem import _LOG_2PI, STRUCTURES, Params, Structure
 
 # Variance estimates at or below this are treated as exactly degenerate.
 _VARIANCE_FLOOR = 1e-300
+
+_NON_FINITE = (
+    "{} must be finite, got {!r}; the data hold a non-finite value or values too large to square"
+)
 
 
 def _csum(values: np.ndarray) -> float:
@@ -47,6 +60,34 @@ def _csum(values: np.ndarray) -> float:
     return total + comp
 
 
+class Factor(NamedTuple):
+    """One node's Gaussian regression on its parent, in sums over the
+    ``count`` samples in which the node is free: ``yy`` of the node's squares,
+    ``xy`` of node times parent and ``xx`` of the parent's squares (0 for a
+    root). Squares are ``x * x``, never ``x ** 2``, which goes through libm
+    ``pow``: it can differ from the exactly rounded product by 1 ulp, and it
+    raises ``OverflowError`` where the product gives ``inf``.
+    """
+
+    yy: float
+    xy: float
+    xx: float
+    count: int
+    has_parent: bool
+
+    def residual(self, w: float) -> float:
+        """Residual sum of squares of the regression at weight ``w``."""
+        if not self.has_parent:
+            return self.yy
+        return self.yy - 2.0 * w * self.xy + w * w * self.xx
+
+    def mle(self) -> tuple[float, float]:
+        """(weight, residual variance) maximizing the factor's likelihood."""
+        if not self.has_parent:
+            return 0.0, self.yy / self.count
+        return self.xy / self.xx, (self.xx * self.yy - self.xy * self.xy) / (self.count * self.xx)
+
+
 @dataclass(frozen=True)
 class SuffStats:
     """Sufficient statistics of a mixed observational/interventional dataset.
@@ -69,10 +110,14 @@ class SuffStats:
         for name in names:
             v = getattr(self, name)
             if not math.isfinite(v):
-                raise InvalidParameter(
-                    f"{name} must be finite, got {v!r}; the data hold a non-finite value "
-                    "or values too large to square"
-                )
+                raise InvalidParameter(_NON_FINITE.format(name, v))
+        # readers multiply these sums pairwise: pooled over both blocks (node
+        # 1's factor) and observational (node 2's); Cauchy-Schwarz below
+        # bounds every other product by these
+        a, b, c = self.s1x + self.s1y, self.s12x + self.s12y, self.s2x + self.s2y
+        products = a * c + b * b + self.s12x * self.s12x
+        if not math.isfinite(products):
+            raise InvalidParameter(_NON_FINITE.format("moment products", products))
         if self.n < 0 or self.m < 0:
             raise InvalidParameter(f"counts must be >= 0, got n={self.n}, m={self.m}")
         if self.s1x < 0.0 or self.s2x < 0.0 or self.s1y < 0.0 or self.s2y < 0.0:
@@ -90,9 +135,25 @@ class SuffStats:
     def total(self) -> int:
         return self.n + self.m
 
-    def observational_only(self) -> "SuffStats":
-        """Drop the interventional block."""
-        return replace(self, s1y=0.0, s2y=0.0, s12y=0.0, m=0, y=None)
+    @cached_property
+    def factors(self) -> Mapping[Structure, tuple[Factor, Factor]]:
+        """Each structure's (node 1, node 2) factors, built on first use.
+
+        Node 1 is never intervened on, so its factor pools both blocks; node
+        2 is free in the observational block only. Under ``S1`` node 1
+        regresses on node 2, under ``S2`` node 2 on node 1.
+        """
+        pooled = self.s1x + self.s1y
+        root1 = Factor(pooled, 0.0, 0.0, self.total, False)
+        root2 = Factor(self.s2x, 0.0, 0.0, self.n, False)
+        return MappingProxyType({
+            Structure.S1: (
+                Factor(pooled, self.s12x + self.s12y, self.s2x + self.s2y, self.total, True),
+                root2,
+            ),
+            Structure.S2: (root1, Factor(self.s2x, self.s12x, self.s1x, self.n, True)),
+            Structure.S3: (root1, root2),
+        })
 
 
 def suffstats(obs, interv=None) -> SuffStats:
@@ -155,24 +216,14 @@ def mle_mixed(st: SuffStats) -> MleTriple:
     """
     if st.n < 2:
         raise DegenerateData(f"need n >= 2 observational samples, got n={st.n}")
-    n, m = st.n, st.m
-    a = st.s1x + st.s1y
-    b = st.s12x + st.s12y
-    c = st.s2x + st.s2y
-    if c <= 0.0 or st.s1x <= 0.0 or st.s2x <= 0.0:
+    if st.s1x <= 0.0 or st.s2x <= 0.0:
         raise DegenerateData("zero second moment; samples are identically zero")
-
-    theta1 = _checked_params(
-        b / c, (c * a - b * b) / ((n + m) * c), st.s2x / n, "S1 MLE"
-    )
-    theta2 = _checked_params(
-        st.s12x / st.s1x,
-        a / (n + m),
-        (st.s1x * st.s2x - st.s12x ** 2) / (n * st.s1x),
-        "S2 MLE",
-    )
-    theta3 = _checked_params(0.0, a / (n + m), st.s2x / n, "S3 MLE")
-    return MleTriple(theta1, theta2, theta3)
+    triple = []
+    for s in STRUCTURES:
+        (w1, t1), (w2, t2) = (f.mle() for f in st.factors[s])
+        # at most one node has a parent, so the sum is its weight
+        triple.append(_checked_params(w1 + w2, t1, t2, f"{s.value} MLE"))
+    return MleTriple(*triple)
 
 
 def mle_obs(st: SuffStats) -> MleTriple:
@@ -192,19 +243,10 @@ def loglik(st: SuffStats, s: Structure, theta: Params) -> float:
     Equals the sum of per-sample observational and interventional log
     densities; an empty dataset gives 0.
     """
-    n, m = st.n, st.m
+    f1, f2 = st.factors[s]
     w, t1, t2 = theta.w, theta.tau1_sq, theta.tau2_sq
-    const = -(n + 0.5 * m) * _LOG_2PI
-    logdet = -0.5 * (n + m) * math.log(t1) - 0.5 * n * math.log(t2)
-    if s is Structure.S1:
-        quad1 = (st.s1x + st.s1y) - 2.0 * w * (st.s12x + st.s12y) + w * w * (st.s2x + st.s2y)
-        quad2 = st.s2x
-    elif s is Structure.S2:
-        quad1 = st.s1x + st.s1y
-        quad2 = st.s2x - 2.0 * w * st.s12x + w * w * st.s1x
-    else:
-        if theta.w != 0.0:
-            raise InvalidParameter(f"S3 requires w = 0, got w={theta.w!r}")
-        quad1 = st.s1x + st.s1y
-        quad2 = st.s2x
-    return const + logdet - quad1 / (2.0 * t1) - quad2 / (2.0 * t2)
+    if w != 0.0 and not (f1.has_parent or f2.has_parent):
+        raise InvalidParameter(f"{s.value} requires w = 0, got w={w!r}")
+    const = -(st.n + 0.5 * st.m) * _LOG_2PI
+    logdet = -0.5 * f1.count * math.log(t1) - 0.5 * f2.count * math.log(t2)
+    return const + logdet - f1.residual(w) / (2.0 * t1) - f2.residual(w) / (2.0 * t2)

@@ -153,7 +153,6 @@ def augmented_odds_statistic(
     i: Structure,
     theta_star: Params,
     h: BgeHyper,
-    total: int | None = None,
 ) -> float:
     """Bias-corrected scaled log posterior odds of ``i`` against ``S3``.
 
@@ -165,8 +164,6 @@ def augmented_odds_statistic(
     asymptotically constant terms removed: twice the log prior-density ratio
     at ``theta_star``, the dimension constant ``log(2*pi)``, and the log ratio
     of the (sample-ratio weighted) per-sample information determinants.
-
-    ``total`` overrides the scaling count ``N`` (defaults to ``n + m``).
     """
     if i not in (Structure.S1, Structure.S2):
         raise InvalidParameter(f"statistic defined for S1 or S2 against S3, got {i}")
@@ -174,7 +171,7 @@ def augmented_odds_statistic(
         raise InvalidParameter(
             f"theta_star must be an independence-model parameter (w = 0), got w={theta_star.w!r}"
         )
-    n_total = st.total if total is None else int(total)
+    n_total = st.total
     if n_total <= 0:
         raise InvalidParameter("statistic undefined for empty data")
     eta = st.n / n_total

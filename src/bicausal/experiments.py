@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +344,7 @@ def _fmt(v: float) -> str:
 
 def _header_lines(cfg: ExperimentConfig, extra: dict | None = None) -> list[str]:
     th = cfg.theta_star
+    *alphas, beta, lam = astuple(cfg.hyper)
     items = {
         "true_model": cfg.true_model.value,
         "w": _fmt(th.w),
@@ -354,33 +355,21 @@ def _header_lines(cfg: ExperimentConfig, extra: dict | None = None) -> list[str]
         "sample_sizes": ",".join(str(v) for v in cfg.sample_sizes),
         "trials": str(cfg.trials),
         "base_seed": str(cfg.base_seed),
-        "alpha": ",".join(
-            _fmt(a)
-            for a in (
-                cfg.hyper.alpha1,
-                cfg.hyper.alpha2,
-                cfg.hyper.alpha3,
-                cfg.hyper.alpha4,
-                cfg.hyper.alpha5,
-                cfg.hyper.alpha6,
-            )
-        ),
-        "beta": _fmt(cfg.hyper.beta),
-        "lambda": _fmt(cfg.hyper.lam),
+        "alpha": ",".join(_fmt(a) for a in alphas),
+        "beta": _fmt(beta),
+        "lambda": _fmt(lam),
     }
     if extra:
         items.update({k: str(v) for k, v in extra.items()})
     return [f"# {k} = {v}" for k, v in items.items()]
 
 
-def log_inv_odds_quantiles(
-    result: ExperimentResult, total: int, probs=(0.1, 0.5, 0.9)
-) -> tuple[float, ...]:
-    """Per-size quantile band of ``log(1/p_true - 1)`` across trials."""
+def log_inv_odds_quantiles(result: ExperimentResult, total: int) -> tuple[float, float, float]:
+    """Per-size 10/50/90% quantile band of ``log(1/p_true - 1)`` across trials."""
     vals = np.sort([r.log_inv_odds for r in result.records if r.total == total])
     if vals.size == 0:
         raise InvalidParameter(f"no records at N={total}")
-    return tuple(float(np.quantile(vals, q)) for q in probs)
+    return tuple(float(np.quantile(vals, q)) for q in (0.1, 0.5, 0.9))
 
 
 def write_concentration_csv(path, cfg: ExperimentConfig, result: ExperimentResult) -> None:

@@ -14,7 +14,7 @@ child node's noise variance (``tau1_sq`` under ``S1``, ``tau2_sq`` under
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvalidParameter
 from .sem import Params, Structure, _norm_logpdf, gamma_log_jacobian_det, gamma_map
@@ -37,10 +37,10 @@ class BgeHyper:
     lam: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6", "beta", "lam"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (math.isfinite(v) and v > 0.0):
-                raise InvalidParameter(f"hyperparameter {name} must be positive, got {v!r}")
+                raise InvalidParameter(f"hyperparameter {f.name} must be positive, got {v!r}")
 
     def alphas_for(self, s: Structure) -> tuple[float, float]:
         """(node-1 shape, node-2 shape) for structure ``s``."""

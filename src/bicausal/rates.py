@@ -209,15 +209,13 @@ def sample_curve(
     theta_star: Params,
     y: float,
     num: int = 999,
-    eta_grid: np.ndarray | None = None,
 ) -> RateCurve:
-    """Evaluate one exponent on an eta grid clamped to ``[1e-9, 1 - 1e-9]``."""
+    """Evaluate one exponent on ``num`` evenly spaced points of
+    ``[1e-9, 1 - 1e-9]``."""
     f = _RATE_FUNCS.get(exponent_id)
     if f is None:
         raise InvalidParameter(f"cannot sample curve for {exponent_id}")
-    if eta_grid is None:
-        eta_grid = np.linspace(_ETA_CLAMP, 1.0 - _ETA_CLAMP, num)
-    eta_grid = np.clip(np.asarray(eta_grid, dtype=np.float64), _ETA_CLAMP, 1.0 - _ETA_CLAMP)
+    eta_grid = np.linspace(_ETA_CLAMP, 1.0 - _ETA_CLAMP, num)
     return RateCurve(eta=eta_grid, values=f(RateInput(theta_star, y, eta_grid)), exponent_id=exponent_id)
 
 

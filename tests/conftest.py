@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import strategies as hs
 
 from bicausal import Params, bge_symmetric_hyper
 
@@ -37,3 +38,19 @@ def random_params(rng: np.random.Generator, allow_zero_w: bool = False) -> Param
     if not allow_zero_w and abs(w) < 0.05:
         w = 0.3 * np.sign(w or 1.0)
     return Params(float(w), float(rng.uniform(0.25, 4.0)), float(rng.uniform(0.25, 4.0)))
+
+
+_coords = hs.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@hs.composite
+def mixed_data(draw, min_n: int = 0):
+    """Raw mixed dataset for property tests: ``(obs, interv, y)`` with at most
+    12 observational pairs and 8 interventional rows under ``do(node2 = y)``;
+    ``interv`` is None when no interventional row is drawn."""
+    pairs = draw(hs.lists(hs.tuples(_coords, _coords), min_size=min_n, max_size=12))
+    y1 = draw(hs.lists(_coords, max_size=8))
+    y = draw(hs.floats(-3.0, 3.0, allow_subnormal=False))
+    obs = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    interv = np.column_stack([y1, np.full(len(y1), y)]) if y1 else None
+    return obs, interv, y

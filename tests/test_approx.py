@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from bicausal import (
     DegenerateData,
@@ -31,7 +32,7 @@ from bicausal import (
 )
 from bicausal.estimation import SuffStats
 
-from conftest import random_params
+from conftest import mixed_data, random_params
 
 
 class TestFisher:
@@ -194,6 +195,23 @@ class TestHessianDiagnostics:
             h = loglik_hessian(st, s, hat)
             off = h - np.diag(np.diag(h))
             assert np.max(np.abs(off)) < 1e-6 * np.max(np.abs(h))
+
+    @given(mixed_data(min_n=2))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_hessian_cross_terms_vanish_at_mle_property(self, data):
+        obs, interv, _ = data
+        st = suffstats(obs, interv)
+        # well-conditioned blocks only: near-collinear data put the MLE
+        # variances at rounding level, where no sign is meaningful
+        pooled = (st.s1x + st.s1y, st.s12x + st.s12y, st.s2x + st.s2y)
+        for a, b, c in ((st.s1x, st.s12x, st.s2x), pooled):
+            assume(min(a, c) > 1e-3 and a * c - b * b > 1e-6 * a * c)
+        mle = mle_mixed(st)
+        for s in Structure:
+            h = loglik_hessian(st, s, mle.for_structure(s))
+            off = h - np.diag(np.diag(h))
+            assert np.max(np.abs(off)) <= 1e-10 * np.max(np.abs(h))
+            assert np.all(np.linalg.eigvalsh(-h) > 0.0)
 
 
 class TestLaplace:

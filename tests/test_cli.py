@@ -124,6 +124,14 @@ class TestPosterior:
         assert run_cli("posterior", big) == 1
         assert "category=invalid-parameter" in capsys.readouterr().err
 
+    def test_overflowing_moment_product_is_invalid_parameter(self, tmp_path, capsys):
+        # every sum is finite, but s1x * s2x and s12x * s12x overflow
+        big = tmp_path / "big.csv"
+        big.write_text("regime,x1,x2\nobs,1e100,1e100\nobs,1.0,2.0\nobs,0.5,0.1\n")
+        assert run_cli("posterior", big) == 1
+        err = capsys.readouterr().err
+        assert "category=invalid-parameter" in err and "Traceback" not in err
+
     def test_parse_error_carries_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("regime,x1,x2\nobs,1.0\n")

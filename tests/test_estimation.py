@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bicausal import (
     DegenerateData,
@@ -23,7 +25,7 @@ from bicausal import (
 )
 from bicausal.estimation import SuffStats
 
-from conftest import random_params
+from conftest import mixed_data, random_params
 
 
 class TestSuffStats:
@@ -63,6 +65,23 @@ class TestSuffStats:
             obs, interv = [[1.0, 2.0], [3.0, 1.0], [0.5, 0.2]], [[bad, 1.5], [1.0, 1.5]]
         with pytest.raises(InvalidParameter, match="must be finite"):
             suffstats(obs, interv)
+
+    def test_overflowing_moment_products_rejected(self):
+        # every sum is finite, but their products overflow: within the
+        # observational block, and pooled over both blocks
+        with pytest.raises(InvalidParameter, match="moment products must be finite"):
+            suffstats([[1e100, 1e100], [1.0, 2.0], [0.5, 0.1]])
+        with pytest.raises(InvalidParameter, match="moment products must be finite"):
+            SuffStats(1e300, 1.0, 0.0, 1.0, 1e300, 0.0, 3, 2, 1.0)
+
+    def test_factor_map_layout(self):
+        # node 1 pools both blocks; node 2 is free in the observational block only
+        st = SuffStats(2.0, 3.0, 1.5, 5.0, 7.0, 4.0, 4, 3, 1.0)
+        root1, root2 = (5.0 + 2.0, 0.0, 0.0, 7, False), (3.0, 0.0, 0.0, 4, False)
+        assert st.factors[Structure.S1] == ((7.0, 5.5, 10.0, 7, True), root2)
+        assert st.factors[Structure.S2] == (root1, (3.0, 1.5, 2.0, 4, True))
+        assert st.factors[Structure.S3] == (root1, root2)
+        assert st.factors is st.factors  # built once per statistics object
 
     def test_non_finite_field_rejected(self):
         with pytest.raises(InvalidParameter, match="s12x must be finite"):
@@ -175,6 +194,25 @@ class TestLoglik:
                     interv_logpdf_y1(row[0], s, theta, iv) for row in interv
                 )
                 assert loglik(st, s, theta) == pytest.approx(direct, abs=1e-10, rel=1e-10)
+
+    @given(
+        mixed_data(),
+        hs.sampled_from(list(Structure)),
+        hs.floats(-3.0, 3.0),
+        hs.floats(0.1, 10.0),
+        hs.floats(0.1, 10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_per_sample_summation_property(self, data, s, w, t1, t2):
+        obs, interv, y = data
+        st = suffstats(obs, interv)
+        theta = Params(0.0 if s is Structure.S3 else w, t1, t2)
+        iv = InterventionSpec(y)
+        rows = [] if interv is None else interv
+        direct = sum(obs_logpdf(row, s, theta) for row in obs) + sum(
+            interv_logpdf_y1(row[0], s, theta, iv) for row in rows
+        )
+        assert loglik(st, s, theta) == pytest.approx(direct, abs=1e-9, rel=1e-9)
 
     def test_equal_maxima_observational(self):
         rng = np.random.default_rng(31)

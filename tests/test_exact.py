@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bicausal import (
     BgeHyper,
     InterventionSpec,
     InvalidParameter,
+    NumericalDegeneracy,
     Params,
     Structure,
     StructurePosterior,
@@ -86,6 +89,39 @@ class TestQuadratureOracleAgreement:
             )
 
 
+@hs.composite
+def synthetic_stats(draw):
+    """Finite, non-degenerate statistics at synthetic counts up to 1e12:
+    per-sample moments times the counts, with the correlation bounded away
+    from +-1."""
+    n = draw(hs.integers(2, 10 ** 12))
+    m = draw(hs.integers(0, 10 ** 12))
+    v1, v2 = draw(hs.floats(1e-3, 1e3)), draw(hs.floats(1e-3, 1e3))
+    r = draw(hs.floats(-0.99, 0.99))
+    obs = (n * v1, n * v2, n * r * math.sqrt(v1 * v2))
+    if m == 0:
+        return SuffStats(*obs, 0.0, 0.0, 0.0, n, 0)
+    y = draw(hs.floats(-5.0, 5.0))
+    mu, var = draw(hs.floats(-10.0, 10.0)), draw(hs.floats(1e-3, 1e3))
+    return SuffStats(*obs, m * (mu * mu + var), m * y * y, y * m * mu, n, m, y)
+
+
+random_hypers = hs.builds(
+    BgeHyper,
+    *[hs.floats(0.1, 20.0)] * 6,
+    beta=hs.floats(0.01, 10.0),
+    lam=hs.floats(0.01, 100.0),
+)
+symmetric_hypers = hs.floats(0.6, 20.0).map(lambda a: bge_symmetric_hyper(a, 0.5))
+
+
+def _score_or_error(st, s, h):
+    try:
+        return log_marginal_mixed(st, s, h)
+    except NumericalDegeneracy:
+        return "degenerate"
+
+
 class TestScoreEquivalence:
     @pytest.mark.parametrize("n", [2, 17, 1000, 100_000])
     def test_equal_connected_marginals(self, n, symmetric_hyper):
@@ -97,6 +133,19 @@ class TestScoreEquivalence:
         post = posterior(st, symmetric_hyper)
         assert abs(post.p[0] - post.p[1]) < 1e-10
 
+    @given(
+        hs.integers(0, 10 ** 9),
+        hs.floats(0.0, 1e100),
+        hs.floats(0.0, 1e100),
+        hs.floats(-1.0, 1.0),
+        hs.floats(0.5, 50.0, exclude_min=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_connected_marginals_property(self, n, s1x, s2x, r, alpha):
+        h = bge_symmetric_hyper(alpha, 0.5)
+        st = SuffStats(s1x, s2x, r * math.sqrt(s1x * s2x), 0.0, 0.0, 0.0, n, 0)
+        assert _score_or_error(st, Structure.S1, h) == _score_or_error(st, Structure.S2, h)
+
 
 class TestPosterior:
     def test_sums_to_one(self, symmetric_hyper):
@@ -105,6 +154,13 @@ class TestPosterior:
             st = random_dataset(rng, int(rng.integers(2, 50)), int(rng.integers(0, 10)))
             post = posterior(st, symmetric_hyper)
             assert abs(float(np.sum(post.p)) - 1.0) < 1e-12
+
+    @given(synthetic_stats(), hs.one_of(random_hypers, symmetric_hypers))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_and_normalized_property(self, st, h):
+        post = posterior(st, h)
+        assert np.all(np.isfinite(post.logp)) and np.all(np.isfinite(post.p))
+        assert abs(float(np.sum(post.p)) - 1.0) < 1e-12
 
     def test_large_n_connected_split(self, symmetric_hyper):
         st = suffstats(sample_obs(Structure.S1, Params(1, 1, 1), 50_000, 3))
