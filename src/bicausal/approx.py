@@ -8,6 +8,7 @@ matrices and Hessians.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -166,8 +167,18 @@ _BOUNDARY_MASS = 1e-10
 _NODE_LADDER = (64, 96, 144, 216, 324, 486, 729)
 
 
-def _gl_nodes(k: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _gl_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k``-point Gauss-Legendre nodes and weights on [-1, 1], built once
+    per ``k`` (a handful of ``k`` occur) and shared read-only."""
     x, w = np.polynomial.legendre.leggauss(k)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gl_nodes(k: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _gl_rule(k)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return mid + half * x, half * w
@@ -181,7 +192,7 @@ def _log_integral_1d(
     lf = logf(u)
     peak = float(np.max(lf))
     total = float(np.sum(w * np.exp(lf - peak)))
-    edge = max(float(logf(np.array([lo]))[0]), float(logf(np.array([hi]))[0])) - peak
+    edge = max(logf(np.array([lo, hi])).tolist()) - peak
     return peak + math.log(total), edge
 
 
@@ -326,13 +337,8 @@ def quadrature_log_marginal_generic(
                 if not lo < hi:
                     lo, hi = w_window
             wg, ww = _gl_nodes(w_nodes, lo, hi)
-            lw = np.array(
-                [
-                    loglik(st, s, Params(float(w), t1, t2))
-                    + prior_logpdf_fn(Params(float(w), t1, t2))
-                    for w in wg
-                ]
-            )
+            thetas = [Params(w, t1, t2) for w in wg.tolist()]
+            lw = np.array([loglik(st, s, theta) + prior_logpdf_fn(theta) for theta in thetas])
             m = float(np.max(lw))
             inner = float(np.sum(ww * np.exp(lw - m)))
             if inner > 0.0:

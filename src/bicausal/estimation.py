@@ -42,7 +42,9 @@ def _csum(values: np.ndarray) -> float:
     """Compensated sum: pairwise numpy partial sums combined Kahan-style.
 
     Keeps sufficient statistics accurate enough for 1e-10 oracle agreement
-    at n = 1e6.
+    at n = 1e6. A non-finite running total is returned as it stands, so an
+    overflow reads as ``inf`` rather than the ``inf - inf`` NaN of the
+    compensation step.
     """
     a = np.asarray(values, dtype=np.float64).ravel()
     if a.size == 0:
@@ -52,6 +54,8 @@ def _csum(values: np.ndarray) -> float:
     for start in range(0, a.size, 4096):
         chunk = float(np.sum(a[start : start + 4096]))
         t = total + chunk
+        if not math.isfinite(t):
+            return t
         if abs(total) >= abs(chunk):
             comp += (total - t) + chunk
         else:

@@ -30,6 +30,7 @@ from bicausal import (
     sample_obs,
     suffstats,
 )
+from bicausal import approx
 from bicausal.estimation import SuffStats
 
 from conftest import mixed_data, random_params
@@ -308,3 +309,109 @@ class TestQuadratureEngine:
                 st, s, lambda t, s=s: prior_logpdf(t, s, h)
             )
             assert abs(a - b) < 1e-3
+
+
+class TestGaussLegendreRule:
+    def test_one_rule_per_node_count(self, symmetric_hyper, monkeypatch):
+        built = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(k):
+            built.append(k)
+            return leggauss(k)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        approx._gl_rule.cache_clear()
+        st = suffstats(sample_obs(Structure.S1, Params(1, 1, 1), 5, 3))
+        for _ in range(2):
+            for s in Structure:
+                quadrature_log_marginal(st, s, symmetric_hyper)
+        assert built
+        assert len(built) == len(set(built))
+
+    def test_cached_rule_is_read_only(self):
+        x, w = approx._gl_rule(16)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    @pytest.mark.parametrize("k", [4, 48, 64, 729])
+    def test_nodes_are_the_affine_map_of_leggauss(self, k):
+        lo, hi = -3.7, 8.3
+        x, w = np.polynomial.legendre.leggauss(k)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        u, wu = approx._gl_nodes(k, lo, hi)
+        np.testing.assert_array_equal(u, mid + half * x)
+        np.testing.assert_array_equal(wu, half * w)
+
+
+def _generic_reference(st, s, prior_logpdf_fn, w_window, nodes, w_nodes):
+    """Tensor quadrature as a plain triple loop: one fresh Gauss-Legendre
+    rule per weight cell and one ``Params`` per likelihood or prior call."""
+
+    def gl(k, lo, hi):
+        x, w = np.polynomial.legendre.leggauss(k)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return mid + half * x, half * w
+
+    hat = mle_mixed(st).for_structure(s)
+    c1, c2 = math.log(hat.tau1_sq), math.log(hat.tau2_sq)
+    factors = st.factors[s]
+    child = next((i for i, f in enumerate(factors) if f.has_parent), None)
+    w_moment = 0.0 if child is None else factors[child].xx
+    w_center = factors[child].xy / w_moment if w_moment > 0.0 else 0.0
+    u1, wu1 = gl(nodes, c1 - 12.0, c1 + 12.0)
+    u2, wu2 = gl(nodes, c2 - 12.0, c2 + 12.0)
+    peak = -math.inf
+    cells = []
+    for j, a in enumerate(u1):
+        t1 = math.exp(a)
+        for k, b in enumerate(u2):
+            t2 = math.exp(b)
+            if child is None:
+                theta = Params(0.0, t1, t2)
+                lv = loglik(st, s, theta) + prior_logpdf_fn(theta) + a + b
+            else:
+                lo, hi = w_window
+                if w_moment > 0.0:
+                    half = 12.0 * math.sqrt((t1, t2)[child] / w_moment)
+                    lo, hi = max(lo, w_center - half), min(hi, w_center + half)
+                    if not lo < hi:
+                        lo, hi = w_window
+                wg, ww = gl(w_nodes, lo, hi)
+                lw = np.array(
+                    [
+                        loglik(st, s, Params(float(w), t1, t2))
+                        + prior_logpdf_fn(Params(float(w), t1, t2))
+                        for w in wg
+                    ]
+                )
+                m = float(np.max(lw))
+                lv = m + math.log(float(np.sum(ww * np.exp(lw - m)))) + a + b
+            cells.append((wu1[j] * wu2[k], lv))
+            peak = max(peak, lv)
+    total = 0.0
+    for weight, lv in cells:
+        total += weight * math.exp(lv - peak)
+    return peak + math.log(total)
+
+
+@pytest.mark.parametrize("s", list(Structure))
+def test_generic_matches_reference_loop_bitwise(symmetric_hyper, s):
+    rng = np.random.default_rng(14)
+    obs = sample_obs(Structure.S1, Params(1, 1, 1), 6, rng)
+    interv = sample_interv(Structure.S1, Params(1, 1, 1), InterventionSpec(1.5), 3, rng)
+    st = suffstats(obs, interv)
+    calls = []
+
+    def prior(theta):
+        calls.append(theta)
+        return prior_logpdf(theta, s, symmetric_hyper)
+
+    got = quadrature_log_marginal_generic(st, s, prior, nodes=8, w_nodes=6)
+    assert len(calls) == (8 * 8 if s is Structure.S3 else 8 * 8 * 6)
+    want = _generic_reference(
+        st, s, lambda t: prior_logpdf(t, s, symmetric_hyper), (-20.0, 20.0), 8, 6
+    )
+    assert got == want

@@ -66,6 +66,21 @@ class TestSuffStats:
         with pytest.raises(InvalidParameter, match="must be finite"):
             suffstats(obs, interv)
 
+    # finite entries whose squares, or whose chunk sums, overflow: the sum
+    # reads inf, not the NaN of the compensation step's inf - inf
+    @pytest.mark.parametrize("block", ["obs", "interv"])
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_overflowing_sum_reports_inf(self, block, spread):
+        big = [[1e160, 2.0], [1.0, 2.0]]
+        if spread:
+            # each 4096-row chunk sums to 1.5e308; the two together overflow
+            big = [[math.sqrt(1.5e308), 2.0]] + [[0.0, 2.0]] * 4095 + [[math.sqrt(1.5e308), 2.0]]
+        obs, interv, name = big, None, "s1x"
+        if block == "interv":
+            obs, interv, name = [[1.0, 2.0], [0.5, 0.1]], big, "s1y"
+        with pytest.raises(InvalidParameter, match=f"{name} must be finite, got inf"):
+            suffstats(obs, interv)
+
     def test_overflowing_moment_products_rejected(self):
         # every sum is finite, but their products overflow: within the
         # observational block, and pooled over both blocks
