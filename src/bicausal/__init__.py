@@ -32,7 +32,7 @@ from .sem import (
     sample_interv,
     sample_obs,
 )
-from .estimation import MleTriple, SuffStats, loglik, mle_mixed, mle_obs, suffstats
+from .estimation import MleTriple, SuffStats, loglik, mle_mixed, mle_obs, sample_suffstats, suffstats
 from .priors import (
     BgeHyper,
     bge_symmetric_hyper,

@@ -348,4 +348,5 @@ def quadrature_log_marginal_generic(
     total = 0.0
     for weight, lv in cells:
         total += weight * math.exp(lv - peak)
-    return peak + math.log(total)
+    # the grid nodes are numpy scalars; return a float like the other routes
+    return float(peak + math.log(total))

@@ -8,7 +8,9 @@ The six sufficient statistics for the mixed dataset are
   ``s2y = m*y^2``, ``s12y = y * sum y1``.
 
 All estimators and likelihoods below are functions of these sums plus the
-counts ``(n, m)`` and the intervention value ``y``.
+counts ``(n, m)`` and the intervention value ``y``. :func:`suffstats`
+accumulates them from raw samples; :func:`sample_suffstats` draws them from
+their law directly, at a cost that does not grow with ``n`` or ``m``.
 
 Each structure's likelihood is a product of two per-node Gaussian
 regressions (the local decomposition behind BGe scoring).
@@ -28,7 +30,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import DegenerateData, InvalidParameter
-from .sem import _LOG_2PI, STRUCTURES, Params, Structure
+from .sem import _LOG_2PI, STRUCTURES, InterventionSpec, Params, Structure, _resolve_rng
 
 # Variance estimates at or below this are treated as exactly degenerate.
 _VARIANCE_FLOOR = 1e-300
@@ -187,6 +189,73 @@ def suffstats(obs, interv=None) -> SuffStats:
         s2y = m * y * y
         s12y = y * _csum(y1)
     return SuffStats(s1x, s2x, s12x, s1y, s2y, s12y, n, m, y)
+
+
+def _chi2(rng: np.random.Generator, k: int) -> float:
+    """One chi-squared draw with ``k >= 0`` degrees of freedom; ``chi2(0)`` is
+    exactly 0, which ``Generator.chisquare`` rejects."""
+    return 2.0 * rng.standard_gamma(0.5 * k)
+
+
+def sample_suffstats(
+    s: Structure,
+    theta: Params,
+    n: int,
+    m: int = 0,
+    iv: InterventionSpec | None = None,
+    *,
+    seed: int | np.random.SeedSequence | np.random.Generator,
+) -> SuffStats:
+    """Draw the :class:`SuffStats` of ``n`` observational and ``m``
+    interventional samples without drawing the samples.
+
+    The result has the law of ``suffstats(sample_obs(s, theta, n, rng),
+    sample_interv(s, theta, iv, m, rng))`` at a cost that does not depend
+    on ``n`` or ``m``. The two paths agree in distribution, not draw by draw.
+
+    The observational block is the scatter matrix of ``n`` centered Gaussian
+    pairs, a 2x2 Wishart matrix, drawn by the Bartlett decomposition
+    (Bartlett 1933; Smith & Hocking 1972, AS 53). In causal order (parent
+    ``p``, child ``c``; node 1 is ``p`` under ``S3``) the scatter of the
+    standardized noises is ``A A^T`` with ``A = [[a, 0], [b, c]]``,
+    ``a^2 ~ chi2(n)``, ``b ~ N(0, 1)`` and ``c^2 ~ chi2(n - 1)``, drawn in
+    that order. With ``L = [[sqrt(tau_p), 0], [w sqrt(tau_p), sqrt(tau_c)]]``
+    the triangular factor of :func:`bicausal.sem.sample_obs`, the data's
+    scatter is ``(L A)(L A)^T``; summed through the rows of ``L A``, the
+    child's sum of squares is a sum of squares and cannot round below zero.
+
+    The interventional block holds ``m`` draws of ``y1 ~ N(mu, tau1_sq)``,
+    ``mu = w*y`` under ``S1`` and 0 otherwise: ``sum y1`` is normal, and
+    ``sum y1^2 = (sum y1)^2 / m + tau1_sq * chi2(m - 1)`` with the two terms
+    independent. ``chi2(0)`` is exactly 0, so one sample (``n`` or ``m`` of
+    1) gives a rank-one block, as the raw path does.
+
+    ``seed`` is anything :func:`numpy.random.default_rng` accepts, or a
+    generator to draw from; a fixed seed determines the result bitwise.
+    """
+    if n < 0 or m < 0:
+        raise InvalidParameter(f"counts must be >= 0, got n={n}, m={m}")
+    if m > 0 and iv is None:
+        raise InvalidParameter("an intervention is required when m > 0")
+    w, t1, t2 = theta.w, theta.tau1_sq, theta.tau2_sq
+    if s is Structure.S3 and w != 0.0:
+        raise InvalidParameter(f"S3 requires w = 0, got w={w!r}")
+    rng = _resolve_rng(seed)
+    tp, tc = (t2, t1) if s is Structure.S1 else (t1, t2)
+    spp = spc = scc = 0.0
+    if n > 0:
+        # (u, 0) and (v, sqrt(tc) * c) are the rows of L A
+        u = math.sqrt(tp * _chi2(rng, n))
+        v = w * u + math.sqrt(tc) * rng.standard_normal()
+        spp, spc, scc = u * u, u * v, v * v + tc * _chi2(rng, n - 1)
+    s1x, s2x = (scc, spp) if s is Structure.S1 else (spp, scc)
+    if m == 0:
+        return SuffStats(s1x, s2x, spc, 0.0, 0.0, 0.0, n, 0, None)
+    y = iv.value
+    mu = w * y if s is Structure.S1 else 0.0
+    sum_y1 = m * mu + math.sqrt(t1 * m) * rng.standard_normal()
+    s1y = sum_y1 * sum_y1 / m + t1 * _chi2(rng, m - 1)
+    return SuffStats(s1x, s2x, spc, s1y, m * y * y, y * sum_y1, n, m, y)
 
 
 @dataclass(frozen=True)

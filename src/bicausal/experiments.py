@@ -1,10 +1,14 @@
 """Deterministic Monte Carlo harness for the concentration studies.
 
-Every trial draws its data from a generator seeded by
-``base_seed + trial * 10**6 + size_index``, so results are independent of
-execution order and a full run is reproducible byte for byte. Records are
-kept in fixed ``(trial, N)`` order; trial averages are accumulated in trial
-order for the same reason.
+Each ``(trial, N)`` cell draws its sufficient statistics directly
+(:func:`bicausal.estimation.sample_suffstats`, at a cost flat in ``N``) from
+its own generator, seeded by
+``numpy.random.SeedSequence(base_seed, spawn_key=(trial, size_index))``.
+Distinct ``(base_seed, trial, size_index)`` triples give distinct streams, a
+cell's record does not depend on execution order or on ``trials``, and a
+full run is reproducible byte for byte. Records are kept in fixed
+``(trial, N)`` order; trial averages are accumulated in trial order for the
+same reason.
 
 ``PRESETS`` holds the experiments behind the source's figures, and
 :func:`run_bundle` runs one preset or config-file experiment into a bundle
@@ -28,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateData, InvalidParameter
-from .estimation import SuffStats, suffstats
+from .errors import ConfigError, DegenerateData, InvalidParameter, NumericalDegeneracy
+from .estimation import SuffStats, sample_suffstats
 from .exact import StructurePosterior, augmented_odds_statistic, posterior
 from .priors import BgeHyper, prior_logpdf, pushforward_prior_logpdf
 from .rates import (
@@ -42,9 +46,10 @@ from .rates import (
     optimal_eta,
     sample_curve,
 )
-from .sem import InterventionSpec, Params, Structure, gamma_map_inverse, sample_interv, sample_obs
-
-_TRIAL_SEED_STRIDE = 10 ** 6
+from .sem import InterventionSpec, Params, Structure, gamma_map_inverse
+# the raw sampler stays bound here: bench/tracing.py wraps it at every module
+# that binds it, and bench/test_bench.py checks this binding
+from .sem import sample_obs  # noqa: F401
 
 
 def _safe_exp(x: float) -> float:
@@ -83,6 +88,8 @@ class ExperimentConfig:
         object.__setattr__(self, "sample_sizes", sizes)
         if self.trials < 1:
             raise InvalidParameter(f"trials must be >= 1, got {self.trials}")
+        if self.base_seed < 0:
+            raise InvalidParameter(f"base_seed must be >= 0, got {self.base_seed}")
         if self.eta is not None and not 0.0 < self.eta < 1.0:
             raise InvalidParameter(f"eta must lie in (0, 1) when mixed, got {self.eta!r}")
 
@@ -132,19 +139,11 @@ class ExperimentResult:
         return acc / cnt
 
 
-def _cell_seed(cfg: ExperimentConfig, trial: int, size_index: int) -> int:
-    return cfg.base_seed + trial * _TRIAL_SEED_STRIDE + size_index
-
-
 def _simulate_cell(cfg: ExperimentConfig, trial: int, size_index: int) -> SuffStats:
-    total = cfg.sample_sizes[size_index]
-    n, m = cfg.split(total)
-    rng = np.random.default_rng(_cell_seed(cfg, trial, size_index))
-    obs = sample_obs(cfg.true_model, cfg.theta_star, n, rng)
-    interv = None
-    if m > 0:
-        interv = sample_interv(cfg.true_model, cfg.theta_star, InterventionSpec(cfg.y), m, rng)
-    return suffstats(obs, interv)
+    n, m = cfg.split(cfg.sample_sizes[size_index])
+    iv = InterventionSpec(cfg.y) if m else None
+    seed = np.random.SeedSequence(cfg.base_seed, spawn_key=(trial, size_index))
+    return sample_suffstats(cfg.true_model, cfg.theta_star, n, m, iv, seed=seed)
 
 
 def _record(
@@ -165,8 +164,9 @@ def _record(
 def run_concentration(cfg: ExperimentConfig) -> ExperimentResult:
     """Posterior records over the (trial, size) grid for the configured model.
 
-    Degenerate draws are skipped and counted; at the default configurations
-    they are vanishingly rare.
+    Degenerate draws, and cells whose statistics fail a numerical check, are
+    skipped and counted; at the default configurations they are vanishingly
+    rare.
     """
     result = ExperimentResult()
     for trial in range(cfg.trials):
@@ -174,7 +174,7 @@ def run_concentration(cfg: ExperimentConfig) -> ExperimentResult:
             try:
                 st = _simulate_cell(cfg, trial, idx)
                 post = posterior(st, cfg.hyper)
-            except DegenerateData:
+            except (DegenerateData, NumericalDegeneracy):
                 result.skipped += 1
                 continue
             result.records.append(_record(cfg, trial, total, st, post))
@@ -226,7 +226,7 @@ def run_chi2_diagnostic(cfg: ExperimentConfig) -> tuple[ExperimentResult, float,
             post = posterior(st, cfg.hyper)
             s1 = augmented_odds_statistic(st, post, Structure.S1, cfg.theta_star, cfg.hyper)
             s2 = augmented_odds_statistic(st, post, Structure.S2, cfg.theta_star, cfg.hyper)
-        except DegenerateData:
+        except (DegenerateData, NumericalDegeneracy):
             result.skipped += 1
             continue
         result.records.append(_record(cfg, trial, total, st, post, stat_s1=s1, stat_s2=s2))

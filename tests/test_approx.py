@@ -415,3 +415,22 @@ def test_generic_matches_reference_loop_bitwise(symmetric_hyper, s):
         st, s, lambda t: prior_logpdf(t, s, symmetric_hyper), (-20.0, 20.0), 8, 6
     )
     assert got == want
+
+
+@pytest.mark.parametrize("s", list(Structure))
+def test_every_evidence_route_returns_float(symmetric_hyper, s):
+    rng = np.random.default_rng(14)
+    obs = sample_obs(Structure.S1, Params(1, 1, 1), 6, rng)
+    interv = sample_interv(Structure.S1, Params(1, 1, 1), InterventionSpec(1.5), 3, rng)
+    st = suffstats(obs, interv)
+
+    def prior(theta):
+        return prior_logpdf(theta, s, symmetric_hyper)
+
+    values = [
+        log_marginal_mixed(st, s, symmetric_hyper),
+        quadrature_log_marginal(st, s, symmetric_hyper),
+        quadrature_log_marginal_generic(st, s, prior, nodes=8, w_nodes=6),
+        laplace_log_marginal(st, s, prior, mle_mixed(st).for_structure(s)),
+    ]
+    assert [type(v) for v in values] == [float] * 4

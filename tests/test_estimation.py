@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -18,9 +19,11 @@ from bicausal import (
     loglik,
     mle_mixed,
     mle_obs,
+    implied_covariance,
     obs_logpdf,
     sample_interv,
     sample_obs,
+    sample_suffstats,
     suffstats,
 )
 from bicausal.estimation import SuffStats
@@ -262,3 +265,77 @@ class TestLoglik:
         st = suffstats(x)
         assert st.s1x == pytest.approx(math.fsum(x[:, 0] * x[:, 0]), rel=1e-12)
         assert st.s12x == pytest.approx(math.fsum(x[:, 0] * x[:, 1]), rel=1e-12, abs=1e-8)
+
+
+class TestSampleSuffStats:
+    """The direct draw of the statistics against the raw-sample path."""
+
+    THETA = {
+        Structure.S1: Params(0.8, 1.3, 0.7),
+        Structure.S2: Params(-0.6, 0.9, 1.6),
+        Structure.S3: Params(0.0, 1.2, 0.5),
+    }
+    NAMES = ("s1x", "s2x", "s12x", "s1y", "s2y", "s12y")
+
+    @pytest.mark.parametrize("n, m", [(7, 0), (7, 4), (1, 1)])
+    @pytest.mark.parametrize("s", list(Structure))
+    def test_law_matches_raw_path(self, s, n, m):
+        theta, iv, reps = self.THETA[s], InterventionSpec(1.5), 4000
+        rng = np.random.default_rng(606)
+        raw, direct = [], []
+        for _ in range(reps):
+            interv = sample_interv(s, theta, iv, m, rng) if m else None
+            raw.append(suffstats(sample_obs(s, theta, n, rng), interv))
+            direct.append(sample_suffstats(s, theta, n, m, iv, seed=rng))
+        for name in self.NAMES:
+            a = [getattr(st, name) for st in raw]
+            b = [getattr(st, name) for st in direct]
+            p = scipy.stats.ks_2samp(a, b).pvalue
+            assert p > 1e-3, f"{name}: two-sample KS p-value {p:.2e}"
+
+    @pytest.mark.parametrize("s", list(Structure))
+    def test_first_moments(self, s):
+        theta, y, n, m, reps = self.THETA[s], 1.5, 50, 30, 10000
+        rng = np.random.default_rng(707)
+        draws = [sample_suffstats(s, theta, n, m, InterventionSpec(y), seed=rng) for _ in range(reps)]
+        cov = implied_covariance(s, theta)
+        mu = theta.w * y if s is Structure.S1 else 0.0
+        expected = {
+            "s1x": n * cov.c11,
+            "s2x": n * cov.c22,
+            "s12x": n * cov.c12,
+            "s1y": m * (theta.tau1_sq + mu * mu),
+            "s12y": m * y * mu,
+        }
+        for name, want in expected.items():
+            v = np.array([getattr(st, name) for st in draws])
+            se = v.std(ddof=1) / math.sqrt(reps)
+            assert abs(v.mean() - want) < 4.0 * se, f"{name}: mean {v.mean()} vs {want} (se {se})"
+        assert all(st.s2y == m * y * y for st in draws)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        s=hs.sampled_from(list(Structure)),
+        n=hs.integers(0, 6),
+        m=hs.integers(0, 6),
+        w=hs.floats(-5.0, 5.0),
+        t1=hs.floats(1e-3, 1e3),
+        t2=hs.floats(1e-3, 1e3),
+        y=hs.floats(-5.0, 5.0),
+        seed=hs.integers(0, 2**64 - 1),
+    )
+    def test_small_draws_are_valid_and_repeat_from_the_seed(self, s, n, m, w, t1, t2, y, seed):
+        theta = Params(0.0 if s is Structure.S3 else w, t1, t2)
+        a, b = (sample_suffstats(s, theta, n, m, InterventionSpec(y), seed=seed) for _ in range(2))
+        assert (a.n, a.m, a.y) == (n, m, y if m else None)
+        fields = [np.array([getattr(st, k) for k in self.NAMES]).tobytes() for st in (a, b)]
+        assert fields[0] == fields[1]
+
+    def test_invalid_arguments_rejected(self):
+        theta = self.THETA[Structure.S1]
+        with pytest.raises(InvalidParameter, match="counts"):
+            sample_suffstats(Structure.S1, theta, -1, seed=0)
+        with pytest.raises(InvalidParameter, match="intervention"):
+            sample_suffstats(Structure.S1, theta, 5, 2, seed=0)
+        with pytest.raises(InvalidParameter, match="S3 requires w = 0"):
+            sample_suffstats(Structure.S3, theta, 5, seed=0)

@@ -11,6 +11,7 @@ import bicausal.exact
 from bicausal import (
     ExperimentConfig,
     InvalidParameter,
+    NumericalDegeneracy,
     Params,
     RateId,
     Structure,
@@ -27,6 +28,9 @@ from bicausal import (
     theory_exponent,
 )
 from bicausal.experiments import (
+    PRESETS,
+    _simulate_cell,
+    run_bundle,
     write_chi2_csv,
     write_concentration_csv,
     write_plateau_csv,
@@ -105,6 +109,50 @@ class TestDeterminism:
     def test_no_skips_at_defaults(self, symmetric_hyper):
         res = run_concentration(small_config(hyper=symmetric_hyper, trials=20))
         assert res.skipped == 0
+
+    def test_cell_seeds_do_not_collide(self, symmetric_hyper):
+        # base_seed + trial * 10**6 + size_index gave these two cells one seed
+        a = _simulate_cell(small_config(hyper=symmetric_hyper, base_seed=10**6), 0, 0)
+        b = _simulate_cell(small_config(hyper=symmetric_hyper, base_seed=0), 1, 0)
+        assert a != b
+
+    def test_records_do_not_depend_on_trial_count(self, symmetric_hyper):
+        three = run_concentration(small_config(hyper=symmetric_hyper, trials=3)).records
+        five = run_concentration(small_config(hyper=symmetric_hyper, trials=5)).records
+        assert len(three) == 3 * 4 and five[: len(three)] == three
+
+    def test_negative_base_seed_rejected(self, symmetric_hyper):
+        with pytest.raises(InvalidParameter, match="base_seed"):
+            small_config(hyper=symmetric_hyper, base_seed=-1)
+
+    @pytest.mark.parametrize(
+        "run, model",
+        [
+            (run_concentration, {}),
+            (
+                lambda cfg: run_chi2_diagnostic(cfg)[0],
+                {"true_model": Structure.S3, "theta_star": Params(0.0, 1.0, 1.0)},
+            ),
+        ],
+        ids=["concentration", "chi2"],
+    )
+    def test_numerical_degeneracy_skips_the_cell(self, symmetric_hyper, monkeypatch, run, model):
+        cfg = small_config(hyper=symmetric_hyper, **model)
+        want = run(cfg).records
+        calls = []
+        original = bicausal.exact.log_marginal_mixed
+
+        def failing_in_fourth_cell(*args):
+            # three evidence calls per cell: call 10 is the fourth cell's first
+            calls.append(args)
+            if len(calls) == 10:
+                raise NumericalDegeneracy("corrupted statistics")
+            return original(*args)
+
+        monkeypatch.setattr(bicausal.exact, "log_marginal_mixed", failing_in_fourth_cell)
+        res = run(cfg)
+        assert res.skipped == 1
+        assert res.records == want[:3] + want[4:]
 
 
 class TestFitSlope:
@@ -279,3 +327,21 @@ class TestCsv:
             np.testing.assert_array_equal(table[:, col], curve.values)
         np.testing.assert_array_equal(table[:, 5], gain_transform(curves[0]).values)
         np.testing.assert_array_equal(table[:, 6], gain_transform(curves[1]).values)
+
+
+@pytest.mark.parametrize("preset", ["figure2", "figure5", "figure6"])
+def test_large_n_preset_bundle(tmp_path, symmetric_hyper, preset):
+    kind, spec = PRESETS[preset]
+    run_bundle(kind, spec, 7, symmetric_hyper, tmp_path)
+    files = sorted(tmp_path.iterdir())
+    names = {"figure2": "concentration_obs.csv", "figure5": "concentration_eta0.5.csv", "figure6": "plateau.csv"}
+    assert [p.name for p in files] == [names[preset]]
+    lines = files[0].read_text().splitlines()
+    assert "# skipped = 0" in lines
+    rows = [l.split(",") for l in lines if not l.startswith("#")]
+    table = np.array([[float(v) for v in r] for r in rows[1:]])
+    assert table.shape[0] == spec["trials"] * len(spec["sample_sizes"])
+    assert np.all(np.isfinite(table))
+    if kind == "concentration":
+        assert rows[0][4:7] == ["p_s1", "p_s2", "p_s3"]
+        np.testing.assert_allclose(table[:, 4:7].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
