@@ -10,7 +10,10 @@ The six sufficient statistics for the mixed dataset are
 All estimators and likelihoods below are functions of these sums plus the
 counts ``(n, m)`` and the intervention value ``y``. :func:`suffstats`
 accumulates them from raw samples; :func:`sample_suffstats` draws them from
-their law directly, at a cost that does not grow with ``n`` or ``m``.
+their law directly, at a cost that does not grow with ``n`` or ``m``. A
+:class:`SuffStats` whose six sums are equal-length arrays is a batch of
+datasets sharing ``n``, ``m`` and ``y``; it is validated as a whole, and
+:func:`bicausal.exact.log_marginal_mixed` scores it in one call.
 
 Each structure's likelihood is a product of two per-node Gaussian
 regressions (the local decomposition behind BGe scoring).
@@ -94,11 +97,26 @@ class Factor(NamedTuple):
         return self.xy / self.xx, (self.xx * self.yy - self.xy * self.xy) / (self.count * self.xx)
 
 
+_SUMS = ("s1x", "s2x", "s12x", "s1y", "s2y", "s12y")
+# what SuffStats reports per failed check: rows up to "moment products" name
+# a non-finite value, the later rows name the violated constraint
+_REPORTED = _SUMS + ("moment products",)
+_VIOLATIONS = (
+    "sums of squares must be nonnegative",
+    "observational block violates Cauchy-Schwarz",
+    "interventional block violates Cauchy-Schwarz",
+)
+
+
 @dataclass(frozen=True)
 class SuffStats:
     """Sufficient statistics of a mixed observational/interventional dataset.
 
-    ``y`` is defined only when ``m > 0``.
+    ``y`` is defined only when ``m > 0``. The six sums are numbers, or, for a
+    batch of datasets sharing ``n``, ``m`` and ``y``, equal-length 1-d
+    float64 arrays with one cell per dataset. One validation covers both:
+    the checks are numpy expressions over the cells, reduced once, and a
+    number is the one-cell case.
     """
 
     s1x: float
@@ -112,30 +130,44 @@ class SuffStats:
     y: float | None = None
 
     def __post_init__(self) -> None:
-        names = ("s1x", "s2x", "s12x", "s1y", "s2y", "s12y") + (() if self.y is None else ("y",))
-        for name in names:
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise InvalidParameter(_NON_FINITE.format(name, v))
-        # readers multiply these sums pairwise: pooled over both blocks (node
-        # 1's factor) and observational (node 2's); Cauchy-Schwarz below
-        # bounds every other product by these
-        a, b, c = self.s1x + self.s1y, self.s12x + self.s12y, self.s2x + self.s2y
-        products = a * c + b * b + self.s12x * self.s12x
-        if not math.isfinite(products):
-            raise InvalidParameter(_NON_FINITE.format("moment products", products))
         if self.n < 0 or self.m < 0:
             raise InvalidParameter(f"counts must be >= 0, got n={self.n}, m={self.m}")
-        if self.s1x < 0.0 or self.s2x < 0.0 or self.s1y < 0.0 or self.s2y < 0.0:
-            raise InvalidParameter("sums of squares must be nonnegative")
-        # Cauchy-Schwarz, with slack for accumulated rounding.
-        slack = 1e-9
-        if self.s12x * self.s12x > self.s1x * self.s2x * (1.0 + slack) + slack:
-            raise InvalidParameter("observational block violates Cauchy-Schwarz")
-        if self.s12y * self.s12y > self.s1y * self.s2y * (1.0 + slack) + slack:
-            raise InvalidParameter("interventional block violates Cauchy-Schwarz")
-        if self.m > 0 and self.y is None:
+        if self.y is None and self.m > 0:
             raise InvalidParameter("y must be set when m > 0")
+        if self.y is not None and not math.isfinite(self.y):
+            raise InvalidParameter(_NON_FINITE.format("y", self.y))
+        sums = [getattr(self, name) for name in _SUMS]
+        try:
+            cells = np.array(sums, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            cells = None
+        if cells is None or cells.ndim > 2 or (
+            cells.ndim == 2 and any(getattr(v, "dtype", None) != np.float64 for v in sums)
+        ):
+            raise InvalidParameter("the six sums must be numbers, or 1-d float64 arrays of one length")
+        cells = cells.reshape(len(_SUMS), -1)
+        s1x, s2x, s12x, s1y, s2y, s12y = cells
+        slack = 1e-9  # Cauchy-Schwarz slack for accumulated rounding
+        with np.errstate(over="ignore", invalid="ignore"):
+            # readers multiply these sums pairwise: pooled over both blocks
+            # (node 1's factor) and observational (node 2's); Cauchy-Schwarz
+            # bounds every other product by these
+            a, b, c = s1x + s1y, s12x + s12y, s2x + s2y
+            products = a * c + b * b + s12x * s12x
+            failed = np.vstack([
+                ~np.isfinite(cells),
+                ~np.isfinite(products),
+                (s1x < 0.0) | (s2x < 0.0) | (s1y < 0.0) | (s2y < 0.0),
+                s12x * s12x > s1x * s2x * (1.0 + slack) + slack,
+                s12y * s12y > s1y * s2y * (1.0 + slack) + slack,
+            ])
+        if failed.any():
+            # the first failed check, at its first failing cell
+            check, cell = np.argwhere(failed)[0]
+            if check < len(_REPORTED):
+                value = [*cells, products][check][cell]
+                raise InvalidParameter(_NON_FINITE.format(_REPORTED[check], float(value)))
+            raise InvalidParameter(_VIOLATIONS[check - len(_REPORTED)])
 
     @property
     def total(self) -> int:
@@ -233,6 +265,24 @@ def sample_suffstats(
     ``seed`` is anything :func:`numpy.random.default_rng` accepts, or a
     generator to draw from; a fixed seed determines the result bitwise.
     """
+    sums = _draw_sums(s, theta, n, m, iv, seed)
+    return SuffStats(*sums, n, m, iv.value if m else None)
+
+
+def _draw_sums(
+    s: Structure,
+    theta: Params,
+    n: int,
+    m: int,
+    iv: InterventionSpec | None,
+    seed: int | np.random.SeedSequence | np.random.Generator,
+) -> tuple[float, float, float, float, float, float]:
+    """The six sums ``(s1x, s2x, s12x, s1y, s2y, s12y)`` of one
+    :func:`sample_suffstats` draw, not yet validated as :class:`SuffStats`.
+
+    The Monte Carlo harness stacks one row per trial into a batch and
+    validates the batch once.
+    """
     if n < 0 or m < 0:
         raise InvalidParameter(f"counts must be >= 0, got n={n}, m={m}")
     if m > 0 and iv is None:
@@ -250,12 +300,12 @@ def sample_suffstats(
         spp, spc, scc = u * u, u * v, v * v + tc * _chi2(rng, n - 1)
     s1x, s2x = (scc, spp) if s is Structure.S1 else (spp, scc)
     if m == 0:
-        return SuffStats(s1x, s2x, spc, 0.0, 0.0, 0.0, n, 0, None)
+        return s1x, s2x, spc, 0.0, 0.0, 0.0
     y = iv.value
     mu = w * y if s is Structure.S1 else 0.0
     sum_y1 = m * mu + math.sqrt(t1 * m) * rng.standard_normal()
     s1y = sum_y1 * sum_y1 / m + t1 * _chi2(rng, m - 1)
-    return SuffStats(s1x, s2x, spc, s1y, m * y * y, y * sum_y1, n, m, y)
+    return s1x, s2x, spc, s1y, m * y * y, y * sum_y1
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,12 @@ normalizers. The ``U``/``V`` powers are grouped as
 score-equivalent hyperparameters (where ``U == V`` bitwise and ``A == B``)
 cancel exactly instead of through large-term subtraction; this is what makes
 the equal-mass property hold to machine precision at any sample size.
+
+The evidence, the posterior and the odds statistic take one dataset or a
+batch of datasets (a :class:`~bicausal.estimation.SuffStats` with array
+sums). There is one body for both: the normalizers are computed once per
+call and the data terms are numpy expressions over the cells, so one
+dataset's value is bitwise the matching cell of any batch holding it.
 """
 
 from __future__ import annotations
@@ -33,73 +39,85 @@ from .sem import _LOG_2PI, InterventionSpec, Params, Structure, STRUCTURES
 _LOG_PI = math.log(math.pi)
 
 
-def _log_ratio(u_minus_v: float, v: float) -> float:
-    """log(U/V) computed as log1p((U-V)/V); exact zero when U == V."""
-    return math.log1p(u_minus_v / v)
+def _cells(x):
+    """A float for one dataset; the array of cells itself for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float:
+def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float | np.ndarray:
     """Log marginal likelihood of the mixed dataset under structure ``s``.
 
     ``m = 0`` gives the observational-only value exactly. An empty dataset
     gives 0 for every structure.
+
+    One dataset gives a ``float`` and raises :class:`NumericalDegeneracy`
+    when the augmented determinant is not positive; a batch gives an array,
+    NaN in such cells. Every logarithm of the data is numpy's, so both give
+    the same bits.
     """
-    n, m = st.n, st.m
+    n, m, batch = st.n, st.m, np.ndim(st.s1x) > 0
+    s1x, s2x, s12x, s1y, s2y, s12y = st.s1x, st.s2x, st.s12x, st.s1y, st.s2y, st.s12y
     # second moments augmented by the variance-prior rate (2*beta) and the
     # weight-prior precision (1/lam)
-    s1x_beta = st.s1x + 2.0 * h.beta
-    s2x_beta = st.s2x + 2.0 * h.beta
+    s1x_beta = s1x + 2.0 * h.beta
+    s2x_beta = s2x + 2.0 * h.beta
     lam_minus_beta = 1.0 / h.lam - 2.0 * h.beta
 
-    if s is Structure.S1:
-        a_c, a_o = h.alpha1, h.alpha2
-        u = st.s2x + 1.0 / h.lam + st.s2y
-        v = s2x_beta
-        log_uv = _log_ratio(lam_minus_beta + st.s2y, v)
-        delta = (s1x_beta + st.s1y) * u - (st.s12x + st.s12y) ** 2
-        coef_u = a_c + 0.5 * (n + m - 1)
-        coef_v = a_o + 0.5 * n
-        coef_delta = a_c + 0.5 * (n + m)
-        lg_data = math.lgamma(a_c + 0.5 * (n + m)) + math.lgamma(a_o + 0.5 * n)
-    elif s is Structure.S2:
-        a_c, a_o = h.alpha4, h.alpha3
-        u = st.s1x + 1.0 / h.lam
-        v = s1x_beta + st.s1y
-        log_uv = _log_ratio(lam_minus_beta - st.s1y, v)
-        delta = u * s2x_beta - st.s12x ** 2
-        coef_u = a_c + 0.5 * (n - 1)
-        coef_v = a_o + 0.5 * (n + m)
-        coef_delta = a_c + 0.5 * n
-        lg_data = math.lgamma(a_o + 0.5 * (n + m)) + math.lgamma(a_c + 0.5 * n)
-    else:
+    if s is Structure.S3:
         a1, a2 = h.alpha5, h.alpha6
-        lg = (
+        norm = (
             (a1 + a2) * math.log(2.0 * h.beta)
             - (n + 0.5 * m) * _LOG_PI
             + math.lgamma(a1 + 0.5 * (n + m))
             + math.lgamma(a2 + 0.5 * n)
             - math.lgamma(a1)
             - math.lgamma(a2)
-            - (a1 + 0.5 * (n + m)) * math.log(s1x_beta + st.s1y)
-            - (a2 + 0.5 * n) * math.log(s2x_beta)
         )
-        return lg
+        out = norm - (a1 + 0.5 * (n + m)) * np.log(s1x_beta + s1y) - (a2 + 0.5 * n) * np.log(s2x_beta)
+        return out if batch else float(out)
 
-    if delta <= 0.0:
-        raise NumericalDegeneracy(
-            f"augmented determinant non-positive ({delta!r}); sufficient statistics corrupted"
-        )
-    return (
+    if s is Structure.S1:
+        a_c, a_o = h.alpha1, h.alpha2
+        u = s2x + 1.0 / h.lam + s2y
+        v = s2x_beta
+        u_minus_v = lam_minus_beta + s2y
+        b = s12x + s12y
+        delta = (s1x_beta + s1y) * u - b * b
+        coef_u = a_c + 0.5 * (n + m - 1)
+        coef_v = a_o + 0.5 * n
+        coef_delta = a_c + 0.5 * (n + m)
+        lg_data = math.lgamma(a_c + 0.5 * (n + m)) + math.lgamma(a_o + 0.5 * n)
+    else:
+        a_c, a_o = h.alpha4, h.alpha3
+        u = s1x + 1.0 / h.lam
+        v = s1x_beta + s1y
+        u_minus_v = lam_minus_beta - s1y
+        delta = u * s2x_beta - s12x * s12x
+        coef_u = a_c + 0.5 * (n - 1)
+        coef_v = a_o + 0.5 * (n + m)
+        coef_delta = a_c + 0.5 * n
+        lg_data = math.lgamma(a_o + 0.5 * (n + m)) + math.lgamma(a_c + 0.5 * n)
+    norm = (
         (a_c + a_o) * math.log(2.0 * h.beta)
         - 0.5 * math.log(h.lam)
         - (n + 0.5 * m) * _LOG_PI
         + lg_data
         - math.lgamma(a_c)
         - math.lgamma(a_o)
-        + coef_u * log_uv
-        + (coef_u - coef_v) * math.log(v)
-        - coef_delta * math.log(delta)
     )
+    positive = delta > 0.0
+    if not (batch or positive):
+        raise NumericalDegeneracy(
+            f"augmented determinant non-positive ({float(delta)!r}); sufficient statistics corrupted"
+        )
+    # log(U/V) as log1p((U-V)/V): exactly zero when U == V
+    out = (
+        norm
+        + coef_u * np.log1p(u_minus_v / v)
+        + (coef_u - coef_v) * np.log(v)
+        - coef_delta * np.log(np.where(positive, delta, np.nan))
+    )
+    return out if batch else float(out)
 
 
 def log_marginal_obs(st: SuffStats, s: Structure, h: BgeHyper) -> float:
@@ -115,7 +133,9 @@ class StructurePosterior:
 
     ``logp`` holds the log marginal likelihoods (the uniform structure prior
     cancels in the normalization); ``p`` the log-sum-exp normalized
-    probabilities.
+    probabilities. Axis 0 runs over the structures: shape ``(3,)`` for one
+    dataset, ``(3, k)`` for a batch of ``k``, whose readers below return one
+    value per cell.
     """
 
     logp: np.ndarray
@@ -125,25 +145,29 @@ class StructurePosterior:
     def from_logp(cls, logp) -> "StructurePosterior":
         """Normalize log scores in canonical structure order."""
         logp = np.asarray(logp, dtype=np.float64)
-        weights = np.exp(logp - np.max(logp))
-        return cls(logp=logp, p=weights / np.sum(weights))
+        weights = np.exp(logp - np.max(logp, axis=0))
+        return cls(logp=logp, p=weights / np.sum(weights, axis=0))
 
-    def prob(self, s: Structure) -> float:
-        return float(self.p[STRUCTURES.index(s)])
+    def prob(self, s: Structure) -> float | np.ndarray:
+        return _cells(self.p[STRUCTURES.index(s)])
 
-    def log_odds(self, a: Structure, b: Structure) -> float:
-        return float(self.logp[STRUCTURES.index(a)] - self.logp[STRUCTURES.index(b)])
+    def log_odds(self, a: Structure, b: Structure) -> float | np.ndarray:
+        return _cells(self.logp[STRUCTURES.index(a)] - self.logp[STRUCTURES.index(b)])
 
-    def log_inverse_odds(self, true_structure: Structure) -> float:
-        """``log(1/p_true - 1)`` computed in log space (safe when ``p_true -> 1``)."""
-        logp = dict(zip(STRUCTURES, self.logp))
-        a, b = (v for s, v in logp.items() if s is not true_structure)
-        return float(np.logaddexp(a, b) - logp[true_structure])
+    def log_inverse_odds(self, true_structure: Structure) -> float | np.ndarray:
+        """``log(1/p_true - 1)`` computed in log space (safe when ``p_true -> 1``).
+
+        A batch cell with NaN evidence gives NaN, without a warning.
+        """
+        t = STRUCTURES.index(true_structure)
+        a, b = (self.logp[i] for i in range(len(STRUCTURES)) if i != t)
+        with np.errstate(invalid="ignore"):
+            return _cells(np.logaddexp(a, b) - self.logp[t])
 
 
 def posterior(st: SuffStats, h: BgeHyper) -> StructurePosterior:
     """Structure posterior from the closed-form marginals under a uniform
-    structure prior."""
+    structure prior; a batch of statistics gives a batch posterior."""
     return StructurePosterior.from_logp([log_marginal_mixed(st, s, h) for s in STRUCTURES])
 
 
@@ -153,10 +177,13 @@ def augmented_odds_statistic(
     i: Structure,
     theta_star: Params,
     h: BgeHyper,
-) -> float:
+) -> float | np.ndarray:
     """Bias-corrected scaled log posterior odds of ``i`` against ``S3``.
 
     ``post`` is ``posterior(st, h)``; the odds are read from its evidence.
+    For a batch, the result is an array with one statistic per cell; the
+    prior ratio and the information determinants depend only on the counts
+    and ``theta_star`` and are computed once.
 
     Under a true independence model with parameters ``theta_star`` the
     statistic converges in distribution to chi-squared with one degree of

@@ -1,14 +1,18 @@
 """Deterministic Monte Carlo harness for the concentration studies.
 
-Each ``(trial, N)`` cell draws its sufficient statistics directly
-(:func:`bicausal.estimation.sample_suffstats`, at a cost flat in ``N``) from
-its own generator, seeded by
+Each ``(trial, N)`` cell draws its sufficient statistics directly (the
+draw of :func:`bicausal.estimation.sample_suffstats`, at a cost flat in
+``N``) from its own generator, seeded by
 ``numpy.random.SeedSequence(base_seed, spawn_key=(trial, size_index))``.
 Distinct ``(base_seed, trial, size_index)`` triples give distinct streams, a
 cell's record does not depend on execution order or on ``trials``, and a
-full run is reproducible byte for byte. Records are kept in fixed
-``(trial, N)`` order; trial averages are accumulated in trial order for the
-same reason.
+full run is reproducible byte for byte. The draws are per cell; everything
+after them is per size: the trials' statistics are stacked into one batch
+:class:`~bicausal.estimation.SuffStats`, validated once and scored by one
+evidence call per structure. A cell whose evidence is not finite (a
+non-positive augmented determinant) is skipped and counted. Records are
+kept in fixed ``(trial, N)`` order; trial averages are accumulated in trial
+order for the same reason.
 
 ``PRESETS`` holds the experiments behind the source's figures, and
 :func:`run_bundle` runs one preset or config-file experiment into a bundle
@@ -27,14 +31,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateData, InvalidParameter, NumericalDegeneracy
-from .estimation import SuffStats, sample_suffstats
-from .exact import StructurePosterior, augmented_odds_statistic, posterior
+from .errors import ConfigError, InvalidParameter
+from .estimation import SuffStats, _draw_sums
+from .exact import augmented_odds_statistic, posterior
 from .priors import BgeHyper, prior_logpdf, pushforward_prior_logpdf
 from .rates import (
     RateId,
@@ -52,13 +57,13 @@ from .sem import InterventionSpec, Params, Structure, gamma_map_inverse
 from .sem import sample_obs  # noqa: F401
 
 
-def _safe_exp(x: float) -> float:
-    """exp that saturates to inf/0 instead of raising far in the tails."""
-    if x > 709.0:
-        return math.inf
-    if x < -745.0:
-        return 0.0
-    return math.exp(x)
+def _integer(name: str, v) -> int:
+    """``v`` as an ``int``; a float is accepted only when it is integral."""
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    if isinstance(v, numbers.Real) and math.isfinite(v) and float(v).is_integer():
+        return int(v)
+    raise InvalidParameter(f"{name} must be a finite integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -80,17 +85,27 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(v) for v in self.sample_sizes)
+        # the samplers and the evidence dispatch on identity (``is
+        # Structure.S1``); the string "S1" would silently run as S2
+        try:
+            object.__setattr__(self, "true_model", Structure(self.true_model))
+        except ValueError:
+            raise InvalidParameter(f"true_model must be S1, S2 or S3, got {self.true_model!r}") from None
+        sizes = tuple(_integer("sample size", v) for v in self.sample_sizes)
         if len(sizes) == 0 or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise InvalidParameter("sample_sizes must be a strictly increasing nonempty list")
         if sizes[0] < 2:
             raise InvalidParameter("smallest sample size must be >= 2")
         object.__setattr__(self, "sample_sizes", sizes)
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
+        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
         if self.trials < 1:
             raise InvalidParameter(f"trials must be >= 1, got {self.trials}")
         if self.base_seed < 0:
             raise InvalidParameter(f"base_seed must be >= 0, got {self.base_seed}")
-        if self.eta is not None and not 0.0 < self.eta < 1.0:
+        if not (isinstance(self.y, numbers.Real) and math.isfinite(self.y)):
+            raise InvalidParameter(f"y must be a finite number, got {self.y!r}")
+        if self.eta is not None and not (isinstance(self.eta, numbers.Real) and 0.0 < self.eta < 1.0):
             raise InvalidParameter(f"eta must lie in (0, 1) when mixed, got {self.eta!r}")
 
     @property
@@ -139,46 +154,65 @@ class ExperimentResult:
         return acc / cnt
 
 
-def _simulate_cell(cfg: ExperimentConfig, trial: int, size_index: int) -> SuffStats:
+def _draw_size(cfg: ExperimentConfig, size_index: int) -> SuffStats:
+    """One batch holding every trial's statistics at one size, in trial order.
+
+    Trial ``t`` draws from its own generator, seeded by
+    ``SeedSequence(base_seed, spawn_key=(t, size_index))``.
+    """
     n, m = cfg.split(cfg.sample_sizes[size_index])
     iv = InterventionSpec(cfg.y) if m else None
-    seed = np.random.SeedSequence(cfg.base_seed, spawn_key=(trial, size_index))
-    return sample_suffstats(cfg.true_model, cfg.theta_star, n, m, iv, seed=seed)
+    rows = [
+        _draw_sums(
+            cfg.true_model, cfg.theta_star, n, m, iv,
+            np.random.SeedSequence(cfg.base_seed, spawn_key=(trial, size_index)),
+        )
+        for trial in range(cfg.trials)
+    ]
+    return SuffStats(*np.array(rows).T.copy(), n, m, iv.value if m else None)
 
 
-def _record(
-    cfg: ExperimentConfig, trial: int, total: int, st: SuffStats, post: StructurePosterior, **stats
-) -> TrialRecord:
-    return TrialRecord(
-        trial=trial,
-        total=total,
-        n=st.n,
-        m=st.m,
-        p=(float(post.p[0]), float(post.p[1]), float(post.p[2])),
-        log_inv_odds=post.log_inverse_odds(cfg.true_model),
-        ratio_12=_safe_exp(post.log_odds(Structure.S1, Structure.S2)),
-        **stats,
-    )
+def _size_records(cfg: ExperimentConfig, size_index: int, chi2: bool = False) -> list[TrialRecord | None]:
+    """Every trial's record at one size, in trial order; ``None`` marks a cell
+    whose evidence is not finite. ``chi2`` adds the scaled odds statistics."""
+    st = _draw_size(cfg, size_index)
+    post = posterior(st, cfg.hyper)
+    stats = [[math.nan] * cfg.trials] * 2
+    if chi2:
+        stats = [
+            augmented_odds_statistic(st, post, s, cfg.theta_star, cfg.hyper).tolist()
+            for s in (Structure.S1, Structure.S2)
+        ]
+    # ratio_12 saturates to inf far in the tail
+    with np.errstate(over="ignore"):
+        columns = zip(
+            np.isfinite(post.logp).all(axis=0).tolist(),
+            post.p.T.tolist(),
+            post.log_inverse_odds(cfg.true_model).tolist(),
+            np.exp(post.log_odds(Structure.S1, Structure.S2)).tolist(),
+            *stats,
+        )
+    total = cfg.sample_sizes[size_index]
+    return [
+        TrialRecord(trial, total, st.n, st.m, tuple(p), lio, r12, s1, s2) if ok else None
+        for trial, (ok, p, lio, r12, s1, s2) in enumerate(columns)
+    ]
+
+
+def _collect(cells) -> ExperimentResult:
+    records = [r for r in cells if r is not None]
+    return ExperimentResult(records, skipped=len(cells) - len(records))
 
 
 def run_concentration(cfg: ExperimentConfig) -> ExperimentResult:
     """Posterior records over the (trial, size) grid for the configured model.
 
-    Degenerate draws, and cells whose statistics fail a numerical check, are
-    skipped and counted; at the default configurations they are vanishingly
-    rare.
+    Cells whose statistics fail a numerical check (a non-positive augmented
+    determinant, so NaN evidence) are skipped and counted; at the default
+    configurations they are vanishingly rare.
     """
-    result = ExperimentResult()
-    for trial in range(cfg.trials):
-        for idx, total in enumerate(cfg.sample_sizes):
-            try:
-                st = _simulate_cell(cfg, trial, idx)
-                post = posterior(st, cfg.hyper)
-            except (DegenerateData, NumericalDegeneracy):
-                result.skipped += 1
-                continue
-            result.records.append(_record(cfg, trial, total, st, post))
-    return result
+    by_size = [_size_records(cfg, idx) for idx in range(len(cfg.sample_sizes))]
+    return _collect([cell for trial in zip(*by_size) for cell in trial])
 
 
 def plateau_theory_ratio(cfg: ExperimentConfig) -> float:
@@ -217,19 +251,7 @@ def run_chi2_diagnostic(cfg: ExperimentConfig) -> tuple[ExperimentResult, float,
     """
     if cfg.true_model is not Structure.S3:
         raise InvalidParameter("chi-squared diagnostic requires true model S3")
-    idx = len(cfg.sample_sizes) - 1
-    total = cfg.sample_sizes[idx]
-    result = ExperimentResult()
-    for trial in range(cfg.trials):
-        try:
-            st = _simulate_cell(cfg, trial, idx)
-            post = posterior(st, cfg.hyper)
-            s1 = augmented_odds_statistic(st, post, Structure.S1, cfg.theta_star, cfg.hyper)
-            s2 = augmented_odds_statistic(st, post, Structure.S2, cfg.theta_star, cfg.hyper)
-        except (DegenerateData, NumericalDegeneracy):
-            result.skipped += 1
-            continue
-        result.records.append(_record(cfg, trial, total, st, post, stat_s1=s1, stat_s2=s2))
+    result = _collect(_size_records(cfg, len(cfg.sample_sizes) - 1, chi2=True))
     ks1, p1 = ks_test_chi2_1(np.array([r.stat_s1 for r in result.records]))
     ks2, p2 = ks_test_chi2_1(np.array([r.stat_s2 for r in result.records]))
     if ks1 >= ks2:

@@ -108,6 +108,52 @@ class TestSuffStats:
             SuffStats(1.0, 1.0, 0.5, 1.0, 1.0, 0.5, 3, 1, math.inf)
 
 
+GOOD_SUMS = {"s1x": 2.0, "s2x": 3.0, "s12x": 1.5, "s1y": 5.0, "s2y": 7.0, "s12y": 4.0}
+
+
+class TestSuffStatsBatch:
+    """A batch (array sums sharing n, m and y) runs the checks of one
+    dataset, once, as reductions over its cells."""
+
+    @pytest.mark.parametrize(
+        "name, bad, match",
+        [
+            ("s12x", math.nan, "s12x must be finite, got nan"),
+            ("s1y", math.inf, "s1y must be finite, got inf"),
+            ("s1x", 1e308, "moment products must be finite, got inf"),
+            ("s2x", -1.0, "sums of squares must be nonnegative"),
+            ("s12x", 5.0, "observational block violates Cauchy-Schwarz"),
+            ("s12y", 10.0, "interventional block violates Cauchy-Schwarz"),
+        ],
+    )
+    def test_one_bad_cell_fails_like_the_single_dataset(self, name, bad, match):
+        cell = {**GOOD_SUMS, name: bad}
+        with pytest.raises(InvalidParameter, match=match):
+            SuffStats(**cell, n=4, m=3, y=1.0)
+        batch = {k: np.array([GOOD_SUMS[k], cell[k], GOOD_SUMS[k]]) for k in GOOD_SUMS}
+        with pytest.raises(InvalidParameter, match=match):
+            SuffStats(**batch, n=4, m=3, y=1.0)
+
+    def test_valid_batch_keeps_its_arrays(self):
+        batch = {k: np.full(3, v) for k, v in GOOD_SUMS.items()}
+        st = SuffStats(**batch, n=4, m=3, y=1.0)
+        assert all(getattr(st, k) is batch[k] for k in batch)
+        with pytest.raises(InvalidParameter, match="y must be finite"):
+            SuffStats(**batch, n=4, m=3, y=math.nan)
+
+    def test_malformed_batch_rejected(self):
+        arrays = {k: np.full(3, v) for k, v in GOOD_SUMS.items()}
+        changes = [
+            {"s2x": np.full(2, 3.0)},  # lengths differ
+            {"s2x": 3.0},  # a number among arrays
+            {"s1x": np.full(3, 2)},  # not float64
+            {k: v.reshape(3, 1) for k, v in arrays.items()},  # not 1-d
+        ]
+        for change in changes:
+            with pytest.raises(InvalidParameter, match="1-d float64 arrays of one length"):
+                SuffStats(**{**arrays, **change}, n=4, m=3, y=1.0)
+
+
 class TestMleObs:
     def test_isotropic_hand_case(self):
         st = SuffStats(2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 2, 0)

@@ -26,7 +26,7 @@ from bicausal import (
     sample_obs,
     suffstats,
 )
-from bicausal.estimation import SuffStats
+from bicausal.estimation import _SUMS, SuffStats
 
 from conftest import random_params
 
@@ -145,6 +145,113 @@ class TestScoreEquivalence:
         h = bge_symmetric_hyper(alpha, 0.5)
         st = SuffStats(s1x, s2x, r * math.sqrt(s1x * s2x), 0.0, 0.0, 0.0, n, 0)
         assert _score_or_error(st, Structure.S1, h) == _score_or_error(st, Structure.S2, h)
+
+
+CORRUPT_OBS = (1e20, 1e20, 1e20 * (1.0 + 4e-10))  # Cauchy-Schwarz holds within its slack only
+
+
+@hs.composite
+def synthetic_batches(draw):
+    """A batch of one to six cells sharing ``n``, ``m`` and ``y`` (``m = 0``
+    often), as one array-valued SuffStats and as its single cells. The cells
+    are drawn like ``synthetic_stats``; one of them may be replaced by
+    observational sums whose augmented determinants can be negative."""
+    n = draw(hs.integers(2, 10 ** 12))
+    m = draw(hs.one_of(hs.just(0), hs.integers(1, 10 ** 12)))
+    y = draw(hs.floats(-5.0, 5.0)) if m else None
+    rows = []
+    for _ in range(draw(hs.integers(1, 6))):
+        v1, v2 = draw(hs.floats(1e-3, 1e3)), draw(hs.floats(1e-3, 1e3))
+        r = draw(hs.floats(-0.99, 0.99))
+        row = (n * v1, n * v2, n * r * math.sqrt(v1 * v2))
+        if m:
+            mu, var = draw(hs.floats(-10.0, 10.0)), draw(hs.floats(1e-3, 1e3))
+            row += (m * (mu * mu + var), m * y * y, y * m * mu)
+        rows.append(row + (0.0,) * (6 - len(row)))
+    if draw(hs.booleans()):
+        i = draw(hs.integers(0, len(rows) - 1))
+        rows[i] = CORRUPT_OBS + rows[i][3:]
+    batch = SuffStats(*np.array(rows).T.copy(), n, m, y)
+    return batch, [SuffStats(*row, n, m, y) for row in rows]
+
+
+def _same_bits(batch_values, cell_values) -> bool:
+    """Equal bit patterns cell by cell, where a NaN batch cell stands for a
+    cell that raised ``NumericalDegeneracy``."""
+    degenerate = [v == "degenerate" for v in cell_values]
+    finite = np.array([v for v in cell_values if v != "degenerate"], dtype=np.float64)
+    nan = np.isnan(batch_values)
+    return nan.tolist() == degenerate and batch_values[~nan].tobytes() == finite.tobytes()
+
+
+class TestBatchEvidence:
+    """One evidence body for a batch and for one dataset: the single call is
+    the one-cell case, so the two agree bitwise."""
+
+    @given(synthetic_batches(), hs.one_of(random_hypers, symmetric_hypers))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_stacked_single_calls(self, data, h):
+        batch, cells = data
+        for s in Structure:
+            got = log_marginal_mixed(batch, s, h)
+            assert got.shape == (len(cells),)
+            assert _same_bits(got, [_score_or_error(c, s, h) for c in cells])
+        post = posterior(batch, h)
+        assert post.logp.shape == post.p.shape == (3, len(cells))
+        for i, c in enumerate(cells):
+            if np.isnan(post.logp[:, i]).any():
+                continue
+            one = posterior(c, h)
+            assert post.logp[:, i].tobytes() == one.logp.tobytes()
+            assert post.p[:, i].tobytes() == one.p.tobytes()
+            for s in Structure:
+                assert post.prob(s)[i] == one.prob(s)
+                assert post.log_inverse_odds(s)[i] == one.log_inverse_odds(s)
+                assert post.log_odds(s, Structure.S3)[i] == one.log_odds(s, Structure.S3)
+
+    @given(
+        hs.integers(0, 10 ** 9),
+        hs.lists(hs.tuples(hs.floats(0.0, 1e100), hs.floats(0.0, 1e100), hs.floats(-1.0, 1.0)), min_size=1, max_size=8),
+        hs.floats(0.5, 50.0, exclude_min=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_symmetric_connected_scores_equal_in_every_cell(self, n, cells, alpha):
+        h = bge_symmetric_hyper(alpha, 0.5)
+        s1x, s2x, r = np.array(cells).T
+        zeros = np.zeros(len(cells))
+        batch = SuffStats(s1x.copy(), s2x.copy(), r * np.sqrt(s1x * s2x), zeros, zeros, zeros, n, 0)
+        a, b = (log_marginal_mixed(batch, s, h) for s in (Structure.S1, Structure.S2))
+        assert np.isnan(a).tolist() == np.isnan(b).tolist()
+        assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+
+    def test_non_positive_determinant(self, symmetric_hyper):
+        h, good = symmetric_hyper, (1.0, 1.0, 0.5)
+        st = SuffStats(*CORRUPT_OBS, 0.0, 0.0, 0.0, 5, 0)
+        for s in (Structure.S1, Structure.S2):
+            with pytest.raises(
+                NumericalDegeneracy,
+                match=r"^augmented determinant non-positive \(-\d[^)]*\); sufficient statistics corrupted$",
+            ):
+                log_marginal_mixed(st, s, h)
+        zeros = np.zeros(2)
+        batch = SuffStats(*np.array([good, CORRUPT_OBS]).T.copy(), zeros, zeros, zeros, 5, 0)
+        single = SuffStats(*good, 0.0, 0.0, 0.0, 5, 0)
+        for s in Structure:
+            got = log_marginal_mixed(batch, s, h)
+            assert got[0] == log_marginal_mixed(single, s, h)
+            assert np.isnan(got[1]) == (s is not Structure.S3)
+        post = posterior(batch, h)
+        assert np.all(np.isfinite(post.p[:, 0])) and np.all(np.isnan(post.p[:, 1]))
+
+    def test_odds_statistic_batch_equals_single_calls(self, symmetric_hyper):
+        theta = Params(0.0, 1.0, 1.0)
+        cells = [suffstats(sample_obs(Structure.S3, theta, 300, seed)) for seed in range(5)]
+        batch = SuffStats(*(np.array([getattr(c, k) for c in cells]) for k in _SUMS), 300, 0)
+        post = posterior(batch, symmetric_hyper)
+        for s in (Structure.S1, Structure.S2):
+            got = augmented_odds_statistic(batch, post, s, theta, symmetric_hyper)
+            want = [augmented_odds_statistic(c, posterior(c, symmetric_hyper), s, theta, symmetric_hyper) for c in cells]
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestPosterior:

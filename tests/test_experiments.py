@@ -8,28 +8,34 @@ import pytest
 import scipy.stats
 
 import bicausal.exact
+import bicausal.experiments
 from bicausal import (
     ExperimentConfig,
+    InterventionSpec,
     InvalidParameter,
     NumericalDegeneracy,
     Params,
     RateId,
     Structure,
+    TrialRecord,
+    augmented_odds_statistic,
     chi2_1_cdf,
     fit_slope,
     fitted_exponent,
     gain_transform,
     ks_test_chi2_1,
     plateau_theory_ratio,
+    posterior,
     run_chi2_diagnostic,
     run_concentration,
     run_odds_plateau,
     sample_curve,
+    sample_suffstats,
     theory_exponent,
 )
 from bicausal.experiments import (
     PRESETS,
-    _simulate_cell,
+    _draw_size,
     run_bundle,
     write_chi2_csv,
     write_concentration_csv,
@@ -53,6 +59,48 @@ def small_config(**kw):
     return ExperimentConfig(**base)
 
 
+SUMS = ("s1x", "s2x", "s12x", "s1y", "s2y", "s12y")
+INDEPENDENT = {"true_model": Structure.S3, "theta_star": Params(0.0, 1.0, 1.0)}
+
+
+def cell_statistics(cfg, trial, size_index):
+    """One cell's statistics drawn alone, as the harness seeds it."""
+    n, m = cfg.split(cfg.sample_sizes[size_index])
+    iv = InterventionSpec(cfg.y) if m else None
+    seed = np.random.SeedSequence(cfg.base_seed, spawn_key=(trial, size_index))
+    return sample_suffstats(cfg.true_model, cfg.theta_star, n, m, iv, seed=seed)
+
+
+def reference_records(cfg, chi2=False):
+    """The harness's records computed one cell at a time, in (trial, N) order,
+    with the skipped-cell count."""
+    sizes = [len(cfg.sample_sizes) - 1] if chi2 else range(len(cfg.sample_sizes))
+    records, skipped = [], 0
+    for trial in range(cfg.trials):
+        for idx in sizes:
+            st = cell_statistics(cfg, trial, idx)
+            try:
+                post = posterior(st, cfg.hyper)
+            except NumericalDegeneracy:
+                skipped += 1
+                continue
+            stats = {}
+            if chi2:
+                stats = {
+                    f"stat_{s.value.lower()}": augmented_odds_statistic(st, post, s, cfg.theta_star, cfg.hyper)
+                    for s in (Structure.S1, Structure.S2)
+                }
+            with np.errstate(over="ignore"):
+                ratio_12 = float(np.exp(post.log_odds(Structure.S1, Structure.S2)))
+            records.append(
+                TrialRecord(
+                    trial, cfg.sample_sizes[idx], st.n, st.m, tuple(post.p.tolist()),
+                    post.log_inverse_odds(cfg.true_model), ratio_12, **stats,
+                )
+            )
+    return records, skipped
+
+
 class TestConfig:
     def test_sizes_must_increase(self, symmetric_hyper):
         with pytest.raises(InvalidParameter):
@@ -65,6 +113,34 @@ class TestConfig:
         assert cfg.split(101) == (51, 50)  # halves round up
         cfg = small_config(hyper=symmetric_hyper, eta=None)
         assert cfg.split(100) == (100, 0)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("trials", 2.5, "trials must be a finite integer"),
+            ("base_seed", 1.5, "base_seed must be a finite integer"),
+            ("sample_sizes", (10, math.inf), "sample size must be a finite integer, got inf"),
+            ("sample_sizes", (10.7, 20.2), "sample size must be a finite integer, got 10.7"),
+            ("y", math.inf, "y must be a finite number"),
+            ("y", math.nan, "y must be a finite number"),
+            ("eta", "0.5", "eta must lie in"),
+            ("true_model", "S4", "true_model must be S1, S2 or S3"),
+        ],
+        ids=["trials", "base_seed", "infinite_size", "fractional_sizes", "infinite_y", "nan_y", "text_eta", "model"],
+    )
+    def test_malformed_fields_rejected(self, symmetric_hyper, field, value, match):
+        with pytest.raises(InvalidParameter, match=match):
+            small_config(hyper=symmetric_hyper, **{field: value})
+
+    def test_model_name_becomes_structure(self, symmetric_hyper):
+        named = small_config(hyper=symmetric_hyper, true_model="S1")
+        assert named.true_model is Structure.S1
+        assert run_concentration(named).records == run_concentration(small_config(hyper=symmetric_hyper)).records
+
+    def test_integral_floats_become_ints(self, symmetric_hyper):
+        cfg = small_config(hyper=symmetric_hyper, sample_sizes=(10.0, np.int64(20)), trials=3.0, base_seed=np.float64(4))
+        assert cfg.sample_sizes == (10, 20) and cfg.trials == 3 and cfg.base_seed == 4
+        assert all(type(v) is int for v in (*cfg.sample_sizes, cfg.trials, cfg.base_seed))
 
 
 class TestDeterminism:
@@ -86,25 +162,25 @@ class TestDeterminism:
         assert keys == sorted(keys)
 
     def test_evidence_computed_once_per_cell(self, symmetric_hyper, monkeypatch):
+        # one evidence call per (structure, size), each scoring every trial
         calls = []
         original = bicausal.exact.log_marginal_mixed
 
-        def counting(*args):
-            calls.append(args[1])
-            return original(*args)
+        def counting(st, s, h):
+            calls.append((s, np.shape(st.s1x)))
+            return original(st, s, h)
 
         monkeypatch.setattr(bicausal.exact, "log_marginal_mixed", counting)
         cfg = small_config(hyper=symmetric_hyper)
         res = run_concentration(cfg)
-        cells = cfg.trials * len(cfg.sample_sizes)
-        assert len(res.records) == cells
-        assert len(calls) == 3 * cells
+        assert len(res.records) == cfg.trials * len(cfg.sample_sizes)
+        assert calls == [(s, (cfg.trials,)) for _ in cfg.sample_sizes for s in Structure]
 
         calls.clear()
-        chi2_cfg = small_config(hyper=symmetric_hyper, true_model=Structure.S3, theta_star=Params(0.0, 1.0, 1.0))
+        chi2_cfg = small_config(hyper=symmetric_hyper, **INDEPENDENT)
         res, _, _ = run_chi2_diagnostic(chi2_cfg)
         assert len(res.records) == chi2_cfg.trials
-        assert len(calls) == 3 * chi2_cfg.trials
+        assert calls == [(s, (chi2_cfg.trials,)) for s in Structure]
 
     def test_no_skips_at_defaults(self, symmetric_hyper):
         res = run_concentration(small_config(hyper=symmetric_hyper, trials=20))
@@ -112,9 +188,33 @@ class TestDeterminism:
 
     def test_cell_seeds_do_not_collide(self, symmetric_hyper):
         # base_seed + trial * 10**6 + size_index gave these two cells one seed
-        a = _simulate_cell(small_config(hyper=symmetric_hyper, base_seed=10**6), 0, 0)
-        b = _simulate_cell(small_config(hyper=symmetric_hyper, base_seed=0), 1, 0)
-        assert a != b
+        a = _draw_size(small_config(hyper=symmetric_hyper, base_seed=10**6, trials=1), 0)
+        b = _draw_size(small_config(hyper=symmetric_hyper, base_seed=0, trials=2), 0)
+        assert [getattr(a, k)[0] for k in SUMS] != [getattr(b, k)[1] for k in SUMS]
+
+    @pytest.mark.parametrize("model", [{}, {"eta": None}, INDEPENDENT], ids=["mixed", "obs", "independent"])
+    def test_stacked_draws_equal_sample_suffstats(self, symmetric_hyper, model):
+        cfg = small_config(hyper=symmetric_hyper, **model)
+        for idx in range(len(cfg.sample_sizes)):
+            batch = _draw_size(cfg, idx)
+            for trial in range(cfg.trials):
+                one = cell_statistics(cfg, trial, idx)
+                assert (batch.n, batch.m, batch.y) == (one.n, one.m, one.y)
+                stacked = np.array([getattr(batch, k)[trial] for k in SUMS])
+                assert stacked.tobytes() == np.array([getattr(one, k) for k in SUMS]).tobytes()
+
+    @pytest.mark.parametrize(
+        "model",
+        [{}, {"eta": None, "true_model": Structure.S2, "theta_star": Params(-0.7, 2.0, 0.5)}, INDEPENDENT],
+        ids=["s1_mixed", "s2_obs", "s3_mixed"],
+    )
+    def test_records_equal_the_per_cell_loop(self, symmetric_hyper, model):
+        cfg = small_config(hyper=symmetric_hyper, sample_sizes=(2, 10, 400, 5000, 10**6), trials=8, **model)
+        res = run_concentration(cfg)
+        assert (res.records, res.skipped) == reference_records(cfg)
+        if cfg.true_model is Structure.S3:
+            res, _, _ = run_chi2_diagnostic(cfg)
+            assert (res.records, res.skipped) == reference_records(cfg, chi2=True)
 
     def test_records_do_not_depend_on_trial_count(self, symmetric_hyper):
         three = run_concentration(small_config(hyper=symmetric_hyper, trials=3)).records
@@ -126,30 +226,28 @@ class TestDeterminism:
             small_config(hyper=symmetric_hyper, base_seed=-1)
 
     @pytest.mark.parametrize(
-        "run, model",
+        "run, model, cell",
         [
-            (run_concentration, {}),
-            (
-                lambda cfg: run_chi2_diagnostic(cfg)[0],
-                {"true_model": Structure.S3, "theta_star": Params(0.0, 1.0, 1.0)},
-            ),
+            (run_concentration, {}, (0, 3)),
+            (lambda cfg: run_chi2_diagnostic(cfg)[0], INDEPENDENT, (3, 3)),
         ],
         ids=["concentration", "chi2"],
     )
-    def test_numerical_degeneracy_skips_the_cell(self, symmetric_hyper, monkeypatch, run, model):
+    def test_numerical_degeneracy_skips_the_cell(self, symmetric_hyper, monkeypatch, run, model, cell):
+        # the fourth record's cell, (trial, size_index), gets statistics that
+        # pass validation (Cauchy-Schwarz holds within its rounding slack) but
+        # whose augmented determinants are negative, so its evidence is NaN
         cfg = small_config(hyper=symmetric_hyper, **model)
         want = run(cfg).records
-        calls = []
-        original = bicausal.exact.log_marginal_mixed
+        original = bicausal.experiments._draw_sums
 
-        def failing_in_fourth_cell(*args):
-            # three evidence calls per cell: call 10 is the fourth cell's first
-            calls.append(args)
-            if len(calls) == 10:
-                raise NumericalDegeneracy("corrupted statistics")
-            return original(*args)
+        def corrupting(s, theta, n, m, iv, seed):
+            sums = original(s, theta, n, m, iv, seed)
+            if seed.spawn_key == cell:
+                return (1e20, 1e20, 1e20 * (1.0 + 4e-10)) + sums[3:]
+            return sums
 
-        monkeypatch.setattr(bicausal.exact, "log_marginal_mixed", failing_in_fourth_cell)
+        monkeypatch.setattr(bicausal.experiments, "_draw_sums", corrupting)
         res = run(cfg)
         assert res.skipped == 1
         assert res.records == want[:3] + want[4:]
