@@ -25,7 +25,7 @@ from .errors import (
 )
 from .estimation import Factor, SuffStats, loglik, mle_mixed
 from .priors import BgeHyper
-from .sem import _LOG_2PI, InterventionSpec, Params, Structure, param_dim
+from .sem import _LOG_2PI, InterventionSpec, Params, Structure, _edge, _node1_is_child, param_dim
 
 
 class Regime(Enum):
@@ -47,27 +47,18 @@ def fisher(
     weight and node-2 variance under ``S2``/``S3``, node-2 variance under
     ``S1``).
     """
-    t1, t2 = theta.tau1_sq, theta.tau2_sq
-    i1 = 0.5 / (t1 * t1)
-    i2 = 0.5 / (t2 * t2)
+    edge = _edge(s)
+    tau = (theta.tau1_sq, theta.tau2_sq)
+    info = [0.5 / (t * t) for t in tau]  # the two variances'
     if regime is Regime.INTERVENTIONAL:
         if iv is None:
             raise InvalidParameter("interventional regime requires an InterventionSpec")
-        y = iv.value
-        if s is Structure.S1:
-            diag = (y * y / t1, i1, 0.0)
-        elif s is Structure.S2:
-            diag = (0.0, i1, 0.0)
-        else:
-            diag = (i1, 0.0)
-    else:
-        if s is Structure.S1:
-            diag = (t2 / t1, i1, i2)
-        elif s is Structure.S2:
-            diag = (t1 / t2, i1, i2)
-        else:
-            diag = (i1, i2)
-    return np.diag(diag)
+        # node 2 is fixed; the weight shows only through node 1 as its child
+        info[1] = 0.0
+        w_info = iv.value * iv.value / tau[0] if _node1_is_child(edge) else 0.0
+    elif edge is not None:
+        w_info = tau[edge[0]] / tau[edge[1]]
+    return np.diag(info if edge is None else [w_info, *info])
 
 
 def mixed_fisher(

@@ -17,9 +17,10 @@ datasets sharing ``n``, ``m`` and ``y``; it is validated as a whole, and
 
 Each structure's likelihood is a product of two per-node Gaussian
 regressions (the local decomposition behind BGe scoring).
-:attr:`SuffStats.factors` maps each structure to its (node 1, node 2)
-factors, and every reader here and in :mod:`bicausal.approx` applies one
-per-factor formula to both.
+:attr:`SuffStats.factors`, the one map from the edge layout of
+:mod:`bicausal.sem` onto the six sums, gives each structure's (node 1,
+node 2) factors; every reader, here and in :mod:`bicausal.approx` and
+:mod:`bicausal.exact`, applies one per-factor formula to both.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import DegenerateData, InvalidParameter
-from .sem import _LOG_2PI, STRUCTURES, InterventionSpec, Params, Structure, _resolve_rng
+from .sem import _EDGES, _INDEX, _LOG_2PI, STRUCTURES, InterventionSpec, Params, Structure, _ByStructure
+from .sem import _edge, _integer, _node1_is_child, _resolve_rng
 
 # Variance estimates at or below this are treated as exactly degenerate.
 _VARIANCE_FLOOR = 1e-300
@@ -130,6 +132,8 @@ class SuffStats:
     y: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "m", _integer("m", self.m))
         if self.n < 0 or self.m < 0:
             raise InvalidParameter(f"counts must be >= 0, got n={self.n}, m={self.m}")
         if self.y is None and self.m > 0:
@@ -177,21 +181,23 @@ class SuffStats:
     def factors(self) -> Mapping[Structure, tuple[Factor, Factor]]:
         """Each structure's (node 1, node 2) factors, built on first use.
 
-        Node 1 is never intervened on, so its factor pools both blocks; node
-        2 is free in the observational block only. Under ``S1`` node 1
-        regresses on node 2, under ``S2`` node 2 on node 1.
+        Node 1 is never intervened on, so its sums pool both blocks; node 2
+        is free in the observational block only. A node regresses on the
+        other where ``sem._EDGES`` makes it the child, and is a root otherwise.
         """
-        pooled = self.s1x + self.s1y
-        root1 = Factor(pooled, 0.0, 0.0, self.total, False)
-        root2 = Factor(self.s2x, 0.0, 0.0, self.n, False)
-        return MappingProxyType({
-            Structure.S1: (
-                Factor(pooled, self.s12x + self.s12y, self.s2x + self.s2y, self.total, True),
-                root2,
-            ),
-            Structure.S2: (root1, Factor(self.s2x, self.s12x, self.s1x, self.n, True)),
-            Structure.S3: (root1, root2),
-        })
+        # per node: (own squares, cross products, other node's squares,
+        # count) over the samples in which the node is free
+        free = (
+            (self.s1x + self.s1y, self.s12x + self.s12y, self.s2x + self.s2y, self.total),
+            (self.s2x, self.s12x, self.s1x, self.n),
+        )
+
+        def factor(node: int, edge: tuple[int, int] | None) -> Factor:
+            yy, xy, xx, count = free[node]
+            child = edge is not None and edge[1] == node
+            return Factor(yy, xy, xx, count, True) if child else Factor(yy, 0.0, 0.0, count, False)
+
+        return MappingProxyType(_ByStructure({s: (factor(0, e), factor(1, e)) for s, e in _EDGES.items()}))
 
 
 def suffstats(obs, interv=None) -> SuffStats:
@@ -287,25 +293,26 @@ def _draw_sums(
         raise InvalidParameter(f"counts must be >= 0, got n={n}, m={m}")
     if m > 0 and iv is None:
         raise InvalidParameter("an intervention is required when m > 0")
-    w, t1, t2 = theta.w, theta.tau1_sq, theta.tau2_sq
-    if s is Structure.S3 and w != 0.0:
-        raise InvalidParameter(f"S3 requires w = 0, got w={w!r}")
+    w, tau = theta.w, (theta.tau1_sq, theta.tau2_sq)
+    edge = _edge(s, w)
+    p, c = edge or (0, 1)
+    tp, tc = tau[p], tau[c]
     rng = _resolve_rng(seed)
-    tp, tc = (t2, t1) if s is Structure.S1 else (t1, t2)
     spp = spc = scc = 0.0
     if n > 0:
         # (u, 0) and (v, sqrt(tc) * c) are the rows of L A
         u = math.sqrt(tp * _chi2(rng, n))
         v = w * u + math.sqrt(tc) * rng.standard_normal()
         spp, spc, scc = u * u, u * v, v * v + tc * _chi2(rng, n - 1)
-    s1x, s2x = (scc, spp) if s is Structure.S1 else (spp, scc)
+    sq = [0.0, 0.0]
+    sq[p], sq[c] = spp, scc
     if m == 0:
-        return s1x, s2x, spc, 0.0, 0.0, 0.0
+        return sq[0], sq[1], spc, 0.0, 0.0, 0.0
     y = iv.value
-    mu = w * y if s is Structure.S1 else 0.0
-    sum_y1 = m * mu + math.sqrt(t1 * m) * rng.standard_normal()
-    s1y = sum_y1 * sum_y1 / m + t1 * _chi2(rng, m - 1)
-    return s1x, s2x, spc, s1y, m * y * y, y * sum_y1
+    mu = w * y if _node1_is_child(edge) else 0.0
+    sum_y1 = m * mu + math.sqrt(tau[0] * m) * rng.standard_normal()
+    s1y = sum_y1 * sum_y1 / m + tau[0] * _chi2(rng, m - 1)
+    return sq[0], sq[1], spc, s1y, m * y * y, y * sum_y1
 
 
 @dataclass(frozen=True)
@@ -317,7 +324,7 @@ class MleTriple:
     theta3: Params
 
     def for_structure(self, s: Structure) -> Params:
-        return {Structure.S1: self.theta1, Structure.S2: self.theta2, Structure.S3: self.theta3}[s]
+        return (self.theta1, self.theta2, self.theta3)[_INDEX[s]]
 
 
 def _checked_params(w: float, t1: float, t2: float, label: str) -> Params:
@@ -366,10 +373,9 @@ def loglik(st: SuffStats, s: Structure, theta: Params) -> float:
     Equals the sum of per-sample observational and interventional log
     densities; an empty dataset gives 0.
     """
-    f1, f2 = st.factors[s]
     w, t1, t2 = theta.w, theta.tau1_sq, theta.tau2_sq
-    if w != 0.0 and not (f1.has_parent or f2.has_parent):
-        raise InvalidParameter(f"{s.value} requires w = 0, got w={w!r}")
+    _edge(s, w)  # S3 takes no weight
+    f1, f2 = st.factors[s]
     const = -(st.n + 0.5 * st.m) * _LOG_2PI
     logdet = -0.5 * f1.count * math.log(t1) - 0.5 * f2.count * math.log(t2)
     return const + logdet - f1.residual(w) / (2.0 * t1) - f2.residual(w) / (2.0 * t2)

@@ -5,16 +5,20 @@ factorial calls. The observational-only formulas are the ``m = 0``
 specialization of the mixed-data ones, and the code path is shared so the
 reduction is exact.
 
-For a connected structure the evidence is a ratio of powers of three
-augmented second moments: ``U`` (the ``1/lam``-augmented parent moment, plus
-the interventional block where it informs the child), ``V`` (the
-``2*beta``-augmented moment of the other node), and ``Delta`` (the augmented
-cross-moment determinant), times gamma-function and ``(2*beta)``/``pi``
-normalizers. The ``U``/``V`` powers are grouped as
-``A*log(U/V) + (A-B)*log(V)`` with ``log(U/V)`` computed by ``log1p``, so
-score-equivalent hyperparameters (where ``U == V`` bitwise and ``A == B``)
-cancel exactly instead of through large-term subtraction; this is what makes
-the equal-mass property hold to machine precision at any sample size.
+The evidence reads the structure's per-node factors
+(:attr:`~bicausal.estimation.SuffStats.factors`). For a connected structure
+it is a ratio of powers of three augmented second moments, ``U = child.xx +
+1/lam`` (the child's regressor moment augmented by the weight-prior
+precision), ``V = root.yy + 2*beta`` (the root's moment augmented by the
+variance-prior rate) and ``Delta = (child.yy + 2*beta) * U - child.xy^2``
+(the augmented cross-moment determinant), times gamma-function and
+``(2*beta)``/``pi`` normalizers; ``S3`` is a product of two root terms. The
+``U``/``V`` powers are grouped as ``A*log(U/V) + (A-B)*log(V)`` with
+``log(U/V)`` computed by ``log1p((U-V)/V)``, where ``U - V = (child.xx -
+root.yy) + (1/lam - 2*beta)``. Under score-equivalent hyperparameters on
+observational data ``U == V`` bitwise and ``A == B``, so the terms cancel
+exactly instead of through large-term subtraction; this is what makes the
+equal-mass property hold to machine precision at any sample size.
 
 The evidence, the posterior and the odds statistic take one dataset or a
 batch of datasets (a :class:`~bicausal.estimation.SuffStats` with array
@@ -34,7 +38,7 @@ from .approx import mixed_fisher
 from .errors import InvalidParameter, NumericalDegeneracy
 from .estimation import SuffStats
 from .priors import BgeHyper, prior_logpdf
-from .sem import _LOG_2PI, InterventionSpec, Params, Structure, STRUCTURES
+from .sem import _INDEX, _LOG_2PI, STRUCTURES, InterventionSpec, Params, Structure, _edge
 
 _LOG_PI = math.log(math.pi)
 
@@ -56,55 +60,29 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float | np.n
     the same bits.
     """
     n, m, batch = st.n, st.m, np.ndim(st.s1x) > 0
-    s1x, s2x, s12x, s1y, s2y, s12y = st.s1x, st.s2x, st.s12x, st.s1y, st.s2y, st.s12y
-    # second moments augmented by the variance-prior rate (2*beta) and the
-    # weight-prior precision (1/lam)
-    s1x_beta = s1x + 2.0 * h.beta
-    s2x_beta = s2x + 2.0 * h.beta
-    lam_minus_beta = 1.0 / h.lam - 2.0 * h.beta
+    f1, f2 = st.factors[s]
+    a1, a2 = h.alphas_for(s)
+    beta2 = 2.0 * h.beta
+    k1, k2 = a1 + 0.5 * f1.count, a2 + 0.5 * f2.count  # posterior shapes
+    # the data lgamma terms in node order; the two bodies group them
+    # differently, and regrouping would move the values' last bits
+    lg1, lg2 = math.lgamma(k1), math.lgamma(k2)
 
-    if s is Structure.S3:
-        a1, a2 = h.alpha5, h.alpha6
-        norm = (
-            (a1 + a2) * math.log(2.0 * h.beta)
-            - (n + 0.5 * m) * _LOG_PI
-            + math.lgamma(a1 + 0.5 * (n + m))
-            + math.lgamma(a2 + 0.5 * n)
-            - math.lgamma(a1)
-            - math.lgamma(a2)
-        )
-        out = norm - (a1 + 0.5 * (n + m)) * np.log(s1x_beta + s1y) - (a2 + 0.5 * n) * np.log(s2x_beta)
+    if not (f1.has_parent or f2.has_parent):
+        norm = (a1 + a2) * math.log(beta2) - (n + 0.5 * m) * _LOG_PI + lg1 + lg2
+        norm = norm - math.lgamma(a1) - math.lgamma(a2)
+        out = norm - k1 * np.log(f1.yy + beta2) - k2 * np.log(f2.yy + beta2)
         return out if batch else float(out)
 
-    if s is Structure.S1:
-        a_c, a_o = h.alpha1, h.alpha2
-        u = s2x + 1.0 / h.lam + s2y
-        v = s2x_beta
-        u_minus_v = lam_minus_beta + s2y
-        b = s12x + s12y
-        delta = (s1x_beta + s1y) * u - b * b
-        coef_u = a_c + 0.5 * (n + m - 1)
-        coef_v = a_o + 0.5 * n
-        coef_delta = a_c + 0.5 * (n + m)
-        lg_data = math.lgamma(a_c + 0.5 * (n + m)) + math.lgamma(a_o + 0.5 * n)
-    else:
-        a_c, a_o = h.alpha4, h.alpha3
-        u = s1x + 1.0 / h.lam
-        v = s1x_beta + s1y
-        u_minus_v = lam_minus_beta - s1y
-        delta = u * s2x_beta - s12x * s12x
-        coef_u = a_c + 0.5 * (n - 1)
-        coef_v = a_o + 0.5 * (n + m)
-        coef_delta = a_c + 0.5 * n
-        lg_data = math.lgamma(a_o + 0.5 * (n + m)) + math.lgamma(a_c + 0.5 * n)
-    norm = (
-        (a_c + a_o) * math.log(2.0 * h.beta)
-        - 0.5 * math.log(h.lam)
-        - (n + 0.5 * m) * _LOG_PI
-        + lg_data
-        - math.lgamma(a_c)
-        - math.lgamma(a_o)
-    )
+    nodes = ((f1, a1, k1), (f2, a2, k2))
+    (child, a_c, k_c), (root, a_o, k_o) = nodes if f1.has_parent else nodes[::-1]
+    u = child.xx + 1.0 / h.lam
+    v = root.yy + beta2
+    u_minus_v = (child.xx - root.yy) + (1.0 / h.lam - beta2)
+    delta = (child.yy + beta2) * u - child.xy * child.xy
+    coef_u = a_c + 0.5 * (child.count - 1)
+    norm = (a_c + a_o) * math.log(beta2) - 0.5 * math.log(h.lam) - (n + 0.5 * m) * _LOG_PI + (lg1 + lg2)
+    norm = norm - math.lgamma(a_c) - math.lgamma(a_o)
     positive = delta > 0.0
     if not (batch or positive):
         raise NumericalDegeneracy(
@@ -114,8 +92,8 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float | np.n
     out = (
         norm
         + coef_u * np.log1p(u_minus_v / v)
-        + (coef_u - coef_v) * np.log(v)
-        - coef_delta * np.log(np.where(positive, delta, np.nan))
+        + (coef_u - k_o) * np.log(v)
+        - k_c * np.log(np.where(positive, delta, np.nan))
     )
     return out if batch else float(out)
 
@@ -149,17 +127,17 @@ class StructurePosterior:
         return cls(logp=logp, p=weights / np.sum(weights, axis=0))
 
     def prob(self, s: Structure) -> float | np.ndarray:
-        return _cells(self.p[STRUCTURES.index(s)])
+        return _cells(self.p[_INDEX[s]])
 
     def log_odds(self, a: Structure, b: Structure) -> float | np.ndarray:
-        return _cells(self.logp[STRUCTURES.index(a)] - self.logp[STRUCTURES.index(b)])
+        return _cells(self.logp[_INDEX[a]] - self.logp[_INDEX[b]])
 
     def log_inverse_odds(self, true_structure: Structure) -> float | np.ndarray:
         """``log(1/p_true - 1)`` computed in log space (safe when ``p_true -> 1``).
 
         A batch cell with NaN evidence gives NaN, without a warning.
         """
-        t = STRUCTURES.index(true_structure)
+        t = _INDEX[true_structure]
         a, b = (self.logp[i] for i in range(len(STRUCTURES)) if i != t)
         with np.errstate(invalid="ignore"):
             return _cells(np.logaddexp(a, b) - self.logp[t])
@@ -192,7 +170,7 @@ def augmented_odds_statistic(
     at ``theta_star``, the dimension constant ``log(2*pi)``, and the log ratio
     of the (sample-ratio weighted) per-sample information determinants.
     """
-    if i not in (Structure.S1, Structure.S2):
+    if _edge(i) is None:
         raise InvalidParameter(f"statistic defined for S1 or S2 against S3, got {i}")
     if theta_star.w != 0.0:
         raise InvalidParameter(

@@ -51,19 +51,10 @@ from .rates import (
     optimal_eta,
     sample_curve,
 )
-from .sem import InterventionSpec, Params, Structure, gamma_map_inverse
+from .sem import InterventionSpec, Params, Structure, _integer, gamma_map_inverse
 # the raw sampler stays bound here: bench/tracing.py wraps it at every module
 # that binds it, and bench/test_bench.py checks this binding
 from .sem import sample_obs  # noqa: F401
-
-
-def _integer(name: str, v) -> int:
-    """``v`` as an ``int``; a float is accepted only when it is integral."""
-    if isinstance(v, numbers.Integral):
-        return int(v)
-    if isinstance(v, numbers.Real) and math.isfinite(v) and float(v).is_integer():
-        return int(v)
-    raise InvalidParameter(f"{name} must be a finite integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +76,6 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        # the samplers and the evidence dispatch on identity (``is
-        # Structure.S1``); the string "S1" would silently run as S2
         try:
             object.__setattr__(self, "true_model", Structure(self.true_model))
         except ValueError:

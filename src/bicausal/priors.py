@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidParameter
-from .sem import Params, Structure, _norm_logpdf, gamma_log_jacobian_det, gamma_map
+from .sem import Params, Structure, _edge, _node1_is_child, _norm_logpdf, gamma_log_jacobian_det, gamma_map
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,10 @@ class BgeHyper:
 
     def alphas_for(self, s: Structure) -> tuple[float, float]:
         """(node-1 shape, node-2 shape) for structure ``s``."""
-        if s is Structure.S1:
-            return self.alpha1, self.alpha2
-        if s is Structure.S2:
-            return self.alpha3, self.alpha4
-        return self.alpha5, self.alpha6
+        edge = _edge(s)
+        if edge is None:
+            return self.alpha5, self.alpha6
+        return (self.alpha1, self.alpha2) if _node1_is_child(edge) else (self.alpha3, self.alpha4)
 
 
 def bge_symmetric_hyper(alpha: float, beta: float) -> BgeHyper:
@@ -86,14 +85,12 @@ def prior_logpdf(theta: Params, s: Structure, h: BgeHyper) -> float:
 
     For ``S3`` the weight factor is absent and ``w = 0`` is required.
     """
+    edge = _edge(s, theta.w)
     a1, a2 = h.alphas_for(s)
-    out = invgamma_logpdf(theta.tau1_sq, a1, h.beta) + invgamma_logpdf(theta.tau2_sq, a2, h.beta)
-    if s is Structure.S1:
-        out += _norm_logpdf(theta.w, h.lam * theta.tau1_sq)
-    elif s is Structure.S2:
-        out += _norm_logpdf(theta.w, h.lam * theta.tau2_sq)
-    elif theta.w != 0.0:
-        raise InvalidParameter(f"S3 prior requires w = 0, got w={theta.w!r}")
+    tau = (theta.tau1_sq, theta.tau2_sq)
+    out = invgamma_logpdf(tau[0], a1, h.beta) + invgamma_logpdf(tau[1], a2, h.beta)
+    if edge is not None:
+        out += _norm_logpdf(theta.w, h.lam * tau[edge[1]])
     return out
 
 

@@ -19,7 +19,17 @@ import numpy as np
 
 from .errors import ArgumentOutOfDomain, InvalidParameter
 from .priors import BgeHyper, prior_logpdf, pushforward_prior_logpdf
-from .sem import Params, Structure, gamma_map, implied_covariance
+from .sem import STRUCTURES, Params, Structure, gamma_map, implied_covariance
+from .sem import _ByStructure, _edge, _node1_is_child
+
+
+def _check_moments(theta: Params, y: float) -> None:
+    """Raise :class:`ArgumentOutOfDomain` unless the second moments the
+    exponents form are finite; an overflowed one makes them NaN or inf."""
+    th, w2 = theta, theta.w * theta.w
+    for v in (w2 * th.tau2_sq + th.tau1_sq, w2 * th.tau1_sq + th.tau2_sq, w2 * y * y + th.tau1_sq):
+        if not math.isfinite(v):
+            raise ArgumentOutOfDomain(f"second moments overflow at {theta!r}, y={y!r}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +56,7 @@ class RateInput:
             raise InvalidParameter(f"eta must lie in [0, 1], got {eta!r}")
         if not math.isfinite(self.y):
             raise InvalidParameter(f"y must be finite, got {self.y!r}")
+        _check_moments(self.theta_star, self.y)
 
 
 class RateId(str, Enum):
@@ -148,6 +159,7 @@ def mixing_helps_s1(theta_star: Params, y: float) -> bool:
     log(1 + w^2*tau2_sq/tau1_sq)``, in which case the exponent attains an
     interior maximum; otherwise it is maximized by interventional-only data.
     """
+    _check_moments(theta_star, y)
     th = theta_star
     w2 = th.w * th.w
     lhs = w2 * (th.tau2_sq - y * y) / (w2 * y * y + th.tau1_sq)
@@ -245,35 +257,33 @@ def pseudo_true_limits(
         raise InvalidParameter(f"eta must lie in [0, 1], got {eta!r}")
     th = theta_star
     etabar = 1.0 - eta
-    if true_model is Structure.S1:
+    edge = _edge(true_model, th.w)
+    if edge is None:
+        return _ByStructure(dict.fromkeys(STRUCTURES, Params(0.0, th.tau1_sq, th.tau2_sq)))
+    if _node1_is_child(edge):
         sx, sy = _sigmas_s1(th, y)
         mix1 = eta * sx + etabar * sy
         g = gamma_map(th)
-        return {
+        return _ByStructure({
             Structure.S1: th,
             Structure.S2: Params(g.w, mix1, g.tau2_sq),
             Structure.S3: Params(0.0, mix1, th.tau2_sq),
-        }
-    if true_model is Structure.S2:
-        w2t1 = th.w * th.w * th.tau1_sq
-        s2y = w2t1 + th.tau2_sq
-        den = eta * s2y + etabar * y * y
-        if den <= 0.0:
-            raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")
-        num_var = (
-            eta * th.tau1_sq * th.tau2_sq
-            + eta * etabar * th.w * th.w * th.tau1_sq ** 2
-            + etabar * y * y * th.tau1_sq
-        )
-        return {
-            Structure.S1: Params(eta * th.w * th.tau1_sq / den, num_var / den, s2y),
-            Structure.S2: th,
-            Structure.S3: Params(0.0, th.tau1_sq, s2y),
-        }
-    if th.w != 0.0:
-        raise InvalidParameter(f"true S3 requires w = 0, got w={th.w!r}")
-    same = Params(0.0, th.tau1_sq, th.tau2_sq)
-    return {Structure.S1: same, Structure.S2: same, Structure.S3: same}
+        })
+    w2t1 = th.w * th.w * th.tau1_sq
+    s2y = w2t1 + th.tau2_sq
+    den = eta * s2y + etabar * y * y
+    if den <= 0.0:
+        raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")
+    num_var = (
+        eta * th.tau1_sq * th.tau2_sq
+        + eta * etabar * th.w * th.w * (th.tau1_sq * th.tau1_sq)
+        + etabar * y * y * th.tau1_sq
+    )
+    return _ByStructure({
+        Structure.S1: Params(eta * th.w * th.tau1_sq / den, num_var / den, s2y),
+        Structure.S2: th,
+        Structure.S3: Params(0.0, th.tau1_sq, s2y),
+    })
 
 
 def nonident_posterior_limit(
@@ -287,14 +297,13 @@ def nonident_posterior_limit(
     ``S1`` prior at ``theta_star``, the limit is ``1/(1+r)`` when ``S1`` is
     true and ``r/(1+r)`` when ``S2`` is true; the two sum to one.
     """
-    if true_model not in (Structure.S1, Structure.S2):
+    edge = _edge(true_model)
+    if edge is None:
         raise InvalidParameter(f"limit defined for connected structures, got {true_model}")
     if theta_star.w == 0.0:
         raise InvalidParameter("limit requires a nonzero edge weight")
     log_r = pushforward_prior_logpdf(theta_star, h) - prior_logpdf(theta_star, Structure.S1, h)
-    if true_model is Structure.S1:
-        return 1.0 / (1.0 + math.exp(log_r))
-    return 1.0 / (1.0 + math.exp(-log_r))
+    return 1.0 / (1.0 + math.exp(log_r if _node1_is_child(edge) else -log_r))
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +323,12 @@ def kl_centered_bivariate(cov0: np.ndarray, cov1: np.ndarray) -> float:
 
 def kl_univariate(mean0: float, var0: float, mean1: float, var1: float) -> float:
     """KL divergence between univariate Gaussians."""
-    return 0.5 * (var0 / var1 + (mean1 - mean0) ** 2 / var1 - 1.0 + math.log(var1 / var0))
+    return 0.5 * (var0 / var1 + (mean1 - mean0) * (mean1 - mean0) / var1 - 1.0 + math.log(var1 / var0))
 
 
 def _interv_law(s: Structure, theta: Params, y: float) -> tuple[float, float]:
     """(mean, variance) of the free node under ``do(node2 = y)``."""
-    if s is Structure.S1:
+    if _node1_is_child(_edge(s)):
         return theta.w * y, theta.tau1_sq
     return 0.0, theta.tau1_sq
 

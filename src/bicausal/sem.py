@@ -15,11 +15,16 @@ Nodes are indexed 1 and 2. The three candidate structures are
 with independent centered Gaussian noise ``e1 ~ N(0, tau1_sq)`` and
 ``e2 ~ N(0, tau2_sq)``. Hard interventions fix node 2 to a constant,
 severing its incoming edge; only node-2 interventions are modeled.
+
+The layout is written down once, in the table ``_EDGES``, where every reader
+looks a structure up: a name (``"S1"``) gives its member's result.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,9 +47,46 @@ class Structure(str, Enum):
 STRUCTURES = (Structure.S1, Structure.S2, Structure.S3)
 
 
+class _ByStructure(dict):
+    """A dict keyed by the structures; a name hashes and compares equal to its
+    member, and any other key raises :class:`InvalidParameter`."""
+
+    def __missing__(self, key):
+        raise InvalidParameter(f"structure must be S1, S2 or S3, got {key!r}")
+
+
+# The layout: (parent, child) node indices of each structure's edge, with
+# node 1 at index 0 and node 2 (the intervened node) at index 1.
+_EDGES = _ByStructure({Structure.S1: (1, 0), Structure.S2: (0, 1), Structure.S3: None})
+_INDEX = _ByStructure({s: i for i, s in enumerate(STRUCTURES)})  # position in STRUCTURES
+
+
+def _edge(s: Structure, w: float = 0.0) -> tuple[int, int] | None:
+    """The (parent, child) of ``s``; None for ``S3``, which rejects ``w != 0``."""
+    edge = _EDGES[s]
+    if edge is None and w != 0.0:
+        raise InvalidParameter(f"S3 requires w = 0, got w={w!r}")
+    return edge
+
+
+def _node1_is_child(edge: tuple[int, int] | None) -> bool:
+    """Whether node 1 is the child (``S1``), so that fixing node 2 moves it."""
+    return edge is not None and edge[1] == 0
+
+
+def _integer(name: str, v) -> int:
+    """``v`` as an ``int``; a float is accepted only when it is integral."""
+    try:
+        return operator.index(v)  # int, bool and numpy integers
+    except TypeError:
+        if isinstance(v, numbers.Real) and float(v).is_integer():  # not inf or NaN
+            return int(v)
+    raise InvalidParameter(f"{name} must be a finite integer, got {v!r}")
+
+
 def param_dim(s: Structure) -> int:
     """Free-parameter count: 3 for the connected structures, 2 for ``S3``."""
-    return 2 if s is Structure.S3 else 3
+    return 2 if _edge(s) is None else 3
 
 
 @dataclass(frozen=True)
@@ -83,7 +125,9 @@ class Cov2:
     c22: float
 
     def __post_init__(self) -> None:
-        if not (self.c11 > 0.0 and self.c11 * self.c22 - self.c12 ** 2 > 0.0):
+        det = self.c11 * self.c22 - self.c12 * self.c12
+        # NaN fails every comparison; an overflowed determinant is rejected
+        if not (self.c11 > 0.0 and 0.0 < det < math.inf):
             raise InvalidParameter(
                 f"covariance not positive definite: "
                 f"[[{self.c11}, {self.c12}], [{self.c12}, {self.c22}]]"
@@ -158,14 +202,13 @@ def implied_covariance(s: Structure, theta: Params) -> Cov2:
 
     ``S3`` requires ``w = 0``.
     """
-    w, t1, t2 = theta.w, theta.tau1_sq, theta.tau2_sq
-    if s is Structure.S1:
-        return Cov2(c11=w * w * t2 + t1, c12=w * t2, c22=t2)
-    if s is Structure.S2:
-        return Cov2(c11=t1, c12=w * t1, c22=w * w * t1 + t2)
-    if theta.w != 0.0:
-        raise InvalidParameter(f"S3 requires w = 0, got w={theta.w!r}")
-    return Cov2(c11=t1, c12=0.0, c22=t2)
+    edge = _edge(s, theta.w)
+    var = [theta.tau1_sq, theta.tau2_sq]
+    if edge is None:
+        return Cov2(c11=var[0], c12=0.0, c22=var[1])
+    (p, c), w = edge, theta.w
+    var[c] = w * w * var[p] + var[c]
+    return Cov2(c11=var[0], c12=w * var[p], c22=var[1])
 
 
 def _norm_logpdf(x: float, var: float) -> float:
@@ -180,15 +223,12 @@ def obs_logpdf(x: tuple[float, float], s: Structure, theta: Params) -> float:
     it equals the centered bivariate Gaussian log-density with covariance
     :func:`implied_covariance`.
     """
-    x1, x2 = float(x[0]), float(x[1])
-    w, t1, t2 = theta.w, theta.tau1_sq, theta.tau2_sq
-    if s is Structure.S1:
-        return _norm_logpdf(x1 - w * x2, t1) + _norm_logpdf(x2, t2)
-    if s is Structure.S2:
-        return _norm_logpdf(x1, t1) + _norm_logpdf(x2 - w * x1, t2)
-    if theta.w != 0.0:
-        raise InvalidParameter(f"S3 requires w = 0, got w={theta.w!r}")
-    return _norm_logpdf(x1, t1) + _norm_logpdf(x2, t2)
+    resid = [float(x[0]), float(x[1])]
+    edge = _edge(s, theta.w)
+    if edge is not None:
+        p, c = edge
+        resid[c] -= theta.w * resid[p]
+    return _norm_logpdf(resid[0], theta.tau1_sq) + _norm_logpdf(resid[1], theta.tau2_sq)
 
 
 def interv_logpdf_y1(y1: float, s: Structure, theta: Params, iv: InterventionSpec) -> float:
@@ -198,9 +238,8 @@ def interv_logpdf_y1(y1: float, s: Structure, theta: Params, iv: InterventionSpe
     ``S2`` and ``S3`` the incoming edge (if any) is severed and ``Y1`` keeps
     its marginal law ``N(0, tau1_sq)``.
     """
-    if s is Structure.S1:
-        return _norm_logpdf(float(y1) - theta.w * iv.value, theta.tau1_sq)
-    return _norm_logpdf(float(y1), theta.tau1_sq)
+    mean = theta.w * iv.value if _node1_is_child(_edge(s)) else 0.0
+    return _norm_logpdf(float(y1) - mean, theta.tau1_sq)
 
 
 def _resolve_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -221,25 +260,14 @@ def sample_obs(
     :func:`implied_covariance` exactly. A fixed seed fully determines the
     output.
     """
+    n = _integer("n", n)
     if n < 0:
         raise InvalidParameter(f"n must be >= 0, got {n}")
-    rng = _resolve_rng(seed)
-    z = rng.standard_normal((n, 2))
-    w = theta.w
-    sd1 = math.sqrt(theta.tau1_sq)
-    sd2 = math.sqrt(theta.tau2_sq)
-    out = np.empty((n, 2))
-    if s is Structure.S1:
-        out[:, 1] = sd2 * z[:, 1]
-        out[:, 0] = w * out[:, 1] + sd1 * z[:, 0]
-    elif s is Structure.S2:
-        out[:, 0] = sd1 * z[:, 0]
-        out[:, 1] = w * out[:, 0] + sd2 * z[:, 1]
-    else:
-        if theta.w != 0.0:
-            raise InvalidParameter(f"S3 requires w = 0, got w={theta.w!r}")
-        out[:, 0] = sd1 * z[:, 0]
-        out[:, 1] = sd2 * z[:, 1]
+    edge = _edge(s, theta.w)
+    out = _resolve_rng(seed).standard_normal((n, 2)) * np.sqrt([theta.tau1_sq, theta.tau2_sq])
+    if edge is not None:
+        p, c = edge
+        out[:, c] += theta.w * out[:, p]
     return out
 
 
@@ -255,11 +283,12 @@ def sample_interv(
     Column 0 holds the free node ``Y1`` distributed per
     :func:`interv_logpdf_y1`; column 1 is identically ``iv.value``.
     """
+    m = _integer("m", m)
     if m < 0:
         raise InvalidParameter(f"m must be >= 0, got {m}")
+    mean = theta.w * iv.value if _node1_is_child(_edge(s)) else 0.0
     rng = _resolve_rng(seed)
     z = rng.standard_normal(m)
-    mean = theta.w * iv.value if s is Structure.S1 else 0.0
     out = np.empty((m, 2))
     out[:, 0] = mean + math.sqrt(theta.tau1_sq) * z
     out[:, 1] = iv.value

@@ -101,6 +101,16 @@ class TestSuffStats:
         assert st.factors[Structure.S3] == (root1, root2)
         assert st.factors is st.factors  # built once per statistics object
 
+    def test_counts_must_be_integers(self):
+        with pytest.raises(InvalidParameter, match="n must be a finite integer"):
+            SuffStats(1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 2.5, 0)
+        with pytest.raises(InvalidParameter, match="m must be a finite integer"):
+            SuffStats(1.0, 1.0, 0.5, 1.0, 1.0, 0.5, 3, 1.5, 1.0)
+        with pytest.raises(InvalidParameter, match="n must be a finite integer"):
+            sample_suffstats(Structure.S1, Params(1.0, 1.0, 1.0), 2.5, seed=0)
+        st = SuffStats(1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 3.0, 0)
+        assert type(st.n) is int and st.n == 3
+
     def test_non_finite_field_rejected(self):
         with pytest.raises(InvalidParameter, match="s12x must be finite"):
             SuffStats(1.0, 1.0, math.nan, 0.0, 0.0, 0.0, 3, 0)

@@ -28,7 +28,7 @@ from bicausal import (
 )
 from bicausal.estimation import _SUMS, SuffStats
 
-from conftest import random_params
+from conftest import mixed_data, random_params
 
 HYPER_SETTINGS = [
     bge_symmetric_hyper(3.0, 0.5),
@@ -347,3 +347,150 @@ class TestAugmentedOdds:
             stats.append(augmented_odds_statistic(st, post, Structure.S1, theta, symmetric_hyper))
         med = float(np.median(stats))
         assert med == pytest.approx(0.4549, abs=0.12)
+
+
+def _three_branch_log_marginal(st, s, h):
+    """Reference: the evidence written per structure on the six sums, one
+    branch each for S1, S2 and S3, as it stood before the evidence read the
+    per-node factor map."""
+    n, m, batch = st.n, st.m, np.ndim(st.s1x) > 0
+    s1x, s2x, s12x, s1y, s2y, s12y = st.s1x, st.s2x, st.s12x, st.s1y, st.s2y, st.s12y
+    s1x_beta = s1x + 2.0 * h.beta
+    s2x_beta = s2x + 2.0 * h.beta
+    lam_minus_beta = 1.0 / h.lam - 2.0 * h.beta
+    log_pi = math.log(math.pi)
+    if s is Structure.S3:
+        a1, a2 = h.alpha5, h.alpha6
+        norm = (
+            (a1 + a2) * math.log(2.0 * h.beta)
+            - (n + 0.5 * m) * log_pi
+            + math.lgamma(a1 + 0.5 * (n + m))
+            + math.lgamma(a2 + 0.5 * n)
+            - math.lgamma(a1)
+            - math.lgamma(a2)
+        )
+        out = norm - (a1 + 0.5 * (n + m)) * np.log(s1x_beta + s1y) - (a2 + 0.5 * n) * np.log(s2x_beta)
+        return out if batch else float(out)
+    if s is Structure.S1:
+        a_c, a_o = h.alpha1, h.alpha2
+        u = s2x + 1.0 / h.lam + s2y
+        v = s2x_beta
+        u_minus_v = lam_minus_beta + s2y
+        b = s12x + s12y
+        delta = (s1x_beta + s1y) * u - b * b
+        coef_u = a_c + 0.5 * (n + m - 1)
+        coef_v = a_o + 0.5 * n
+        coef_delta = a_c + 0.5 * (n + m)
+        lg_data = math.lgamma(a_c + 0.5 * (n + m)) + math.lgamma(a_o + 0.5 * n)
+    else:
+        a_c, a_o = h.alpha4, h.alpha3
+        u = s1x + 1.0 / h.lam
+        v = s1x_beta + s1y
+        u_minus_v = lam_minus_beta - s1y
+        delta = u * s2x_beta - s12x * s12x
+        coef_u = a_c + 0.5 * (n - 1)
+        coef_v = a_o + 0.5 * (n + m)
+        coef_delta = a_c + 0.5 * n
+        lg_data = math.lgamma(a_o + 0.5 * (n + m)) + math.lgamma(a_c + 0.5 * n)
+    norm = (
+        (a_c + a_o) * math.log(2.0 * h.beta)
+        - 0.5 * math.log(h.lam)
+        - (n + 0.5 * m) * log_pi
+        + lg_data
+        - math.lgamma(a_c)
+        - math.lgamma(a_o)
+    )
+    positive = delta > 0.0
+    if not (batch or positive):
+        raise NumericalDegeneracy("augmented determinant non-positive")
+    out = (
+        norm
+        + coef_u * np.log1p(u_minus_v / v)
+        + (coef_u - coef_v) * np.log(v)
+        - coef_delta * np.log(np.where(positive, delta, np.nan))
+    )
+    return out if batch else float(out)
+
+
+def _reference_or_error(st, s, h):
+    try:
+        return _three_branch_log_marginal(st, s, h)
+    except NumericalDegeneracy:
+        return "degenerate"
+
+
+def _rounding_scale(st, s, h):
+    """Each term of the evidence times its condition number, summed from the
+    raw sums: two roundings of the same formula part by a few eps times this.
+
+    ``log1p((U-V)/V)`` amplifies a rounding of ``U - V`` by ``V/U``, large
+    when ``U << V`` (under S2, an interventional block much larger than the
+    observational one); ``log(Delta)`` amplifies by ``(A*U + B^2)/Delta``,
+    large when the cross-moment nearly saturates Cauchy-Schwarz. The factor
+    body rounds ``U``, ``U - V`` and ``A`` in another order than the
+    three-branch formula, so it may part from it by that much when ``m > 0``.
+    """
+    n, m, beta2 = st.n, st.m, 2.0 * h.beta
+    shapes = {Structure.S1: (h.alpha1, h.alpha2), Structure.S2: (h.alpha3, h.alpha4)}.get(s, (h.alpha5, h.alpha6))
+    counts = (n + m, n)
+    norm = (n + 0.5 * m) * math.log(math.pi) + sum(
+        abs(math.lgamma(a + 0.5 * c)) + abs(math.lgamma(a)) + a * abs(math.log(beta2)) for a, c in zip(shapes, counts)
+    )
+    with np.errstate(all="ignore"):
+        if s is Structure.S3:
+            moments = (st.s1x + st.s1y + beta2, st.s2x + beta2)
+            return norm + sum((a + 0.5 * c) * (1.0 + np.abs(np.log(v))) for a, c, v in zip(shapes, counts, moments))
+        if s is Structure.S1:
+            (a_c, a_o), (c_c, c_o) = shapes, counts
+            u, v = st.s2x + st.s2y + 1.0 / h.lam, st.s2x + beta2
+            a, b = st.s1x + st.s1y + beta2, st.s12x + st.s12y
+        else:
+            (a_o, a_c), (c_o, c_c) = shapes, counts
+            u, v = st.s1x + 1.0 / h.lam, st.s1x + st.s1y + beta2
+            a, b = st.s2x + beta2, st.s12x
+        coef_u, coef_v, coef_delta = a_c + 0.5 * (c_c - 1), a_o + 0.5 * c_o, a_c + 0.5 * c_c
+        delta = a * u - b * b
+        return (
+            norm
+            + abs(math.log(h.lam))
+            + abs(coef_u) * (1.0 + v / u + np.abs(np.log(u / v)))
+            + abs(coef_u - coef_v) * (1.0 + np.abs(np.log(v)))
+            + coef_delta * (1.0 + (a * u + b * b) / np.abs(delta) + np.abs(np.log(np.abs(delta))))
+        )
+
+
+def _agree(got, want, st, s, h) -> bool:
+    """Bitwise at ``m = 0``; otherwise within 1e-13 relative or 32 eps times
+    the rounding scale. A NaN cell or ``"degenerate"`` matches only itself."""
+    scale = np.atleast_1d(_rounding_scale(st, s, h)).tolist()
+    for a, b, c in zip(np.atleast_1d(got).tolist(), np.atleast_1d(want).tolist(), scale):
+        if isinstance(a, str) or isinstance(b, str):
+            ok = a == b
+        elif st.m == 0 or math.isnan(a) or math.isnan(b):
+            ok = repr(a) == repr(b)  # distinct floats have distinct reprs
+        else:
+            ok = abs(a - b) <= max(1e-13 * abs(b), 32.0 * np.finfo(float).eps * c)
+        if not ok:
+            return False
+    return True
+
+
+class TestFactorEvidence:
+    """The evidence reads the per-node factor map: one body for the connected
+    structures and one for S3. It must reproduce the three-branch formula on
+    the raw sums, bitwise on observational data."""
+
+    @given(hs.one_of(synthetic_stats(), mixed_data().map(lambda d: suffstats(d[0], d[1]))),
+           hs.one_of(random_hypers, symmetric_hypers))
+    @settings(max_examples=300, deadline=None)
+    def test_single_dataset_matches_three_branch_formula(self, st, h):
+        for s in Structure:
+            assert _agree(_score_or_error(st, s, h), _reference_or_error(st, s, h), st, s, h)
+
+    @given(synthetic_batches(), hs.one_of(random_hypers, symmetric_hypers))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_three_branch_formula(self, data, h):
+        batch, _ = data
+        for s in Structure:
+            got, want = log_marginal_mixed(batch, s, h), _three_branch_log_marginal(batch, s, h)
+            assert _agree(got, want, batch, s, h)

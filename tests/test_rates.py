@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from bicausal import (
+    ArgumentOutOfDomain,
     BgeHyper,
+    BicausalError,
     InvalidParameter,
     Params,
     RateCurve,
@@ -345,3 +347,20 @@ class TestValidation:
         assert d21(ri(UNIT, 0.0, 0.0)) == 0.0
         grid = np.array([0.0, 0.5, 1.0])
         np.testing.assert_array_equal(d21(ri(UNIT, 0.0, grid)), [d21(ri(UNIT, 0.0, float(e))) for e in grid])
+
+    def test_overflowing_moments_rejected(self):
+        # w^2 * tau2_sq overflows: the exponents would read NaN or inf, and
+        # mixing_helps_s1 a plain False
+        huge = Params(1e160, 1.0, 1.0)
+        with pytest.raises(ArgumentOutOfDomain, match="second moments overflow"):
+            RateInput(huge, 1.0, 0.5)
+        with pytest.raises(ArgumentOutOfDomain, match="second moments overflow"):
+            mixing_helps_s1(huge, 1.0)
+        # w^2 * y^2 alone can overflow too
+        with pytest.raises(ArgumentOutOfDomain):
+            RateInput(UNIT, 1e200, 0.5)
+
+    def test_pseudo_true_limit_overflow_is_a_library_error(self):
+        # tau1_sq^2 overflows inside the S1 limit of a true S2 model
+        with pytest.raises(BicausalError):
+            pseudo_true_limits(Structure.S2, Params(1.0, 1e200, 1.0), 1.0, 0.5)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from bicausal import (
+    BicausalError,
     Cov2,
     InterventionSpec,
     InvalidParameter,
@@ -204,6 +205,16 @@ class TestSamplers:
         with pytest.raises(InvalidParameter):
             sample_obs(Structure.S1, Params(1, 1, 1), -1, 0)
 
+    def test_counts_must_be_integers(self):
+        theta, iv = Params(1, 1, 1), InterventionSpec(1.0)
+        for bad in (2.5, math.nan, "3"):
+            with pytest.raises(InvalidParameter, match="must be a finite integer"):
+                sample_obs(Structure.S1, theta, bad, 0)
+            with pytest.raises(InvalidParameter, match="must be a finite integer"):
+                sample_interv(Structure.S1, theta, iv, bad, 0)
+        # an integral float is the integer it holds
+        assert sample_obs(Structure.S1, theta, 3.0, 0).tobytes() == sample_obs(Structure.S1, theta, 3, 0).tobytes()
+
 
 class TestValidation:
     def test_params_require_positive_variances(self):
@@ -215,3 +226,12 @@ class TestValidation:
     def test_cov2_requires_positive_definite(self):
         with pytest.raises(InvalidParameter):
             Cov2(1.0, 2.0, 1.0)
+
+    def test_overflowing_squares_raise_library_errors(self):
+        # squares are products: x ** 2 raises a bare OverflowError here
+        with pytest.raises(BicausalError):
+            Cov2(1.0, 1e160, 1.0)
+        with pytest.raises(BicausalError):
+            implied_covariance(Structure.S1, Params(1e160, 1.0, 1.0))
+        with pytest.raises(InvalidParameter):
+            Cov2(math.inf, 0.0, 1.0)
