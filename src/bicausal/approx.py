@@ -23,7 +23,7 @@ from .errors import (
     NonConvergedQuadrature,
     NumericalDegeneracy,
 )
-from .estimation import Factor, SuffStats, loglik, mle_mixed
+from .estimation import Factor, SuffStats, _loglik, loglik, mle_mixed
 from .priors import BgeHyper
 from .sem import _LOG_2PI, InterventionSpec, Params, Structure, _edge, _node1_is_child, param_dim
 
@@ -145,7 +145,10 @@ def laplace_log_marginal(
         )
     _, logdet = np.linalg.slogdet(neg)
     d = param_dim(s)
-    return loglik(st, s, mle) + 0.5 * d * _LOG_2PI - 0.5 * float(logdet) + prior_logpdf_fn(mle)
+    log_prior = prior_logpdf_fn(mle)
+    if math.isnan(log_prior):
+        raise _nan_prior(mle)
+    return loglik(st, s, mle) + 0.5 * d * _LOG_2PI - 0.5 * float(logdet) + log_prior
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,17 @@ def quadrature_log_marginal_generic(
     the data meaningfully inform the weight; with very weak data the caller
     must supply an adequate ``w_window``. Slower and coarser than
     :func:`quadrature_log_marginal`.
+
+    ``prior_logpdf_fn`` is called once per grid node with a :class:`Params`
+    of Python floats, ``tau1_sq`` node by node, then ``tau2_sq``, then ``w``
+    fastest (``w = 0`` under ``S3``), and returns a float. ``-inf`` gives a
+    node no mass (a truncated prior); NaN raises :class:`InvalidParameter`
+    naming the node, and a grid with no mass at all raises
+    :class:`NonConvergedQuadrature`.
+
+    The likelihood is evaluated one slab (one ``tau1_sq`` node: all
+    ``tau2_sq`` and ``w`` nodes) at a time; the result is bitwise that of
+    the scalar triple loop over ``loglik`` and the callback.
     """
     if st.total > _MAX_DATA_FOR_QUADRATURE:
         raise InvalidParameter("generic quadrature limited to n + m <= 64")
@@ -306,38 +320,57 @@ def quadrature_log_marginal_generic(
     c1, c2 = _quadrature_centers(st, s, (0.0, 0.0))
     u1, wu1 = _gl_nodes(nodes, c1 - _LOG_WINDOW, c1 + _LOG_WINDOW)
     u2, wu2 = _gl_nodes(nodes, c2 - _LOG_WINDOW, c2 + _LOG_WINDOW)
+    u2_list = u2.tolist()
+    tau1 = [math.exp(a) for a in u1.tolist()]
+    tau2 = [math.exp(b) for b in u2_list]
+    t2 = np.array(tau2)[:, None]
+    log_t2 = np.array([math.log(t) for t in tau2])[:, None]
 
-    peak = -math.inf
-    cells = []
-    for j, a in enumerate(u1):
-        t1 = math.exp(a)
-        for k, b in enumerate(u2):
-            t2 = math.exp(b)
-            if child is None:
-                theta = Params(0.0, t1, t2)
-                lv = loglik(st, s, theta) + prior_logpdf_fn(theta) + a + b
-                cells.append((wu1[j] * wu2[k], lv))
-                peak = max(peak, lv)
-                continue
-            t_child = (t1, t2)[child]
+    # one weight rule per child-variance node; S3 integrates nothing, which
+    # is a one-node rule at w = 0 with weight 1
+    if child is None:
+        wg, ww = np.zeros((1, 1)), np.ones((1, 1))
+    else:
+        rules = []
+        for t in (tau1, tau2)[child]:
             lo, hi = w_window
             if w_moment > 0.0:
-                half = 12.0 * math.sqrt(t_child / w_moment)
+                half = 12.0 * math.sqrt(t / w_moment)
                 lo = max(lo, w_center - half)
                 hi = min(hi, w_center + half)
                 if not lo < hi:
                     lo, hi = w_window
-            wg, ww = _gl_nodes(w_nodes, lo, hi)
-            thetas = [Params(w, t1, t2) for w in wg.tolist()]
-            lw = np.array([loglik(st, s, theta) + prior_logpdf_fn(theta) for theta in thetas])
-            m = float(np.max(lw))
-            inner = float(np.sum(ww * np.exp(lw - m)))
-            if inner > 0.0:
-                lv = m + math.log(inner) + a + b
-                cells.append((wu1[j] * wu2[k], lv))
-                peak = max(peak, lv)
+            rules.append(_gl_nodes(w_nodes, lo, hi))
+        wg, ww = (np.array(r) for r in zip(*rules))
+    shape = (nodes, wg.shape[1])
+
+    cells = []  # log mass of each (tau1, tau2) cell in order; -inf where it has none
+    for j, (a, t1) in enumerate(zip(u1.tolist(), tau1)):
+        w_slab, ww_slab = (np.broadcast_to(x[j] if child == 0 else x, shape) for x in (wg, ww))
+        w_rows = w_slab.tolist()
+        prior = np.array(
+            [prior_logpdf_fn(Params(w, t1, t)) for t, row in zip(tau2, w_rows) for w in row]
+        ).reshape(shape)
+        if np.isnan(prior).any():
+            k, i = np.argwhere(np.isnan(prior))[0]
+            raise _nan_prior(Params(w_rows[k][i], t1, tau2[k]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lw = _loglik(st, s, w_slab, t1, t2, math.log(t1), log_t2) + prior
+            peak = lw.max(axis=1)
+            inner = np.sum(ww_slab * np.exp(lw - peak[:, None]), axis=1)
+        cells.extend(
+            m + math.log(mass) + a + b if mass > 0.0 else -math.inf
+            for m, mass, b in zip(peak.tolist(), inner.tolist(), u2_list)
+        )
+
+    peak = max(cells)
+    if peak == -math.inf:
+        raise NonConvergedQuadrature("generic quadrature grid carries no prior-times-likelihood mass")
     total = 0.0
-    for weight, lv in cells:
+    for weight, lv in zip((wu1[:, None] * wu2).ravel().tolist(), cells):
         total += weight * math.exp(lv - peak)
-    # the grid nodes are numpy scalars; return a float like the other routes
-    return float(peak + math.log(total))
+    return peak + math.log(total)
+
+
+def _nan_prior(theta: Params) -> InvalidParameter:
+    return InvalidParameter(f"prior log-density is NaN at {theta}")

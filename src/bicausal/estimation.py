@@ -87,7 +87,8 @@ class Factor(NamedTuple):
     has_parent: bool
 
     def residual(self, w: float) -> float:
-        """Residual sum of squares of the regression at weight ``w``."""
+        """Residual sum of squares of the regression at weight ``w`` (a
+        number or an array of weights)."""
         if not self.has_parent:
             return self.yy
         return self.yy - 2.0 * w * self.xy + w * w * self.xx
@@ -375,7 +376,19 @@ def loglik(st: SuffStats, s: Structure, theta: Params) -> float:
     """
     w, t1, t2 = theta.w, theta.tau1_sq, theta.tau2_sq
     _edge(s, w)  # S3 takes no weight
+    return _loglik(st, s, w, t1, t2, math.log(t1), math.log(t2))
+
+
+def _loglik(st: SuffStats, s: Structure, w, t1, t2, log_t1, log_t2):
+    """The body of :func:`loglik`, unchecked, over numbers or arrays that
+    broadcast against each other; the caller passes the variances' logs.
+
+    Every operation is elementwise IEEE arithmetic in one fixed order, so a
+    grid's cells are bitwise the scalar calls when the logs are the same
+    numbers (``math.log`` of each node, not numpy's ``log``, which can
+    differ from libm by an ulp).
+    """
     f1, f2 = st.factors[s]
     const = -(st.n + 0.5 * st.m) * _LOG_2PI
-    logdet = -0.5 * f1.count * math.log(t1) - 0.5 * f2.count * math.log(t2)
+    logdet = -0.5 * f1.count * log_t1 - 0.5 * f2.count * log_t2
     return const + logdet - f1.residual(w) / (2.0 * t1) - f2.residual(w) / (2.0 * t2)

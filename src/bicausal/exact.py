@@ -14,8 +14,10 @@ variance-prior rate) and ``Delta = (child.yy + 2*beta) * U - child.xy^2``
 (the augmented cross-moment determinant), times gamma-function and
 ``(2*beta)``/``pi`` normalizers; ``S3`` is a product of two root terms. The
 ``U``/``V`` powers are grouped as ``A*log(U/V) + (A-B)*log(V)`` with
-``log(U/V)`` computed by ``log1p((U-V)/V)``, where ``U - V = (child.xx -
-root.yy) + (1/lam - 2*beta)``. Under score-equivalent hyperparameters on
+``log(U/V)`` computed by ``log1p((U-V)/V)`` while ``U/V`` lies in ``[1/2,
+2]``, where ``U - V = (child.xx - root.yy) + (1/lam - 2*beta)``, and by
+``log(U) - log(V)`` outside that band, where the rounding of ``U - V`` would
+be amplified by ``V/U``. Under score-equivalent hyperparameters on
 observational data ``U == V`` bitwise and ``A == B``, so the terms cancel
 exactly instead of through large-term subtraction; this is what makes the
 equal-mass property hold to machine precision at any sample size.
@@ -88,11 +90,14 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float | np.n
         raise NumericalDegeneracy(
             f"augmented determinant non-positive ({float(delta)!r}); sufficient statistics corrupted"
         )
-    # log(U/V) as log1p((U-V)/V): exactly zero when U == V
+    # log(U/V): log1p near 1, exactly zero when U == V; log(U) - log(V) far from it
+    r = u_minus_v / v
+    log_v = np.log(v)
+    log_u_over_v = np.where((r >= -0.5) & (r <= 1.0), np.log1p(r), np.log(u) - log_v)
     out = (
         norm
-        + coef_u * np.log1p(u_minus_v / v)
-        + (coef_u - k_o) * np.log(v)
+        + coef_u * log_u_over_v
+        + (coef_u - k_o) * log_v
         - k_c * np.log(np.where(positive, delta, np.nan))
     )
     return out if batch else float(out)

@@ -44,7 +44,9 @@ class BgeHyper:
 
     def alphas_for(self, s: Structure) -> tuple[float, float]:
         """(node-1 shape, node-2 shape) for structure ``s``."""
-        edge = _edge(s)
+        return self._alphas(_edge(s))
+
+    def _alphas(self, edge: tuple[int, int] | None) -> tuple[float, float]:
         if edge is None:
             return self.alpha5, self.alpha6
         return (self.alpha1, self.alpha2) if _node1_is_child(edge) else (self.alpha3, self.alpha4)
@@ -86,7 +88,7 @@ def prior_logpdf(theta: Params, s: Structure, h: BgeHyper) -> float:
     For ``S3`` the weight factor is absent and ``w = 0`` is required.
     """
     edge = _edge(s, theta.w)
-    a1, a2 = h.alphas_for(s)
+    a1, a2 = h._alphas(edge)
     tau = (theta.tau1_sq, theta.tau2_sq)
     out = invgamma_logpdf(tau[0], a1, h.beta) + invgamma_logpdf(tau[1], a2, h.beta)
     if edge is not None:

@@ -49,7 +49,13 @@ STRUCTURES = (Structure.S1, Structure.S2, Structure.S3)
 
 class _ByStructure(dict):
     """A dict keyed by the structures; a name hashes and compares equal to its
-    member, and any other key raises :class:`InvalidParameter`."""
+    member, and any other key, hashable or not, raises :class:`InvalidParameter`."""
+
+    def __getitem__(self, key):
+        try:
+            return dict.__getitem__(self, key)  # __missing__ on a miss
+        except TypeError:  # an unhashable key
+            return self.__missing__(key)
 
     def __missing__(self, key):
         raise InvalidParameter(f"structure must be S1, S2 or S3, got {key!r}")

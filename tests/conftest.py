@@ -1,10 +1,17 @@
+import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as hs
 
 from bicausal import Params, bge_symmetric_hyper
+
+# HYPOTHESIS_PROFILE=ci runs every property on the same examples each run and
+# prints the blob that reproduces a failure
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 from bicausal import (
     DegenerateData,
     InterventionSpec,
     InvalidParameter,
     NonConcaveAtMle,
+    NonConvergedQuadrature,
     Params,
     Regime,
     Structure,
@@ -434,3 +436,137 @@ def test_every_evidence_route_returns_float(symmetric_hyper, s):
         laplace_log_marginal(st, s, prior, mle_mixed(st).for_structure(s)),
     ]
     assert [type(v) for v in values] == [float] * 4
+
+
+def _laplace_weight_prior(s, h, scale=0.7):
+    """A non-conjugate prior: the structure's inverse-gamma variance factors
+    (the S3 prior on the variances) times a Laplace(0, ``scale``) weight."""
+
+    def fn(theta):
+        variances = prior_logpdf(Params(0.0, theta.tau1_sq, theta.tau2_sq), Structure.S3, h)
+        if s is Structure.S3:
+            return variances
+        return variances - abs(theta.w) / scale - math.log(2.0 * scale)
+
+    return fn
+
+
+def _recording(fn):
+    calls = []
+
+    def wrapped(theta):
+        calls.append((theta.w, theta.tau1_sq, theta.tau2_sq))
+        return fn(theta)
+
+    return wrapped, calls
+
+
+def _informative(st) -> bool:
+    """Whether every structure has an MLE (the reference loop centers on it)."""
+    try:
+        mle_mixed(st)
+    except DegenerateData:
+        return False
+    return True
+
+
+class TestGenericOracleSlabs:
+    """The generic oracle evaluates the likelihood one slab at a time; its
+    value and its callback calls are those of the scalar triple loop."""
+
+    @given(mixed_data(min_n=2), hs.integers(4, 10), hs.integers(2, 6), hs.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_loop_bitwise(self, symmetric_hyper, data, nodes, w_nodes, laplace):
+        obs, interv, _ = data
+        st = suffstats(obs, interv)
+        assume(_informative(st))
+        h = symmetric_hyper
+        for s in Structure:
+            fn = _laplace_weight_prior(s, h) if laplace else (lambda t, s=s: prior_logpdf(t, s, h))
+            got = quadrature_log_marginal_generic(st, s, fn, nodes=nodes, w_nodes=w_nodes)
+            want = _generic_reference(st, s, fn, (-20.0, 20.0), nodes, w_nodes)
+            assert type(got) is float
+            assert got == want
+
+    @pytest.mark.parametrize("s", list(Structure))
+    def test_callback_contract(self, symmetric_hyper, s):
+        st = suffstats(sample_obs(Structure.S1, Params(1, 1, 1), 7, 5))
+        fn = _laplace_weight_prior(s, symmetric_hyper)
+        got_fn, got = _recording(fn)
+        want_fn, want = _recording(fn)
+        quadrature_log_marginal_generic(st, s, got_fn, nodes=5, w_nodes=3)
+        _generic_reference(st, s, want_fn, (-20.0, 20.0), 5, 3)
+        # one call per node, in (tau1_sq, tau2_sq, w) order, w fastest
+        assert len(got) == (5 * 5 if s is Structure.S3 else 5 * 5 * 3)
+        assert got == want
+        assert all(type(x) is float for call in got for x in call)
+        t1 = [c[1] for c in got]
+        assert t1 == sorted(t1)
+        if s is Structure.S3:
+            assert all(c[0] == 0.0 for c in got)
+
+
+def _oracle_data():
+    rng = np.random.default_rng(14)
+    obs = sample_obs(Structure.S1, Params(1, 1, 1), 6, rng)
+    interv = sample_interv(Structure.S1, Params(1, 1, 1), InterventionSpec(1.5), 3, rng)
+    return suffstats(obs, interv)
+
+
+class TestPriorCallbackRobustness:
+    @pytest.mark.parametrize("s", list(Structure))
+    @pytest.mark.parametrize("value", [-math.inf, math.nan])
+    def test_grid_without_mass(self, s, value):
+        # no mass at all: NaN is rejected at the first node, -inf everywhere
+        # leaves nothing to integrate
+        expected = InvalidParameter if math.isnan(value) else NonConvergedQuadrature
+        with pytest.raises(expected):
+            quadrature_log_marginal_generic(_oracle_data(), s, lambda t: value, nodes=6, w_nodes=4)
+
+    def test_nan_on_every_weight_cell_names_the_node(self, symmetric_hyper):
+        def fn(theta):
+            return math.nan if theta.w != 0.0 else prior_logpdf(theta, Structure.S1, symmetric_hyper)
+
+        with pytest.raises(InvalidParameter, match=r"NaN at Params\(w=.*tau1_sq=.*tau2_sq="):
+            quadrature_log_marginal_generic(_oracle_data(), Structure.S1, fn, nodes=6, w_nodes=4)
+
+    @pytest.mark.parametrize("s", list(Structure))
+    def test_nan_on_part_of_the_grid(self, symmetric_hyper, s):
+        # the parent returned NaN here under S3 and dropped the NaN cells
+        # from the integral silently under S1 and S2
+        st = _oracle_data()
+        hat = mle_mixed(st).for_structure(s)
+
+        def fn(theta):
+            if theta.tau2_sq > 4.0 * hat.tau2_sq:
+                return math.nan
+            return prior_logpdf(theta, s, symmetric_hyper)
+
+        with pytest.raises(InvalidParameter, match="NaN"):
+            quadrature_log_marginal_generic(st, s, fn, nodes=6, w_nodes=4)
+
+    @pytest.mark.parametrize("s", list(Structure))
+    def test_truncated_prior_still_integrates(self, symmetric_hyper, s):
+        # -inf on part of the grid is a prior with bounded support: those
+        # nodes carry no mass, and the rest integrate as before
+        st = _oracle_data()
+        hat = mle_mixed(st).for_structure(s)
+
+        def fn(theta):
+            if theta.w < 0.0 or theta.tau1_sq > 4.0 * hat.tau1_sq:
+                return -math.inf
+            return prior_logpdf(theta, s, symmetric_hyper)
+
+        got = quadrature_log_marginal_generic(st, s, fn, nodes=8, w_nodes=6)
+        full = quadrature_log_marginal_generic(
+            st, s, lambda t: prior_logpdf(t, s, symmetric_hyper), nodes=8, w_nodes=6
+        )
+        assert math.isfinite(got) and got < full
+        if s is Structure.S3:  # the reference loop has no weight cells to skip
+            assert got == _generic_reference(st, s, fn, (-20.0, 20.0), 8, 6)
+
+    def test_laplace_rejects_nan_prior(self):
+        st = _oracle_data()
+        mle = mle_mixed(st).for_structure(Structure.S1)
+        with pytest.raises(InvalidParameter, match="NaN"):
+            laplace_log_marginal(st, Structure.S1, lambda t: math.nan, mle)

@@ -26,6 +26,7 @@ from bicausal import (
     sample_suffstats,
     suffstats,
 )
+from bicausal import estimation
 from bicausal.estimation import SuffStats
 
 from conftest import mixed_data, random_params
@@ -287,6 +288,32 @@ class TestLoglik:
             interv_logpdf_y1(row[0], s, theta, iv) for row in rows
         )
         assert loglik(st, s, theta) == pytest.approx(direct, abs=1e-9, rel=1e-9)
+
+    @given(
+        mixed_data(),
+        hs.sampled_from(list(Structure)),
+        hs.lists(hs.floats(-3.0, 3.0), min_size=1, max_size=4),
+        hs.lists(hs.floats(0.1, 10.0), min_size=1, max_size=4),
+        hs.lists(hs.floats(0.1, 10.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_grid_body_is_bitwise_the_scalar_call(self, data, s, ws, t1s, t2s):
+        # the body broadcast over a (w, tau1, tau2) grid, with the variances'
+        # logs taken by math.log, gives every cell's scalar loglik bitwise
+        obs, interv, _ = data
+        st = suffstats(obs, interv)
+        ws = [0.0] if s is Structure.S3 else ws
+        w, t1, t2 = np.ix_(ws, t1s, t2s)
+        log_t1, log_t2 = (np.array([math.log(t) for t in ts]).reshape(v.shape) for ts, v in ((t1s, t1), (t2s, t2)))
+        grid = estimation._loglik(st, s, w, t1, t2, log_t1, log_t2)
+        want = [[[loglik(st, s, Params(a, b, c)) for c in t2s] for b in t1s] for a in ws]
+        assert grid.tolist() == want
+        # and the scalar keeps its association: const + logdet - r1/(2 t1) - r2/(2 t2)
+        f1, f2 = st.factors[s]
+        a, b, c = ws[0], t1s[0], t2s[0]
+        const = -(st.n + 0.5 * st.m) * math.log(2.0 * math.pi)
+        logdet = -0.5 * f1.count * math.log(b) - 0.5 * f2.count * math.log(c)
+        assert want[0][0][0] == const + logdet - f1.residual(a) / (2.0 * b) - f2.residual(a) / (2.0 * c)
 
     def test_equal_maxima_observational(self):
         rng = np.random.default_rng(31)

@@ -1,7 +1,9 @@
 """Closed-form marginal likelihoods and structure posteriors against the
 quadrature oracle and known limits."""
 
+import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -352,7 +354,9 @@ class TestAugmentedOdds:
 def _three_branch_log_marginal(st, s, h):
     """Reference: the evidence written per structure on the six sums, one
     branch each for S1, S2 and S3, as it stood before the evidence read the
-    per-node factor map."""
+    per-node factor map, with ``log(U/V)`` taken by the evidence's rule:
+    ``log1p((U-V)/V)`` for ``U/V`` in ``[1/2, 2]``, ``log(U) - log(V)``
+    outside."""
     n, m, batch = st.n, st.m, np.ndim(st.s1x) > 0
     s1x, s2x, s12x, s1y, s2y, s12y = st.s1x, st.s2x, st.s12x, st.s1y, st.s2y, st.s12y
     s1x_beta = s1x + 2.0 * h.beta
@@ -403,9 +407,11 @@ def _three_branch_log_marginal(st, s, h):
     positive = delta > 0.0
     if not (batch or positive):
         raise NumericalDegeneracy("augmented determinant non-positive")
+    r = u_minus_v / v
+    log_u_over_v = np.where((r >= -0.5) & (r <= 1.0), np.log1p(r), np.log(u) - np.log(v))
     out = (
         norm
-        + coef_u * np.log1p(u_minus_v / v)
+        + coef_u * log_u_over_v
         + (coef_u - coef_v) * np.log(v)
         - coef_delta * np.log(np.where(positive, delta, np.nan))
     )
@@ -494,3 +500,57 @@ class TestFactorEvidence:
         for s in Structure:
             got, want = log_marginal_mixed(batch, s, h), _three_branch_log_marginal(batch, s, h)
             assert _agree(got, want, batch, s, h)
+
+
+# pi to 50 digits, for the decimal reference below
+_PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+class TestSmallAugmentedMoment:
+    """``U << V``: under S2 an interventional block that dwarfs the
+    observational one. ``log1p((U-V)/V)`` would amplify the rounding of
+    ``U - V`` by ``V/U`` (~1e12 here, an error of ~2e-3); ``log(U) -
+    log(V)`` keeps the evidence to a few ulp."""
+
+    ST = SuffStats(s1x=0.349, s2x=349.0, s12x=0.0, s1y=1.0995e12, s2y=0.0, s12y=0.0, n=349, m=2_762_592_030, y=0.0)
+    H = BgeHyper(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.01, 1.0)
+
+    def _reference(self):
+        """The S2 evidence in 50-digit decimal arithmetic on the exact
+        values of the sums; the lgamma normalizers are the float ones the
+        evidence itself uses, so only the data terms are compared."""
+        st, h = self.ST, self.H
+        with localcontext() as ctx:
+            ctx.prec = 50
+            n, m = st.n, st.m
+            a_root, a_child = Decimal(h.alpha3), Decimal(h.alpha4)
+            beta2, lam = 2 * Decimal(h.beta), Decimal(h.lam)
+            u = Decimal(st.s1x) + 1 / lam
+            v = Decimal(st.s1x) + Decimal(st.s1y) + beta2
+            delta = (Decimal(st.s2x) + beta2) * u - Decimal(st.s12x) * Decimal(st.s12x)
+            k_root, k_child = h.alpha3 + 0.5 * (n + m), h.alpha4 + 0.5 * n  # exact in binary
+            lgammas = (math.lgamma(k_root), math.lgamma(k_child), -math.lgamma(h.alpha3), -math.lgamma(h.alpha4))
+            coef_u = a_child + Decimal(n - 1) / 2
+            out = (
+                (a_child + a_root) * beta2.ln()
+                - lam.ln() / 2
+                - (n + Decimal(m) / 2) * _PI_50.ln()
+                + sum(Decimal(g) for g in lgammas)
+                + coef_u * (u / v).ln()
+                + (coef_u - Decimal(k_root)) * v.ln()
+                - Decimal(k_child) * delta.ln()
+            )
+            return float(out)
+
+    def test_matches_fifty_digit_reference(self):
+        want = self._reference()
+        got = log_marginal_mixed(self.ST, Structure.S2, self.H)
+        # the float sum's own rounding: a few ulp of the result (~1.9e-6)
+        assert abs(got - want) <= 8 * math.ulp(want)
+
+    def test_batch_takes_each_cells_branch(self):
+        # a second cell with U/V inside [1/2, 2] keeps log1p in the batch
+        st, other = self.ST, dataclasses.replace(self.ST, s1y=1.0)
+        batch = SuffStats(*(np.array([getattr(st, f), getattr(other, f)]) for f in _SUMS), st.n, st.m, st.y)
+        got = log_marginal_mixed(batch, Structure.S2, self.H).tolist()
+        assert got == [log_marginal_mixed(c, Structure.S2, self.H) for c in (st, other)]

@@ -143,7 +143,7 @@ def test_name_gives_members_result(call, s):
 
 
 @pytest.mark.parametrize("call", [c for _, c in CASES], ids=[n for n, _ in CASES])
-@pytest.mark.parametrize("bad", ["S4", "s1", None, 1])
+@pytest.mark.parametrize("bad", ["S4", "s1", None, 1, ["S1"]])
 def test_unknown_structure_rejected(call, bad):
     with pytest.raises(InvalidParameter):
         call(bad)
