@@ -146,8 +146,8 @@ def laplace_log_marginal(
     _, logdet = np.linalg.slogdet(neg)
     d = param_dim(s)
     log_prior = prior_logpdf_fn(mle)
-    if math.isnan(log_prior):
-        raise _nan_prior(mle)
+    if not log_prior < math.inf:
+        raise _bad_prior(mle, log_prior)
     return loglik(st, s, mle) + 0.5 * d * _LOG_2PI - 0.5 * float(logdet) + log_prior
 
 
@@ -301,16 +301,16 @@ def quadrature_log_marginal_generic(
     ``prior_logpdf_fn`` is called once per grid node with a :class:`Params`
     of Python floats, ``tau1_sq`` node by node, then ``tau2_sq``, then ``w``
     fastest (``w = 0`` under ``S3``), and returns a float. ``-inf`` gives a
-    node no mass (a truncated prior); NaN raises :class:`InvalidParameter`
-    naming the node, and a grid with no mass at all raises
-    :class:`NonConvergedQuadrature`.
+    node no mass (a truncated prior); NaN or ``+inf`` raises
+    :class:`InvalidParameter` naming the node, and a grid with no mass at
+    all raises :class:`NonConvergedQuadrature`.
 
     The likelihood is evaluated one slab (one ``tau1_sq`` node: all
     ``tau2_sq`` and ``w`` nodes) at a time; the result is bitwise that of
     the scalar triple loop over ``loglik`` and the callback.
     """
     if st.total > _MAX_DATA_FOR_QUADRATURE:
-        raise InvalidParameter("generic quadrature limited to n + m <= 64")
+        raise InvalidParameter(f"generic quadrature limited to n + m <= {_MAX_DATA_FOR_QUADRATURE}")
     factors = st.factors[s]
     # the weight enters only its child's factor; S3 has none
     child = next((i for i, f in enumerate(factors) if f.has_parent), None)
@@ -351,9 +351,10 @@ def quadrature_log_marginal_generic(
         prior = np.array(
             [prior_logpdf_fn(Params(w, t1, t)) for t, row in zip(tau2, w_rows) for w in row]
         ).reshape(shape)
-        if np.isnan(prior).any():
-            k, i = np.argwhere(np.isnan(prior))[0]
-            raise _nan_prior(Params(w_rows[k][i], t1, tau2[k]))
+        bad = ~(prior < math.inf)  # NaN or +inf
+        if bad.any():
+            k, i = np.argwhere(bad)[0]
+            raise _bad_prior(Params(w_rows[k][i], t1, tau2[k]), prior[k, i])
         with np.errstate(over="ignore", invalid="ignore"):
             lw = _loglik(st, s, w_slab, t1, t2, math.log(t1), log_t2) + prior
             peak = lw.max(axis=1)
@@ -372,5 +373,5 @@ def quadrature_log_marginal_generic(
     return peak + math.log(total)
 
 
-def _nan_prior(theta: Params) -> InvalidParameter:
-    return InvalidParameter(f"prior log-density is NaN at {theta}")
+def _bad_prior(theta: Params, value: float) -> InvalidParameter:
+    return InvalidParameter(f"prior log-density is {'NaN' if math.isnan(value) else '+inf'} at {theta}")

@@ -10,7 +10,6 @@ config-file values. Every output file carries its resolved configuration in
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -22,8 +21,9 @@ from .approx import laplace_log_marginal, quadrature_log_marginal
 from .errors import BicausalError, ConfigError, DataFormatError, DegenerateData
 from .estimation import mle_mixed, suffstats
 from .exact import StructurePosterior, log_marginal_mixed
-from .experiments import _FLOAT, _fmt
+from .experiments import _fmt
 from .priors import BgeHyper, bge_symmetric_hyper, prior_logpdf
+from .rates import _CURVE_POINTS
 from .sem import InterventionSpec, Params, Structure, sample_interv, sample_obs
 
 _METHODS = ("exact", "laplace", "quadrature")
@@ -144,9 +144,8 @@ def cmd_simulate(args) -> int:
     blocks = [("obs", sample_obs(s, theta, n, rng))]
     if m > 0:
         blocks.append(("int", sample_interv(s, theta, InterventionSpec(y), m, rng)))
-    rows = (f"{regime},{_FLOAT},{_FLOAT}" % (a, b) for regime, data in blocks for a, b in data.tolist())
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    xp._write_lines(out, itertools.chain(res.header_lines(), ["regime,x1,x2"], rows))
+    rows = ((regime, a, b) for regime, data in blocks for a, b in data.tolist())
+    xp._write_table(out, res.header_lines(), "regime,x1,x2", "sgg", rows)
     print(f"wrote {n} observational + {m} interventional samples to {out}")
     return 0
 
@@ -259,11 +258,10 @@ def cmd_rates(args) -> int:
     res = Resolver(parse_config(args.config) if args.config else {})
     theta = _theta(res, args)
     y = res.get_as(float, "model", "y", args.y, required=True)
-    points = res.get_as(int, "rates", "grid_points", args.grid_points, default=999)
+    points = res.get_as(int, "rates", "grid_points", args.grid_points, default=_CURVE_POINTS)
     if points < 1:
         raise ConfigError(f"[rates] grid_points must be >= 1, got {points}")
     out = res.get("rates", "out", args.out, default="rates.csv")
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
     helps, (eta12, v12), (eta21, v21) = xp.write_rates_csv(out, theta, y, points, res.header_lines())
     print(f"wrote {out}")
     print(f"mixing_helps_s1: {helps}")

@@ -29,7 +29,6 @@ directory. The files a bundle holds (floats use 17 significant digits):
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import astuple, dataclass, field
@@ -40,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, InvalidParameter
 from .estimation import SuffStats, _draw_sums
 from .exact import augmented_odds_statistic, posterior
-from .priors import BgeHyper, prior_logpdf, pushforward_prior_logpdf
+from .priors import BgeHyper
 from .rates import (
     RateId,
     RateInput,
@@ -51,7 +50,8 @@ from .rates import (
     optimal_eta,
     sample_curve,
 )
-from .sem import InterventionSpec, Params, Structure, _integer, gamma_map_inverse
+from .rates import _CURVE_POINTS, _log_prior_ratio
+from .sem import InterventionSpec, Params, Structure, _edge, _integer, _node1_is_child, gamma_map_inverse
 # the raw sampler stays bound here: bench/tracing.py wraps it at every module
 # that binds it, and bench/test_bench.py checks this binding
 from .sem import sample_obs  # noqa: F401
@@ -130,17 +130,20 @@ class ExperimentResult:
     records: list[TrialRecord] = field(default_factory=list)
     skipped: int = 0
 
+    def _at(self, total: int) -> list[TrialRecord]:
+        """The records at size ``total``, in trial order."""
+        records = [r for r in self.records if r.total == total]
+        if not records:
+            raise InvalidParameter(f"no records at N={total}")
+        return records
+
     def mean_log_inv_odds(self, total: int) -> float:
         """Trial average at one size, accumulated in trial order."""
+        records = self._at(total)
         acc = 0.0
-        cnt = 0
-        for r in self.records:
-            if r.total == total:
-                acc += r.log_inv_odds
-                cnt += 1
-        if cnt == 0:
-            raise InvalidParameter(f"no records at N={total}")
-        return acc / cnt
+        for r in records:
+            acc += r.log_inv_odds
+        return acc / len(records)
 
 
 def _draw_size(cfg: ExperimentConfig, size_index: int) -> SuffStats:
@@ -211,22 +214,18 @@ def plateau_theory_ratio(cfg: ExperimentConfig) -> float:
     coordinates, the ratio tends to ``prior(theta | S1)`` over the pulled-back
     ``S2`` prior at ``theta``.
     """
-    if cfg.true_model is Structure.S1:
-        theta = cfg.theta_star
-    elif cfg.true_model is Structure.S2:
-        theta = gamma_map_inverse(cfg.theta_star)
-    else:
+    edge = _edge(cfg.true_model)
+    if edge is None:
         raise InvalidParameter("plateau defined for connected true models")
-    return math.exp(
-        prior_logpdf(theta, Structure.S1, cfg.hyper) - pushforward_prior_logpdf(theta, cfg.hyper)
-    )
+    theta = cfg.theta_star if _node1_is_child(edge) else gamma_map_inverse(cfg.theta_star)
+    return math.exp(-_log_prior_ratio(theta, cfg.hyper))
 
 
 def run_odds_plateau(cfg: ExperimentConfig) -> ExperimentResult:
     """Observational posterior-odds trajectory against its theoretical plateau."""
     if cfg.mixed:
         raise InvalidParameter("plateau experiment is observational-only")
-    if cfg.true_model is Structure.S3:
+    if _edge(cfg.true_model) is None:
         raise InvalidParameter("plateau experiment requires a connected true model")
     return run_concentration(cfg)
 
@@ -238,7 +237,7 @@ def run_chi2_diagnostic(cfg: ExperimentConfig) -> tuple[ExperimentResult, float,
     records plus the worse (larger-distance) of the two per-structure
     Kolmogorov-Smirnov comparisons against the chi-squared(1) law.
     """
-    if cfg.true_model is not Structure.S3:
+    if _edge(cfg.true_model) is not None:
         raise InvalidParameter("chi-squared diagnostic requires true model S3")
     result = _collect(_size_records(cfg, len(cfg.sample_sizes) - 1, chi2=True))
     ks1, p1 = ks_test_chi2_1(np.array([r.stat_s1 for r in result.records]))
@@ -284,16 +283,17 @@ def fitted_exponent(cfg: ExperimentConfig, result: ExperimentResult, min_size: i
     return fit_slope(np.array(sizes, dtype=np.float64), np.array(means))
 
 
+#: The exponent of each connected true model's trial-averaged log inverse odds.
+_EXPONENTS = {Structure.S1: d12, Structure.S2: d21}
+
+
 def theory_exponent(cfg: ExperimentConfig) -> float:
     """The exponent the fitted slope should approach (sign flipped)."""
     if not cfg.mixed:
         raise InvalidParameter("exponent defined for mixed-data configurations")
-    ri = RateInput(cfg.theta_star, cfg.y, cfg.eta)
-    if cfg.true_model is Structure.S1:
-        return d12(ri)
-    if cfg.true_model is Structure.S2:
-        return d21(ri)
-    raise InvalidParameter("exponent defined for connected true models")
+    if _edge(cfg.true_model) is None:
+        raise InvalidParameter("exponent defined for connected true models")
+    return _EXPONENTS[cfg.true_model](RateInput(cfg.theta_star, cfg.y, cfg.eta))
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +347,24 @@ def ks_test_chi2_1(samples: np.ndarray) -> tuple[float, float]:
 
 #: Every float in a written file: 17 significant digits, enough to round-trip.
 _FLOAT = "%.17g"
+#: A table column's format by its letter: a count, a float, a string.
+_FORMATS = {"d": "%d", "g": _FLOAT, "s": "%s"}
 
 
 def _fmt(v: float) -> str:
     return _FLOAT % v
+
+
+def _write_table(path, header, columns: str, formats: str, rows) -> None:
+    """Write one CSV table, making its directory: the ``#`` header lines, the
+    column-name row, then one line per row tuple. ``formats`` has one letter
+    per column: ``d`` for a count, ``g`` for a float, ``s`` for a string."""
+    fmt = ",".join(_FORMATS[f] for f in formats) + "\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{line}\n" for line in header)
+        fh.write(f"{columns}\n")
+        fh.writelines(fmt % row for row in rows)
 
 
 def _header_lines(cfg: ExperimentConfig, extra: dict | None = None) -> list[str]:
@@ -377,61 +391,46 @@ def _header_lines(cfg: ExperimentConfig, extra: dict | None = None) -> list[str]
 
 def log_inv_odds_quantiles(result: ExperimentResult, total: int) -> tuple[float, float, float]:
     """Per-size 10/50/90% quantile band of ``log(1/p_true - 1)`` across trials."""
-    vals = np.sort([r.log_inv_odds for r in result.records if r.total == total])
-    if vals.size == 0:
-        raise InvalidParameter(f"no records at N={total}")
+    vals = np.sort([r.log_inv_odds for r in result._at(total)])
     return tuple(float(np.quantile(vals, q)) for q in (0.1, 0.5, 0.9))
 
 
 def write_concentration_csv(path, cfg: ExperimentConfig, result: ExperimentResult) -> None:
-    lines = _header_lines(cfg, {"skipped": result.skipped})
-    for total in cfg.sample_sizes:
-        try:
-            q10, q50, q90 = log_inv_odds_quantiles(result, total)
-        except InvalidParameter:
-            continue
-        lines.append(
+    header = _header_lines(cfg, {"skipped": result.skipped})
+    for total in sorted({r.total for r in result.records}):
+        q10, q50, q90 = log_inv_odds_quantiles(result, total)
+        header.append(
             f"# log_inv_odds_quantiles N={total}: "
             f"q10={_fmt(q10)} q50={_fmt(q50)} q90={_fmt(q90)}"
         )
-    lines.append("trial,N,n,m,p_s1,p_s2,p_s3,log_inv_odds")
-    for r in result.records:
-        lines.append(
-            f"{r.trial},{r.total},{r.n},{r.m},"
-            f"{_fmt(r.p[0])},{_fmt(r.p[1])},{_fmt(r.p[2])},{_fmt(r.log_inv_odds)}"
-        )
-    _write_lines(path, lines)
+    rows = ((r.trial, r.total, r.n, r.m, *r.p, r.log_inv_odds) for r in result.records)
+    _write_table(path, header, "trial,N,n,m,p_s1,p_s2,p_s3,log_inv_odds", "ddddgggg", rows)
 
 
 def write_plateau_csv(path, cfg: ExperimentConfig, result: ExperimentResult) -> None:
     limit = plateau_theory_ratio(cfg)
-    lines = _header_lines(cfg, {"skipped": result.skipped})
-    lines.append("trial,n,ratio_12,theory_limit")
-    for r in result.records:
-        lines.append(f"{r.trial},{r.n},{_fmt(r.ratio_12)},{_fmt(limit)}")
-    _write_lines(path, lines)
+    header = _header_lines(cfg, {"skipped": result.skipped})
+    rows = ((r.trial, r.n, r.ratio_12, limit) for r in result.records)
+    _write_table(path, header, "trial,n,ratio_12,theory_limit", "ddgg", rows)
 
 
 def write_chi2_csv(
     path, cfg: ExperimentConfig, result: ExperimentResult, ks: float, pvalue: float
 ) -> None:
-    lines = _header_lines(
+    header = _header_lines(
         cfg, {"skipped": result.skipped, "ks_statistic": _fmt(ks), "ks_pvalue": _fmt(pvalue)}
     )
-    lines.append("trial,stat_s1,stat_s2")
-    for r in result.records:
-        lines.append(f"{r.trial},{_fmt(r.stat_s1)},{_fmt(r.stat_s2)}")
-    _write_lines(path, lines)
+    rows = ((r.trial, r.stat_s1, r.stat_s2) for r in result.records)
+    _write_table(path, header, "trial,stat_s1,stat_s2", "dgg", rows)
 
 
 def write_slopes_csv(path, rows: list[tuple[float, float, float]], header_lines: list[str]) -> None:
     """Rows are (eta, fitted_slope, theory_exponent)."""
-    lines = list(header_lines)
-    lines.append("eta,fitted_slope,theory_exponent,rel_err")
-    for eta, slope, theory in rows:
-        rel = abs(slope + theory) / abs(theory) if theory != 0.0 else math.nan
-        lines.append(f"{_fmt(eta)},{_fmt(slope)},{_fmt(theory)},{_fmt(rel)}")
-    _write_lines(path, lines)
+    table = (
+        (eta, slope, theory, abs(slope + theory) / abs(theory) if theory != 0.0 else math.nan)
+        for eta, slope, theory in rows
+    )
+    _write_table(path, header_lines, "eta,fitted_slope,theory_exponent,rel_err", "gggg", table)
 
 
 def write_rates_csv(
@@ -451,20 +450,13 @@ def write_rates_csv(
     helps = mixing_helps_s1(theta, y)
     eta12, v12 = optimal_eta(RateId.D12, theta, y)
     eta21, v21 = optimal_eta(RateId.D21, theta, y)
-    lines = list(header_lines) + [
+    header = list(header_lines) + [
         f"# mixing_helps_s1 = {helps}",
         f"# optimal_eta_d12 = {_fmt(eta12)} (value {_fmt(v12)})",
         f"# optimal_eta_d21 = {_fmt(eta21)} (value {_fmt(v21)})",
-        "eta,d12,d21,d13,d23,d12_gain,d21_gain",
     ]
-    row = ",".join([_FLOAT] * len(columns))
-    _write_lines(path, itertools.chain(lines, (row % values for values in zip(*columns))))
+    _write_table(path, header, "eta,d12,d21,d13,d23,d12_gain,d21_gain", "g" * len(columns), zip(*columns))
     return helps, (eta12, v12), (eta21, v21)
-
-
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{line}\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +517,11 @@ def run_bundle(kind: str, spec: dict, seed: int, hyper: BgeHyper, outdir) -> lis
     file written or fit made.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if kind == "rates":
         lines = []
         for tag, theta, y in spec["sets"]:
             header = [f"# preset parameter set {tag} (artifact defaults; source unstated)"]
-            write_rates_csv(outdir / f"rates_{tag}.csv", theta, y, 999, header)
+            write_rates_csv(outdir / f"rates_{tag}.csv", theta, y, _CURVE_POINTS, header)
             lines.append(f"wrote rates_{tag}.csv")
         return lines
 
@@ -550,7 +541,7 @@ def run_bundle(kind: str, spec: dict, seed: int, hyper: BgeHyper, outdir) -> lis
         result = run_odds_plateau(cfg)
         write_plateau_csv(outdir / "plateau.csv", cfg, result)
         largest = cfg.sample_sizes[-1]
-        tail = [r.ratio_12 for r in result.records if r.total == largest]
+        tail = [r.ratio_12 for r in result._at(largest)]
         return [
             f"plateau.csv: mean ratio at n={largest} is {_fmt(sum(tail) / len(tail))}, "
             f"theory limit {_fmt(plateau_theory_ratio(cfg))}"
@@ -563,7 +554,7 @@ def run_bundle(kind: str, spec: dict, seed: int, hyper: BgeHyper, outdir) -> lis
             tag = "obs" if eta is None else f"eta{eta:g}"
             write_concentration_csv(outdir / f"concentration_{tag}.csv", cfg, result)
             lines.append(f"wrote concentration_{tag}.csv ({len(result.records)} records)")
-            if eta is not None and cfg.true_model is not Structure.S3:
+            if eta is not None and _edge(cfg.true_model) is not None:
                 fit = fitted_exponent(cfg, result, min_size=min_size)
                 theory = theory_exponent(cfg)
                 slope_rows.append((eta, fit.slope, theory))

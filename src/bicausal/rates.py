@@ -214,13 +214,15 @@ def optimal_eta(
 
 
 _RATE_FUNCS = {RateId.D12: d12, RateId.D21: d21, RateId.D13: d13, RateId.D23: d23}
+#: Grid points of a sampled exponent curve unless a caller sets them.
+_CURVE_POINTS = 999
 
 
 def sample_curve(
     exponent_id: RateId,
     theta_star: Params,
     y: float,
-    num: int = 999,
+    num: int = _CURVE_POINTS,
 ) -> RateCurve:
     """Evaluate one exponent on ``num`` evenly spaced points of
     ``[1e-9, 1 - 1e-9]``."""
@@ -286,6 +288,12 @@ def pseudo_true_limits(
     })
 
 
+def _log_prior_ratio(theta: Params, h: BgeHyper) -> float:
+    """Log of the pulled-back ``S2`` prior over the ``S1`` prior at ``theta``
+    (``S1`` coordinates): the limiting observational log odds of S2 to S1."""
+    return pushforward_prior_logpdf(theta, h) - prior_logpdf(theta, Structure.S1, h)
+
+
 def nonident_posterior_limit(
     theta_star: Params, h: BgeHyper, true_model: Structure
 ) -> float:
@@ -302,7 +310,7 @@ def nonident_posterior_limit(
         raise InvalidParameter(f"limit defined for connected structures, got {true_model}")
     if theta_star.w == 0.0:
         raise InvalidParameter("limit requires a nonzero edge weight")
-    log_r = pushforward_prior_logpdf(theta_star, h) - prior_logpdf(theta_star, Structure.S1, h)
+    log_r = _log_prior_ratio(theta_star, h)
     return 1.0 / (1.0 + math.exp(log_r if _node1_is_child(edge) else -log_r))
 
 

@@ -515,11 +515,11 @@ def _oracle_data():
 
 class TestPriorCallbackRobustness:
     @pytest.mark.parametrize("s", list(Structure))
-    @pytest.mark.parametrize("value", [-math.inf, math.nan])
+    @pytest.mark.parametrize("value", [-math.inf, math.nan, math.inf])
     def test_grid_without_mass(self, s, value):
-        # no mass at all: NaN is rejected at the first node, -inf everywhere
-        # leaves nothing to integrate
-        expected = InvalidParameter if math.isnan(value) else NonConvergedQuadrature
+        # no mass at all: NaN and +inf are rejected at the first node, -inf
+        # everywhere leaves nothing to integrate
+        expected = NonConvergedQuadrature if value == -math.inf else InvalidParameter
         with pytest.raises(expected):
             quadrature_log_marginal_generic(_oracle_data(), s, lambda t: value, nodes=6, w_nodes=4)
 
@@ -546,6 +546,20 @@ class TestPriorCallbackRobustness:
             quadrature_log_marginal_generic(st, s, fn, nodes=6, w_nodes=4)
 
     @pytest.mark.parametrize("s", list(Structure))
+    def test_positive_infinity_at_one_node_names_it(self, symmetric_hyper, s):
+        # unchecked, the cell holding the node drops out of the integral (its
+        # row max is +inf, so its mass is NaN) and a finite value comes back
+        calls = []
+
+        def fn(theta):
+            calls.append(theta)
+            return math.inf if len(calls) == 1 else prior_logpdf(theta, s, symmetric_hyper)
+
+        with pytest.raises(InvalidParameter, match=r"\+inf at Params\(w=.*tau1_sq=.*tau2_sq=") as info:
+            quadrature_log_marginal_generic(_oracle_data(), s, fn, nodes=6, w_nodes=4)
+        assert str(calls[0]) in str(info.value)
+
+    @pytest.mark.parametrize("s", list(Structure))
     def test_truncated_prior_still_integrates(self, symmetric_hyper, s):
         # -inf on part of the grid is a prior with bounded support: those
         # nodes carry no mass, and the rest integrate as before
@@ -570,3 +584,10 @@ class TestPriorCallbackRobustness:
         mle = mle_mixed(st).for_structure(Structure.S1)
         with pytest.raises(InvalidParameter, match="NaN"):
             laplace_log_marginal(st, Structure.S1, lambda t: math.nan, mle)
+
+    def test_laplace_rejects_positive_infinite_prior(self):
+        # unchecked, the evidence is +inf
+        st = _oracle_data()
+        mle = mle_mixed(st).for_structure(Structure.S1)
+        with pytest.raises(InvalidParameter, match=r"\+inf at Params\("):
+            laplace_log_marginal(st, Structure.S1, lambda t: math.inf, mle)

@@ -2,6 +2,9 @@
 CSV serialization."""
 
 import math
+import re
+import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,23 +27,30 @@ from bicausal import (
     fitted_exponent,
     gain_transform,
     ks_test_chi2_1,
+    mixing_helps_s1,
+    optimal_eta,
     plateau_theory_ratio,
     posterior,
     run_chi2_diagnostic,
     run_concentration,
     run_odds_plateau,
     sample_curve,
+    sample_interv,
+    sample_obs,
     sample_suffstats,
     theory_exponent,
 )
+from bicausal.cli import main as cli_main
 from bicausal.experiments import (
     PRESETS,
     _draw_size,
+    log_inv_odds_quantiles,
     run_bundle,
     write_chi2_csv,
     write_concentration_csv,
     write_plateau_csv,
     write_rates_csv,
+    write_slopes_csv,
 )
 
 
@@ -376,27 +386,83 @@ class TestChi2Helpers:
         assert 0.0 <= ks <= 1.0 and 0.0 <= p <= 1.0
 
 
+def _read_table(path):
+    """A written table as (header lines, column row, rows of fields); checks
+    that the file is UTF-8 ``\\n``-terminated lines with every ``#`` line first."""
+    raw = path.read_bytes()
+    assert raw.endswith(b"\n") and b"\r" not in raw
+    lines = raw.decode("utf-8").split("\n")[:-1]
+    k = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    assert not any(line.startswith("#") for line in lines[k:])
+    return lines[:k], lines[k], [line.split(",") for line in lines[k + 1 :]]
+
+
+def _assert_fields(fields, values):
+    """Each field reads back as its source value: integers and strings
+    exactly, floats bit for bit (NaN as NaN)."""
+    assert len(fields) == len(values)
+    for text, v in zip(fields, values):
+        if isinstance(v, (int, str)):
+            assert text == str(v)
+        else:
+            got = float(text)
+            assert (math.isnan(got) and math.isnan(v)) or struct.pack("<d", got) == struct.pack("<d", v), (text, v)
+
+
+def _header_items(header):
+    """The ``# key = value`` header lines as a dict."""
+    return dict(line[2:].split(" = ", 1) for line in header if " = " in line)
+
+
+def _assert_config_header(items, cfg, skipped):
+    """The configuration lines every harness table starts with."""
+    th, (*alphas, beta, lam) = cfg.theta_star, astuple(cfg.hyper)
+    assert items["true_model"] == cfg.true_model.value
+    _assert_fields([items[k] for k in ("w", "tau1_sq", "tau2_sq", "y")], [th.w, th.tau1_sq, th.tau2_sq, cfg.y])
+    if cfg.eta is None:
+        assert items["eta"] == ""
+    else:
+        _assert_fields([items["eta"]], [cfg.eta])
+    _assert_fields(items["sample_sizes"].split(","), list(cfg.sample_sizes))
+    _assert_fields([items["trials"], items["base_seed"], items["skipped"]], [cfg.trials, cfg.base_seed, skipped])
+    _assert_fields(items["alpha"].split(","), alphas)
+    _assert_fields([items["beta"], items["lambda"]], [beta, lam])
+
+
 class TestCsv:
+    """Every table kind parses back to its source values, bit for bit, under
+    its column row and ``#`` header lines."""
+
     def test_serialization_roundtrip(self, tmp_path, symmetric_hyper):
         cfg = small_config(hyper=symmetric_hyper, trials=3)
         res = run_concentration(cfg)
         path = tmp_path / "concentration.csv"
         write_concentration_csv(path, cfg, res)
-        text = path.read_text()
-        assert text.startswith("#")
-        header_rows = [l for l in text.splitlines() if l.startswith("#")]
-        assert any("base_seed" in l for l in header_rows)
-        rows = [l for l in text.splitlines() if not l.startswith("#")]
-        assert rows[0] == "trial,N,n,m,p_s1,p_s2,p_s3,log_inv_odds"
-        assert len(rows) - 1 == len(res.records)
-        first = rows[1].split(",")
-        assert float(first[4]) == res.records[0].p[0]  # 17 digits reproduce exactly
+        header, columns, rows = _read_table(path)
+        assert columns == "trial,N,n,m,p_s1,p_s2,p_s3,log_inv_odds"
+        assert len(rows) == len(res.records)
+        for fields, r in zip(rows, res.records):
+            _assert_fields(fields, [r.trial, r.total, r.n, r.m, *r.p, r.log_inv_odds])
+        _assert_config_header(_header_items(header), cfg, res.skipped)
+        bands = [line for line in header if line.startswith("# log_inv_odds_quantiles")]
+        assert len(bands) == len(cfg.sample_sizes)
+        for line, total in zip(bands, cfg.sample_sizes):
+            label, quantiles = line.split(": ")
+            assert label == f"# log_inv_odds_quantiles N={total}"
+            assert [q.split("=")[0] for q in quantiles.split(" ")] == ["q10", "q50", "q90"]
+            _assert_fields([q.split("=")[1] for q in quantiles.split(" ")], log_inv_odds_quantiles(res, total))
 
     def test_plateau_and_chi2_writers(self, tmp_path, symmetric_hyper):
-        cfg = small_config(hyper=symmetric_hyper, eta=None, sample_sizes=(100,), trials=3)
+        cfg = small_config(hyper=symmetric_hyper, eta=None, sample_sizes=(100, 1000), trials=3)
         res = run_odds_plateau(cfg)
         write_plateau_csv(tmp_path / "plateau.csv", cfg, res)
-        assert "ratio_12,theory_limit" in (tmp_path / "plateau.csv").read_text()
+        header, columns, rows = _read_table(tmp_path / "plateau.csv")
+        assert columns == "trial,n,ratio_12,theory_limit"
+        assert len(rows) == len(res.records) == 6
+        limit = plateau_theory_ratio(cfg)
+        for fields, r in zip(rows, res.records):
+            _assert_fields(fields, [r.trial, r.n, r.ratio_12, limit])
+        _assert_config_header(_header_items(header), cfg, res.skipped)
 
         cfg3 = ExperimentConfig(
             true_model=Structure.S3,
@@ -408,23 +474,69 @@ class TestCsv:
         )
         res3, ks, p = run_chi2_diagnostic(cfg3)
         write_chi2_csv(tmp_path / "chi2.csv", cfg3, res3, ks, p)
-        assert "stat_s1,stat_s2" in (tmp_path / "chi2.csv").read_text()
+        header, columns, rows = _read_table(tmp_path / "chi2.csv")
+        assert columns == "trial,stat_s1,stat_s2"
+        assert len(rows) == len(res3.records) == 5
+        for fields, r in zip(rows, res3.records):
+            _assert_fields(fields, [r.trial, r.stat_s1, r.stat_s2])
+        items = _header_items(header)
+        _assert_config_header(items, cfg3, res3.skipped)
+        _assert_fields([items["ks_statistic"], items["ks_pvalue"]], [ks, p])
+
+    def test_slopes_writer(self, tmp_path):
+        rows = [(0.1 + 0.2, -0.53479018471042095, 0.53505978256618525), (0.5, -1e-300, 0.0), (0.9, -0.0, 3.5)]
+        path = tmp_path / "slopes.csv"
+        write_slopes_csv(path, rows, ["# fit over sizes >= 200", "# base_seed = 7"])
+        header, columns, table = _read_table(path)
+        assert header == ["# fit over sizes >= 200", "# base_seed = 7"]
+        assert columns == "eta,fitted_slope,theory_exponent,rel_err"
+        assert len(table) == len(rows)
+        for fields, (eta, slope, theory) in zip(table, rows):
+            rel = abs(slope + theory) / abs(theory) if theory != 0.0 else math.nan
+            _assert_fields(fields, [eta, slope, theory, rel])
+        assert table[1][3] == "nan"
 
     def test_rates_writer_matches_curves(self, tmp_path):
         theta, y = Params(1.0, 1.0, 4.0), 0.1
         path = tmp_path / "rates.csv"
-        write_rates_csv(path, theta, y, 51, ["# preset"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# preset"
-        rows = [l for l in lines if not l.startswith("#")]
-        assert rows[0] == "eta,d12,d21,d13,d23,d12_gain,d21_gain"
-        table = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        helps, (eta12, v12), (eta21, v21) = write_rates_csv(path, theta, y, 51, ["# preset"])
+        header, columns, rows = _read_table(path)
+        assert header[0] == "# preset"
+        assert columns == "eta,d12,d21,d13,d23,d12_gain,d21_gain"
         curves = [sample_curve(r, theta, y, num=51) for r in (RateId.D12, RateId.D21, RateId.D13, RateId.D23)]
-        np.testing.assert_array_equal(table[:, 0], curves[0].eta)
-        for col, curve in enumerate(curves, start=1):
-            np.testing.assert_array_equal(table[:, col], curve.values)
-        np.testing.assert_array_equal(table[:, 5], gain_transform(curves[0]).values)
-        np.testing.assert_array_equal(table[:, 6], gain_transform(curves[1]).values)
+        gains = [gain_transform(c) for c in curves[:2]]
+        assert len(rows) == 51
+        for i, fields in enumerate(rows):
+            _assert_fields(fields, [curves[0].eta[i]] + [c.values[i] for c in curves + gains])
+        assert helps is mixing_helps_s1(theta, y)
+        assert (eta12, v12) == optimal_eta(RateId.D12, theta, y)
+        assert (eta21, v21) == optimal_eta(RateId.D21, theta, y)
+        assert header[1] == f"# mixing_helps_s1 = {helps}"
+        for line, name, optimum in zip(header[2:], ("d12", "d21"), ((eta12, v12), (eta21, v21))):
+            match = re.fullmatch(rf"# optimal_eta_{name} = (\S+) \(value (\S+)\)", line)
+            _assert_fields(match.groups(), optimum)
+        assert len(header) == 4
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_simulate_table(self, tmp_path, m):
+        theta = Params(0.7, 1.2, 0.5)
+        path = tmp_path / "sub" / "data.csv"
+        argv = ["simulate", "--structure", "S1", "--w", "0.7", "--tau1-sq", "1.2", "--tau2-sq", "0.5",
+                "--y", "1.5", "--n", "6", "--m", str(m), "--seed", "11", "--out", str(path)]
+        assert cli_main(argv) == 0
+        header, columns, rows = _read_table(path)
+        assert header == [
+            "# model.structure = S1", "# model.tau1_sq = 1.2", "# model.tau2_sq = 0.5", "# model.w = 0.7",
+            "# model.y = 1.5", f"# simulate.m = {m}", "# simulate.n = 6", "# simulate.seed = 11",
+        ]
+        assert columns == "regime,x1,x2"
+        rng = np.random.default_rng(11)
+        expected = [("obs", *v) for v in sample_obs(Structure.S1, theta, 6, rng).tolist()]
+        if m:
+            expected += [("int", *v) for v in sample_interv(Structure.S1, theta, InterventionSpec(1.5), m, rng).tolist()]
+        assert len(rows) == len(expected) == 6 + m
+        for fields, values in zip(rows, expected):
+            _assert_fields(fields, list(values))
 
 
 @pytest.mark.parametrize("preset", ["figure2", "figure5", "figure6"])
