@@ -4,9 +4,10 @@ pseudo-true parameter limits, and posterior limits under non-identifiability.
 The exponents are eta-weighted mixtures of Kullback-Leibler divergences
 between the true law and the best-fitting wrong-model law, where
 ``eta in [0, 1]`` is the limiting observational fraction of the mixed
-dataset. Closed forms are used throughout; the generic Gaussian-KL mixture
-path (:func:`kl_mixture_exponent`) is retained as an independent
-cross-check, not as the production route.
+dataset. Closed forms are used throughout, for the optimal ratio too
+(:func:`optimal_eta`); the generic Gaussian-KL mixture path
+(:func:`kl_mixture_exponent`) is retained as an independent cross-check,
+not as the production route.
 """
 
 from __future__ import annotations
@@ -23,13 +24,17 @@ from .sem import STRUCTURES, Params, Structure, gamma_map, implied_covariance
 from .sem import _ByStructure, _edge, _node1_is_child
 
 
-def _check_moments(theta: Params, y: float) -> None:
-    """Raise :class:`ArgumentOutOfDomain` unless the second moments the
-    exponents form are finite; an overflowed one makes them NaN or inf."""
+def _ratios(theta: Params, y: float) -> tuple[float, float, float, float]:
+    """The variance ratios the exponents read: under edge 2->1 node 1's
+    observational and interventional excess ``x = w^2*tau2_sq/tau1_sq`` and
+    ``z = w^2*y^2/tau1_sq``; under edge 1->2 node 2's ``w^2*tau1_sq/tau2_sq``
+    and ``c = y^2/tau2_sq``. Raise :class:`ArgumentOutOfDomain` if one
+    overflows, which would make the exponents NaN or inf."""
     th, w2 = theta, theta.w * theta.w
-    for v in (w2 * th.tau2_sq + th.tau1_sq, w2 * th.tau1_sq + th.tau2_sq, w2 * y * y + th.tau1_sq):
-        if not math.isfinite(v):
-            raise ArgumentOutOfDomain(f"second moments overflow at {theta!r}, y={y!r}")
+    v = (w2 * th.tau2_sq / th.tau1_sq, w2 * y * y / th.tau1_sq, w2 * th.tau1_sq / th.tau2_sq, y * y / th.tau2_sq)
+    if not all(map(math.isfinite, v)):
+        raise ArgumentOutOfDomain(f"second moments overflow at {theta!r}, y={y!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class RateInput:
             raise InvalidParameter(f"eta must lie in [0, 1], got {eta!r}")
         if not math.isfinite(self.y):
             raise InvalidParameter(f"y must be finite, got {self.y!r}")
-        _check_moments(self.theta_star, self.y)
+        _ratios(self.theta_star, self.y)
 
 
 class RateId(str, Enum):
@@ -87,49 +92,61 @@ class RateCurve:
             raise InvalidParameter("curve values must be finite")
 
 
-def _sigmas_s1(theta: Params, y: float) -> tuple[float, float]:
-    """Marginal variances of node 1 under edge 2->1: observational, interventional."""
-    w2 = theta.w * theta.w
-    return w2 * theta.tau2_sq + theta.tau1_sq, w2 * y * y + theta.tau1_sq
+def _log1pmx(t):
+    """``log1p(t) - t`` for ``0 <= t <= 1``, to a few ulp. With
+    ``s = t/(2+t) <= 1/3`` it is ``2*atanh(s) - t = 2*(s^3/3 + s^5/5 + ...) - t*s``,
+    so the first-order terms cancel exactly instead of in rounding. The
+    series stops at ``s^35``, below an ulp at ``s = 1/3``."""
+    s = t / (2.0 + t)
+    s2 = s * s
+    p = 0.0
+    for k in range(35, 1, -2):
+        p = p * s2 + 2.0 / k
+    return s * s2 * p - t * s
+
+
+def _log_gap(x: float) -> tuple[float, float]:
+    """``log1p(x)`` and the Jensen gap ``x - log1p(x) >= 0``, to a few ulp."""
+    lg = math.log1p(x)
+    return lg, (-_log1pmx(x) if x <= 1.0 else x - lg)
 
 
 def d12(ri: RateInput) -> float | np.ndarray:
     """Exponent governing posterior concentration on a true ``S1`` model.
 
-    ``0.5 * log[(eta*s_x + (1-eta)*s_y) / (s_x^eta * tau1_sq^(1-eta))]`` with
-    ``s_x = w^2*tau2_sq + tau1_sq`` and ``s_y = w^2*y^2 + tau1_sq``.
+    ``0.5 * [log1p(eta*x + (1-eta)*z) - eta*log1p(x)]`` with
+    ``x = w^2*tau2_sq/tau1_sq`` and ``z = w^2*y^2/tau1_sq``. The logarithms
+    agree to first order, so while ``x, z <= 1`` it is summed as
+    ``0.5 * [g(eta*x + (1-eta)*z) - eta*g(x) + (1-eta)*z]``, ``g`` the
+    :func:`_log1pmx`, which keeps its digits as ``w -> 0``.
     """
-    sx, sy = _sigmas_s1(ri.theta_star, ri.y)
+    x, z, _, _ = _ratios(ri.theta_star, ri.y)
     eta, etabar = ri.eta, 1.0 - ri.eta
-    return 0.5 * (
-        np.log(eta * sx + etabar * sy)
-        - eta * math.log(sx)
-        - etabar * math.log(ri.theta_star.tau1_sq)
-    )
+    mix = eta * x + etabar * z
+    if max(x, z) > 1.0:
+        return 0.5 * (np.log1p(mix) - eta * np.log1p(x))
+    return 0.5 * (_log1pmx(mix) - eta * _log1pmx(x) + etabar * z)
 
 
 def d21(ri: RateInput) -> float | np.ndarray:
     """Exponent governing posterior concentration on a true ``S2`` model.
 
-    ``0.5 * log(1 - eta^2*w^2*tau1_sq / (eta*s_y + (1-eta)*y^2))
-    + (eta/2) * log(s_y / tau2_sq)`` with ``s_y = w^2*tau1_sq + tau2_sq``.
-    Vanishes at both boundaries: observational-only data cannot separate the
-    two connected structures, and interventional-only data cannot separate
-    ``S2`` from the independence model.
+    ``0.5 * [log1p((1-eta)*u) - log1p(u) + eta*log1p(x)]`` with
+    ``x = w^2*tau1_sq/tau2_sq``, ``c = y^2/tau2_sq`` and
+    ``u = eta*x/(eta + (1-eta)*c)`` (``u = x`` when ``c = 0``); while
+    ``x <= 1`` it is summed as ``0.5 * [g((1-eta)*u) - g(u) + eta*g(x) +
+    (1-eta)*c*u]``, ``g`` the :func:`_log1pmx`. Vanishes at both boundaries:
+    observational-only data cannot separate the two connected structures,
+    and interventional-only data cannot separate ``S2`` from the
+    independence model.
     """
-    th = ri.theta_star
-    w2t1 = th.w * th.w * th.tau1_sq
-    sy = w2t1 + th.tau2_sq
+    _, _, x, c = _ratios(ri.theta_star, ri.y)
     eta, etabar = ri.eta, 1.0 - ri.eta
-    if ri.y * ri.y == 0.0:
-        # one factor of eta cancels, which keeps eta = 0 defined
-        inner = 1.0 - eta * w2t1 / sy
-    else:
-        inner = 1.0 - (eta * eta * w2t1) / (eta * sy + etabar * ri.y * ri.y)
-    low = inner.min(initial=1.0) if isinstance(inner, np.ndarray) else inner
-    if low <= 0.0:
-        raise ArgumentOutOfDomain(f"d21 inner log argument non-positive ({float(low)!r})")
-    return 0.5 * np.log(inner) + 0.5 * eta * math.log(sy / th.tau2_sq)
+    # one factor of eta cancels when c = 0, which keeps eta = 0 defined
+    u = eta * x / (eta + etabar * c) if c else x
+    if x > 1.0:
+        return 0.5 * (np.log1p(etabar * u) - np.log1p(u) + eta * np.log1p(x))
+    return 0.5 * (_log1pmx(etabar * u) - _log1pmx(u) + eta * _log1pmx(x) + etabar * c * u)
 
 
 def obs_kl_s1_vs_s3(theta_star: Params) -> float:
@@ -148,82 +165,81 @@ def d13(ri: RateInput) -> float | np.ndarray:
 def d23(ri: RateInput) -> float | np.ndarray:
     """Exponent against the independence model for a true ``S2`` model:
     ``(eta/2) * log(1 + w^2*tau1_sq/tau2_sq)``."""
-    th = ri.theta_star
-    return 0.5 * ri.eta * math.log1p(th.w * th.w * th.tau1_sq / th.tau2_sq)
+    return 0.5 * ri.eta * math.log1p(_ratios(ri.theta_star, ri.y)[2])
 
 
 def mixing_helps_s1(theta_star: Params, y: float) -> bool:
     """Whether adding observational data speeds up true-``S1`` concentration.
 
-    True iff ``w^2*(tau2_sq - y^2)/(w^2*y^2 + tau1_sq) >
-    log(1 + w^2*tau2_sq/tau1_sq)``, in which case the exponent attains an
-    interior maximum; otherwise it is maximized by interventional-only data.
+    True iff ``(x - log1p x) > z*(1 + log1p x)`` (``x, z`` as in :func:`d12`),
+    the numerator of the ``d12`` optimum in :func:`optimal_eta`; the exponent
+    then has an interior maximum, else interventional-only data maximizes it.
+    At ``y = 0`` it holds for every ``w != 0``.
     """
-    _check_moments(theta_star, y)
-    th = theta_star
-    w2 = th.w * th.w
-    lhs = w2 * (th.tau2_sq - y * y) / (w2 * y * y + th.tau1_sq)
-    rhs = math.log1p(w2 * th.tau2_sq / th.tau1_sq)
-    return lhs > rhs
+    return optimal_eta(RateId.D12, theta_star, y)[0] > 0.0
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _d21_root(x: float, c: float) -> float:
+    """The root in (0, 1) of d21' for ``x > 0`` and ``c = y^2/tau2_sq``.
 
-_ETA_CLAMP = 1e-9
+    d21' has the sign of ``r*q^2 - l*eta^2*q - eta*(b*eta + 2c)`` with
+    ``l = log1p(x)``, ``r = l/x``, ``b = 1 - c + x`` and ``q = c + b*eta``:
+    its cubic numerator over ``x``, with coefficients formed through
+    ``m = r*b - 1`` so they keep their digits as ``w -> 0``. d21 is concave,
+    so the root is unique; a Newton step that leaves the bracket bisects it.
+    """
+    lg, gap = _log_gap(x)
+    r, b = lg / x, 1.0 - c + x
+    m = r * (x - c) - gap / x
+    coef = (-lg * b, b * m - lg * c, 2.0 * c * m, r * c * c)
+    lo, hi, eta = 0.0, 1.0, 0.5
+    while True:
+        g = dg = 0.0
+        for a in coef:
+            g, dg = g * eta + a, dg * eta + g
+        lo, hi = (eta, hi) if g > 0.0 else (lo, eta)
+        step = eta - g / dg if dg else lo
+        if step == eta:
+            return eta
+        eta = step if lo < step < hi else 0.5 * (lo + hi)
+        if eta in (lo, hi):
+            return eta
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a strictly concave scalar function."""
-    steps = int(math.ceil(math.log(tol / (hi - lo)) / math.log(_INV_PHI)))
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max(steps, 1)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def optimal_eta(exponent_id: RateId, theta_star: Params, y: float) -> tuple[float, float]:
+    """Maximizing observational ratio and maximal exponent value, in closed form.
 
+    ``D12``: ``eta* = ((x - log1p x) - z*(1 + log1p x)) / ((x - z)*log1p x)``
+    (``x, z`` as in :func:`d12`), where d12' vanishes. Its numerator is
+    positive exactly when :func:`mixing_helps_s1` holds; otherwise the
+    exponent is non-increasing and ``eta* = 0``, the boundary report
+    ``(0.0, d12(0))``.
 
-def optimal_eta(
-    exponent_id: RateId, theta_star: Params, y: float
-) -> tuple[float, float]:
-    """Maximizing observational ratio and maximal exponent value.
-
-    For ``D21`` the maximum is always interior. For ``D12`` an interior
-    maximum exists only when :func:`mixing_helps_s1` holds; otherwise the
-    exponent is non-increasing and the boundary report ``(0.0, d12(0))`` is
-    returned.
+    ``D21``: ``eta*`` is the unique root in (0, 1) of the cubic numerator of
+    d21' (see :func:`_d21_root`). When ``x = w^2*tau1_sq/tau2_sq`` is 0, as
+    at ``w = 0`` or where ``w^2`` underflows (``w = 1e-200``), d21 vanishes
+    identically and ``(0.0, 0.0)`` is returned.
     """
     if exponent_id is RateId.D12:
-        if not mixing_helps_s1(theta_star, y):
-            return 0.0, d12(RateInput(theta_star, y, 0.0))
-        f = lambda e: d12(RateInput(theta_star, y, e))
+        x, z, _, _ = _ratios(theta_star, y)
+        lg, gap = _log_gap(x)
+        num = gap - z * (1.0 + lg)
+        eta = num / ((x - z) * lg) if num > 0.0 else 0.0
     elif exponent_id is RateId.D21:
-        f = lambda e: d21(RateInput(theta_star, y, e))
+        _, _, x, c = _ratios(theta_star, y)
+        eta = _d21_root(x, c) if x else 0.0
     else:
         raise InvalidParameter(f"optimal_eta defined for D12/D21, got {exponent_id}")
-    return _golden_max(f, _ETA_CLAMP, 1.0 - _ETA_CLAMP, tol=1e-10)
+    return eta, _RATE_FUNCS[exponent_id](RateInput(theta_star, y, eta))
 
 
 _RATE_FUNCS = {RateId.D12: d12, RateId.D21: d21, RateId.D13: d13, RateId.D23: d23}
 #: Grid points of a sampled exponent curve unless a caller sets them.
 _CURVE_POINTS = 999
+_ETA_CLAMP = 1e-9
 
 
-def sample_curve(
-    exponent_id: RateId,
-    theta_star: Params,
-    y: float,
-    num: int = _CURVE_POINTS,
-) -> RateCurve:
+def sample_curve(exponent_id: RateId, theta_star: Params, y: float, num: int = _CURVE_POINTS) -> RateCurve:
     """Evaluate one exponent on ``num`` evenly spaced points of
     ``[1e-9, 1 - 1e-9]``."""
     f = _RATE_FUNCS.get(exponent_id)
@@ -233,22 +249,20 @@ def sample_curve(
     return RateCurve(eta=eta_grid, values=f(RateInput(theta_star, y, eta_grid)), exponent_id=exponent_id)
 
 
+_GAINS = {RateId.D12: RateId.D12_GAIN, RateId.D21: RateId.D21_GAIN}
+
+
 def gain_transform(curve: RateCurve) -> RateCurve:
     """Pointwise ``D(eta)/(1-eta)``: exponent per interventional sample at a
     fixed interventional budget. Measures the marginal gain observational
     data provides over the interventional baseline."""
-    if curve.exponent_id is RateId.D12:
-        new_id = RateId.D12_GAIN
-    elif curve.exponent_id is RateId.D21:
-        new_id = RateId.D21_GAIN
-    else:
+    new_id = _GAINS.get(curve.exponent_id)
+    if new_id is None:
         raise InvalidParameter(f"gain transform defined for D12/D21 curves, got {curve.exponent_id}")
     return RateCurve(eta=curve.eta, values=curve.values / (1.0 - curve.eta), exponent_id=new_id)
 
 
-def pseudo_true_limits(
-    true_model: Structure, theta_star: Params, y: float, eta: float
-) -> dict[Structure, Params]:
+def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta: float) -> dict[Structure, Params]:
     """Almost-sure limits of every structure's MLE given the generating model.
 
     ``eta`` is the limiting observational fraction; ``eta = 1`` gives the
@@ -263,8 +277,8 @@ def pseudo_true_limits(
     if edge is None:
         return _ByStructure(dict.fromkeys(STRUCTURES, Params(0.0, th.tau1_sq, th.tau2_sq)))
     if _node1_is_child(edge):
-        sx, sy = _sigmas_s1(th, y)
-        mix1 = eta * sx + etabar * sy
+        w2 = th.w * th.w
+        mix1 = eta * (w2 * th.tau2_sq + th.tau1_sq) + etabar * (w2 * y * y + th.tau1_sq)
         g = gamma_map(th)
         return _ByStructure({
             Structure.S1: th,
@@ -360,21 +374,7 @@ def kl_mixture_exponent(
 
 
 __all__ = [
-    "RateInput",
-    "RateId",
-    "RateCurve",
-    "d12",
-    "d21",
-    "d13",
-    "d23",
-    "obs_kl_s1_vs_s3",
-    "mixing_helps_s1",
-    "optimal_eta",
-    "sample_curve",
-    "gain_transform",
-    "pseudo_true_limits",
-    "nonident_posterior_limit",
-    "kl_centered_bivariate",
-    "kl_univariate",
-    "kl_mixture_exponent",
+    "RateInput", "RateId", "RateCurve", "d12", "d21", "d13", "d23", "obs_kl_s1_vs_s3",
+    "mixing_helps_s1", "optimal_eta", "sample_curve", "gain_transform", "pseudo_true_limits",
+    "nonident_posterior_limit", "kl_centered_bivariate", "kl_univariate", "kl_mixture_exponent",
 ]

@@ -2,9 +2,12 @@
 Gaussian-KL mixture cross-check."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 from bicausal import (
     ArgumentOutOfDomain,
@@ -34,6 +37,7 @@ from bicausal import (
     sample_obs,
     suffstats,
 )
+from bicausal.experiments import write_rates_csv
 
 from conftest import random_params
 
@@ -79,6 +83,13 @@ class TestD21:
             assert abs(d21(ri(theta, y, 1.0))) < 1e-9
             assert abs(d21(ri(theta, y, 1e-7))) < 2e-6
             assert abs(d21(ri(theta, y, 1.0 - 1e-7))) < 2e-6
+
+    @pytest.mark.parametrize("w", [1e-12, 1.0, 1e8])
+    def test_exact_zero_at_both_ends(self, w):
+        # at w = 1e8, tau2_sq is absorbed when added to w^2*tau1_sq; the
+        # exponent must still vanish exactly at both ends
+        for eta in (0.0, 1.0):
+            assert d21(ri(Params(w, 1.0, 1.0), 0.5, eta)) == 0.0
 
     def test_hand_value(self):
         # 0.5*log(5/6) + 0.25*log(2)
@@ -156,6 +167,15 @@ class TestMixingCondition:
     def test_no_edge_false(self):
         assert mixing_helps_s1(Params(0.0, 1.0, 1.0), 0.5) is False
 
+    def test_zero_intervention_value_helps_weak_edge(self):
+        # at y = 0 the condition reads x > log1p(x), true for every w != 0;
+        # the optimum tends to 1/2 as w -> 0
+        theta = Params(1e-9, 1.0, 4.0)
+        assert mixing_helps_s1(theta, 0.0) is True
+        eta_star, value = optimal_eta(RateId.D12, theta, 0.0)
+        assert abs(eta_star - 0.5) <= 1e-12
+        assert value > 0.0
+
 
 class TestOptimalEta:
     def test_matches_dense_grid(self):
@@ -185,6 +205,13 @@ class TestOptimalEta:
         assert value >= d12(ri(theta, 0.1, eta_star + 0.01))
         assert value >= d12(ri(theta, 0.1, eta_star - 0.01))
 
+    @pytest.mark.parametrize("w", [0.0, 1e-200])
+    def test_vanishing_weight_reports_zero(self, w):
+        # x = w^2*tau1_sq/tau2_sq is 0 (w^2 underflows at 1e-200): both
+        # exponents vanish identically, so no interior point is singled out
+        for rid in (RateId.D12, RateId.D21):
+            assert optimal_eta(rid, Params(w, 1.0, 4.0), 0.1) == (0.0, 0.0)
+
     def test_randomized_grid_agreement(self):
         rng = np.random.default_rng(8)
         grid = np.linspace(1e-6, 1 - 1e-6, 4001)
@@ -194,6 +221,157 @@ class TestOptimalEta:
             eta_star, _ = optimal_eta(RateId.D21, theta, y)
             vals = [d21(ri(theta, y, float(e))) for e in grid]
             assert abs(eta_star - grid[int(np.argmax(vals))]) < 1e-3
+
+
+def _dlog1p(t):
+    """``log(1 + t)`` to 60 significant digits, with ``1 + t`` formed exactly."""
+    if t == 0:
+        return Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 60 + max(0, -abs(t).adjusted())
+        return (1 + t).ln()
+
+
+def _decimals(theta, y):
+    """``(w^2, tau1_sq, tau2_sq, y^2)`` as exact decimals."""
+    w, t1, t2, y = (Decimal(v) for v in (theta.w, theta.tau1_sq, theta.tau2_sq, y))
+    return w * w, t1, t2, y * y
+
+
+def _ref_d12(theta, y, eta):
+    """``d12`` in 60-digit decimal, from the mixture variances."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        w2, t1, t2, y2 = _decimals(theta, y)
+        e = Decimal(eta)
+        x, z = w2 * t2 / t1, w2 * y2 / t1
+        return (_dlog1p(e * x + (1 - e) * z) - e * _dlog1p(x)) / 2
+
+
+def _ref_d21(theta, y, eta):
+    """``d21`` in 60-digit decimal, in its original form
+    ``0.5*log(1 - eta^2*a/(eta*s + (1-eta)*y^2)) + (eta/2)*log(s/tau2_sq)``."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        w2, t1, t2, y2 = _decimals(theta, y)
+        e = Decimal(eta)
+        a = w2 * t1
+        s = a + t2
+        inner = -e * a / s if y2 == 0 else -e * e * a / (e * s + (1 - e) * y2)
+        return (_dlog1p(inner) + e * _dlog1p(a / t2)) / 2
+
+
+def _ref_argmax(slope):
+    """Decimal bisection of a decreasing derivative on (0, 1)."""
+    lo, hi = Decimal(0), Decimal(1)
+    for _ in range(45):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    return float((lo + hi) / 2)
+
+
+def _ref_eta_d12(theta, y):
+    """Zero of ``2*d12' = (x - z)/(1 + z + eta*(x - z)) - log1p(x)``, or 0
+    when it is not positive at 0."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        w2, t1, t2, y2 = _decimals(theta, y)
+        x, z = w2 * t2 / t1, w2 * y2 / t1
+        lg = _dlog1p(x)
+        slope = lambda e: (x - z) / (1 + z + e * (x - z)) - lg
+        return _ref_argmax(slope) if slope(Decimal(0)) > 0 else 0.0
+
+
+def _ref_eta_d21(theta, y):
+    """Zero of ``2*d21' = log1p(x) - x*eta*(eta*(1+x) + (2-eta)*c) /
+    (E*(E - eta^2*x))``, ``E = eta*(1+x) + (1-eta)*c``, differentiated from
+    the original form."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        w2, t1, t2, y2 = _decimals(theta, y)
+        x, c = w2 * t1 / t2, y2 / t2
+        lg = _dlog1p(x)
+
+        def slope(e):
+            big = e * (1 + x) + (1 - e) * c
+            return lg - x * e * (e * (1 + x) + (2 - e) * c) / (big * (big - e * e * x))
+
+        return _ref_argmax(slope)
+
+
+def _decade(lo, hi):
+    return hs.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@hs.composite
+def _weak_to_strong(draw):
+    """``(theta, y)`` with ``|w|`` in [1e-12, 1e3], both variances in
+    [1e-2, 1e2] and ``y`` 0 or in [1e-3, 1e2], all log-uniform."""
+    w = draw(hs.sampled_from([-1.0, 1.0])) * draw(_decade(-12.0, 3.0))
+    theta = Params(w, draw(_decade(-2.0, 2.0)), draw(_decade(-2.0, 2.0)))
+    return theta, draw(hs.one_of(hs.just(0.0), _decade(-3.0, 2.0)))
+
+
+_ETAS = hs.one_of(
+    hs.floats(0.0, 1.0), hs.floats(0.0, 1e-9), hs.floats(0.0, 1e-9).map(lambda d: 1.0 - d)
+)
+
+
+class TestDecimalReference:
+    """The exponents and their optima against 60-digit decimal evaluations,
+    from the weak-edge limit (where the logarithms cancel to first order) to
+    strong edges."""
+
+    @given(_weak_to_strong(), _ETAS)
+    @settings(max_examples=250, deadline=None)
+    def test_exponents_keep_their_digits(self, case, eta):
+        theta, y = case
+        for f, ref in ((d12, _ref_d12), (d21, _ref_d21)):
+            got, want = f(ri(theta, y, eta)), ref(theta, y, eta)
+            if want == 0:
+                assert got == 0.0
+            else:
+                rel = float(abs(Decimal(float(got)) - want) / abs(want))
+                assert rel * min(eta, 1.0 - eta) <= 1e-14, (f.__name__, got, float(want))
+
+    def test_exponents_on_a_grid_of_weights(self):
+        # every half decade of w at theta = (w, 1, 4): the draws above rarely
+        # land where one form hands over to the other
+        for w in 10.0 ** np.arange(-12.0, 3.5, 0.5):
+            theta = Params(float(w), 1.0, 4.0)
+            for y in (0.0, 0.1, 3.0):
+                for eta in (1e-9, 0.3, 0.9, 1.0 - 1e-9):
+                    for f, ref in ((d12, _ref_d12), (d21, _ref_d21)):
+                        got, want = f(ri(theta, y, eta)), ref(theta, y, eta)
+                        rel = float(abs(Decimal(float(got)) - want) / want)
+                        assert rel * min(eta, 1.0 - eta) <= 1e-14, (f.__name__, w, y, eta)
+
+    @given(_weak_to_strong())
+    @settings(max_examples=100, deadline=None)
+    def test_optima_match_decimal_bisection(self, case):
+        theta, y = case
+        assume(theta.w != 0.0)
+        assert abs(optimal_eta(RateId.D21, theta, y)[0] - _ref_eta_d21(theta, y)) <= 1e-10
+        if mixing_helps_s1(theta, y):
+            assert abs(optimal_eta(RateId.D12, theta, y)[0] - _ref_eta_d12(theta, y)) <= 1e-10
+
+    @given(_weak_to_strong(), hs.floats(1e-9, 1.0 - 1e-9))
+    @settings(max_examples=150, deadline=None)
+    def test_positive_inside_for_any_edge(self, case, eta):
+        theta, y = case
+        for f in (d12, d13, d21, d23):
+            assert f(ri(theta, y, eta)) > 0.0, f.__name__
+
+    def test_weak_edge_rates_csv_is_positive(self, tmp_path):
+        # RateCurve checks only finiteness, so the exponents themselves must
+        # stay positive where a difference of logarithms cancels (w = 1e-8)
+        theta = Params(1e-8, 1.0, 4.0)
+        write_rates_csv(tmp_path / "rates.csv", theta, 0.1, 999, [])
+        lines = [ln for ln in (tmp_path / "rates.csv").read_text().splitlines() if not ln.startswith("#")]
+        assert lines[0] == "eta,d12,d21,d13,d23,d12_gain,d21_gain"
+        table = np.array([ln.split(",") for ln in lines[1:]], dtype=float)
+        assert table.shape == (999, 7)
+        assert np.all(table[:, 1:] > 0.0)
 
 
 class TestArrayEta:
