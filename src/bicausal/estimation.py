@@ -230,10 +230,11 @@ def suffstats(obs, interv=None) -> SuffStats:
     return SuffStats(s1x, s2x, s12x, s1y, s2y, s12y, n, m, y)
 
 
-def _chi2(rng: np.random.Generator, k: int) -> float:
-    """One chi-squared draw with ``k >= 0`` degrees of freedom; ``chi2(0)`` is
-    exactly 0, which ``Generator.chisquare`` rejects."""
-    return 2.0 * rng.standard_gamma(0.5 * k)
+def _chi2(rng: np.random.Generator, k: int, size: int | None = None):
+    """A chi-squared draw with ``k >= 0`` degrees of freedom (``size`` of
+    them as an array); ``chi2(0)`` is exactly 0, which
+    ``Generator.chisquare`` rejects."""
+    return 2.0 * rng.standard_gamma(0.5 * k, size)
 
 
 def sample_suffstats(
@@ -272,7 +273,7 @@ def sample_suffstats(
     ``seed`` is anything :func:`numpy.random.default_rng` accepts, or a
     generator to draw from; a fixed seed determines the result bitwise.
     """
-    sums = _draw_sums(s, theta, n, m, iv, seed)
+    sums = _draw_sums(s, theta, n, m, iv, _resolve_rng(seed))
     return SuffStats(*sums, n, m, iv.value if m else None)
 
 
@@ -282,13 +283,18 @@ def _draw_sums(
     n: int,
     m: int,
     iv: InterventionSpec | None,
-    seed: int | np.random.SeedSequence | np.random.Generator,
-) -> tuple[float, float, float, float, float, float]:
-    """The six sums ``(s1x, s2x, s12x, s1y, s2y, s12y)`` of one
-    :func:`sample_suffstats` draw, not yet validated as :class:`SuffStats`.
+    rng: np.random.Generator,
+    size: int | None = None,
+) -> tuple:
+    """The six sums ``(s1x, s2x, s12x, s1y, s2y, s12y)`` of
+    :func:`sample_suffstats` draws from ``rng``, not yet validated as
+    :class:`SuffStats`: numbers for ``size=None``, else arrays of ``size``
+    independent draws.
 
-    The Monte Carlo harness stacks one row per trial into a batch and
-    validates the batch once.
+    Each variate is drawn for every row before the next one is, so one row
+    takes the same values from the generator as the scalar draw, and
+    ``size=1`` is that draw bitwise. The Monte Carlo harness draws a block
+    of trials per call and validates them once as a batch.
     """
     if n < 0 or m < 0:
         raise InvalidParameter(f"counts must be >= 0, got n={n}, m={m}")
@@ -298,22 +304,25 @@ def _draw_sums(
     edge = _edge(s, w)
     p, c = edge or (0, 1)
     tp, tc = tau[p], tau[c]
-    rng = _resolve_rng(seed)
-    spp = spc = scc = 0.0
+    # both square roots are correctly rounded, so rows match the numbers
+    sqrt, zero = (math.sqrt, 0.0) if size is None else (np.sqrt, np.zeros(size))
+    spp = spc = scc = zero
     if n > 0:
         # (u, 0) and (v, sqrt(tc) * c) are the rows of L A
-        u = math.sqrt(tp * _chi2(rng, n))
-        v = w * u + math.sqrt(tc) * rng.standard_normal()
-        spp, spc, scc = u * u, u * v, v * v + tc * _chi2(rng, n - 1)
-    sq = [0.0, 0.0]
+        u = sqrt(tp * _chi2(rng, n, size))
+        v = w * u + math.sqrt(tc) * rng.standard_normal(size)
+        spp, spc, scc = u * u, u * v, v * v + tc * _chi2(rng, n - 1, size)
+    sq = [zero, zero]
     sq[p], sq[c] = spp, scc
     if m == 0:
-        return sq[0], sq[1], spc, 0.0, 0.0, 0.0
+        return sq[0], sq[1], spc, zero, zero, zero
     y = iv.value
     mu = w * y if _node1_is_child(edge) else 0.0
-    sum_y1 = m * mu + math.sqrt(tau[0] * m) * rng.standard_normal()
-    s1y = sum_y1 * sum_y1 / m + tau[0] * _chi2(rng, m - 1)
-    return sq[0], sq[1], spc, s1y, m * y * y, y * sum_y1
+    sum_y1 = m * mu + math.sqrt(tau[0] * m) * rng.standard_normal(size)
+    s1y = sum_y1 * sum_y1 / m + tau[0] * _chi2(rng, m - 1, size)
+    # adding zero makes a column of the constant; it is never -0.0, so the
+    # number is unchanged
+    return sq[0], sq[1], spc, s1y, m * y * y + zero, y * sum_y1
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ CSV serialization."""
 import math
 import re
 import struct
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import bicausal.exact
 import bicausal.experiments
@@ -20,6 +22,7 @@ from bicausal import (
     Params,
     RateId,
     Structure,
+    SuffStats,
     TrialRecord,
     augmented_odds_statistic,
     chi2_1_cdf,
@@ -71,24 +74,57 @@ def small_config(**kw):
 
 SUMS = ("s1x", "s2x", "s12x", "s1y", "s2y", "s12y")
 INDEPENDENT = {"true_model": Structure.S3, "theta_star": Params(0.0, 1.0, 1.0)}
+BLOCK = bicausal.experiments._BLOCK
 
 
-def cell_statistics(cfg, trial, size_index):
-    """One cell's statistics drawn alone, as the harness seeds it."""
+class _Replay(np.random.Generator):
+    """A generator that returns the given variates in turn, whatever the
+    distribution asked for."""
+
+    def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
+        self.values = iter(values)
+
+    def standard_gamma(self, shape, size=None):
+        return next(self.values)
+
+    def standard_normal(self, size=None):
+        return next(self.values)
+
+
+def reference_statistics(cfg, size_index):
+    """Every trial's statistics at one size, drawn one cell at a time: each
+    block's generator rebuilt, each variate drawn for the block's trials by
+    one scalar call per trial in trial order (the order in which numpy fills
+    a vector draw), and each trial's variates put through
+    ``sample_suffstats``."""
     n, m = cfg.split(cfg.sample_sizes[size_index])
     iv = InterventionSpec(cfg.y) if m else None
-    seed = np.random.SeedSequence(cfg.base_seed, spawn_key=(trial, size_index))
-    return sample_suffstats(cfg.true_model, cfg.theta_star, n, m, iv, seed=seed)
+    # one draw's variates in the order it takes them, a gamma by its shape
+    # and a standard normal as None: a^2/2, b, c^2/2, then the interventional
+    # block's sum and its chi2/2
+    shapes = ([0.5 * n, None, 0.5 * (n - 1)] if n else []) + ([None, 0.5 * (m - 1)] if m else [])
+    stats = []
+    for block in range(-(-cfg.trials // BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(size_index, block)))
+        columns = [
+            [rng.standard_normal() if k is None else rng.standard_gamma(k) for _ in range(BLOCK)] for k in shapes
+        ]
+        stats += [
+            sample_suffstats(cfg.true_model, cfg.theta_star, n, m, iv, seed=_Replay(row)) for row in zip(*columns)
+        ]
+    return stats[: cfg.trials]
 
 
 def reference_records(cfg, chi2=False):
     """The harness's records computed one cell at a time, in (trial, N) order,
     with the skipped-cell count."""
     sizes = [len(cfg.sample_sizes) - 1] if chi2 else range(len(cfg.sample_sizes))
+    by_size = {idx: reference_statistics(cfg, idx) for idx in sizes}
     records, skipped = [], 0
     for trial in range(cfg.trials):
         for idx in sizes:
-            st = cell_statistics(cfg, trial, idx)
+            st = by_size[idx][trial]
             try:
                 post = posterior(st, cfg.hyper)
             except NumericalDegeneracy:
@@ -204,11 +240,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("model", [{}, {"eta": None}, INDEPENDENT], ids=["mixed", "obs", "independent"])
     def test_stacked_draws_equal_sample_suffstats(self, symmetric_hyper, model):
-        cfg = small_config(hyper=symmetric_hyper, **model)
+        # two blocks, the second one cut short
+        cfg = small_config(hyper=symmetric_hyper, trials=BLOCK + 3, **model)
         for idx in range(len(cfg.sample_sizes)):
             batch = _draw_size(cfg, idx)
-            for trial in range(cfg.trials):
-                one = cell_statistics(cfg, trial, idx)
+            for trial, one in enumerate(reference_statistics(cfg, idx)):
                 assert (batch.n, batch.m, batch.y) == (one.n, one.m, one.y)
                 stacked = np.array([getattr(batch, k)[trial] for k in SUMS])
                 assert stacked.tobytes() == np.array([getattr(one, k) for k in SUMS]).tobytes()
@@ -231,6 +267,39 @@ class TestDeterminism:
         five = run_concentration(small_config(hyper=symmetric_hyper, trials=5)).records
         assert len(three) == 3 * 4 and five[: len(three)] == three
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        model=hs.sampled_from([{}, {"eta": None}, INDEPENDENT]),
+        eta=hs.floats(0.05, 0.95),
+        base_seed=hs.integers(0, 2**64 - 1),
+    )
+    def test_trial_rows_do_not_depend_on_trial_count_across_blocks(self, symmetric_hyper, model, eta, base_seed):
+        # trial t's row is bitwise the same whether t sits in the last,
+        # cut-short block or in a whole one
+        counts = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+        runs = [
+            run_concentration(
+                small_config(hyper=symmetric_hyper, sample_sizes=(20, 300), trials=t, base_seed=base_seed,
+                             **{"eta": eta, **model})
+            )
+            for t in counts
+        ]
+        longest = runs[-1]
+        for t, res in zip(counts, runs):
+            keep = longest.trial < t
+            for f in fields(TrialRecord):
+                assert getattr(res, f.name).tobytes() == getattr(longest, f.name)[keep].tobytes()
+            assert res.skipped == 2 * t - keep.sum()
+
+    def test_trial_average_sums_in_trial_order(self, symmetric_hyper):
+        res = run_concentration(small_config(hyper=symmetric_hyper, trials=2 * BLOCK + 3))
+        for total in np.unique(res.total).tolist():
+            values = [r.log_inv_odds for r in res.records if r.total == total]
+            acc = 0.0
+            for v in values:
+                acc += v
+            assert res.mean_log_inv_odds(total) == acc / len(values)
+
     def test_negative_base_seed_rejected(self, symmetric_hyper):
         with pytest.raises(InvalidParameter, match="base_seed"):
             small_config(hyper=symmetric_hyper, base_seed=-1)
@@ -249,15 +318,19 @@ class TestDeterminism:
         # whose augmented determinants are negative, so its evidence is NaN
         cfg = small_config(hyper=symmetric_hyper, **model)
         want = run(cfg).records
-        original = bicausal.experiments._draw_sums
+        original = bicausal.experiments._draw_size
+        trial, size_index = cell
 
-        def corrupting(s, theta, n, m, iv, seed):
-            sums = original(s, theta, n, m, iv, seed)
-            if seed.spawn_key == cell:
-                return (1e20, 1e20, 1e20 * (1.0 + 4e-10)) + sums[3:]
-            return sums
+        def corrupting(cfg, idx):
+            st = original(cfg, idx)
+            if idx != size_index:
+                return st
+            sums = [getattr(st, k).copy() for k in SUMS]
+            sums[0][trial] = sums[1][trial] = 1e20
+            sums[2][trial] = 1e20 * (1.0 + 4e-10)
+            return SuffStats(*sums, st.n, st.m, st.y)
 
-        monkeypatch.setattr(bicausal.experiments, "_draw_sums", corrupting)
+        monkeypatch.setattr(bicausal.experiments, "_draw_size", corrupting)
         res = run(cfg)
         assert res.skipped == 1
         assert res.records == want[:3] + want[4:]

@@ -179,15 +179,9 @@ class TestMixingCondition:
 
 class TestOptimalEta:
     def test_matches_dense_grid(self):
-        grid = np.linspace(1e-9, 1 - 1e-9, 10 ** 6)
+        e = grid = np.linspace(1e-9, 1 - 1e-9, 10 ** 6)
         theta = UNIT
-        vals = np.array(
-            [
-                0.5 * np.log(1 - e * e / (e * 2 + (1 - e)))
-                + 0.5 * e * np.log(2.0)
-                for e in grid
-            ]
-        )
+        vals = 0.5 * np.log(1 - e * e / (e * 2 + (1 - e))) + 0.5 * e * np.log(2.0)
         eta_star, value = optimal_eta(RateId.D21, theta, 1.0)
         assert abs(eta_star - grid[int(np.argmax(vals))]) < 1e-3
         assert value == pytest.approx(float(np.max(vals)), abs=1e-9)
@@ -219,7 +213,7 @@ class TestOptimalEta:
             theta = random_params(rng)
             y = float(rng.uniform(0.2, 2.0))
             eta_star, _ = optimal_eta(RateId.D21, theta, y)
-            vals = [d21(ri(theta, y, float(e))) for e in grid]
+            vals = d21(ri(theta, y, grid))
             assert abs(eta_star - grid[int(np.argmax(vals))]) < 1e-3
 
 
