@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ def parse_config(path: str) -> dict[str, dict[str, str]]:
     current = "global"
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -155,15 +156,65 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+#: Lines the dataset reader converts at a time. Small chunks keep the
+#: reader's peak memory near the size of its result.
+_CHUNK_LINES = 8192
+#: Whether each regime spelling (after ``strip().lower()``) is observational.
+_REGIMES = {"obs": True, "int": False, "interv": False}
+
+_Rows = tuple[np.ndarray, np.ndarray, bool]
+
+
+def _chunks(path: str):
+    """The dataset's lines, ``_CHUNK_LINES`` at a time."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # splitlines on a run of whole lines splits it as on the whole text
+            while lines := "".join(islice(fh, _CHUNK_LINES)).splitlines():
+                yield lines
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
+
+
+def _parse_chunk(lines: list[str]) -> _Rows | None:
+    """``(obs, interv, saw_header)`` of a chunk whose every line is well
+    formed, converted a column at a time; None if any line is not."""
+    rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+    data = [s for s in rows if s[0] not in "rR"]  # no regime starts with r
+    saw_header = len(data) < len(rows)
+    if saw_header and any(s.split(",", 1)[0].rstrip().lower() != "regime" for s in rows if s[0] in "rR"):
+        return None
+    if not data:
+        return np.empty((0, 2)), np.empty((0, 2)), saw_header
+    if set(map(str.count, data, repeat(","))) != {2}:
+        return None
+    tokens = ",".join(data).split(",")
+    regimes = tokens[0::3]
+    kinds = {r: _REGIMES.get(r.strip().lower()) for r in set(regimes)}
+    if None in kinds.values():
+        return None
+    values = np.empty((len(data), 2))
+    try:
+        # numpy converts each str token with float(), as the line parser
+        # does, so the two paths agree bitwise
+        values[:, 0] = tokens[1::3]
+        values[:, 1] = tokens[2::3]
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    is_obs = np.fromiter(map(kinds.__getitem__, regimes), dtype=bool, count=len(regimes))
+    return values[is_obs], values[~is_obs], saw_header
+
+
+def _parse_lines(path: str, lines: list[str], lineno: int) -> _Rows:
+    """``(obs, interv, saw_header)`` of ``lines``, parsed one line at a time
+    and numbered from ``lineno``: raises the first malformed line's
+    ``DataFormatError``."""
     obs_rows: list[tuple[float, float]] = []
     int_rows: list[tuple[float, float]] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=lineno):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -173,24 +224,45 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
             continue
         if len(parts) != 3:
             raise DataFormatError(f"{path}:{lineno}: expected 'regime,x1,x2', got {raw!r}")
-        regime = parts[0].lower()
         try:
             x1, x2 = float(parts[1]), float(parts[2])
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: non-numeric sample {raw!r}") from None
         if not (math.isfinite(x1) and math.isfinite(x2)):
             raise DataFormatError(f"{path}:{lineno}: non-finite sample {raw!r}")
-        if regime == "obs":
-            obs_rows.append((x1, x2))
-        elif regime in ("int", "interv"):
-            int_rows.append((x1, x2))
-        else:
+        is_obs = _REGIMES.get(parts[0].lower())
+        if is_obs is None:
             raise DataFormatError(f"{path}:{lineno}: unknown regime {parts[0]!r}")
-    if not saw_header and not obs_rows and not int_rows:
+        (obs_rows if is_obs else int_rows).append((x1, x2))
+    obs, interv = (np.array(rows, dtype=np.float64).reshape(-1, 2) for rows in (obs_rows, int_rows))
+    return obs, interv, saw_header
+
+
+def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Observational rows as an ``(n, 2)`` array and interventional rows as
+    an ``(m, 2)`` array (None when there are none) from a dataset CSV.
+
+    Blank lines, ``#`` lines and ``regime`` header rows are skipped; every
+    other line is ``regime,x1,x2``, with a regime of ``obs``, ``int`` or
+    ``interv`` in any case and two finite floats. A malformed line raises a
+    :class:`DataFormatError` naming ``path:line``, as does a file that is
+    unreadable, not UTF-8, or has neither a row nor a header. The file is
+    parsed ``_CHUNK_LINES`` lines at a time, a column at a time; a chunk is
+    parsed line by line only when some line in it is malformed.
+    """
+    obs_parts, int_parts = [np.empty((0, 2))], [np.empty((0, 2))]
+    saw_header = False
+    lineno = 1
+    for lines in _chunks(path):
+        obs, interv, header = _parse_chunk(lines) or _parse_lines(path, lines, lineno)
+        obs_parts.append(obs)
+        int_parts.append(interv)
+        saw_header |= header
+        lineno += len(lines)
+    obs, interv = np.concatenate(obs_parts), np.concatenate(int_parts)
+    if not saw_header and not obs.size and not interv.size:
         raise DataFormatError(f"{path}: no data rows found")
-    obs = np.array(obs_rows, dtype=np.float64).reshape(-1, 2)
-    interv = np.array(int_rows, dtype=np.float64).reshape(-1, 2) if int_rows else None
-    return obs, interv
+    return obs, (interv if interv.size else None)
 
 
 def cmd_posterior(args) -> int:
@@ -244,8 +316,8 @@ def cmd_posterior(args) -> int:
     report = "\n".join(lines)
     print(report)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(report + "\n", encoding="utf-8")
+        with xp._open_output(args.out) as fh:
+            fh.write(report + "\n")
     return 0
 
 

@@ -1,13 +1,18 @@
 """End-to-end CLI behavior: dataset round trips, posterior reports, rate
 curves, experiment bundles, config precedence, and error categories."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import bicausal as bc
+from bicausal import cli
 from bicausal.cli import main, parse_config, read_dataset
+from bicausal.errors import DataFormatError
 from bicausal.sem import Params
 from bicausal import mixing_helps_s1
 
@@ -41,6 +46,17 @@ class TestSimulate:
         run_cli(*args, "--out", a)
         run_cli(*args, "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_output_digest_pinned(self, tmp_path):
+        # 8,000 rows span two write blocks; the digest is that of the same
+        # rows formatted one ``%`` call per row
+        out = tmp_path / "d.csv"
+        run_cli(
+            "simulate", "--structure", "S1", "--w", "1.0", "--tau1-sq", "1.0", "--tau2-sq", "1.0",
+            "--y", "1.5", "--n", "5000", "--m", "3000", "--seed", "7", "--out", out,
+        )
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "509dab9ff815d7f4ad08511a1695d470bbca001ff9bdc93518567f02c854782e"
 
     def test_header_records_config(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -139,6 +155,13 @@ class TestPosterior:
         assert code == 3
         err = capsys.readouterr().err
         assert "bad.csv:2" in err and "category=data-format" in err
+
+    def test_invalid_utf8_is_data_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"regime,x1,x2\nobs,1.0,2.0\nobs,\xff,1.0\n")
+        assert run_cli("posterior", bad) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "category=data-format" in err and "Traceback" not in err
 
 
 class TestRates:
@@ -312,9 +335,190 @@ class TestConfigParsing:
         assert code == 2
         assert "c.ini:2" in capsys.readouterr().err
 
+    def test_invalid_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(b"[model]\nw = 1.0 # \xff\n")
+        assert run_cli("rates", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "category=config" in err
+
     def test_read_dataset_roundtrip(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("# header\nregime,x1,x2\nobs,1.0,2.0\nint,0.5,1.5\n")
         obs, interv = read_dataset(str(data))
         np.testing.assert_array_equal(obs, [[1.0, 2.0]])
         np.testing.assert_array_equal(interv, [[0.5, 1.5]])
+
+
+MODEL = ["--w", "1.0", "--tau1-sq", "1.0", "--tau2-sq", "1.0"]
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is a config error naming it."""
+
+    def test_simulate_out_is_directory(self, tmp_path, capsys):
+        argv = ["simulate", "--structure", "S1", *MODEL, "--n", "3", "--out", tmp_path]
+        self._assert_config_error(capsys, run_cli(*argv), tmp_path)
+
+    def test_rates_out_is_directory(self, tmp_path, capsys):
+        argv = ["rates", *MODEL, "--y", "1.0", "--grid-points", "5", "--out", tmp_path]
+        self._assert_config_error(capsys, run_cli(*argv), tmp_path)
+
+    def test_posterior_out_is_directory(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("regime,x1,x2\nobs,1.0,2.0\n")
+        self._assert_config_error(capsys, run_cli("posterior", data, "--out", tmp_path), tmp_path)
+
+    def test_experiment_out_is_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        self._assert_config_error(capsys, run_cli("experiment", "--preset", "figure1", "--out", out), out)
+        assert out.read_text() == "x"
+
+    @staticmethod
+    def _assert_config_error(capsys, code, path):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "category=config" in err and str(path) in err and "Traceback" not in err
+
+
+def _line_reader(path):
+    """The dataset reader as a plain line loop: the reference that
+    ``read_dataset``'s chunked, column-at-a-time parse must match."""
+    obs_rows, int_rows = [], []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
+    saw_header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if parts[0].lower() == "regime":
+            saw_header = True
+            continue
+        if len(parts) != 3:
+            raise DataFormatError(f"{path}:{lineno}: expected 'regime,x1,x2', got {raw!r}")
+        regime = parts[0].lower()
+        try:
+            x1, x2 = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-numeric sample {raw!r}") from None
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            raise DataFormatError(f"{path}:{lineno}: non-finite sample {raw!r}")
+        if regime == "obs":
+            obs_rows.append((x1, x2))
+        elif regime in ("int", "interv"):
+            int_rows.append((x1, x2))
+        else:
+            raise DataFormatError(f"{path}:{lineno}: unknown regime {parts[0]!r}")
+    if not saw_header and not obs_rows and not int_rows:
+        raise DataFormatError(f"{path}: no data rows found")
+    obs = np.array(obs_rows, dtype=np.float64).reshape(-1, 2)
+    interv = np.array(int_rows, dtype=np.float64).reshape(-1, 2) if int_rows else None
+    return obs, interv
+
+
+_pad = hs.sampled_from(["", "", " ", "  ", "\t"])
+_regime = hs.sampled_from(["obs", "int", "interv", "OBS", "Int", "INTERV", "Obs"])
+_number = hs.one_of(
+    hs.floats(allow_nan=False, allow_infinity=False).map(repr),
+    hs.floats(-1e3, 1e3).map(lambda v: "%.17g" % v),
+    hs.integers(-(10**6), 10**6).map(str),
+    hs.sampled_from(["-0", "+3", "1e-400", ".5", "5.", "1_0", "1E5"]),
+)
+_bad_number = hs.sampled_from(["Infinity", "-inf", "nan", "NaN", "1e400", "-1e400", "abc", "", "0x1", "1 2", "2 # note"])
+_bad_regime = hs.sampled_from(["bogus", "", "o bs", "observational", "rubbish", "regime2", "Regimes"])
+
+
+@hs.composite
+def _data_line(draw):
+    return f"{draw(_pad)}{draw(_regime)}{draw(_pad)},{draw(_pad)}{draw(_number)},{draw(_number)}{draw(_pad)}"
+
+
+@hs.composite
+def _odd_line(draw):
+    pad = draw(_pad)
+    kind = draw(hs.sampled_from(["comment", "blank", "header", "fields", "number", "regime", "note"]))
+    if kind == "comment":
+        return f"{pad}# {draw(hs.sampled_from(['note', 'obs,1,2', 'regime,x1,x2', '']))}"
+    if kind == "blank":
+        return pad
+    if kind == "header":
+        return f"{pad}{draw(hs.sampled_from(['regime', 'Regime ', 'REGIME']))},x1,x2{draw(hs.sampled_from(['', ',x3']))}"
+    if kind == "fields":
+        return ",".join([draw(_regime)] + draw(hs.lists(_number, max_size=4).filter(lambda v: len(v) != 2)))
+    if kind == "number":
+        good, bad = draw(_number), draw(_bad_number)
+        return f"{draw(_regime)},{bad},{good}" if draw(hs.booleans()) else f"{draw(_regime)},{good},{bad}"
+    if kind == "regime":
+        return f"{pad}{draw(_bad_regime)},1,2"
+    return "obs,1,2 # note"
+
+
+@hs.composite
+def _dataset_text(draw):
+    lines = draw(hs.lists(hs.one_of(_data_line(), _data_line(), _data_line(), _odd_line()), max_size=30))
+    ends = draw(hs.lists(hs.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0c"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(hs.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(reader, path):
+    try:
+        obs, interv = reader(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return (obs.dtype, obs.shape, obs.tobytes()), None if interv is None else (interv.dtype, interv.shape, interv.tobytes())
+
+
+class TestReaderDifferential:
+    """The chunked reader returns bitwise the line reader's arrays, or
+    raises its error message with the same line number, at any chunk size."""
+
+    CHUNKS = (1, 2, 3, cli._CHUNK_LINES)
+
+    def _assert_same(self, path):
+        want = _outcome(_line_reader, path)
+        default = cli._CHUNK_LINES
+        try:
+            for chunk in self.CHUNKS:
+                cli._CHUNK_LINES = chunk
+                assert _outcome(read_dataset, path) == want, chunk
+        finally:
+            cli._CHUNK_LINES = default
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_dataset_text())
+    def test_matches_line_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        self._assert_same(str(path))
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("", "no data rows found"),
+            ("\n  \n# only a comment\n", "no data rows found"),
+            ("obs,1,2 # note\n", "non-numeric sample"),
+            # the two lines' fields add up to two rows' worth
+            ("obs,1\n2,obs,3,4\n", "d.csv:1: expected"),
+            ("regime,x1,x2\nobs,1,2\n" * 3 + "obs,1\n", "d.csv:7: expected"),
+        ],
+    )
+    def test_rejections(self, tmp_path, text, want):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        self._assert_same(str(path))
+        with pytest.raises(DataFormatError, match=want):
+            read_dataset(str(path))
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# c\nregime,x1,x2\n")
+        self._assert_same(str(path))
+        obs, interv = read_dataset(str(path))
+        assert obs.shape == (0, 2) and interv is None

@@ -15,6 +15,7 @@ from hypothesis import strategies as hs
 import bicausal.exact
 import bicausal.experiments
 from bicausal import (
+    ConfigError,
     ExperimentConfig,
     InterventionSpec,
     InvalidParameter,
@@ -610,6 +611,42 @@ class TestCsv:
         assert len(rows) == len(expected) == 6 + m
         for fields, values in zip(rows, expected):
             _assert_fields(fields, list(values))
+
+    @pytest.mark.parametrize("formats", ["sgg", "ddddgggg", "dgg", "gggg"])
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8195])
+    def test_table_bytes_match_per_row_format(self, tmp_path, formats, n):
+        # rows are formatted a block at a time; the bytes must be those of
+        # one ``%`` per row, across block edges and a partial last block
+        rng = np.random.default_rng(n)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1 + 0.2]
+        columns = []
+        for f in formats:
+            if f == "s":
+                columns.append(rng.choice(["obs", "int"], n).tolist())
+            elif f == "d":
+                columns.append(rng.integers(-(10**12), 10**12, n).tolist())
+            else:
+                col = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+                col[: len(specials)] = specials[:n]
+                columns.append(col.tolist())
+        rows = list(zip(*columns))
+        header = ["# a = 1", "# b = x"]
+        path = tmp_path / "t.csv"
+        bicausal.experiments._write_table(path, header, "cols", formats, iter(rows))
+        fmt = ",".join(bicausal.experiments._FORMATS[f] for f in formats) + "\n"
+        want = "# a = 1\n# b = x\ncols\n" + "".join(fmt % row for row in rows)
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("make", ["directory", "parent_is_file"])
+    def test_unwritable_table_path_is_config_error(self, tmp_path, make):
+        path = tmp_path / "t.csv"
+        if make == "directory":
+            path.mkdir()
+        else:
+            (tmp_path / "f").write_text("x")
+            path = tmp_path / "f" / "t.csv"
+        with pytest.raises(ConfigError, match=re.escape(str(path.parent if make == "parent_is_file" else path))):
+            bicausal.experiments._write_table(path, [], "a", "d", [(1,)])
 
 
 @pytest.mark.parametrize("preset", ["figure2", "figure5", "figure6"])
