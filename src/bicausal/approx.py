@@ -25,7 +25,16 @@ from .errors import (
 )
 from .estimation import Factor, SuffStats, _loglik, loglik, mle_mixed
 from .priors import BgeHyper
-from .sem import _LOG_2PI, InterventionSpec, Params, Structure, _edge, _node1_is_child, param_dim
+from .sem import (
+    _LOG_2PI,
+    InterventionSpec,
+    Params,
+    Structure,
+    _edge,
+    _node1_is_child,
+    _trusted_params,
+    param_dim,
+)
 
 
 class Regime(Enum):
@@ -303,14 +312,20 @@ def quadrature_log_marginal_generic(
     fastest (``w = 0`` under ``S3``), and returns a float. ``-inf`` gives a
     node no mass (a truncated prior); NaN or ``+inf`` raises
     :class:`InvalidParameter` naming the node, and a grid with no mass at
-    all raises :class:`NonConvergedQuadrature`.
+    all raises :class:`NonConvergedQuadrature`. ``w_window`` must be finite.
 
     The likelihood is evaluated one slab (one ``tau1_sq`` node: all
     ``tau2_sq`` and ``w`` nodes) at a time; the result is bitwise that of
-    the scalar triple loop over ``loglik`` and the callback.
+    the scalar triple loop over ``loglik`` and the callback. The grid is
+    checked once, so each node's ``Params`` skips its own checks; a grid
+    node that ``Params`` would reject (a variance that underflows to 0, a
+    weight node beyond the largest float) raises that node's error before
+    the first call.
     """
     if st.total > _MAX_DATA_FOR_QUADRATURE:
         raise InvalidParameter(f"generic quadrature limited to n + m <= {_MAX_DATA_FOR_QUADRATURE}")
+    if not all(math.isfinite(x) for x in w_window):
+        raise InvalidParameter(f"w_window must be finite, got {w_window!r}")
     factors = st.factors[s]
     # the weight enters only its child's factor; S3 has none
     child = next((i for i, f in enumerate(factors) if f.has_parent), None)
@@ -323,8 +338,6 @@ def quadrature_log_marginal_generic(
     u2_list = u2.tolist()
     tau1 = [math.exp(a) for a in u1.tolist()]
     tau2 = [math.exp(b) for b in u2_list]
-    t2 = np.array(tau2)[:, None]
-    log_t2 = np.array([math.log(t) for t in tau2])[:, None]
 
     # one weight rule per child-variance node; S3 integrates nothing, which
     # is a one-node rule at w = 0 with weight 1
@@ -344,12 +357,25 @@ def quadrature_log_marginal_generic(
         wg, ww = (np.array(r) for r in zip(*rules))
     shape = (nodes, wg.shape[1])
 
+    def slab(x: np.ndarray, j: int) -> np.ndarray:
+        """The ``(tau2_sq, w)`` block of a weight-rule array at ``tau1_sq`` node ``j``."""
+        return np.broadcast_to(x[j] if child == 0 else x, shape)
+
+    if not (all(0.0 < t < math.inf for t in tau1 + tau2) and np.isfinite(wg).all()):
+        # Params raises the first bad node's error, in call order
+        for j, t1 in enumerate(tau1):
+            for t, row in zip(tau2, slab(wg, j).tolist()):
+                for w in row:
+                    Params(w, t1, t)
+    t2 = np.array(tau2)[:, None]
+    log_t2 = np.array([math.log(t) for t in tau2])[:, None]
+
     cells = []  # log mass of each (tau1, tau2) cell in order; -inf where it has none
     for j, (a, t1) in enumerate(zip(u1.tolist(), tau1)):
-        w_slab, ww_slab = (np.broadcast_to(x[j] if child == 0 else x, shape) for x in (wg, ww))
+        w_slab, ww_slab = slab(wg, j), slab(ww, j)
         w_rows = w_slab.tolist()
         prior = np.array(
-            [prior_logpdf_fn(Params(w, t1, t)) for t, row in zip(tau2, w_rows) for w in row]
+            [prior_logpdf_fn(_trusted_params(w, t1, t)) for t, row in zip(tau2, w_rows) for w in row]
         ).reshape(shape)
         bad = ~(prior < math.inf)  # NaN or +inf
         if bad.any():

@@ -272,6 +272,13 @@ def cmd_posterior(args) -> int:
     if method not in _METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {_METHODS}")
     obs, interv = read_dataset(args.dataset)
+    if interv is not None:
+        other = np.flatnonzero(interv[:, 1] != interv[0, 1])
+        if other.size:
+            raise DataFormatError(
+                f"{args.dataset}: interventional rows must share one intervention value x2, "
+                f"got {float(interv[0, 1])!r} and {float(interv[other[0], 1])!r}"
+            )
     st = suffstats(obs, interv)
 
     lines: list[str] = [f"dataset: {args.dataset} (n={st.n}, m={st.m})", f"method: {method}"]

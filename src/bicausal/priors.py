@@ -13,11 +13,23 @@ child node's noise variance (``tau1_sq`` under ``S1``, ``tau2_sq`` under
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidParameter
-from .sem import Params, Structure, _edge, _node1_is_child, _norm_logpdf, gamma_log_jacobian_det, gamma_map
+from .sem import (
+    _EDGES,
+    Params,
+    Structure,
+    _ByStructure,
+    _edge,
+    _node1_is_child,
+    _norm_logpdf,
+    _s3_weight_error,
+    gamma_log_jacobian_det,
+    gamma_map,
+)
 
 
 @dataclass(frozen=True)
@@ -51,6 +63,20 @@ class BgeHyper:
             return self.alpha5, self.alpha6
         return (self.alpha1, self.alpha2) if _node1_is_child(edge) else (self.alpha3, self.alpha4)
 
+    @functools.cached_property
+    def _prior_constants(self) -> _ByStructure:
+        """Per structure: its edge, then each node's ``(shape*log(beta) -
+        lgamma(shape), shape + 1)``, the variance-free part of
+        :func:`invgamma_logpdf`. Computed on first use; a field-derived
+        cache, so ``==``, ``hash`` and ``repr`` do not see it."""
+        log_beta = math.log(self.beta)
+        return _ByStructure(
+            {
+                s: (edge, *((a * log_beta - math.lgamma(a), a + 1.0) for a in self._alphas(edge)))
+                for s, edge in _EDGES.items()
+            }
+        )
+
 
 def bge_symmetric_hyper(alpha: float, beta: float) -> BgeHyper:
     """Score-equivalent hyperparameters: ``alpha1=alpha4=alpha``,
@@ -78,21 +104,34 @@ def bge_symmetric_hyper(alpha: float, beta: float) -> BgeHyper:
 def invgamma_logpdf(x: float, shape: float, rate: float) -> float:
     """Log-density of ``IG(shape, rate)`` at ``x > 0``."""
     if x <= 0.0:
-        raise InvalidParameter(f"inverse-gamma support is (0, inf), got {x!r}")
+        raise _support_error(x)
     return shape * math.log(rate) - math.lgamma(shape) - (shape + 1.0) * math.log(x) - rate / x
+
+
+def _support_error(x: float) -> InvalidParameter:
+    return InvalidParameter(f"inverse-gamma support is (0, inf), got {x!r}")
 
 
 def prior_logpdf(theta: Params, s: Structure, h: BgeHyper) -> float:
     """Log prior density of ``theta`` under structure ``s``.
 
     For ``S3`` the weight factor is absent and ``w = 0`` is required.
+
+    Bitwise :func:`invgamma_logpdf` for each variance plus the weight's
+    normal term: Python subtracts left to right, so the shape terms that
+    precede the variance are taken from ``h``'s constants.
     """
-    edge = _edge(s, theta.w)
-    a1, a2 = h._alphas(edge)
-    tau = (theta.tau1_sq, theta.tau2_sq)
-    out = invgamma_logpdf(tau[0], a1, h.beta) + invgamma_logpdf(tau[1], a2, h.beta)
+    w = theta.w
+    edge, (c1, p1), (c2, p2) = h._prior_constants[s]
+    if edge is None and w != 0.0:
+        raise _s3_weight_error(w)
+    t1, t2 = theta.tau1_sq, theta.tau2_sq
+    if t1 <= 0.0 or t2 <= 0.0:
+        raise _support_error(t1 if t1 <= 0.0 else t2)
+    beta = h.beta
+    out = (c1 - p1 * math.log(t1) - beta / t1) + (c2 - p2 * math.log(t2) - beta / t2)
     if edge is not None:
-        out += _norm_logpdf(theta.w, h.lam * tau[edge[1]])
+        out += _norm_logpdf(w, h.lam * (t1, t2)[edge[1]])
     return out
 
 

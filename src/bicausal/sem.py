@@ -71,8 +71,12 @@ def _edge(s: Structure, w: float = 0.0) -> tuple[int, int] | None:
     """The (parent, child) of ``s``; None for ``S3``, which rejects ``w != 0``."""
     edge = _EDGES[s]
     if edge is None and w != 0.0:
-        raise InvalidParameter(f"S3 requires w = 0, got w={w!r}")
+        raise _s3_weight_error(w)
     return edge
+
+
+def _s3_weight_error(w: float) -> InvalidParameter:
+    return InvalidParameter(f"S3 requires w = 0, got w={w!r}")
 
 
 def _node1_is_child(edge: tuple[int, int] | None) -> bool:
@@ -120,6 +124,19 @@ class Params:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.tau1_sq, self.tau2_sq])
+
+
+def _trusted_params(w: float, tau1_sq: float, tau2_sq: float) -> Params:
+    """``Params(w, tau1_sq, tau2_sq)`` without ``__post_init__``, for values
+    the caller has already checked (a quadrature grid's nodes). Filling the
+    instance dict costs a third of the frozen ``__init__``'s three
+    ``object.__setattr__`` calls."""
+    p = object.__new__(Params)
+    d = p.__dict__
+    d["w"] = w
+    d["tau1_sq"] = tau1_sq
+    d["tau2_sq"] = tau2_sq
+    return p
 
 
 @dataclass(frozen=True)

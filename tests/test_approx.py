@@ -2,6 +2,8 @@
 engine itself."""
 
 import math
+import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -452,13 +454,13 @@ def _laplace_weight_prior(s, h, scale=0.7):
 
 
 def _recording(fn):
-    calls = []
+    thetas = []
 
     def wrapped(theta):
-        calls.append((theta.w, theta.tau1_sq, theta.tau2_sq))
+        thetas.append(theta)
         return fn(theta)
 
-    return wrapped, calls
+    return wrapped, thetas
 
 
 def _informative(st) -> bool:
@@ -492,18 +494,70 @@ class TestGenericOracleSlabs:
     def test_callback_contract(self, symmetric_hyper, s):
         st = suffstats(sample_obs(Structure.S1, Params(1, 1, 1), 7, 5))
         fn = _laplace_weight_prior(s, symmetric_hyper)
-        got_fn, got = _recording(fn)
+        got_fn, thetas = _recording(fn)
         want_fn, want = _recording(fn)
         quadrature_log_marginal_generic(st, s, got_fn, nodes=5, w_nodes=3)
         _generic_reference(st, s, want_fn, (-20.0, 20.0), 5, 3)
+        got = [(t.w, t.tau1_sq, t.tau2_sq) for t in thetas]
         # one call per node, in (tau1_sq, tau2_sq, w) order, w fastest
         assert len(got) == (5 * 5 if s is Structure.S3 else 5 * 5 * 3)
-        assert got == want
+        assert got == [(t.w, t.tau1_sq, t.tau2_sq) for t in want]
         assert all(type(x) is float for call in got for x in call)
         t1 = [c[1] for c in got]
         assert t1 == sorted(t1)
         if s is Structure.S3:
             assert all(c[0] == 0.0 for c in got)
+        # each node skips Params' checks, not its type or behaviour
+        for theta, (w, t1, t2) in zip(thetas, got):
+            assert type(theta) is Params
+            for name in ("w", "tau1_sq", "tau2_sq"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(theta, name, 1.0)
+            twin = Params(w, t1, t2)
+            assert theta == twin and hash(theta) == hash(twin) and repr(theta) == repr(twin)
+
+
+class TestGenericOracleGrid:
+    """The grid is checked once, before the first callback; a bad window or
+    grid node raises what ``Params`` or the window check says, with no
+    numpy warning on the way."""
+
+    @pytest.mark.parametrize("s", list(Structure))
+    @pytest.mark.parametrize("window", [(-math.inf, math.inf), (-20.0, math.inf), (math.nan, 20.0)])
+    def test_non_finite_w_window_is_rejected_at_entry(self, symmetric_hyper, s, window):
+        # the weight moment is 0 under S1, so the window would be used as is
+        st = suffstats([[1, 0], [2, 0], [0.5, 0]])
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="w_window must be finite"):
+                quadrature_log_marginal_generic(st, s, calls.append, w_window=window)
+        assert calls == []
+
+    def test_overflowing_weight_nodes_raise_the_first_nodes_error(self):
+        # a finite window wider than the largest float spreads its nodes to
+        # +-inf; the first node in call order is at -inf
+        st = suffstats([[1, 0], [2, 0], [0.5, 0]])
+        calls = []
+        with pytest.raises(InvalidParameter, match=r"^w must be finite, got -inf$"):
+            quadrature_log_marginal_generic(
+                st, Structure.S1, calls.append, w_window=(-1e308, 1e308), nodes=6, w_nodes=4
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize("s", list(Structure))
+    @pytest.mark.parametrize("centers", [(-800.0, 0.0), (0.0, -800.0), (-800.0, -800.0)])
+    def test_underflowing_variance_nodes_raise_the_first_nodes_error(self, monkeypatch, s, centers):
+        # exp(-812) is 0.0: the lowest nodes of that axis underflow
+        monkeypatch.setattr(approx, "_quadrature_centers", lambda st, s, fallback: centers)
+        u = [approx._gl_nodes(6, c - 12.0, c + 12.0)[0][0] for c in centers]
+        with pytest.raises(InvalidParameter) as want:
+            Params(0.0, math.exp(u[0]), math.exp(u[1]))
+        calls = []
+        with pytest.raises(InvalidParameter) as got:
+            quadrature_log_marginal_generic(_oracle_data(), s, calls.append, nodes=6, w_nodes=4)
+        assert str(got.value) == str(want.value)
+        assert calls == []
 
 
 def _oracle_data():

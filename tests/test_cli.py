@@ -164,6 +164,15 @@ class TestPosterior:
         assert str(bad) in err and "category=data-format" in err and "Traceback" not in err
 
 
+    def test_two_intervention_values_are_data_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("regime,x1,x2\nint,1.0,1.5\nint,2.0,2.5\n")
+        assert run_cli("posterior", bad) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "category=data-format" in err and "Traceback" not in err
+        assert "1.5" in err and "2.5" in err
+
+
 class TestRates:
     def test_collapsed_case_column(self, tmp_path):
         out = tmp_path / "rates.csv"

@@ -1,10 +1,15 @@
 """Hierarchical prior densities, the pulled-back alternative prior, and the
 score-equivalent hyperparameter constructor."""
 
+import dataclasses
 import math
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bicausal import (
     BgeHyper,
@@ -16,7 +21,44 @@ from bicausal import (
     pushforward_prior_logpdf,
 )
 
+from bicausal.sem import _edge
 from conftest import random_params
+
+#: The symmetric hyperparameters and the two asymmetric sets of the
+#: oracle cross-check benchmark.
+HYPERS = (
+    bge_symmetric_hyper(3.0, 0.5),
+    BgeHyper(4.0, 2.5, 2.5, 3.0, 3.0, 3.0, 0.5, 1.0),
+    BgeHyper(2.0, 1.5, 1.8, 2.2, 1.2, 2.8, 0.8, 0.6),
+)
+
+
+def _formula_prior_logpdf(theta, s, h):
+    """The prior as two inverse-gamma log-densities plus the weight's normal
+    log-density, each written out in full and summed left to right."""
+
+    def invgamma(x, shape, rate):
+        if x <= 0.0:
+            raise InvalidParameter(f"inverse-gamma support is (0, inf), got {x!r}")
+        return shape * math.log(rate) - math.lgamma(shape) - (shape + 1.0) * math.log(x) - rate / x
+
+    def norm(x, var):
+        return -0.5 * (math.log(2.0 * math.pi) + math.log(var)) - x * x / (2.0 * var)
+
+    edge = _edge(s, theta.w)
+    a1, a2 = h._alphas(edge)
+    tau = (theta.tau1_sq, theta.tau2_sq)
+    out = invgamma(tau[0], a1, h.beta) + invgamma(tau[1], a2, h.beta)
+    if edge is not None:
+        out += norm(theta.w, h.lam * tau[edge[1]])
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidParameter as exc:
+        return type(exc), str(exc)
 
 
 class TestBgeHyper:
@@ -42,6 +84,24 @@ class TestBgeHyper:
         with pytest.raises(InvalidParameter):
             BgeHyper(1, 1, 1, 1, 1, 1, 0.0, 1)
 
+    @pytest.mark.parametrize("h", HYPERS)
+    def test_cached_prior_constants_are_invisible(self, h):
+        # a fresh twin never computed its constants; the original has
+        fresh = BgeHyper(*dataclasses.astuple(h))
+        prior_logpdf(Params(0.5, 1.0, 2.0), Structure.S1, h)
+        assert "_prior_constants" in vars(h) and "_prior_constants" not in vars(fresh)
+        assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
+        assert dataclasses.asdict(h) == dataclasses.asdict(fresh)
+        back = pickle.loads(pickle.dumps(h))
+        assert back == h and hash(back) == hash(h) and repr(back) == repr(h)
+        theta = Params(-0.7, 0.3, 4.0)
+        for s in Structure:
+            t = theta if s is not Structure.S3 else Params(0.0, 0.3, 4.0)
+            assert prior_logpdf(t, s, back) == prior_logpdf(t, s, fresh)
+        # a replaced field gets its own constants
+        moved = dataclasses.replace(h, beta=2.0 * h.beta)
+        assert prior_logpdf(theta, Structure.S1, moved) == _formula_prior_logpdf(theta, Structure.S1, moved)
+
 
 class TestPriorLogpdf:
     def test_unit_inverse_gamma_point(self):
@@ -62,6 +122,41 @@ class TestPriorLogpdf:
     def test_s3_rejects_nonzero_weight(self, symmetric_hyper):
         with pytest.raises(InvalidParameter):
             prior_logpdf(Params(0.3, 1.0, 1.0), Structure.S3, symmetric_hyper)
+
+    @given(
+        hs.sampled_from(list(Structure)),
+        hs.sampled_from(HYPERS),
+        hs.floats(-20.0, 20.0),
+        hs.floats(-20.0, 20.0),
+        hs.floats(-1e3, 1e3, allow_subnormal=False),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_written_out_formula_bitwise(self, s, h, u1, u2, w):
+        # the constants taken ahead from h must not change a rounding
+        for theta in (Params(w, math.exp(u1), math.exp(u2)), Params(0.0, math.exp(u1), math.exp(u2))):
+            want = _outcome(_formula_prior_logpdf, theta, s, h)
+            got = _outcome(prior_logpdf, theta, s, h)
+            assert got == want
+            assert type(got) is type(want)
+
+    @pytest.mark.parametrize("h", HYPERS)
+    @pytest.mark.parametrize(
+        "theta, s",
+        [
+            (Params(0.3, 1.0, 1.0), Structure.S3),
+            (Params(-1e-300, 1.0, 1.0), "S3"),
+            (Params(0.0, 1.0, 1.0), "S4"),
+            (Params(0.0, 1.0, 1.0), []),
+            (Params(0.0, 1.0, 1.0), {"S1": 1}),
+            (SimpleNamespace(w=0.5, tau1_sq=-1.0, tau2_sq=1.0), Structure.S1),
+            (SimpleNamespace(w=0.5, tau1_sq=1.0, tau2_sq=0.0), Structure.S2),
+            (SimpleNamespace(w=0.0, tau1_sq=0.0, tau2_sq=-2.0), Structure.S3),
+        ],
+    )
+    def test_errors_match_the_written_out_formula(self, h, theta, s):
+        want = _outcome(_formula_prior_logpdf, theta, s, h)
+        assert isinstance(want, tuple)  # each case is an error
+        assert _outcome(prior_logpdf, theta, s, h) == want
 
     def test_total_mass_is_one(self, symmetric_hyper):
         # tensor quadrature with the weight standardized by its conditional scale
