@@ -166,6 +166,7 @@ def laplace_log_marginal(
 
 _MAX_DATA_FOR_QUADRATURE = 64
 _LOG_WINDOW = 12.0
+_MAX_LOG_CENTER = math.log(np.finfo(float).max) - _LOG_WINDOW  # keeps exp(grid) in (0, inf)
 _BOUNDARY_MASS = 1e-10
 _NODE_LADDER = (64, 96, 144, 216, 324, 486, 729)
 
@@ -204,11 +205,13 @@ def _refine_1d(logf: Callable[[np.ndarray], np.ndarray], center: float) -> float
     lo, hi = center - _LOG_WINDOW, center + _LOG_WINDOW
     log_edge_tol = math.log(_BOUNDARY_MASS)
     for _ in range(8):
-        _, edge = _log_integral_1d(logf, lo, hi, 48)
-        if edge < log_edge_tol:
+        if _log_integral_1d(logf, lo, hi, 48)[1] < log_edge_tol:
             break
         lo -= 6.0
         hi += 6.0
+    else:  # the eighth widening is not checked yet
+        if _log_integral_1d(logf, lo, hi, 48)[1] >= log_edge_tol:
+            raise NonConvergedQuadrature(f"1d window [{lo!r}, {hi!r}] keeps boundary mass after 8 widenings")
     prev = None
     for k in _NODE_LADDER:
         val, _ = _log_integral_1d(logf, lo, hi, k)
@@ -225,8 +228,6 @@ def _quadrature_centers(
 ) -> tuple[float, float]:
     """Centers for the log-variance grids: the log MLE variances when the MLE
     exists, the caller's ``fallback`` otherwise."""
-    if st.n < 2:
-        return fallback
     try:
         hat = mle_mixed(st).for_structure(s)
     except DegenerateData:
@@ -285,8 +286,9 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
     c1, c2 = _quadrature_centers(
         st, s, (math.log(h.beta / (a1 + 1.0)), math.log(h.beta / (a2 + 1.0)))
     )
-    log_i1 = _refine_1d(make_logf(quad1, f1.count, a1), c1)
-    log_i2 = _refine_1d(make_logf(quad2, f2.count, a2), c2)
+    with np.errstate(over="ignore"):  # a variance past the largest float is inf
+        log_i1 = _refine_1d(make_logf(quad1, f1.count, a1), c1)
+        log_i2 = _refine_1d(make_logf(quad2, f2.count, a2), c2)
     return -(n + 0.5 * m) * _LOG_2PI + const + log_i1 + log_i2
 
 
@@ -312,20 +314,20 @@ def quadrature_log_marginal_generic(
     fastest (``w = 0`` under ``S3``), and returns a float. ``-inf`` gives a
     node no mass (a truncated prior); NaN or ``+inf`` raises
     :class:`InvalidParameter` naming the node, and a grid with no mass at
-    all raises :class:`NonConvergedQuadrature`. ``w_window`` must be finite.
+    all raises :class:`NonConvergedQuadrature`. A ``w_window`` that is not
+    finite and increasing, or an MLE log-variance (a grid centre) beyond
+    ``+-_MAX_LOG_CENTER``, raises :class:`InvalidParameter` before any call.
 
     The likelihood is evaluated one slab (one ``tau1_sq`` node: all
     ``tau2_sq`` and ``w`` nodes) at a time; the result is bitwise that of
-    the scalar triple loop over ``loglik`` and the callback. The grid is
-    checked once, so each node's ``Params`` skips its own checks; a grid
-    node that ``Params`` would reject (a variance that underflows to 0, a
-    weight node beyond the largest float) raises that node's error before
-    the first call.
+    the scalar triple loop over ``loglik`` and the callback. The entry
+    checks make every node valid, so its ``Params`` skips its own checks.
     """
     if st.total > _MAX_DATA_FOR_QUADRATURE:
         raise InvalidParameter(f"generic quadrature limited to n + m <= {_MAX_DATA_FOR_QUADRATURE}")
-    if not all(math.isfinite(x) for x in w_window):
-        raise InvalidParameter(f"w_window must be finite, got {w_window!r}")
+    lo, hi = w_window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidParameter(f"w_window must be finite and increasing, got {w_window!r}")
     factors = st.factors[s]
     # the weight enters only its child's factor; S3 has none
     child = next((i for i, f in enumerate(factors) if f.has_parent), None)
@@ -333,6 +335,10 @@ def quadrature_log_marginal_generic(
     w_center = factors[child].xy / w_moment if w_moment > 0.0 else 0.0
 
     c1, c2 = _quadrature_centers(st, s, (0.0, 0.0))
+    if not max(abs(c1), abs(c2)) < _MAX_LOG_CENTER:
+        raise InvalidParameter(
+            f"log-variances ({c1!r}, {c2!r}) beyond +-{_MAX_LOG_CENTER:.1f} overflow the grid"
+        )
     u1, wu1 = _gl_nodes(nodes, c1 - _LOG_WINDOW, c1 + _LOG_WINDOW)
     u2, wu2 = _gl_nodes(nodes, c2 - _LOG_WINDOW, c2 + _LOG_WINDOW)
     u2_list = u2.tolist()
@@ -355,18 +361,14 @@ def quadrature_log_marginal_generic(
                     lo, hi = w_window
             rules.append(_gl_nodes(w_nodes, lo, hi))
         wg, ww = (np.array(r) for r in zip(*rules))
+        if not np.isfinite(wg).all():
+            raise InvalidParameter(f"w_window {w_window!r} is too wide: its weight nodes overflow")
     shape = (nodes, wg.shape[1])
 
     def slab(x: np.ndarray, j: int) -> np.ndarray:
         """The ``(tau2_sq, w)`` block of a weight-rule array at ``tau1_sq`` node ``j``."""
         return np.broadcast_to(x[j] if child == 0 else x, shape)
 
-    if not (all(0.0 < t < math.inf for t in tau1 + tau2) and np.isfinite(wg).all()):
-        # Params raises the first bad node's error, in call order
-        for j, t1 in enumerate(tau1):
-            for t, row in zip(tau2, slab(wg, j).tolist()):
-                for w in row:
-                    Params(w, t1, t)
     t2 = np.array(tau2)[:, None]
     log_t2 = np.array([math.log(t) for t in tau2])[:, None]
 

@@ -162,8 +162,6 @@ _CHUNK_LINES = 8192
 #: Whether each regime spelling (after ``strip().lower()``) is observational.
 _REGIMES = {"obs": True, "int": False, "interv": False}
 
-_Rows = tuple[np.ndarray, np.ndarray, bool]
-
 
 def _chunks(path: str):
     """The dataset's lines, ``_CHUNK_LINES`` at a time."""
@@ -176,7 +174,7 @@ def _chunks(path: str):
         raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
 
 
-def _parse_chunk(lines: list[str]) -> _Rows | None:
+def _parse_chunk(lines: list[str]) -> tuple[np.ndarray, np.ndarray, bool] | None:
     """``(obs, interv, saw_header)`` of a chunk whose every line is well
     formed, converted a column at a time; None if any line is not."""
     rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
@@ -207,35 +205,28 @@ def _parse_chunk(lines: list[str]) -> _Rows | None:
     return values[is_obs], values[~is_obs], saw_header
 
 
-def _parse_lines(path: str, lines: list[str], lineno: int) -> _Rows:
-    """``(obs, interv, saw_header)`` of ``lines``, parsed one line at a time
-    and numbered from ``lineno``: raises the first malformed line's
-    ``DataFormatError``."""
-    obs_rows: list[tuple[float, float]] = []
-    int_rows: list[tuple[float, float]] = []
-    saw_header = False
+def _line_error(path: str, lines: list[str], lineno: int) -> DataFormatError:
+    """The ``DataFormatError`` of the first malformed line of ``lines``, a
+    chunk that :func:`_parse_chunk` rejected, numbered from ``lineno``.
+    Both apply the same rules, so such a chunk always has one."""
     for lineno, raw in enumerate(lines, start=lineno):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split(",")]
         if parts[0].lower() == "regime":
-            saw_header = True
             continue
         if len(parts) != 3:
-            raise DataFormatError(f"{path}:{lineno}: expected 'regime,x1,x2', got {raw!r}")
+            return DataFormatError(f"{path}:{lineno}: expected 'regime,x1,x2', got {raw!r}")
         try:
             x1, x2 = float(parts[1]), float(parts[2])
         except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: non-numeric sample {raw!r}") from None
+            return DataFormatError(f"{path}:{lineno}: non-numeric sample {raw!r}")
         if not (math.isfinite(x1) and math.isfinite(x2)):
-            raise DataFormatError(f"{path}:{lineno}: non-finite sample {raw!r}")
-        is_obs = _REGIMES.get(parts[0].lower())
-        if is_obs is None:
-            raise DataFormatError(f"{path}:{lineno}: unknown regime {parts[0]!r}")
-        (obs_rows if is_obs else int_rows).append((x1, x2))
-    obs, interv = (np.array(rows, dtype=np.float64).reshape(-1, 2) for rows in (obs_rows, int_rows))
-    return obs, interv, saw_header
+            return DataFormatError(f"{path}:{lineno}: non-finite sample {raw!r}")
+        if parts[0].lower() not in _REGIMES:
+            return DataFormatError(f"{path}:{lineno}: unknown regime {parts[0]!r}")
+    raise AssertionError(f"{path}: a rejected chunk has no malformed line")
 
 
 def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
@@ -247,14 +238,17 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     ``interv`` in any case and two finite floats. A malformed line raises a
     :class:`DataFormatError` naming ``path:line``, as does a file that is
     unreadable, not UTF-8, or has neither a row nor a header. The file is
-    parsed ``_CHUNK_LINES`` lines at a time, a column at a time; a chunk is
-    parsed line by line only when some line in it is malformed.
+    parsed ``_CHUNK_LINES`` lines at a time, a column at a time; a chunk
+    that fails is read line by line to locate the error.
     """
     obs_parts, int_parts = [np.empty((0, 2))], [np.empty((0, 2))]
     saw_header = False
     lineno = 1
     for lines in _chunks(path):
-        obs, interv, header = _parse_chunk(lines) or _parse_lines(path, lines, lineno)
+        parsed = _parse_chunk(lines)
+        if parsed is None:
+            raise _line_error(path, lines, lineno)
+        obs, interv, header = parsed
         obs_parts.append(obs)
         int_parts.append(interv)
         saw_header |= header
@@ -403,13 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--bge-alpha", dest="bge_alpha", type=float, help="symmetric prior shape")
         q.add_argument("--bge-beta", dest="bge_beta", type=float, help="symmetric prior rate")
 
+    def add_model(q):
+        q.add_argument("--w", type=float)
+        q.add_argument("--tau1-sq", dest="tau1_sq", type=float)
+        q.add_argument("--tau2-sq", dest="tau2_sq", type=float)
+        q.add_argument("--y", type=float, help="intervention value")
+
     q = sub.add_parser("simulate", help="draw a dataset and write it as CSV")
     add_common(q)
     q.add_argument("--structure", help="S1, S2, or S3")
-    q.add_argument("--w", type=float)
-    q.add_argument("--tau1-sq", dest="tau1_sq", type=float)
-    q.add_argument("--tau2-sq", dest="tau2_sq", type=float)
-    q.add_argument("--y", type=float, help="intervention value for the interventional block")
+    add_model(q)
     q.add_argument("--n", type=int, help="observational sample count")
     q.add_argument("--m", type=int, help="interventional sample count")
     q.add_argument("--out", help="output CSV path")
@@ -425,10 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("rates", help="concentration exponent curves as CSV")
     add_common(q)
-    q.add_argument("--w", type=float)
-    q.add_argument("--tau1-sq", dest="tau1_sq", type=float)
-    q.add_argument("--tau2-sq", dest="tau2_sq", type=float)
-    q.add_argument("--y", type=float)
+    add_model(q)
     q.add_argument("--grid-points", dest="grid_points", type=int)
     q.add_argument("--out", help="output CSV path")
     q.set_defaults(func=cmd_rates)

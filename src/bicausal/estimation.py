@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateData, InvalidParameter
 from .sem import _EDGES, _INDEX, _LOG_2PI, STRUCTURES, InterventionSpec, Params, Structure, _ByStructure
-from .sem import _edge, _integer, _node1_is_child, _resolve_rng
+from .sem import _edge, _integer, _node1_is_child
 
 # Variance estimates at or below this are treated as exactly degenerate.
 _VARIANCE_FLOOR = 1e-300
@@ -273,7 +273,7 @@ def sample_suffstats(
     ``seed`` is anything :func:`numpy.random.default_rng` accepts, or a
     generator to draw from; a fixed seed determines the result bitwise.
     """
-    sums = _draw_sums(s, theta, n, m, iv, _resolve_rng(seed))
+    sums = _draw_sums(s, theta, n, m, iv, np.random.default_rng(seed))
     return SuffStats(*sums, n, m, iv.value if m else None)
 
 

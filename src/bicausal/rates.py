@@ -51,14 +51,9 @@ class RateInput:
     eta: float | np.ndarray
 
     def __post_init__(self) -> None:
-        eta = self.eta
-        if isinstance(eta, np.ndarray):
-            # NaN fails both comparisons
-            valid = bool(np.all((eta >= 0.0) & (eta <= 1.0)))
-        else:
-            valid = 0.0 <= eta <= 1.0
-        if not valid:
-            raise InvalidParameter(f"eta must lie in [0, 1], got {eta!r}")
+        # a float or an array; NaN fails both comparisons
+        if not np.all((self.eta >= 0.0) & (self.eta <= 1.0)):
+            raise InvalidParameter(f"eta must lie in [0, 1], got {self.eta!r}")
         if not math.isfinite(self.y):
             raise InvalidParameter(f"y must be finite, got {self.y!r}")
         _ratios(self.theta_star, self.y)

@@ -265,13 +265,6 @@ def interv_logpdf_y1(y1: float, s: Structure, theta: Params, iv: InterventionSpe
     return _norm_logpdf(float(y1) - mean, theta.tau1_sq)
 
 
-def _resolve_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    # PCG64 via default_rng; the stream for a fixed seed is stable within a release.
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_obs(
     s: Structure, theta: Params, n: int, seed: int | np.random.Generator
 ) -> np.ndarray:
@@ -287,7 +280,7 @@ def sample_obs(
     if n < 0:
         raise InvalidParameter(f"n must be >= 0, got {n}")
     edge = _edge(s, theta.w)
-    out = _resolve_rng(seed).standard_normal((n, 2)) * np.sqrt([theta.tau1_sq, theta.tau2_sq])
+    out = np.random.default_rng(seed).standard_normal((n, 2)) * np.sqrt([theta.tau1_sq, theta.tau2_sq])
     if edge is not None:
         p, c = edge
         out[:, c] += theta.w * out[:, p]
@@ -310,8 +303,7 @@ def sample_interv(
     if m < 0:
         raise InvalidParameter(f"m must be >= 0, got {m}")
     mean = theta.w * iv.value if _node1_is_child(_edge(s)) else 0.0
-    rng = _resolve_rng(seed)
-    z = rng.standard_normal(m)
+    z = np.random.default_rng(seed).standard_normal(m)
     out = np.empty((m, 2))
     out[:, 0] = mean + math.sqrt(theta.tau1_sq) * z
     out[:, 1] = iv.value

@@ -19,6 +19,7 @@ from bicausal import (
     Params,
     Regime,
     Structure,
+    bge_symmetric_hyper,
     fisher,
     hessian_diagnostics,
     laplace_log_marginal,
@@ -314,6 +315,38 @@ class TestQuadratureEngine:
             )
             assert abs(a - b) < 1e-3
 
+    def test_tail_that_needs_every_widening_still_integrates(self):
+        # an IG(0.44) tail first clears the boundary test on the window
+        # widened 8 times; that window is checked and used, not refused
+        st = suffstats(np.empty((0, 2)), [[1.0, 1.5], [2.0, 1.5], [0.3, 1.5]])
+        h = bge_symmetric_hyper(0.94, 0.5)
+        got = quadrature_log_marginal(st, Structure.S1, h)
+        assert abs(got - log_marginal_mixed(st, Structure.S1, h)) < 1e-9
+
+    def test_heavy_tail_that_outgrows_the_window_is_an_error(self):
+        # node 2 has no data and an IG(0.05) prior: its log-space tail decays
+        # at rate 0.05, past every widening; the truncated integral was 5% low
+        st = suffstats(np.empty((0, 2)), [[1.0, 1.5], [2.0, 1.5], [0.3, 1.5]])
+        h = bge_symmetric_hyper(0.55, 0.5)
+        assert h.alphas_for(Structure.S1)[1] == pytest.approx(0.05)
+        with pytest.raises(NonConvergedQuadrature, match=r"^1d window \[.*\] keeps boundary mass after 8 widenings$"):
+            quadrature_log_marginal(st, Structure.S1, h)
+
+    @pytest.mark.parametrize("s", list(Structure))
+    def test_huge_variances_match_exact_without_warnings(self, symmetric_hyper, s):
+        # the top nodes of the x1 variance grid lie past the largest float
+        st = _huge_variance_data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quadrature_log_marginal(st, s, symmetric_hyper)
+        want = log_marginal_mixed(st, s, symmetric_hyper)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def _huge_variance_data():
+    rows = [[3e152, 0.001], [-2e152, 0.002], [1e152, -0.001], [4e152, 0.0005], [-3e152, -0.002], [2e152, 0.001]]
+    return suffstats(rows)
+
 
 class TestGaussLegendreRule:
     def test_one_rule_per_node_count(self, symmetric_hyper, monkeypatch):
@@ -518,14 +551,18 @@ class TestGenericOracleSlabs:
 
 
 class TestGenericOracleGrid:
-    """The grid is checked once, before the first callback; a bad window or
-    grid node raises what ``Params`` or the window check says, with no
-    numpy warning on the way."""
+    """The window and the grid are checked at entry, before the first
+    callback; a bad window or a grid that would overflow raises
+    ``InvalidParameter``, with no numpy warning on the way."""
 
     @pytest.mark.parametrize("s", list(Structure))
-    @pytest.mark.parametrize("window", [(-math.inf, math.inf), (-20.0, math.inf), (math.nan, 20.0)])
+    @pytest.mark.parametrize(
+        "window", [(-math.inf, math.inf), (-20.0, math.inf), (math.nan, 20.0), (5.0, -5.0), (1.0, 1.0)]
+    )
     def test_non_finite_w_window_is_rejected_at_entry(self, symmetric_hyper, s, window):
-        # the weight moment is 0 under S1, so the window would be used as is
+        # the weight moment is 0 under S1, so the window would be used as is;
+        # a reversed or empty window fails the same check (under S1 it read
+        # as a grid with no prior-times-likelihood mass)
         st = suffstats([[1, 0], [2, 0], [0.5, 0]])
         calls = []
         with warnings.catch_warnings():
@@ -534,12 +571,23 @@ class TestGenericOracleGrid:
                 quadrature_log_marginal_generic(st, s, calls.append, w_window=window)
         assert calls == []
 
+    @pytest.mark.parametrize("s", list(Structure))
+    def test_huge_variance_is_rejected_at_entry(self, s):
+        # the grid around an MLE variance of about 7e304 reaches past the
+        # largest float; this raised a raw OverflowError
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match=r"^log-variances \(70\d\.\d+, -13\.\d+\) beyond \+-697\.8 overflow the grid$"):
+                quadrature_log_marginal_generic(_huge_variance_data(), s, calls.append)
+        assert calls == []
+
     def test_overflowing_weight_nodes_raise_the_first_nodes_error(self):
         # a finite window wider than the largest float spreads its nodes to
-        # +-inf; the first node in call order is at -inf
+        # +-inf
         st = suffstats([[1, 0], [2, 0], [0.5, 0]])
         calls = []
-        with pytest.raises(InvalidParameter, match=r"^w must be finite, got -inf$"):
+        with pytest.raises(InvalidParameter, match=r"^w_window \(-1e\+308, 1e\+308\) is too wide: its weight nodes overflow$"):
             quadrature_log_marginal_generic(
                 st, Structure.S1, calls.append, w_window=(-1e308, 1e308), nodes=6, w_nodes=4
             )
@@ -548,15 +596,12 @@ class TestGenericOracleGrid:
     @pytest.mark.parametrize("s", list(Structure))
     @pytest.mark.parametrize("centers", [(-800.0, 0.0), (0.0, -800.0), (-800.0, -800.0)])
     def test_underflowing_variance_nodes_raise_the_first_nodes_error(self, monkeypatch, s, centers):
-        # exp(-812) is 0.0: the lowest nodes of that axis underflow
+        # exp(-812) is 0.0: the lowest nodes of that axis would underflow
         monkeypatch.setattr(approx, "_quadrature_centers", lambda st, s, fallback: centers)
-        u = [approx._gl_nodes(6, c - 12.0, c + 12.0)[0][0] for c in centers]
-        with pytest.raises(InvalidParameter) as want:
-            Params(0.0, math.exp(u[0]), math.exp(u[1]))
         calls = []
         with pytest.raises(InvalidParameter) as got:
             quadrature_log_marginal_generic(_oracle_data(), s, calls.append, nodes=6, w_nodes=4)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"log-variances {centers!r} beyond +-697.8 overflow the grid"
         assert calls == []
 
 

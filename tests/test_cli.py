@@ -172,6 +172,30 @@ class TestPosterior:
         assert str(bad) in err and "category=data-format" in err and "Traceback" not in err
         assert "1.5" in err and "2.5" in err
 
+    def test_heavy_tailed_quadrature_is_non_converged(self, tmp_path, capsys):
+        # S1's node-2 prior is IG(0.05) with no node-2 data; the conjugate
+        # oracle reported an S1 evidence 5% low with exit 0
+        data = tmp_path / "int.csv"
+        data.write_text("regime,x1,x2\nint,1.0,1.5\nint,2.0,1.5\nint,0.3,1.5\n")
+        assert run_cli("posterior", data, "--method", "quadrature", "--bge-alpha", "0.55") == 1
+        err = capsys.readouterr().err
+        assert "category=non-converged-quadrature" in err and "Traceback" not in err
+
+    def test_huge_variance_quadrature_is_quiet(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        rows = ["3e152,0.001", "-2e152,0.002", "1e152,-0.001", "4e152,0.0005", "-3e152,-0.002", "2e152,0.001"]
+        data.write_text("regime,x1,x2\n" + "".join(f"obs,{r}\n" for r in rows))
+        assert run_cli("posterior", data, "--method", "quadrature") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_collinear_data_reports_mle_unavailable(self, tmp_path, capsys):
+        data = tmp_path / "line.csv"
+        data.write_text("regime,x1,x2\nobs,1,2\nobs,2,4\nobs,3,6\n")
+        assert run_cli("posterior", data) == 0
+        out = capsys.readouterr().out
+        assert "mle: unavailable (" in out and "collect non-collinear samples" in out
+        assert "mle[" not in out
+
 
 class TestRates:
     def test_collapsed_case_column(self, tmp_path):

@@ -1,0 +1,209 @@
+"""Errors that public inputs reach: a row for each ``raise`` in ``src/`` that
+the rest of the suite does not run, and for the ``eta`` check that
+``RateInput`` applies to a float or an array alike, with the call, the
+exception type, its category and its message. Also pins the public
+``invgamma_logpdf`` to the variance terms of ``prior_logpdf``."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from bicausal import (
+    ArgumentOutOfDomain,
+    BgeHyper,
+    ConfigError,
+    DegenerateData,
+    ExperimentConfig,
+    InterventionSpec,
+    InvalidParameter,
+    NonConvergedQuadrature,
+    NumericalDegeneracy,
+    Params,
+    RateCurve,
+    RateId,
+    RateInput,
+    Structure,
+    SuffStats,
+    augmented_odds_statistic,
+    bge_symmetric_hyper,
+    fit_slope,
+    gain_transform,
+    invgamma_logpdf,
+    ks_test_chi2_1,
+    log_marginal_obs,
+    mixed_fisher,
+    mle_mixed,
+    optimal_eta,
+    plateau_theory_ratio,
+    posterior,
+    prior_logpdf,
+    pseudo_true_limits,
+    quadrature_log_marginal,
+    quadrature_log_marginal_generic,
+    run_concentration,
+    run_odds_plateau,
+    sample_curve,
+    sample_interv,
+    suffstats,
+    theory_exponent,
+)
+from bicausal import cli
+from bicausal.experiments import run_bundle
+from bicausal.sem import _edge, _norm_logpdf
+
+H = bge_symmetric_hyper(3.0, 0.5)
+THETA = Params(1.0, 1.0, 1.0)
+IV = InterventionSpec(1.5)
+
+
+def _cli(tmp, *argv, config=None):
+    """Run a CLI command so that its error propagates instead of becoming an
+    exit code; ``config`` is written to a file and passed as ``--config``."""
+    if config is not None:
+        path = tmp / "run.cfg"
+        path.write_text(config)
+        argv = (*argv, "--config", str(path))
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    return args.func(args)
+
+
+def _cfg(**kw):
+    return ExperimentConfig(**{"true_model": Structure.S1, "theta_star": THETA, "hyper": H, **kw})
+
+
+_MODEL = ("--w", 1, "--tau1-sq", 1, "--tau2-sq", 1)
+
+# (id, call taking a scratch directory, exception type, message regex)
+CASES = [
+    # approx
+    ("mixed_fisher eta", lambda tmp: mixed_fisher(Structure.S1, THETA, 1.5, IV),
+     InvalidParameter, r"^eta must lie in \[0, 1\], got 1\.5$"),
+    ("conjugate oracle stalls", lambda tmp: quadrature_log_marginal(
+        suffstats([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]]), Structure.S3, BgeHyper(*[1e4] * 7, 1.0)),
+     NonConvergedQuadrature, r"^1d refinement stalled at 729 nodes"),
+    ("conjugate oracle negative quadratic form", lambda tmp: quadrature_log_marginal(
+        suffstats([[1, 0.3], [-2, -0.6]]), Structure.S1, BgeHyper(3, 3, 3, 3, 3, 3, 0.5, 1e300)),
+     NumericalDegeneracy, r"^negative residual quadratic form"),
+    ("generic oracle size", lambda tmp: quadrature_log_marginal_generic(
+        suffstats(np.ones((65, 2))), Structure.S1, lambda t: 0.0),
+     InvalidParameter, r"^generic quadrature limited to n \+ m <= 64$"),
+    # cli
+    ("missing setting", lambda tmp: _cli(tmp, "simulate", "--out", tmp / "x.csv"),
+     ConfigError, r"^missing required setting \[model\] structure$"),
+    ("setting not a number", lambda tmp: _cli(
+        tmp, "simulate", "--structure", "S1", *_MODEL, "--out", tmp / "x.csv", config="[simulate]\nn = ten\n"),
+     ConfigError, r"^\[simulate\] n: expected an integer, got 'ten'$"),
+    ("unknown structure", lambda tmp: _cli(tmp, "simulate", "--structure", "S9", "--out", tmp / "x.csv"),
+     ConfigError, r"^unknown structure 'S9'; expected S1, S2, or S3$"),
+    ("interventional samples without y", lambda tmp: _cli(
+        tmp, "simulate", "--structure", "S1", *_MODEL, "--m", 2, "--out", tmp / "x.csv"),
+     ConfigError, r"^interventional samples requested but no intervention value y$"),
+    ("unknown method", lambda tmp: _cli(tmp, "posterior", tmp / "x.csv", config="[posterior]\nmethod = mcmc\n"),
+     ConfigError, r"^unknown method 'mcmc'; expected one of \('exact', 'laplace', 'quadrature'\)$"),
+    # estimation
+    ("negative count", lambda tmp: SuffStats(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, -1, 0, None),
+     InvalidParameter, r"^counts must be >= 0, got n=-1, m=0$"),
+    ("m without y", lambda tmp: SuffStats(1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 2, 1, None),
+     InvalidParameter, r"^y must be set when m > 0$"),
+    ("MLE weight overflows", lambda tmp: mle_mixed(suffstats([[1e-160, 1e150], [2e-160, -1e150]], [[1.0, 0.0]])),
+     DegenerateData, r"^S\d MLE: weight estimate non-finite$"),
+    # exact
+    ("log_marginal_obs with m > 0", lambda tmp: log_marginal_obs(suffstats([[1, 2], [2, 1]], [[1, 1.5]]), Structure.S1, H),
+     InvalidParameter, r"^log_marginal_obs requires m = 0, got m=1$"),
+    ("odds statistic on empty data", lambda tmp: augmented_odds_statistic(
+        suffstats(np.empty((0, 2))), posterior(suffstats(np.empty((0, 2))), H), Structure.S1, Params(0, 1, 1), H),
+     InvalidParameter, r"^statistic undefined for empty data$"),
+    ("odds statistic on interventional data", lambda tmp: augmented_odds_statistic(
+        suffstats(np.empty((0, 2)), [[1, 1.5], [2, 1.5]]),
+        posterior(suffstats(np.empty((0, 2)), [[1, 1.5], [2, 1.5]]), H), Structure.S2, Params(0, 1, 1), H),
+     NumericalDegeneracy, r"^weighted information determinant not positive$"),
+    # experiments
+    ("smallest size", lambda tmp: _cfg(sample_sizes=(1, 4)),
+     InvalidParameter, r"^smallest sample size must be >= 2$"),
+    ("no trials", lambda tmp: _cfg(trials=0),
+     InvalidParameter, r"^trials must be >= 1, got 0$"),
+    ("no records at a size", lambda tmp: run_concentration(_cfg(sample_sizes=(4, 8), trials=2)).mean_log_inv_odds(5),
+     InvalidParameter, r"^no records at N=5$"),
+    ("plateau of S3", lambda tmp: plateau_theory_ratio(_cfg(true_model=Structure.S3, theta_star=Params(0, 1, 1))),
+     InvalidParameter, r"^plateau defined for connected true models$"),
+    ("plateau experiment on S3", lambda tmp: run_odds_plateau(_cfg(true_model=Structure.S3, theta_star=Params(0, 1, 1))),
+     InvalidParameter, r"^plateau experiment requires a connected true model$"),
+    ("slope of unequal lengths", lambda tmp: fit_slope([1, 2, 3, 4], [1, 2]),
+     InvalidParameter, r"^x and y must be 1d arrays of equal length$"),
+    ("exponent of observational data", lambda tmp: theory_exponent(_cfg()),
+     InvalidParameter, r"^exponent defined for mixed-data configurations$"),
+    ("exponent of S3", lambda tmp: theory_exponent(_cfg(true_model=Structure.S3, theta_star=Params(0, 1, 1), eta=0.5, y=1.0)),
+     InvalidParameter, r"^exponent defined for connected true models$"),
+    ("KS of no samples", lambda tmp: ks_test_chi2_1(np.empty(0)),
+     InvalidParameter, r"^empty sample$"),
+    ("unknown bundle kind", lambda tmp: run_bundle("survey", {}, 0, H, tmp),
+     ConfigError, r"^unknown experiment kind 'survey'$"),
+    # priors
+    ("inverse-gamma support", lambda tmp: invgamma_logpdf(0.0, 3.0, 0.5),
+     InvalidParameter, r"^inverse-gamma support is \(0, inf\), got 0\.0$"),
+    # rates
+    ("RateInput eta", lambda tmp: RateInput(THETA, 0.1, 1.5),
+     InvalidParameter, r"^eta must lie in \[0, 1\], got 1\.5$"),
+    ("RateInput y", lambda tmp: RateInput(THETA, math.nan, 0.5),
+     InvalidParameter, r"^y must be finite, got nan$"),
+    ("RateInput eta array", lambda tmp: RateInput(THETA, 0.1, np.array([0.5, math.nan])),
+     InvalidParameter, r"^eta must lie in \[0, 1\], got array\(\[0\.5, nan\]\)$"),
+    ("curve lengths", lambda tmp: RateCurve(np.array([0.5]), np.array([1.0, 2.0]), RateId.D12),
+     InvalidParameter, r"^eta grid and values must be 1d arrays of equal length$"),
+    ("curve values", lambda tmp: RateCurve(np.array([0.4, 0.5]), np.array([1.0, math.inf]), RateId.D12),
+     InvalidParameter, r"^curve values must be finite$"),
+    ("optimal eta of D13", lambda tmp: optimal_eta(RateId.D13, THETA, 0.1),
+     InvalidParameter, r"^optimal_eta defined for D12/D21, got "),
+    ("curve of a gain", lambda tmp: sample_curve(RateId.D12_GAIN, THETA, 0.1),
+     InvalidParameter, r"^cannot sample curve for "),
+    ("gain of D13", lambda tmp: gain_transform(sample_curve(RateId.D13, THETA, 0.1, num=5)),
+     InvalidParameter, r"^gain transform defined for D12/D21 curves, got "),
+    ("pseudo-true eta", lambda tmp: pseudo_true_limits(Structure.S1, THETA, 0.1, 1.5),
+     InvalidParameter, r"^eta must lie in \[0, 1\], got 1\.5$"),
+    ("pseudo-true S1 limit undefined", lambda tmp: pseudo_true_limits(Structure.S2, THETA, 0.0, 0.0),
+     ArgumentOutOfDomain, r"^pseudo-true S1 limit undefined \(eta = 0 with y = 0\)$"),
+    # sem
+    ("intervention value", lambda tmp: InterventionSpec(math.inf),
+     InvalidParameter, r"^intervention value must be finite, got inf$"),
+    ("negative interventional count", lambda tmp: sample_interv(Structure.S1, THETA, IV, -1, 0),
+     InvalidParameter, r"^m must be >= 0, got -1$"),
+]
+
+_CATEGORY = {
+    ArgumentOutOfDomain: "argument-out-of-domain",
+    ConfigError: "config",
+    DegenerateData: "degenerate-data",
+    InvalidParameter: "invalid-parameter",
+    NonConvergedQuadrature: "non-converged-quadrature",
+    NumericalDegeneracy: "numerical-degeneracy",
+}
+
+
+@pytest.mark.parametrize("call, exc, pattern", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_error_path(tmp_path, call, exc, pattern):
+    with pytest.raises(exc, match=pattern) as info:
+        call(tmp_path)
+    assert type(info.value) is exc
+    assert info.value.category == _CATEGORY[exc]
+
+
+class TestInvgammaLogpdf:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=hs.sampled_from(list(Structure)),
+        log_t=hs.tuples(*[hs.floats(-20.0, 20.0)] * 2),
+        w=hs.floats(-1e3, 1e3),
+        h=hs.sampled_from([H, bge_symmetric_hyper(1.5, 2.0), BgeHyper(2.0, 0.7, 4.0, 1.1, 0.6, 9.0, 0.3, 5.0)]),
+    )
+    def test_is_prior_logpdfs_variance_terms_bitwise(self, s, log_t, w, h):
+        t1, t2 = (math.exp(u) for u in log_t)
+        edge = _edge(s)
+        w = 0.0 if edge is None else w
+        a1, a2 = h.alphas_for(s)
+        want = invgamma_logpdf(t1, a1, h.beta) + invgamma_logpdf(t2, a2, h.beta)
+        if edge is not None:
+            want += _norm_logpdf(w, h.lam * (t1, t2)[edge[1]])
+        assert prior_logpdf(Params(w, t1, t2), s, h) == want
