@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -166,9 +167,16 @@ def laplace_log_marginal(
 
 _MAX_DATA_FOR_QUADRATURE = 64
 _LOG_WINDOW = 12.0
-_MAX_LOG_CENTER = math.log(np.finfo(float).max) - _LOG_WINDOW  # keeps exp(grid) in (0, inf)
+_MAX_LOG_VARIANCE = math.log(np.finfo(float).max)  # exp of anything beyond is inf or 0
+_MAX_LOG_CENTER = _MAX_LOG_VARIANCE - _LOG_WINDOW  # leaves room for the nodes around a centre
 _BOUNDARY_MASS = 1e-10
 _NODE_LADDER = (64, 96, 144, 216, 324, 486, 729)
+_HERMITE_LADDER = (16, 24, 32, 48)
+_DIFF_STEPS = (1e-4, 1e-2, 0.1, 0.5)  # widened at a kink
+_NEWTON_STEPS = 16
+_MAX_NEWTON_STEP = 4.0
+_LINE_FRACTIONS = 0.5 ** np.arange(16.0)
+_MODE_TOLERANCE = 1e-4
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,6 +187,21 @@ def _gl_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+@functools.lru_cache(maxsize=None)
+def _gh_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k``-point Gauss-Hermite rule for a plain integral, built once
+    per ``k`` and shared read-only: nodes ``z = sqrt(2)*x`` and log-weights
+    ``log(sqrt(2)*w) + x^2`` from ``hermgauss``, so that
+    ``sum(exp(lw) * f(z))`` integrates ``f`` over the line, exactly for
+    ``f = exp(-z^2/2)`` times a polynomial of degree below ``2k``."""
+    x, w = np.polynomial.hermite.hermgauss(k)
+    z = math.sqrt(2.0) * x
+    lw = np.log(w) + x * x + 0.5 * math.log(2.0)
+    z.flags.writeable = False
+    lw.flags.writeable = False
+    return z, lw
 
 
 def _gl_nodes(k: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -200,9 +223,12 @@ def _log_integral_1d(
     return peak + math.log(total), edge
 
 
-def _refine_1d(logf: Callable[[np.ndarray], np.ndarray], center: float) -> float:
-    """Adaptive GL integration of exp(logf) over log-variance space."""
-    lo, hi = center - _LOG_WINDOW, center + _LOG_WINDOW
+def _refine_1d(logf: Callable[[np.ndarray], np.ndarray], center: float, half: float) -> float:
+    """Adaptive GL integration of exp(logf) over log-variance space, on a
+    window of half-width ``half`` around ``center``."""
+    if not half > 1e-9 * max(1.0, abs(center)):  # nodes a few ulp apart, or all one float
+        raise NonConvergedQuadrature(f"1d window of half-width {half!r} at {center!r} is below the float resolution")
+    lo, hi = center - half, center + half
     log_edge_tol = math.log(_BOUNDARY_MASS)
     for _ in range(8):
         if _log_integral_1d(logf, lo, hi, 48)[1] < log_edge_tol:
@@ -223,25 +249,19 @@ def _refine_1d(logf: Callable[[np.ndarray], np.ndarray], center: float) -> float
     )
 
 
-def _quadrature_centers(
-    st: SuffStats, s: Structure, fallback: tuple[float, float]
-) -> tuple[float, float]:
-    """Centers for the log-variance grids: the log MLE variances when the MLE
-    exists, the caller's ``fallback`` otherwise."""
-    try:
-        hat = mle_mixed(st).for_structure(s)
-    except DegenerateData:
-        return fallback
-    return math.log(hat.tau1_sq), math.log(hat.tau2_sq)
-
-
 def _weight_collapsed(f: Factor, lam: float) -> tuple[float, float]:
     """(residual quadratic form, log normalizer) of a factor with its
-    ``N(0, lam * tau_child_sq)`` weight integrated out; ``(yy, 0)`` for a root."""
+    ``N(0, lam * tau_child_sq)`` weight integrated out; ``(yy, 0)`` for a root.
+
+    On collinear rows the form is 0 in exact arithmetic and can round below
+    it; a negative form within a few ulp of ``yy`` is taken as 0."""
     if not f.has_parent:
         return f.yy, 0.0
     xx_lam = f.xx + 1.0 / lam
-    return f.yy - f.xy * f.xy / xx_lam, -0.5 * math.log(lam * xx_lam)
+    quad = f.yy - f.xy * f.xy / xx_lam
+    if -4.0 * math.ulp(f.yy) <= quad < 0.0:
+        quad = 0.0
+    return quad, -0.5 * (math.log(lam) + math.log(xx_lam))  # lam * xx_lam can overflow
 
 
 def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
@@ -250,8 +270,12 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
     The weight is integrated in closed form (it is Gaussian given the
     variances); the two variances are integrated numerically on tensor
     Gauss-Legendre grids in log space, refined until successive levels agree
-    to 1e-6. Guarded to small datasets (``n + m <= 64``); this is an oracle,
-    not a production path.
+    to 1e-6. With ``k = count/2 + shape`` and ``B = quad/2 + beta``, each
+    axis integrand is ``exp(-k*u - B*exp(-u))``: its window is centred at
+    the mode ``log(B/k)``, with half-width ``12*min(1, k^(-1/2))`` (12
+    standard deviations of its curvature ``k``, at most 12), and widened by
+    6 while its boundary carries mass. Guarded to small datasets
+    (``n + m <= 64``); this is an oracle, not a production path.
     """
     if st.total > _MAX_DATA_FOR_QUADRATURE:
         raise InvalidParameter(
@@ -265,140 +289,283 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
         raise NumericalDegeneracy("negative residual quadratic form in quadrature oracle")
     const = const1 + const2
 
-    def make_logf(quad: float, cnt: int, shape: float):
-        def logf(u: np.ndarray) -> np.ndarray:
-            t = np.exp(u)
-            # likelihood block + IG prior + log-space Jacobian
-            return (
-                -0.5 * cnt * u
-                - quad / (2.0 * t)
-                + shape * math.log(h.beta)
-                - math.lgamma(shape)
-                - (shape + 1.0) * u
-                - h.beta / t
-                + u
-            )
+    def log_integral(quad: float, cnt: int, shape: float) -> float:
+        k, log_b = 0.5 * cnt + shape, math.log(0.5 * quad + h.beta)
+        c = shape * math.log(h.beta) - math.lgamma(shape)
 
-        return logf
+        def logf(u: np.ndarray) -> np.ndarray:
+            # likelihood block + IG prior + log-space Jacobian; B*exp(-u)
+            # as one exp, which stays finite where exp(u) underflows
+            return c - k * u - np.exp(log_b - u)
+
+        return _refine_1d(logf, log_b - math.log(k), _LOG_WINDOW * min(1.0, k**-0.5))
 
     a1, a2 = h.alphas_for(s)
-    # fallback: the modes of the log-variance priors
-    c1, c2 = _quadrature_centers(
-        st, s, (math.log(h.beta / (a1 + 1.0)), math.log(h.beta / (a2 + 1.0)))
-    )
-    with np.errstate(over="ignore"):  # a variance past the largest float is inf
-        log_i1 = _refine_1d(make_logf(quad1, f1.count, a1), c1)
-        log_i2 = _refine_1d(make_logf(quad2, f2.count, a2), c2)
+    with np.errstate(over="ignore"):  # far below the mode, B*exp(-u) is inf
+        log_i1 = log_integral(quad1, f1.count, a1)
+        log_i2 = log_integral(quad2, f2.count, a2)
     return -(n + 0.5 * m) * _LOG_2PI + const + log_i1 + log_i2
+
+
+def _mode_start(st: SuffStats, s: Structure) -> tuple[float, float]:
+    """Where the generic oracle's mode search starts: the log MLE variances,
+    or 0 for data with no MLE."""
+    try:
+        hat = mle_mixed(st).for_structure(s)
+    except DegenerateData:
+        return 0.0, 0.0
+    return math.log(hat.tau1_sq), math.log(hat.tau2_sq)
+
+
+def _log_target(
+    st: SuffStats, s: Structure, prior_logpdf_fn: Callable[[Params], float]
+) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """The generic oracle's integrand, as ``(log_target, const)``.
+
+    ``log_target(y)`` takes an array whose first axis holds the coordinates
+    ``(u1, u2, v)`` (``(u1, u2)`` under ``S3``) of a block of nodes, with
+    ``u = log tau_sq`` and the weight non-centred,
+    ``w = w_hat + sqrt(tau_child_sq / xx) * v``, where ``w_hat = xy/xx``
+    of the child's factor (``xx = 1``, ``w_hat = 0`` when ``xx`` is 0 or
+    subnormal, or ``w_hat`` overflows). It returns the log of likelihood
+    times prior times ``exp(u1 + u2 + u_child/2)`` at each node, calling the
+    prior once per node in C order. ``const = -log(xx)/2`` completes the Jacobian. In these
+    coordinates the likelihood of ``v`` is a unit Gaussian at every
+    variance: there is no funnel between the weight and its child's
+    variance.
+
+    A node whose log-variance lies beyond ``+-log(max float)`` raises
+    :class:`InvalidParameter` before any call in its block; a NaN or ``+inf``
+    prior raises :class:`InvalidParameter` naming the node.
+    """
+    factors = st.factors[s]
+    child = next((i for i, f in enumerate(factors) if f.has_parent), None)
+    xx, w_hat = 1.0, 0.0
+    if child is not None:
+        f = factors[child]
+        # a subnormal xx would overflow 1/sqrt(xx)
+        if f.xx >= sys.float_info.min and math.isfinite(f.xy / f.xx):
+            xx, w_hat = f.xx, f.xy / f.xx
+    r = 1.0 / math.sqrt(xx)  # sqrt(tau/xx) as sqrt(tau) * r: never above the largest float
+
+    def log_target(y: np.ndarray) -> np.ndarray:
+        u1, u2 = y[0], y[1]
+        reach = float(np.max(np.abs(y[:2])))
+        if not reach < _MAX_LOG_VARIANCE:
+            raise InvalidParameter(
+                f"log-variance nodes reach +-{reach!r}, beyond +-{_MAX_LOG_VARIANCE:.1f}: their variances overflow"
+            )
+        t1, t2 = (np.array([math.exp(a) for a in u.ravel().tolist()]).reshape(u.shape) for u in (u1, u2))
+        if child is None:
+            w, jac = np.zeros(u1.shape), u1 + u2
+        else:
+            w = w_hat + np.sqrt((t1, t2)[child]) * r * y[2]
+            jac = u1 + u2 + 0.5 * y[child]
+        nodes = list(zip(w.ravel().tolist(), t1.ravel().tolist(), t2.ravel().tolist()))
+        prior = np.array([prior_logpdf_fn(_trusted_params(*node)) for node in nodes]).reshape(u1.shape)
+        bad = ~(prior < math.inf)  # NaN or +inf
+        if bad.any():
+            i = int(np.argmax(bad.ravel()))
+            raise _bad_prior(Params(*nodes[i]), prior.ravel()[i])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _loglik(st, s, w, t1, t2, u1, u2) + prior + jac
+
+    return log_target, -0.5 * math.log(xx)
+
+
+def _derivatives(
+    log_target: Callable[[np.ndarray], np.ndarray], y: np.ndarray, fy: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gradient and Hessian of ``log_target`` at ``y`` by central
+    differences, one pair per step in ``_DIFF_STEPS``: one block of
+    ``len(_DIFF_STEPS) * (2d + 2d(d-1))`` nodes."""
+    d = y.size
+    pairs = [(i, j) for i in range(d) for j in range(i)]
+    cols = []
+    for h in _DIFF_STEPS:
+        e = h * np.eye(d)
+        cols += [y + e[i] for i in range(d)] + [y - e[i] for i in range(d)]
+        for i, j in pairs:
+            cols += [y + e[i] + e[j], y + e[i] - e[j], y - e[i] + e[j], y - e[i] - e[j]]
+    out = []
+    for h, f in zip(_DIFF_STEPS, log_target(np.array(cols).T).reshape(len(_DIFF_STEPS), -1)):
+        grad = (f[:d] - f[d : 2 * d]) / (2.0 * h)
+        hess = np.diag((f[:d] - 2.0 * fy + f[d : 2 * d]) / (h * h))
+        for (i, j), (pp, pm, mp, mm) in zip(pairs, f[2 * d :].reshape(-1, 4)):
+            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+        out.append((grad, hess))
+    return out
+
+
+def _newton_direction(
+    log_target: Callable[[np.ndarray], np.ndarray], y: np.ndarray, fy: float
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(gradient, chol)`` at ``y`` for the first difference step whose
+    curvature is negative definite (a wider step reaches past a kink), with
+    ``chol`` the lower Cholesky factor of the inverse negative curvature.
+    With no such step, the first finite gradient (zero if none) and
+    ``None``."""
+    derivs = _derivatives(log_target, y, fy)
+    for grad, hess in derivs:
+        if np.isfinite(grad).all() and np.isfinite(hess).all():
+            try:
+                return grad, np.linalg.cholesky(np.linalg.inv(-hess))
+            except np.linalg.LinAlgError:
+                pass
+    return next((g for g, _ in derivs if np.isfinite(g).all()), np.zeros(y.size)), None
+
+
+def _mode_and_scale(
+    log_target: Callable[[np.ndarray], np.ndarray], start: tuple[float, float], dim: int, strict: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mode of ``log_target`` over ``dim`` coordinates by damped Newton,
+    and the lower Cholesky factor of the inverse negative curvature there.
+
+    The search makes the same calls for any data: the two starts ``(*start,
+    0)`` and the origin (an MLE can sit far from the mass: a residual
+    variance of 1e-16 on collinear rows), then ``_NEWTON_STEPS`` steps from
+    the higher one, each one block of differences (``_newton_direction``)
+    and one block of trial points at ``_LINE_FRACTIONS`` of the Newton step,
+    capped at ``_MAX_NEWTON_STEP`` per coordinate, moving to the highest
+    trial that rises; then the differences at the last point. A step with
+    no negative-definite curvature moves along the last factor found (the
+    identity before any). The search has settled when the last point has
+    negative-definite curvature, and either the last step found no rise (the
+    mode, as far as the differences resolve it, a kink's too) or the Newton
+    step there is below ``_MODE_TOLERANCE`` per coordinate. Unsettled,
+    ``strict`` raises :class:`NonConvergedQuadrature`; otherwise the last
+    point and factor stand. No mass at either start raises it always.
+    """
+    starts = np.zeros((dim, 2))
+    starts[:2, 0] = start
+    f = log_target(starts)
+    best = int(np.argmax(f))
+    y, fy = starts[:, best], float(f[best])
+    if not fy > -math.inf:
+        raise NonConvergedQuadrature(
+            f"generic quadrature: no prior-times-likelihood mass at the search's starts {starts.T.tolist()!r}"
+        )
+    chol = np.eye(dim)
+    for i in range(_NEWTON_STEPS + 1):
+        grad, local = _newton_direction(log_target, y, fy)
+        if local is not None:
+            chol = local
+        step = chol @ (chol.T @ grad)
+        size = float(np.max(np.abs(step)))
+        if i == _NEWTON_STEPS:
+            break
+        step *= _MAX_NEWTON_STEP / max(size, _MAX_NEWTON_STEP)
+        trials = y[:, None] + step[:, None] * _LINE_FRACTIONS
+        ft = log_target(trials)
+        ft[np.isnan(ft)] = -math.inf
+        j = int(np.argmax(ft))
+        moved = ft[j] > fy
+        if moved:
+            y, fy = trials[:, j], float(ft[j])
+    if strict and local is None:
+        raise NonConvergedQuadrature(f"generic quadrature: no negative-definite curvature at {y.tolist()!r}")
+    if strict and moved and not size < _MODE_TOLERANCE:
+        raise NonConvergedQuadrature(
+            f"generic quadrature: mode search unsettled after {_NEWTON_STEPS} Newton steps (last step {size!r})"
+        )
+    return y, chol
+
+
+def _hermite_level(
+    log_target: Callable[[np.ndarray], np.ndarray], centre: np.ndarray, chol: np.ndarray, k: int, kw: int
+) -> float:
+    """log of the tensor Gauss-Hermite sum with ``k`` nodes on each
+    log-variance axis and ``kw`` on the weight's, mapped through ``centre +
+    chol @ z``. One outer node (one slab of ``k * kw`` nodes) is evaluated
+    at a time, and the slabs are combined by log-sum-exp."""
+    (z1, lw1), *inner = [_gh_rule(k), _gh_rule(k), _gh_rule(kw)][: centre.size]
+    grids = np.meshgrid(*[z for z, _ in inner], indexing="ij")
+    inner_lw = functools.reduce(np.add.outer, [lw for _, lw in inner])
+    slabs = []
+    for zi, lwi in zip(z1.tolist(), lw1.tolist()):
+        z = [np.full(grids[0].shape, zi), *grids]
+        # chol is lower triangular: coordinate r reads z[0..r], summed in order
+        y = []
+        for r in range(centre.size):
+            acc = centre[r]
+            for j in range(r + 1):
+                acc = acc + chol[r, j] * z[j]
+            y.append(acc)
+        lg = np.ravel(log_target(np.array(y)) + (lwi + inner_lw))
+        peak = float(lg.max())
+        slabs.append(peak + math.log(float(np.sum(np.exp(lg - peak)))) if peak > -math.inf else -math.inf)
+    peak = max(slabs)
+    if peak == -math.inf:
+        raise NonConvergedQuadrature("generic quadrature rule carries no prior-times-likelihood mass")
+    total = 0.0
+    for lv in slabs:
+        total += math.exp(lv - peak)
+    return peak + math.log(total)
 
 
 def quadrature_log_marginal_generic(
     st: SuffStats,
     s: Structure,
     prior_logpdf_fn: Callable[[Params], float],
-    w_window: tuple[float, float] = (-20.0, 20.0),
-    nodes: int = 96,
-    w_nodes: int = 48,
+    nodes: int | None = None,
+    w_nodes: int | None = None,
 ) -> float:
-    """Full tensor quadrature over ``(w, log tau1_sq, log tau2_sq)``.
+    """Adaptive Gauss-Hermite quadrature over ``(log tau1_sq, log tau2_sq, v)``.
 
-    Non-conjugate fallback: the prior enters only through a log-density
-    callback. The weight integral uses a per-cell window standardized by the
-    likelihood curvature (clipped to ``w_window``), so it is accurate when
-    the data meaningfully inform the weight; with very weak data the caller
-    must supply an adequate ``w_window``. Slower and coarser than
-    :func:`quadrature_log_marginal`.
+    Non-conjugate check of the closed form: the prior enters only through a
+    log-density callback. The weight is non-centred, ``w = w_hat +
+    sqrt(tau_child_sq/xx) * v`` with ``w_hat = xy/xx`` of the child's
+    factor, so its likelihood is a unit Gaussian in ``v`` at every variance.
+    A damped Newton search on central differences of the integrand finds
+    its mode, starting from the higher of the log MLE variances (with
+    ``v = 0``) and the origin, with a fixed number of steps and calls
+    (``_mode_and_scale``); the tensor rule is centred there and scaled by
+    the Cholesky factor of the inverse negative curvature (Naylor & Smith
+    1982; Liu & Pierce 1994). By default the rule climbs ``k = 16, 24, 32,
+    48`` nodes per axis until two successive levels agree to 1e-6, and
+    raises :class:`NonConvergedQuadrature` with the last two values
+    otherwise, or when the search has not settled at a point of
+    negative-definite curvature. ``nodes`` (log-variance axes) and
+    ``w_nodes`` (weight axis), when either is given, set one fixed level
+    and no ladder; the other defaults to it. A fixed level takes the
+    search's last point as it is, with the last negative-definite factor
+    found (the identity if none): it has no convergence check. Guarded to
+    ``n + m <= 64``.
 
-    ``prior_logpdf_fn`` is called once per grid node with a :class:`Params`
-    of Python floats, ``tau1_sq`` node by node, then ``tau2_sq``, then ``w``
-    fastest (``w = 0`` under ``S3``), and returns a float. ``-inf`` gives a
-    node no mass (a truncated prior); NaN or ``+inf`` raises
-    :class:`InvalidParameter` naming the node, and a grid with no mass at
-    all raises :class:`NonConvergedQuadrature`. A ``w_window`` that is not
-    finite and increasing, or an MLE log-variance (a grid centre) beyond
-    ``+-_MAX_LOG_CENTER``, raises :class:`InvalidParameter` before any call.
-
-    The likelihood is evaluated one slab (one ``tau1_sq`` node: all
-    ``tau2_sq`` and ``w`` nodes) at a time; the result is bitwise that of
-    the scalar triple loop over ``loglik`` and the callback. The entry
-    checks make every node valid, so its ``Params`` skips its own checks.
+    ``prior_logpdf_fn`` is called with a :class:`Params` of Python floats:
+    first at the mode search's nodes, then at each level's nodes, outer
+    ``tau1_sq`` node by node (in increasing ``tau1_sq``), then the
+    ``tau2_sq`` axis, then the weight axis fastest (``w = 0`` under
+    ``S3``). It returns a float. ``-inf`` gives a node no mass (a truncated
+    prior); NaN or ``+inf`` raises :class:`InvalidParameter` naming the
+    node; no mass at the search's starts, or a rule with no mass at all,
+    raise :class:`NonConvergedQuadrature`. An MLE log-variance beyond
+    ``+-_MAX_LOG_CENTER`` raises :class:`InvalidParameter` before any call,
+    and so does a block of nodes whose variances would overflow, before its
+    calls. A kinked or truncated prior's levels may not agree to 1e-6:
+    there the ladder raises, and a fixed level integrates it unchecked.
     """
     if st.total > _MAX_DATA_FOR_QUADRATURE:
         raise InvalidParameter(f"generic quadrature limited to n + m <= {_MAX_DATA_FOR_QUADRATURE}")
-    lo, hi = w_window
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise InvalidParameter(f"w_window must be finite and increasing, got {w_window!r}")
-    factors = st.factors[s]
-    # the weight enters only its child's factor; S3 has none
-    child = next((i for i, f in enumerate(factors) if f.has_parent), None)
-    w_moment = 0.0 if child is None else factors[child].xx
-    w_center = factors[child].xy / w_moment if w_moment > 0.0 else 0.0
-
-    c1, c2 = _quadrature_centers(st, s, (0.0, 0.0))
-    if not max(abs(c1), abs(c2)) < _MAX_LOG_CENTER:
-        raise InvalidParameter(
-            f"log-variances ({c1!r}, {c2!r}) beyond +-{_MAX_LOG_CENTER:.1f} overflow the grid"
-        )
-    u1, wu1 = _gl_nodes(nodes, c1 - _LOG_WINDOW, c1 + _LOG_WINDOW)
-    u2, wu2 = _gl_nodes(nodes, c2 - _LOG_WINDOW, c2 + _LOG_WINDOW)
-    u2_list = u2.tolist()
-    tau1 = [math.exp(a) for a in u1.tolist()]
-    tau2 = [math.exp(b) for b in u2_list]
-
-    # one weight rule per child-variance node; S3 integrates nothing, which
-    # is a one-node rule at w = 0 with weight 1
-    if child is None:
-        wg, ww = np.zeros((1, 1)), np.ones((1, 1))
+    start = _mode_start(st, s)
+    if not max(abs(start[0]), abs(start[1])) < _MAX_LOG_CENTER:
+        raise InvalidParameter(f"log-variances {start!r} beyond +-{_MAX_LOG_CENTER:.1f} overflow the grid")
+    if nodes is None and w_nodes is None:
+        levels = [(k, k) for k in _HERMITE_LADDER]
     else:
-        rules = []
-        for t in (tau1, tau2)[child]:
-            lo, hi = w_window
-            if w_moment > 0.0:
-                half = 12.0 * math.sqrt(t / w_moment)
-                lo = max(lo, w_center - half)
-                hi = min(hi, w_center + half)
-                if not lo < hi:
-                    lo, hi = w_window
-            rules.append(_gl_nodes(w_nodes, lo, hi))
-        wg, ww = (np.array(r) for r in zip(*rules))
-        if not np.isfinite(wg).all():
-            raise InvalidParameter(f"w_window {w_window!r} is too wide: its weight nodes overflow")
-    shape = (nodes, wg.shape[1])
-
-    def slab(x: np.ndarray, j: int) -> np.ndarray:
-        """The ``(tau2_sq, w)`` block of a weight-rule array at ``tau1_sq`` node ``j``."""
-        return np.broadcast_to(x[j] if child == 0 else x, shape)
-
-    t2 = np.array(tau2)[:, None]
-    log_t2 = np.array([math.log(t) for t in tau2])[:, None]
-
-    cells = []  # log mass of each (tau1, tau2) cell in order; -inf where it has none
-    for j, (a, t1) in enumerate(zip(u1.tolist(), tau1)):
-        w_slab, ww_slab = slab(wg, j), slab(ww, j)
-        w_rows = w_slab.tolist()
-        prior = np.array(
-            [prior_logpdf_fn(_trusted_params(w, t1, t)) for t, row in zip(tau2, w_rows) for w in row]
-        ).reshape(shape)
-        bad = ~(prior < math.inf)  # NaN or +inf
-        if bad.any():
-            k, i = np.argwhere(bad)[0]
-            raise _bad_prior(Params(w_rows[k][i], t1, tau2[k]), prior[k, i])
-        with np.errstate(over="ignore", invalid="ignore"):
-            lw = _loglik(st, s, w_slab, t1, t2, math.log(t1), log_t2) + prior
-            peak = lw.max(axis=1)
-            inner = np.sum(ww_slab * np.exp(lw - peak[:, None]), axis=1)
-        cells.extend(
-            m + math.log(mass) + a + b if mass > 0.0 else -math.inf
-            for m, mass, b in zip(peak.tolist(), inner.tolist(), u2_list)
-        )
-
-    peak = max(cells)
-    if peak == -math.inf:
-        raise NonConvergedQuadrature("generic quadrature grid carries no prior-times-likelihood mass")
-    total = 0.0
-    for weight, lv in zip((wu1[:, None] * wu2).ravel().tolist(), cells):
-        total += weight * math.exp(lv - peak)
-    return peak + math.log(total)
+        k = nodes if nodes is not None else w_nodes
+        levels = [(k, w_nodes if w_nodes is not None else k)]
+    log_target, const = _log_target(st, s, prior_logpdf_fn)
+    centre, chol = _mode_and_scale(log_target, start, param_dim(s), strict=len(levels) > 1)
+    log_det = float(np.sum(np.log(np.diag(chol))))
+    values = []
+    for k, kw in levels:
+        values.append(_hermite_level(log_target, centre, chol, k, kw) + log_det + const)
+        if len(levels) == 1 or len(values) > 1 and abs(values[-1] - values[-2]) < 1e-6:
+            return values[-1]
+    raise NonConvergedQuadrature(
+        f"generic quadrature stalled at {k} nodes per axis (last values {values[-2]!r}, {values[-1]!r})"
+    )
 
 
 def _bad_prior(theta: Params, value: float) -> InvalidParameter:

@@ -51,8 +51,10 @@ class RateInput:
     eta: float | np.ndarray
 
     def __post_init__(self) -> None:
-        # a float or an array; NaN fails both comparisons
-        if not np.all((self.eta >= 0.0) & (self.eta <= 1.0)):
+        # NaN fails both comparisons; np.all costs a float 100 times the
+        # chained comparison
+        eta = self.eta
+        if not (np.all((eta >= 0.0) & (eta <= 1.0)) if isinstance(eta, np.ndarray) else 0.0 <= eta <= 1.0):
             raise InvalidParameter(f"eta must lie in [0, 1], got {self.eta!r}")
         if not math.isfinite(self.y):
             raise InvalidParameter(f"y must be finite, got {self.y!r}")
@@ -100,6 +102,11 @@ def _log1pmx(t):
     return s * s2 * p - t * s
 
 
+def _log1p(t):
+    """``np.log1p``, returned as a ``float`` for a number."""
+    return np.log1p(t) if isinstance(t, np.ndarray) else float(np.log1p(t))
+
+
 def _log_gap(x: float) -> tuple[float, float]:
     """``log1p(x)`` and the Jensen gap ``x - log1p(x) >= 0``, to a few ulp."""
     lg = math.log1p(x)
@@ -119,7 +126,7 @@ def d12(ri: RateInput) -> float | np.ndarray:
     eta, etabar = ri.eta, 1.0 - ri.eta
     mix = eta * x + etabar * z
     if max(x, z) > 1.0:
-        return 0.5 * (np.log1p(mix) - eta * np.log1p(x))
+        return 0.5 * (_log1p(mix) - eta * _log1p(x))
     return 0.5 * (_log1pmx(mix) - eta * _log1pmx(x) + etabar * z)
 
 
@@ -140,7 +147,7 @@ def d21(ri: RateInput) -> float | np.ndarray:
     # one factor of eta cancels when c = 0, which keeps eta = 0 defined
     u = eta * x / (eta + etabar * c) if c else x
     if x > 1.0:
-        return 0.5 * (np.log1p(etabar * u) - np.log1p(u) + eta * np.log1p(x))
+        return 0.5 * (_log1p(etabar * u) - _log1p(u) + eta * _log1p(x))
     return 0.5 * (_log1pmx(etabar * u) - _log1pmx(u) + eta * _log1pmx(x) + etabar * c * u)
 
 

@@ -181,6 +181,19 @@ class TestPosterior:
         err = capsys.readouterr().err
         assert "category=non-converged-quadrature" in err and "Traceback" not in err
 
+    def test_concentrated_prior_quadrature_matches_exact(self, tmp_path, capsys):
+        # shapes and beta of 1e4 put each variance's mass in a window of
+        # width about 0.01 around the mode; the quadrature oracle exited 1
+        # as non-converged when its windows were centred at the MLE
+        data = tmp_path / "conc.csv"
+        data.write_text("regime,x1,x2\nobs,1.0,0.5\nobs,-1.0,0.25\nobs,0.5,-1.0\n")
+        argv = ("--method", "quadrature", "--bge-alpha", "1e4", "--bge-beta", "1e4", "--crosscheck")
+        assert run_cli("posterior", data, *argv) == 0
+        out = capsys.readouterr().out
+        assert "log_marginal[S3] = -7.29498" in out
+        deltas = out.split("delta vs exact closed form: ")[1].split(",")
+        assert all(abs(float(d.split(":")[1])) < 1e-9 for d in deltas)
+
     def test_huge_variance_quadrature_is_quiet(self, tmp_path, capsys):
         data = tmp_path / "huge.csv"
         rows = ["3e152,0.001", "-2e152,0.002", "1e152,-0.001", "4e152,0.0005", "-3e152,-0.002", "2e152,0.001"]

@@ -81,11 +81,20 @@ CASES = [
     # approx
     ("mixed_fisher eta", lambda tmp: mixed_fisher(Structure.S1, THETA, 1.5, IV),
      InvalidParameter, r"^eta must lie in \[0, 1\], got 1\.5$"),
+    # shapes of 1e10: the integrand's terms of about 2e11 cancel, and its
+    # rounding noise keeps successive levels apart
     ("conjugate oracle stalls", lambda tmp: quadrature_log_marginal(
-        suffstats([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]]), Structure.S3, BgeHyper(*[1e4] * 7, 1.0)),
+        suffstats([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]]), Structure.S3, BgeHyper(*[1e10] * 6, 0.5, 1.0)),
      NonConvergedQuadrature, r"^1d refinement stalled at 729 nodes"),
+    # shapes of 1e100 and beta of 1e-300: the window, 1.2e-49 wide at
+    # log-variance -230, holds one float; this read as a raw ValueError
+    ("conjugate window below float resolution", lambda tmp: quadrature_log_marginal(
+        suffstats([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]]), Structure.S1, BgeHyper(*[1e100] * 6, 1e-300, 1e-300)),
+     NonConvergedQuadrature, r"^1d window of half-width 1\.2e-49 at -230\.\d+ is below the float resolution$"),
+    # sums within the Cauchy-Schwarz slack that SuffStats allows: the form
+    # is -2e-10, far more than rounding on collinear rows
     ("conjugate oracle negative quadratic form", lambda tmp: quadrature_log_marginal(
-        suffstats([[1, 0.3], [-2, -0.6]]), Structure.S1, BgeHyper(3, 3, 3, 3, 3, 3, 0.5, 1e300)),
+        SuffStats(1.0, 1.0, 1.0 + 1e-10, 0.0, 0.0, 0.0, 2, 0), Structure.S1, BgeHyper(3, 3, 3, 3, 3, 3, 0.5, 1e300)),
      NumericalDegeneracy, r"^negative residual quadratic form"),
     ("generic oracle size", lambda tmp: quadrature_log_marginal_generic(
         suffstats(np.ones((65, 2))), Structure.S1, lambda t: 0.0),
