@@ -204,51 +204,6 @@ def _gh_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     return z, lw
 
 
-def _gl_nodes(k: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gl_rule(k)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return mid + half * x, half * w
-
-
-def _log_integral_1d(
-    logf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, k: int
-) -> tuple[float, float]:
-    """log of integral(exp(logf)) on [lo, hi] plus the max boundary log-height."""
-    u, w = _gl_nodes(k, lo, hi)
-    lf = logf(u)
-    peak = float(np.max(lf))
-    total = float(np.sum(w * np.exp(lf - peak)))
-    edge = max(logf(np.array([lo, hi])).tolist()) - peak
-    return peak + math.log(total), edge
-
-
-def _refine_1d(logf: Callable[[np.ndarray], np.ndarray], center: float, half: float) -> float:
-    """Adaptive GL integration of exp(logf) over log-variance space, on a
-    window of half-width ``half`` around ``center``."""
-    if not half > 1e-9 * max(1.0, abs(center)):  # nodes a few ulp apart, or all one float
-        raise NonConvergedQuadrature(f"1d window of half-width {half!r} at {center!r} is below the float resolution")
-    lo, hi = center - half, center + half
-    log_edge_tol = math.log(_BOUNDARY_MASS)
-    for _ in range(8):
-        if _log_integral_1d(logf, lo, hi, 48)[1] < log_edge_tol:
-            break
-        lo -= 6.0
-        hi += 6.0
-    else:  # the eighth widening is not checked yet
-        if _log_integral_1d(logf, lo, hi, 48)[1] >= log_edge_tol:
-            raise NonConvergedQuadrature(f"1d window [{lo!r}, {hi!r}] keeps boundary mass after 8 widenings")
-    prev = None
-    for k in _NODE_LADDER:
-        val, _ = _log_integral_1d(logf, lo, hi, k)
-        if prev is not None and abs(val - prev) < 1e-6:
-            return val
-        prev = val
-    raise NonConvergedQuadrature(
-        f"1d refinement stalled at {_NODE_LADDER[-1]} nodes (last value {prev!r})"
-    )
-
-
 def _weight_collapsed(f: Factor, lam: float) -> tuple[float, float]:
     """(residual quadratic form, log normalizer) of a factor with its
     ``N(0, lam * tau_child_sq)`` weight integrated out; ``(yy, 0)`` for a root.
@@ -264,17 +219,68 @@ def _weight_collapsed(f: Factor, lam: float) -> tuple[float, float]:
     return quad, -0.5 * (math.log(lam) + math.log(xx_lam))  # lam * xx_lam can overflow
 
 
+def _log_variance_integrals(axes: list[tuple[float, float, float]]) -> float:
+    """Sum over the log-variance axes ``(k, mode, offset)`` of ``offset +
+    log(integral(exp(-k*(d + expm1(-d)))))`` over ``d = u - mode``.
+
+    The integrand is at most 1, and 1 only at ``d = 0``, so the window test
+    needs no nodes: each axis's Gauss-Legendre window ``[-half, half]``
+    starts at ``half = 12*min(1, k^(-1/2))`` (12 standard deviations of the
+    curvature ``k``, at most 12) and widens by 6 while an edge value reaches
+    ``_BOUNDARY_MASS``, at most 8 times. The axes are then evaluated as one
+    array per level of ``_NODE_LADDER``, and each takes its first level
+    within 1e-6 of the one before.
+    """
+    log_tol = math.log(_BOUNDARY_MASS)
+    halves = []
+    for k, mode, _ in axes:
+        half = _LOG_WINDOW * min(1.0, k**-0.5)
+        # d + expm1(-d) is about d*d/2, left over from terms of size d: within
+        # a few ulp of d at the window's edge, the integrand is rounding noise.
+        # The mode is inf where quad/2 + beta overflows.
+        if not (half * half > 4.0 * math.ulp(half) and mode < math.inf):
+            raise NonConvergedQuadrature(f"1d window of half-width {half!r} at {mode!r} is below the float resolution")
+        widenings = 0
+        while not max(-k * (d + math.expm1(-d)) for d in (-half, half)) < log_tol:
+            if widenings == 8:
+                raise NonConvergedQuadrature(
+                    f"1d window [{mode - half!r}, {mode + half!r}] keeps boundary mass after 8 widenings"
+                )
+            half += 6.0
+            widenings += 1
+        halves.append(half)
+    k_col, half_col = np.array([[a[0]] for a in axes]), np.array([[v] for v in halves])
+    value: dict[int, float] = {}  # axis -> its first level within 1e-6 of the one before
+    prev = [math.inf] * len(axes)
+    for nodes in _NODE_LADDER:
+        x, w = _gl_rule(nodes)
+        d = half_col * x
+        sums = (np.exp(-k_col * (d + np.expm1(-d))) @ w).tolist()
+        level = [math.log(hv * sv) for hv, sv in zip(halves, sums)]
+        for i, (lv, pv) in enumerate(zip(level, prev)):
+            if abs(lv - pv) < 1e-6:
+                value.setdefault(i, lv)
+        if len(value) == len(axes):
+            return sum(a[2] + value[i] for i, a in enumerate(axes))
+        prev = level
+    i = next(i for i in range(len(axes)) if i not in value)
+    raise NonConvergedQuadrature(
+        f"1d refinement stalled at {_NODE_LADDER[-1]} nodes (last value {axes[i][2] + prev[i]!r})"
+    )
+
+
 def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
     """Brute-force log evidence under the hierarchical prior.
 
     The weight is integrated in closed form (it is Gaussian given the
-    variances); the two variances are integrated numerically on tensor
-    Gauss-Legendre grids in log space, refined until successive levels agree
+    variances); the two variances are integrated numerically on
+    Gauss-Legendre rules in log space, refined until successive levels agree
     to 1e-6. With ``k = count/2 + shape`` and ``B = quad/2 + beta``, each
-    axis integrand is ``exp(-k*u - B*exp(-u))``: its window is centred at
-    the mode ``log(B/k)``, with half-width ``12*min(1, k^(-1/2))`` (12
-    standard deviations of its curvature ``k``, at most 12), and widened by
-    6 while its boundary carries mass. Guarded to small datasets
+    axis integrand is ``exp(-k*u - B*exp(-u))``, with its mode at ``log(B/k)``;
+    relative to the mode, ``d = u - log(B/k)``, its log is the constant
+    ``shape*log(beta) - lgamma(shape) - k*log(B/k) - k`` plus
+    ``-k*(d + expm1(-d))``, which is at most 0 and does not cancel at large
+    shapes (``_log_variance_integrals``). Guarded to small datasets
     (``n + m <= 64``); this is an oracle, not a production path.
     """
     if st.total > _MAX_DATA_FOR_QUADRATURE:
@@ -287,24 +293,12 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
     (quad1, const1), (quad2, const2) = (_weight_collapsed(f, h.lam) for f in (f1, f2))
     if quad1 < 0.0 or quad2 < 0.0:
         raise NumericalDegeneracy("negative residual quadratic form in quadrature oracle")
-    const = const1 + const2
-
-    def log_integral(quad: float, cnt: int, shape: float) -> float:
-        k, log_b = 0.5 * cnt + shape, math.log(0.5 * quad + h.beta)
-        c = shape * math.log(h.beta) - math.lgamma(shape)
-
-        def logf(u: np.ndarray) -> np.ndarray:
-            # likelihood block + IG prior + log-space Jacobian; B*exp(-u)
-            # as one exp, which stays finite where exp(u) underflows
-            return c - k * u - np.exp(log_b - u)
-
-        return _refine_1d(logf, log_b - math.log(k), _LOG_WINDOW * min(1.0, k**-0.5))
-
-    a1, a2 = h.alphas_for(s)
-    with np.errstate(over="ignore"):  # far below the mode, B*exp(-u) is inf
-        log_i1 = log_integral(quad1, f1.count, a1)
-        log_i2 = log_integral(quad2, f2.count, a2)
-    return -(n + 0.5 * m) * _LOG_2PI + const + log_i1 + log_i2
+    axes = []
+    for f, quad, shape in zip((f1, f2), (quad1, quad2), h.alphas_for(s)):
+        k = 0.5 * f.count + shape
+        mode = math.log(0.5 * quad + h.beta) - math.log(k)
+        axes.append((k, mode, shape * math.log(h.beta) - math.lgamma(shape) - k * mode - k))
+    return -(n + 0.5 * m) * _LOG_2PI + const1 + const2 + _log_variance_integrals(axes)
 
 
 def _mode_start(st: SuffStats, s: Structure) -> tuple[float, float]:

@@ -13,11 +13,13 @@ from hypothesis import strategies as hs
 
 from bicausal import (
     BgeHyper,
+    BicausalError,
     DegenerateData,
     InterventionSpec,
     InvalidParameter,
     NonConcaveAtMle,
     NonConvergedQuadrature,
+    NumericalDegeneracy,
     Params,
     Regime,
     Structure,
@@ -334,6 +336,15 @@ class TestQuadratureEngine:
         with pytest.raises(NonConvergedQuadrature, match=r"^1d window \[.*\] keeps boundary mass after 8 widenings$"):
             quadrature_log_marginal(st, Structure.S1, h)
 
+    def test_overflowing_rate_is_refused(self):
+        # quad/2 + beta overflows, so the mode log(B/k) is inf; the closed
+        # form reads NaN there
+        st = suffstats([[1e-100, 7e153], [2e-100, -7e153], [0.5e-100, 7e153]])
+        h = BgeHyper(3, 3, 3, 3, 3, 3, 1.7e308, 1.0)
+        for s in Structure:
+            with pytest.raises(NonConvergedQuadrature, match=r" at inf is below the float resolution$"):
+                quadrature_log_marginal(st, s, h)
+
     def test_concentrated_prior_matches_exact(self):
         # shapes and beta of 1e4: each variance's mass lies within about
         # 0.01 of its mode, which windows centred at the MLE did not resolve
@@ -377,6 +388,105 @@ def _huge_variance_data():
     return suffstats(rows)
 
 
+# the hyperparameter sets of the oracle benchmark and of criterion 3
+WORKLOAD_HYPERS = [
+    bge_symmetric_hyper(3.0, 0.5),
+    BgeHyper(4.0, 2.5, 2.5, 3.0, 3.0, 3.0, 0.5, 1.0),
+    BgeHyper(2.0, 1.5, 1.8, 2.2, 1.2, 2.8, 0.8, 0.6),
+]
+_coord = hs.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+def _conjugate_reference(st, s, h):
+    """The conjugate oracle integrated one axis at a time in u = log tau_sq,
+    its integrand ``c - k*u - B*exp(-u)`` written out: each axis's window
+    is tested on a 48-node pass per widening (boundary height against the
+    highest node), then climbs the node ladder on its own."""
+    if st.total > 64:
+        raise InvalidParameter("quadrature oracle limited to n + m <= 64")
+    (quad1, const1), (quad2, const2) = (approx._weight_collapsed(f, h.lam) for f in st.factors[s])
+    if quad1 < 0.0 or quad2 < 0.0:
+        raise NumericalDegeneracy("negative residual quadratic form")
+
+    def log_integral_1d(logf, lo, hi, k):
+        x, w = approx._gl_rule(k)
+        u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        lf = logf(u)
+        peak = float(np.max(lf))
+        total = float(np.sum(0.5 * (hi - lo) * w * np.exp(lf - peak)))
+        return peak + math.log(total), max(logf(np.array([lo, hi])).tolist()) - peak
+
+    def log_integral(quad, cnt, shape):
+        k, log_b = 0.5 * cnt + shape, math.log(0.5 * quad + h.beta)
+        c = shape * math.log(h.beta) - math.lgamma(shape)
+
+        def logf(u):
+            return c - k * u - np.exp(log_b - u)
+
+        center, half = log_b - math.log(k), 12.0 * min(1.0, k**-0.5)
+        if not half > 1e-9 * max(1.0, abs(center)):
+            raise NonConvergedQuadrature("1d window below the float resolution")
+        lo, hi = center - half, center + half
+        for widenings in range(9):
+            if log_integral_1d(logf, lo, hi, 48)[1] < math.log(1e-10):
+                break
+            if widenings == 8:
+                raise NonConvergedQuadrature("1d window keeps boundary mass after 8 widenings")
+            lo, hi = lo - 6.0, hi + 6.0
+        prev = None
+        for k_nodes in (64, 96, 144, 216, 324, 486, 729):
+            val = log_integral_1d(logf, lo, hi, k_nodes)[0]
+            if prev is not None and abs(val - prev) < 1e-6:
+                return val
+            prev = val
+        raise NonConvergedQuadrature("1d refinement stalled")
+
+    (f1, f2), (a1, a2) = st.factors[s], h.alphas_for(s)
+    with np.errstate(over="ignore"):
+        log_i1 = log_integral(quad1, f1.count, a1)
+        log_i2 = log_integral(quad2, f2.count, a2)
+    return -(st.n + 0.5 * st.m) * math.log(2.0 * math.pi) + const1 + const2 + log_i1 + log_i2
+
+
+def _outcome(fn, *args):
+    """``(value, None)``, or ``(None, error type)`` for a library error."""
+    try:
+        return fn(*args), None
+    except BicausalError as e:
+        return None, type(e)
+
+
+class TestConjugateOracleReference:
+    @given(
+        hs.lists(hs.tuples(_coord, _coord), max_size=8),
+        hs.lists(_coord, max_size=5),
+        hs.floats(-3.0, 3.0, allow_subnormal=False),
+        hs.sampled_from(WORKLOAD_HYPERS),
+        hs.sampled_from(list(Structure)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_axis_reference(self, pairs, y1, y, h, s):
+        obs = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+        st = suffstats(obs, np.column_stack([y1, np.full(len(y1), y)]) if y1 else None)
+        got, got_err = _outcome(quadrature_log_marginal, st, s, h)
+        want, want_err = _outcome(_conjugate_reference, st, s, h)
+        assert got_err is want_err
+        if want_err is None:
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("s", list(Structure))
+    def test_shapes_of_1e10_match_exact(self, s):
+        # the u-space integrand's terms of about 2e11 cancelled, and the
+        # reference's ladder stalls on their rounding noise
+        st = suffstats([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]])
+        h = BgeHyper(*[1e10] * 6, 0.5, 1.0)
+        if s is not Structure.S1:
+            with pytest.raises(NonConvergedQuadrature):
+                _conjugate_reference(st, s, h)
+        want = log_marginal_mixed(st, s, h)
+        assert abs(quadrature_log_marginal(st, s, h) - want) < 1e-9 * abs(want)
+
+
 class TestGaussLegendreRule:
     def test_one_rule_per_node_count(self, symmetric_hyper, monkeypatch):
         built = []
@@ -402,14 +512,25 @@ class TestGaussLegendreRule:
         with pytest.raises(ValueError):
             w[0] = 0.0
 
-    @pytest.mark.parametrize("k", [4, 48, 64, 729])
-    def test_nodes_are_the_affine_map_of_leggauss(self, k):
-        lo, hi = -3.7, 8.3
-        x, w = np.polynomial.legendre.leggauss(k)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u, wu = approx._gl_nodes(k, lo, hi)
-        np.testing.assert_array_equal(u, mid + half * x)
-        np.testing.assert_array_equal(wu, half * w)
+    @pytest.mark.parametrize("k", [64, 729])
+    def test_level_is_a_scalar_leggauss_sum(self, k, monkeypatch):
+        # a ladder of one level twice returns that level; it equals the
+        # u-space integrand exp(c - k*u - B*exp(-u)) summed one float at a
+        # time over leggauss nodes on each axis's window around log(B/k)
+        monkeypatch.setattr(approx, "_NODE_LADDER", (k, k))
+        st = suffstats([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]])
+        h = bge_symmetric_hyper(10.0, 0.5)
+        x, w = (a.tolist() for a in np.polynomial.legendre.leggauss(k))
+        want = -3.0 * math.log(2.0 * math.pi)
+        for f, shape in zip(st.factors[Structure.S3], h.alphas_for(Structure.S3)):
+            kk, b = 0.5 * f.count + shape, 0.5 * f.yy + h.beta
+            mode, half = math.log(b / kk), 12.0 * min(1.0, kk**-0.5)
+            assert -kk * (half + math.expm1(-half)) < math.log(1e-10)  # no widening
+            c = shape * math.log(h.beta) - math.lgamma(shape)
+            us = [mode + half * xj for xj in x]
+            terms = [half * wj * math.exp(c - kk * u - b * math.exp(-u)) for u, wj in zip(us, w)]
+            want += math.log(math.fsum(terms))
+        assert quadrature_log_marginal(st, Structure.S3, h) == pytest.approx(want, rel=1e-13)
 
 
 class TestGaussHermiteRule:
@@ -543,14 +664,6 @@ def _recording(fn):
 
     return wrapped, thetas
 
-
-# the hyperparameter sets of the oracle benchmark and of criterion 3
-WORKLOAD_HYPERS = [
-    bge_symmetric_hyper(3.0, 0.5),
-    BgeHyper(4.0, 2.5, 2.5, 3.0, 3.0, 3.0, 0.5, 1.0),
-    BgeHyper(2.0, 1.5, 1.8, 2.2, 1.2, 2.8, 0.8, 0.6),
-]
-_coord = hs.floats(-10.0, 10.0, allow_subnormal=False)
 
 
 def _search_calls(s):

@@ -81,13 +81,15 @@ CASES = [
     # approx
     ("mixed_fisher eta", lambda tmp: mixed_fisher(Structure.S1, THETA, 1.5, IV),
      InvalidParameter, r"^eta must lie in \[0, 1\], got 1\.5$"),
-    # shapes of 1e10: the integrand's terms of about 2e11 cancel, and its
-    # rounding noise keeps successive levels apart
+    # shapes of 1e26: the window is 1.2e-12 wide, and d + expm1(-d), about
+    # d*d/2 from terms of size d, keeps rounding noise of 1e-4 of itself
+    # that holds successive levels apart
     ("conjugate oracle stalls", lambda tmp: quadrature_log_marginal(
-        suffstats([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]]), Structure.S3, BgeHyper(*[1e10] * 6, 0.5, 1.0)),
+        suffstats([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]]), Structure.S3, BgeHyper(*[1e26] * 6, 0.5, 1.0)),
      NonConvergedQuadrature, r"^1d refinement stalled at 729 nodes"),
-    # shapes of 1e100 and beta of 1e-300: the window, 1.2e-49 wide at
-    # log-variance -230, holds one float; this read as a raw ValueError
+    # shapes of 1e100 and beta of 1e-300: d + expm1(-d) rounds to 0 across
+    # the window, 1.2e-49 wide; unguarded, the window widened by 6 and every
+    # node underflowed, to log(0) (pytest makes a RuntimeWarning an error)
     ("conjugate window below float resolution", lambda tmp: quadrature_log_marginal(
         suffstats([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]]), Structure.S1, BgeHyper(*[1e100] * 6, 1e-300, 1e-300)),
      NonConvergedQuadrature, r"^1d window of half-width 1\.2e-49 at -230\.\d+ is below the float resolution$"),
