@@ -172,7 +172,7 @@ _MAX_LOG_CENTER = _MAX_LOG_VARIANCE - _LOG_WINDOW  # leaves room for the nodes a
 _BOUNDARY_MASS = 1e-10
 _NODE_LADDER = (64, 96, 144, 216, 324, 486, 729)
 _HERMITE_LADDER = (16, 24, 32, 48)
-_DIFF_STEPS = (1e-4, 1e-2, 0.1, 0.5)  # widened at a kink
+_DIFF_STEP = 1e-4
 _NEWTON_STEPS = 16
 _MAX_NEWTON_STEP = 4.0
 _LINE_FRACTIONS = 0.5 ** np.arange(16.0)
@@ -367,46 +367,34 @@ def _log_target(
     return log_target, -0.5 * math.log(xx)
 
 
-def _derivatives(
+def _newton_direction(
     log_target: Callable[[np.ndarray], np.ndarray], y: np.ndarray, fy: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradient and Hessian of ``log_target`` at ``y`` by central
-    differences, one pair per step in ``_DIFF_STEPS``: one block of
-    ``len(_DIFF_STEPS) * (2d + 2d(d-1))`` nodes."""
-    d = y.size
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(gradient, chol)`` of ``log_target`` at ``y`` by central differences
+    of step ``_DIFF_STEP``, one block of ``2d + 2d(d-1)`` nodes, with
+    ``chol`` the lower Cholesky factor of the inverse negative curvature. A
+    gradient that is not finite reads zero; a curvature that is not finite,
+    or not negative definite, gives ``None``."""
+    d, h = y.size, _DIFF_STEP
+    e = h * np.eye(d)
     pairs = [(i, j) for i in range(d) for j in range(i)]
-    cols = []
-    for h in _DIFF_STEPS:
-        e = h * np.eye(d)
-        cols += [y + e[i] for i in range(d)] + [y - e[i] for i in range(d)]
-        for i, j in pairs:
-            cols += [y + e[i] + e[j], y + e[i] - e[j], y - e[i] + e[j], y - e[i] - e[j]]
-    out = []
-    for h, f in zip(_DIFF_STEPS, log_target(np.array(cols).T).reshape(len(_DIFF_STEPS), -1)):
+    cols = [y + e[i] for i in range(d)] + [y - e[i] for i in range(d)]
+    for i, j in pairs:
+        cols += [y + e[i] + e[j], y + e[i] - e[j], y - e[i] + e[j], y - e[i] - e[j]]
+    f = log_target(np.array(cols).T)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where a node has no mass
         grad = (f[:d] - f[d : 2 * d]) / (2.0 * h)
         hess = np.diag((f[:d] - 2.0 * fy + f[d : 2 * d]) / (h * h))
         for (i, j), (pp, pm, mp, mm) in zip(pairs, f[2 * d :].reshape(-1, 4)):
             hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
-        out.append((grad, hess))
-    return out
-
-
-def _newton_direction(
-    log_target: Callable[[np.ndarray], np.ndarray], y: np.ndarray, fy: float
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(gradient, chol)`` at ``y`` for the first difference step whose
-    curvature is negative definite (a wider step reaches past a kink), with
-    ``chol`` the lower Cholesky factor of the inverse negative curvature.
-    With no such step, the first finite gradient (zero if none) and
-    ``None``."""
-    derivs = _derivatives(log_target, y, fy)
-    for grad, hess in derivs:
-        if np.isfinite(grad).all() and np.isfinite(hess).all():
-            try:
-                return grad, np.linalg.cholesky(np.linalg.inv(-hess))
-            except np.linalg.LinAlgError:
-                pass
-    return next((g for g, _ in derivs if np.isfinite(g).all()), np.zeros(y.size)), None
+    if not np.isfinite(grad).all():
+        grad = np.zeros(d)
+    if np.isfinite(hess).all():
+        try:
+            return grad, np.linalg.cholesky(np.linalg.inv(-hess))
+        except np.linalg.LinAlgError:
+            pass
+    return grad, None
 
 
 def _mode_and_scale(

@@ -174,59 +174,36 @@ def _chunks(path: str):
         raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
 
 
-def _parse_chunk(lines: list[str]) -> tuple[np.ndarray, np.ndarray, bool] | None:
+def _parse_chunk(lines: list[str]) -> tuple[np.ndarray, np.ndarray, bool] | str:
     """``(obs, interv, saw_header)`` of a chunk whose every line is well
-    formed, converted a column at a time; None if any line is not."""
+    formed, converted a column at a time; otherwise the message template of
+    the first rule, in the order field count, numbers, finiteness, regime,
+    that some line fails, so that a one-line chunk names its own fault."""
     rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
-    data = [s for s in rows if s[0] not in "rR"]  # no regime starts with r
+    # no regime starts with r, so only such a row is tested as a header
+    data = [s for s in rows if s[0] not in "rR" or s.split(",", 1)[0].rstrip().lower() != "regime"]
     saw_header = len(data) < len(rows)
-    if saw_header and any(s.split(",", 1)[0].rstrip().lower() != "regime" for s in rows if s[0] in "rR"):
-        return None
     if not data:
         return np.empty((0, 2)), np.empty((0, 2)), saw_header
     if set(map(str.count, data, repeat(","))) != {2}:
-        return None
+        return "expected 'regime,x1,x2', got {raw!r}"
     tokens = ",".join(data).split(",")
-    regimes = tokens[0::3]
-    kinds = {r: _REGIMES.get(r.strip().lower()) for r in set(regimes)}
-    if None in kinds.values():
-        return None
     values = np.empty((len(data), 2))
     try:
-        # numpy converts each str token with float(), as the line parser
-        # does, so the two paths agree bitwise
+        # numpy converts each str token with float(), as a line-at-a-time
+        # parser would, so a chunk of any size gives the same bits
         values[:, 0] = tokens[1::3]
         values[:, 1] = tokens[2::3]
     except ValueError:
-        return None
+        return "non-numeric sample {raw!r}"
     if not np.isfinite(values).all():
-        return None
+        return "non-finite sample {raw!r}"
+    regimes = tokens[0::3]
+    kinds = {r: _REGIMES.get(r.strip().lower()) for r in set(regimes)}
+    if None in kinds.values():
+        return "unknown regime {regime!r}"
     is_obs = np.fromiter(map(kinds.__getitem__, regimes), dtype=bool, count=len(regimes))
     return values[is_obs], values[~is_obs], saw_header
-
-
-def _line_error(path: str, lines: list[str], lineno: int) -> DataFormatError:
-    """The ``DataFormatError`` of the first malformed line of ``lines``, a
-    chunk that :func:`_parse_chunk` rejected, numbered from ``lineno``.
-    Both apply the same rules, so such a chunk always has one."""
-    for lineno, raw in enumerate(lines, start=lineno):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if parts[0].lower() == "regime":
-            continue
-        if len(parts) != 3:
-            return DataFormatError(f"{path}:{lineno}: expected 'regime,x1,x2', got {raw!r}")
-        try:
-            x1, x2 = float(parts[1]), float(parts[2])
-        except ValueError:
-            return DataFormatError(f"{path}:{lineno}: non-numeric sample {raw!r}")
-        if not (math.isfinite(x1) and math.isfinite(x2)):
-            return DataFormatError(f"{path}:{lineno}: non-finite sample {raw!r}")
-        if parts[0].lower() not in _REGIMES:
-            return DataFormatError(f"{path}:{lineno}: unknown regime {parts[0]!r}")
-    raise AssertionError(f"{path}: a rejected chunk has no malformed line")
 
 
 def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
@@ -239,15 +216,19 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray | None]:
     :class:`DataFormatError` naming ``path:line``, as does a file that is
     unreadable, not UTF-8, or has neither a row nor a header. The file is
     parsed ``_CHUNK_LINES`` lines at a time, a column at a time; a chunk
-    that fails is read line by line to locate the error.
+    that fails is parsed again a line at a time to locate the error.
     """
     obs_parts, int_parts = [np.empty((0, 2))], [np.empty((0, 2))]
     saw_header = False
     lineno = 1
     for lines in _chunks(path):
         parsed = _parse_chunk(lines)
-        if parsed is None:
-            raise _line_error(path, lines, lineno)
+        if isinstance(parsed, str):
+            for lineno, raw in enumerate(lines, start=lineno):
+                fault = _parse_chunk([raw])
+                if isinstance(fault, str):
+                    regime = raw.split(",", 1)[0].strip()
+                    raise DataFormatError(f"{path}:{lineno}: " + fault.format(raw=raw, regime=regime))
         obs, interv, header = parsed
         obs_parts.append(obs)
         int_parts.append(interv)

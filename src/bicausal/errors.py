@@ -25,9 +25,11 @@ class DegenerateData(BicausalError):
 
 
 class NumericalDegeneracy(BicausalError):
-    """A log argument that is positive in exact arithmetic came out non-positive.
+    """A log argument that is positive in exact arithmetic came out non-positive,
+    or a value that is finite in exact arithmetic overflowed.
 
-    Signals corrupted sufficient statistics rather than a modeling failure.
+    Signals corrupted or overflowing sufficient statistics rather than a
+    modeling failure.
     """
 
     category = "numerical-degeneracy"

@@ -57,9 +57,10 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float | np.n
     gives 0 for every structure.
 
     One dataset gives a ``float`` and raises :class:`NumericalDegeneracy`
-    when the augmented determinant is not positive; a batch gives an array,
-    NaN in such cells. Every logarithm of the data is numpy's, so both give
-    the same bits.
+    when the augmented determinant is not positive, or when the value is not
+    finite (an augmented moment overflows); a batch gives an array, NaN in
+    such cells, or infinite, without a warning. Every logarithm of the data
+    is numpy's, so both give the same bits.
     """
     n, m, batch = st.n, st.m, np.ndim(st.s1x) > 0
     f1, f2 = st.factors[s]
@@ -73,34 +74,45 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float | np.n
     if not (f1.has_parent or f2.has_parent):
         norm = (a1 + a2) * math.log(beta2) - (n + 0.5 * m) * _LOG_PI + lg1 + lg2
         norm = norm - math.lgamma(a1) - math.lgamma(a2)
-        out = norm - k1 * np.log(f1.yy + beta2) - k2 * np.log(f2.yy + beta2)
-        return out if batch else float(out)
+        with np.errstate(all="ignore"):
+            out = norm - k1 * np.log(f1.yy + beta2) - k2 * np.log(f2.yy + beta2)
+        return _finite_cells(out, s)
 
     nodes = ((f1, a1, k1), (f2, a2, k2))
     (child, a_c, k_c), (root, a_o, k_o) = nodes if f1.has_parent else nodes[::-1]
-    u = child.xx + 1.0 / h.lam
-    v = root.yy + beta2
-    u_minus_v = (child.xx - root.yy) + (1.0 / h.lam - beta2)
-    delta = (child.yy + beta2) * u - child.xy * child.xy
     coef_u = a_c + 0.5 * (child.count - 1)
     norm = (a_c + a_o) * math.log(beta2) - 0.5 * math.log(h.lam) - (n + 0.5 * m) * _LOG_PI + (lg1 + lg2)
     norm = norm - math.lgamma(a_c) - math.lgamma(a_o)
-    positive = delta > 0.0
-    if not (batch or positive):
-        raise NumericalDegeneracy(
-            f"augmented determinant non-positive ({float(delta)!r}); sufficient statistics corrupted"
+    with np.errstate(all="ignore"):
+        u = child.xx + 1.0 / h.lam
+        v = root.yy + beta2
+        u_minus_v = (child.xx - root.yy) + (1.0 / h.lam - beta2)
+        delta = (child.yy + beta2) * u - child.xy * child.xy
+        positive = delta > 0.0
+        if not (batch or positive):
+            raise NumericalDegeneracy(
+                f"augmented determinant non-positive ({float(delta)!r}); sufficient statistics corrupted"
+            )
+        # log(U/V): log1p near 1, exactly zero when U == V; log(U) - log(V)
+        # far from it, where log1p is computed and discarded (-inf at r = -1)
+        r = u_minus_v / v
+        log_v = np.log(v)
+        log_u_over_v = np.where((r >= -0.5) & (r <= 1.0), np.log1p(r), np.log(u) - log_v)
+        out = (
+            norm
+            + coef_u * log_u_over_v
+            + (coef_u - k_o) * log_v
+            - k_c * np.log(np.where(positive, delta, np.nan))
         )
-    # log(U/V): log1p near 1, exactly zero when U == V; log(U) - log(V) far from it
-    r = u_minus_v / v
-    log_v = np.log(v)
-    log_u_over_v = np.where((r >= -0.5) & (r <= 1.0), np.log1p(r), np.log(u) - log_v)
-    out = (
-        norm
-        + coef_u * log_u_over_v
-        + (coef_u - k_o) * log_v
-        - k_c * np.log(np.where(positive, delta, np.nan))
-    )
-    return out if batch else float(out)
+    return _finite_cells(out, s)
+
+
+def _finite_cells(out, s: Structure) -> float | np.ndarray:
+    """``_cells(out)`` of an evidence; one dataset's must be finite."""
+    out = _cells(out)
+    if isinstance(out, float) and not math.isfinite(out):
+        raise NumericalDegeneracy(f"log marginal likelihood under {s.value} is {out!r}: an augmented moment overflows")
+    return out
 
 
 def log_marginal_obs(st: SuffStats, s: Structure, h: BgeHyper) -> float:

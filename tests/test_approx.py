@@ -668,10 +668,10 @@ def _recording(fn):
 
 def _search_calls(s):
     """The mode search's callbacks, the same for any data: two starts, a
-    block of differences at each of 4 steps per Newton step and at the last
-    point, and a block of trial points per Newton step."""
+    block of differences per Newton step and at the last point, and a block
+    of trial points per Newton step."""
     d = 2 if s is Structure.S3 else 3
-    stencil = len(approx._DIFF_STEPS) * (2 * d + 2 * d * (d - 1))
+    stencil = 2 * d + 2 * d * (d - 1)
     steps = approx._NEWTON_STEPS
     return 2 + (steps + 1) * stencil + steps * len(approx._LINE_FRACTIONS)
 

@@ -201,6 +201,25 @@ class TestPosterior:
         assert run_cli("posterior", data, "--method", "quadrature") == 0
         assert capsys.readouterr().err == ""
 
+    def test_overflowing_evidence_is_numerical_degeneracy(self, tmp_path, capsys):
+        # node 2's yy + 2*beta overflows: the posterior read p(S1)=nan with
+        # exit 0 and two RuntimeWarnings
+        data = tmp_path / "overflow.csv"
+        data.write_text("regime,x1,x2\nobs,1e-100,7e153\nobs,2e-100,-7e153\nobs,0.5e-100,7e153\n")
+        cfg = tmp_path / "huge-beta.cfg"
+        cfg.write_text("[prior]\n" + "".join(f"alpha{i} = 3\n" for i in range(1, 7)) + "beta = 1.7e308\nlambda = 1\n")
+        assert run_cli("posterior", data, "--config", cfg) == 1
+        captured = capsys.readouterr()
+        assert "category=numerical-degeneracy" in captured.err and "Traceback" not in captured.err
+        assert "nan" not in captured.out
+
+    def test_vanishing_moment_ratio_is_quiet(self, tmp_path, capsys):
+        # U/V rounds to 0 under S2; log1p(-1) in the discarded branch warned
+        data = tmp_path / "tiny-x1.csv"
+        data.write_text("regime,x1,x2\nobs,1e-4,1.0\nobs,-2e-4,0.5\nobs,1e-4,-1.0\n")
+        assert run_cli("posterior", data, "--bge-beta", "1e10") == 0
+        assert capsys.readouterr().err == ""
+
     def test_collinear_data_reports_mle_unavailable(self, tmp_path, capsys):
         data = tmp_path / "line.csv"
         data.write_text("regime,x1,x2\nobs,1,2\nobs,2,4\nobs,3,6\n")

@@ -47,6 +47,7 @@ from bicausal import (
     run_odds_plateau,
     sample_curve,
     sample_interv,
+    sample_obs,
     suffstats,
     theory_exponent,
 )
@@ -76,6 +77,20 @@ def _cfg(**kw):
 
 _MODEL = ("--w", 1, "--tau1-sq", 1, "--tau2-sq", 1)
 
+
+def _oracle_data():
+    """Six observational and three interventional rows drawn under S1."""
+    rng = np.random.default_rng(14)
+    return suffstats(sample_obs(Structure.S1, THETA, 6, rng), sample_interv(Structure.S1, THETA, IV, 3, rng))
+
+
+def _mass_near_mle(st, s):
+    """A prior with mass only within 1e-3 of the MLE log-variances."""
+    mle = mle_mixed(st).for_structure(s)
+    u = (math.log(mle.tau1_sq), math.log(mle.tau2_sq))
+    return lambda t: 0.0 if max(abs(math.log(t.tau1_sq) - u[0]), abs(math.log(t.tau2_sq) - u[1])) < 1e-3 else -math.inf
+
+
 # (id, call taking a scratch directory, exception type, message regex)
 CASES = [
     # approx
@@ -98,6 +113,16 @@ CASES = [
     ("conjugate oracle negative quadratic form", lambda tmp: quadrature_log_marginal(
         SuffStats(1.0, 1.0, 1.0 + 1e-10, 0.0, 0.0, 0.0, 2, 0), Structure.S1, BgeHyper(3, 3, 3, 3, 3, 3, 0.5, 1e300)),
      NumericalDegeneracy, r"^negative residual quadratic form"),
+    # beta of 1e20 puts the variances' mass near 1e19, 44 log units from
+    # the MLE: 16 Newton steps of at most 4 per coordinate do not settle
+    ("generic oracle search unsettled", lambda tmp: quadrature_log_marginal_generic(
+        _oracle_data(), Structure.S1, lambda t: prior_logpdf(t, Structure.S1, BgeHyper(3, 3, 3, 3, 3, 3, 1e20, 1.0))),
+     NonConvergedQuadrature, r"^generic quadrature: mode search unsettled after 16 Newton steps \(last step "),
+    # the search stays inside the prior's box, but no node of a 6 x 6 x 4
+    # rule scaled by the likelihood's curvature falls in it
+    ("generic oracle rule without mass", lambda tmp: quadrature_log_marginal_generic(
+        _oracle_data(), Structure.S1, _mass_near_mle(_oracle_data(), Structure.S1), nodes=6, w_nodes=4),
+     NonConvergedQuadrature, r"^generic quadrature rule carries no prior-times-likelihood mass$"),
     ("generic oracle size", lambda tmp: quadrature_log_marginal_generic(
         suffstats(np.ones((65, 2))), Structure.S1, lambda t: 0.0),
      InvalidParameter, r"^generic quadrature limited to n \+ m <= 64$"),

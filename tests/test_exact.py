@@ -554,3 +554,39 @@ class TestSmallAugmentedMoment:
         batch = SuffStats(*(np.array([getattr(st, f), getattr(other, f)]) for f in _SUMS), st.n, st.m, st.y)
         got = log_marginal_mixed(batch, Structure.S2, self.H).tolist()
         assert got == [log_marginal_mixed(c, Structure.S2, self.H) for c in (st, other)]
+
+    def test_discarded_log1p_branch_is_quiet(self):
+        # U/V rounds to 0, so r = -1 and log1p(r) is -inf in the branch that
+        # np.where discards; it warned ("divide by zero") on one cell and on
+        # a batch alike, and the suite turns that warning into a failure
+        st = SuffStats(0.015625, 2.0, 0.0, 140737488355559.0, 0.0, 0.0, 2, 480332724763, 0.0)
+        h = BgeHyper(1, 1, 1, 1, 1, 1, 0.1015625, 32.0)
+        batch = SuffStats(*(np.array([getattr(st, f)]) for f in _SUMS), st.n, st.m, st.y)
+        got = log_marginal_mixed(st, Structure.S2, h)
+        assert math.isfinite(got)
+        assert log_marginal_mixed(batch, Structure.S2, h).tobytes() == np.array([got]).tobytes()
+
+
+class TestOverflowingEvidence:
+    """``yy + 2*beta`` beyond the largest float: one dataset's evidence
+    raises instead of reading NaN or -inf, without a warning; a batch keeps
+    such cells non-finite."""
+
+    ST = suffstats([[1e-100, 7e153], [2e-100, -7e153], [0.5e-100, 7e153]])
+
+    @pytest.mark.parametrize("beta", [1.7e308, 5e307])
+    @pytest.mark.parametrize("s", list(Structure))
+    def test_one_dataset_raises(self, s, beta):
+        h = BgeHyper(3, 3, 3, 3, 3, 3, beta, 1.0)
+        with pytest.raises(NumericalDegeneracy, match=rf"^log marginal likelihood under {s.value} is (nan|-inf): "):
+            log_marginal_mixed(self.ST, s, h)
+
+    def test_posterior_raises(self):
+        with pytest.raises(NumericalDegeneracy):
+            posterior(self.ST, BgeHyper(3, 3, 3, 3, 3, 3, 1.7e308, 1.0))
+
+    def test_batch_cells_stay_non_finite(self):
+        batch = SuffStats(*(np.array([getattr(self.ST, f)] * 2) for f in _SUMS), self.ST.n, 0)
+        for s in Structure:
+            got = log_marginal_mixed(batch, s, BgeHyper(3, 3, 3, 3, 3, 3, 5e307, 1.0))
+            assert got.shape == (2,) and not np.isfinite(got).any()
