@@ -372,11 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bicausal", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(q):
+    def add_common(q, seed=False, prior=False):
         q.add_argument("--config", help="flat key = value config file")
-        q.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        q.add_argument("--bge-alpha", dest="bge_alpha", type=float, help="symmetric prior shape")
-        q.add_argument("--bge-beta", dest="bge_beta", type=float, help="symmetric prior rate")
+        if seed:
+            q.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+        if prior:
+            q.add_argument("--bge-alpha", dest="bge_alpha", type=float, help="symmetric prior shape")
+            q.add_argument("--bge-beta", dest="bge_beta", type=float, help="symmetric prior rate")
 
     def add_model(q):
         q.add_argument("--w", type=float)
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--y", type=float, help="intervention value")
 
     q = sub.add_parser("simulate", help="draw a dataset and write it as CSV")
-    add_common(q)
+    add_common(q, seed=True)
     q.add_argument("--structure", help="S1, S2, or S3")
     add_model(q)
     q.add_argument("--n", type=int, help="observational sample count")
@@ -394,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_simulate)
 
     q = sub.add_parser("posterior", help="structure posterior of a dataset file")
-    add_common(q)
+    add_common(q, prior=True)
     q.add_argument("dataset", help="CSV produced by `bicausal simulate`")
     q.add_argument("--method", choices=_METHODS, help="evidence computation route")
     q.add_argument("--crosscheck", action="store_true", help="always report deltas vs exact")
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_rates)
 
     q = sub.add_parser("experiment", help="run a Monte Carlo experiment bundle")
-    add_common(q)
+    add_common(q, seed=True, prior=True)
     q.add_argument("--preset", help="figure1..figure7")
     q.add_argument("--out", help="output directory")
     q.set_defaults(func=cmd_experiment)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateData, InvalidParameter
 from .sem import _EDGES, _INDEX, _LOG_2PI, STRUCTURES, InterventionSpec, Params, Structure, _ByStructure
-from .sem import _edge, _integer, _node1_is_child
+from .sem import _edge, _integer, _interv_mean
 
 # Variance estimates at or below this are treated as exactly degenerate.
 _VARIANCE_FLOOR = 1e-300
@@ -317,8 +317,7 @@ def _draw_sums(
     if m == 0:
         return sq[0], sq[1], spc, zero, zero, zero
     y = iv.value
-    mu = w * y if _node1_is_child(edge) else 0.0
-    sum_y1 = m * mu + math.sqrt(tau[0] * m) * rng.standard_normal(size)
+    sum_y1 = m * _interv_mean(s, theta, y) + math.sqrt(tau[0] * m) * rng.standard_normal(size)
     s1y = sum_y1 * sum_y1 / m + tau[0] * _chi2(rng, m - 1, size)
     # adding zero makes a column of the constant; it is never -0.0, so the
     # number is unchanged

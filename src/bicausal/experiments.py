@@ -575,9 +575,9 @@ def run_bundle(kind: str, spec: dict, seed: int, hyper: BgeHyper, outdir) -> lis
     """Run one experiment of ``kind`` and write its files into ``outdir``.
 
     ``spec`` has the shape of a :data:`PRESETS` spec; ``seed`` and ``hyper``
-    complete its :class:`ExperimentConfig`. The ``chi2`` and ``plateau``
-    kinds are observational and ignore ``etas``. Returns one summary line per
-    file written or fit made.
+    complete its :class:`ExperimentConfig`. A ``chi2`` or ``plateau`` spec
+    takes at most one eta; ``plateau`` is observational and refuses one.
+    Returns one summary line per file written or fit made.
     """
     outdir = Path(outdir)
     _make_dir(outdir)
@@ -591,17 +591,20 @@ def run_bundle(kind: str, spec: dict, seed: int, hyper: BgeHyper, outdir) -> lis
 
     fields = {k: v for k, v in spec.items() if k not in ("etas", "fit_min_size")}
     min_size = spec.get("fit_min_size", 0)
+    etas = spec.get("etas", (None,))
+    if kind in ("chi2", "plateau") and len(etas) > 1:
+        raise ConfigError(f"a {kind} experiment takes one eta, got {len(etas)}")
 
     def config(eta: float | None = None) -> ExperimentConfig:
         return ExperimentConfig(hyper=hyper, eta=eta, base_seed=seed, **fields)
 
     if kind == "chi2":
-        cfg = config()
+        cfg = config(*etas)
         result, ks, pvalue = run_chi2_diagnostic(cfg)
         write_chi2_csv(outdir / "chi2.csv", cfg, result, ks, pvalue)
         return [f"chi2.csv: KS distance {_fmt(ks)}, p-value {_fmt(pvalue)} over {result.trial.size} trials"]
     if kind == "plateau":
-        cfg = config()
+        cfg = config(*etas)
         result = run_odds_plateau(cfg)
         write_plateau_csv(outdir / "plateau.csv", cfg, result)
         largest = cfg.sample_sizes[-1]
@@ -612,7 +615,7 @@ def run_bundle(kind: str, spec: dict, seed: int, hyper: BgeHyper, outdir) -> lis
         ]
     if kind == "concentration":
         lines, slope_rows = [], []
-        for eta in spec.get("etas", (None,)):
+        for eta in etas:
             cfg = config(eta)
             result = run_concentration(cfg)
             tag = "obs" if eta is None else f"eta{eta:g}"

@@ -36,7 +36,7 @@ from .sem import (
 class BgeHyper:
     """Hyperparameters of the hierarchical structure prior.
 
-    All seven scalars must be strictly positive.
+    All eight scalars must be strictly positive, and each shape's ``lgamma`` finite.
     """
 
     alpha1: float
@@ -53,6 +53,8 @@ class BgeHyper:
             v = getattr(self, f.name)
             if not (math.isfinite(v) and v > 0.0):
                 raise InvalidParameter(f"hyperparameter {f.name} must be positive, got {v!r}")
+            if f.name.startswith("alpha"):
+                _lgamma(f"hyperparameter {f.name}", v)
 
     def alphas_for(self, s: Structure) -> tuple[float, float]:
         """(node-1 shape, node-2 shape) for structure ``s``."""
@@ -105,7 +107,16 @@ def invgamma_logpdf(x: float, shape: float, rate: float) -> float:
     """Log-density of ``IG(shape, rate)`` at ``x > 0``."""
     if x <= 0.0:
         raise _support_error(x)
-    return shape * math.log(rate) - math.lgamma(shape) - (shape + 1.0) * math.log(x) - rate / x
+    return shape * math.log(rate) - _lgamma("shape", shape) - (shape + 1.0) * math.log(x) - rate / x
+
+
+def _lgamma(name: str, shape: float) -> float:
+    """``math.lgamma(shape)``; an overflow (a shape above about 2.55e305) is
+    an :class:`InvalidParameter` naming ``name``."""
+    try:
+        return math.lgamma(shape)
+    except OverflowError:
+        raise InvalidParameter(f"{name} is too large for a finite lgamma, got {shape!r}") from None
 
 
 def _support_error(x: float) -> InvalidParameter:

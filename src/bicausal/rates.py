@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ArgumentOutOfDomain, InvalidParameter
 from .priors import BgeHyper, prior_logpdf, pushforward_prior_logpdf
 from .sem import STRUCTURES, Params, Structure, gamma_map, implied_covariance
-from .sem import _ByStructure, _edge, _node1_is_child
+from .sem import _ByStructure, _edge, _interv_mean, _node1_is_child
 
 
 def _ratios(theta: Params, y: float) -> tuple[float, float, float, float]:
@@ -350,13 +350,6 @@ def kl_univariate(mean0: float, var0: float, mean1: float, var1: float) -> float
     return 0.5 * (var0 / var1 + (mean1 - mean0) * (mean1 - mean0) / var1 - 1.0 + math.log(var1 / var0))
 
 
-def _interv_law(s: Structure, theta: Params, y: float) -> tuple[float, float]:
-    """(mean, variance) of the free node under ``do(node2 = y)``."""
-    if _node1_is_child(_edge(s)):
-        return theta.w * y, theta.tau1_sq
-    return 0.0, theta.tau1_sq
-
-
 def kl_mixture_exponent(
     true_model: Structure, wrong_model: Structure, theta_star: Params, y: float, eta: float
 ) -> float:
@@ -369,9 +362,8 @@ def kl_mixture_exponent(
     cov_true = implied_covariance(true_model, theta_star).as_matrix()
     cov_wrong = implied_covariance(wrong_model, theta_wrong).as_matrix()
     kl_obs = kl_centered_bivariate(cov_true, cov_wrong)
-    m0, v0 = _interv_law(true_model, theta_star, y)
-    m1, v1 = _interv_law(wrong_model, theta_wrong, y)
-    kl_int = kl_univariate(m0, v0, m1, v1)
+    m0, m1 = _interv_mean(true_model, theta_star, y), _interv_mean(wrong_model, theta_wrong, y)
+    kl_int = kl_univariate(m0, theta_star.tau1_sq, m1, theta_wrong.tau1_sq)
     return eta * kl_obs + (1.0 - eta) * kl_int
 
 

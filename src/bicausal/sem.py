@@ -180,35 +180,31 @@ class InterventionSpec:
             raise InvalidParameter(f"intervention value must be finite, got {self.value!r}")
 
 
-def gamma_map(theta: Params) -> Params:
-    """Map ``S1`` parameters to the observationally equivalent ``S2`` parameters.
+def _reverse_edge(edge: tuple[int, int], theta: Params) -> Params:
+    """The observationally equivalent parameters with ``edge`` reversed.
 
-    With ``s = w^2*tau2_sq + tau1_sq`` the image is
-    ``(w*tau2_sq/s, s, tau1_sq*tau2_sq/s)``. Since ``s >= tau1_sq > 0`` the
-    division never degenerates. Fixes ``w = 0`` points up to swapping the
-    variance roles.
+    With ``s = w^2*tau_parent + tau_child`` the weight becomes
+    ``w*tau_parent/s``, the old child (the new parent) has variance ``s``
+    and the old parent ``tau1_sq*tau2_sq/s``. Since ``s >= tau_child > 0``
+    the division never degenerates.
     """
-    s = theta.w * theta.w * theta.tau2_sq + theta.tau1_sq
-    return Params(
-        w=theta.w * theta.tau2_sq / s,
-        tau1_sq=s,
-        tau2_sq=theta.tau1_sq * theta.tau2_sq / s,
-    )
+    p, c = edge
+    tau = [theta.tau1_sq, theta.tau2_sq]
+    s = theta.w * theta.w * tau[p] + tau[c]
+    w = theta.w * tau[p] / s
+    tau[p], tau[c] = tau[0] * tau[1] / s, s
+    return Params(w, *tau)
+
+
+def gamma_map(theta: Params) -> Params:
+    """Map ``S1`` parameters to the observationally equivalent ``S2`` parameters."""
+    return _reverse_edge(_EDGES[Structure.S1], theta)
 
 
 def gamma_map_inverse(theta: Params) -> Params:
-    """Map ``S2`` parameters to the observationally equivalent ``S1`` parameters.
-
-    Exact inverse of :func:`gamma_map` (the same map with the variance slots
-    swapped): with ``s = w^2*tau1_sq + tau2_sq`` the image is
-    ``(w*tau1_sq/s, tau1_sq*tau2_sq/s, s)``.
-    """
-    s = theta.w * theta.w * theta.tau1_sq + theta.tau2_sq
-    return Params(
-        w=theta.w * theta.tau1_sq / s,
-        tau1_sq=theta.tau1_sq * theta.tau2_sq / s,
-        tau2_sq=s,
-    )
+    """Map ``S2`` parameters to the observationally equivalent ``S1`` parameters;
+    the exact inverse of :func:`gamma_map`."""
+    return _reverse_edge(_EDGES[Structure.S2], theta)
 
 
 def gamma_log_jacobian_det(theta: Params) -> float:
@@ -254,6 +250,12 @@ def obs_logpdf(x: tuple[float, float], s: Structure, theta: Params) -> float:
     return _norm_logpdf(resid[0], theta.tau1_sq) + _norm_logpdf(resid[1], theta.tau2_sq)
 
 
+def _interv_mean(s: Structure, theta: Params, y: float) -> float:
+    """Mean of node 1 under ``do(node2 = y)``: ``w*y`` under ``S1``, where the
+    intervention propagates, and 0 otherwise."""
+    return theta.w * y if _node1_is_child(_edge(s)) else 0.0
+
+
 def interv_logpdf_y1(y1: float, s: Structure, theta: Params, iv: InterventionSpec) -> float:
     """Log-density of the free node under ``do(node2 = iv.value)``.
 
@@ -261,8 +263,7 @@ def interv_logpdf_y1(y1: float, s: Structure, theta: Params, iv: InterventionSpe
     ``S2`` and ``S3`` the incoming edge (if any) is severed and ``Y1`` keeps
     its marginal law ``N(0, tau1_sq)``.
     """
-    mean = theta.w * iv.value if _node1_is_child(_edge(s)) else 0.0
-    return _norm_logpdf(float(y1) - mean, theta.tau1_sq)
+    return _norm_logpdf(float(y1) - _interv_mean(s, theta, iv.value), theta.tau1_sq)
 
 
 def sample_obs(
@@ -302,9 +303,8 @@ def sample_interv(
     m = _integer("m", m)
     if m < 0:
         raise InvalidParameter(f"m must be >= 0, got {m}")
-    mean = theta.w * iv.value if _node1_is_child(_edge(s)) else 0.0
     z = np.random.default_rng(seed).standard_normal(m)
     out = np.empty((m, 2))
-    out[:, 0] = mean + math.sqrt(theta.tau1_sq) * z
+    out[:, 0] = _interv_mean(s, theta, iv.value) + math.sqrt(theta.tau1_sq) * z
     out[:, 1] = iv.value
     return out

@@ -351,6 +351,89 @@ class TestExperimentCommand:
         assert "category=config" in capsys.readouterr().err
 
 
+class TestSettingsAreLive:
+    """Every flag a command takes changes what it does; the flags a command
+    would ignore are not declared, so they exit 2 like any unknown flag."""
+
+    DEAD = [
+        ("simulate", "--bge-alpha", "3"),
+        ("simulate", "--bge-beta", "0.5"),
+        ("posterior", "--seed", "5"),
+        ("rates", "--seed", "5"),
+        ("rates", "--bge-alpha", "3"),
+        ("rates", "--bge-beta", "0.5"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value", DEAD, ids=[f"{c} {f}" for c, f, _ in DEAD])
+    def test_dead_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out.csv"
+        data = tmp_path / "data.csv"
+        data.write_text("regime,x1,x2\nobs,1.0,2.0\nobs,2.0,1.0\n")
+        argv = {
+            "simulate": ["--structure", "S1", *MODEL, "--n", "3"],
+            "posterior": [data],
+            "rates": [*MODEL, "--y", "0.1", "--grid-points", "5"],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, *argv, flag, value, "--out", out)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_option_slots(self):
+        # flags and positionals, not -h
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        slots = {name: sum(a.dest != "help" for a in q._actions) for name, q in sub.choices.items()}
+        assert slots == {"simulate": 10, "posterior": 7, "rates": 7, "experiment": 6}
+
+    @staticmethod
+    def _config(tmp_path, model, experiment):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[model]\n{model}[experiment]\n{experiment}")
+        return cfg
+
+    def test_chi2_eta_runs_the_mixed_diagnostic(self, tmp_path):
+        cfg = self._config(
+            tmp_path, "structure = S3\nw = 0\ntau1_sq = 1\ntau2_sq = 1\ny = 1.5\neta = 0.5\n",
+            "kind = chi2\nsample_sizes = 400\ntrials = 30\n",
+        )
+        out = tmp_path / "b"
+        assert run_cli("experiment", "--config", cfg, "--seed", "0", "--out", out) == 0
+        text = (out / "chi2.csv").read_text()
+        assert "# eta = 0.5\n" in text
+        lines = text.splitlines()
+        rows = np.array([l.split(",") for l in lines[lines.index("trial,stat_s1,stat_s2") + 1:]], dtype=float)
+        want_cfg = bc.ExperimentConfig(
+            bc.Structure.S3, Params(0.0, 1.0, 1.0), bc.bge_symmetric_hyper(3.0, 0.5),
+            y=1.5, eta=0.5, sample_sizes=(400,), trials=30, base_seed=0,
+        )
+        result, ks, pvalue = bc.run_chi2_diagnostic(want_cfg)
+        assert rows[:, 1].tolist() == result.stat_s1.tolist()
+        assert rows[:, 2].tolist() == result.stat_s2.tolist()
+        assert f"# ks_statistic = {ks!r}\n" in text and result.m.tolist() == [200] * 30
+
+    def test_plateau_eta_is_invalid_parameter(self, tmp_path, capsys):
+        cfg = self._config(
+            tmp_path, "structure = S1\nw = 1\ntau1_sq = 1\ntau2_sq = 1\ny = 1.5\neta = 0.5\n",
+            "kind = plateau\nsample_sizes = 100,200\ntrials = 2\n",
+        )
+        assert run_cli("experiment", "--config", cfg, "--out", tmp_path / "b") == 1
+        err = capsys.readouterr().err
+        assert "category=invalid-parameter: plateau experiment is observational-only" in err
+        assert not (tmp_path / "b" / "plateau.csv").exists()
+
+    @pytest.mark.parametrize("command", ["posterior", "experiment"])
+    def test_shape_with_overflowing_lgamma_is_invalid_parameter(self, tmp_path, capsys, command):
+        # lgamma overflows above about 2.55e305; the traceback was a raw
+        # OverflowError with no category
+        data = tmp_path / "tiny-x1.csv"
+        data.write_text("regime,x1,x2\nobs,1e-4,1.0\nobs,-2e-4,0.5\nobs,1e-4,-1.0\n")
+        argv = [data] if command == "posterior" else ["--preset", "figure3", "--out", tmp_path / "b"]
+        assert run_cli(command, *argv, "--bge-alpha", "1e308") == 1
+        err = capsys.readouterr().err
+        assert "category=invalid-parameter: hyperparameter alpha1" in err and "Traceback" not in err
+
+
 class TestHyperPrecedence:
     """Which prior an experiment runs under, read from its bundle header."""
 

@@ -177,9 +177,19 @@ CASES = [
      InvalidParameter, r"^empty sample$"),
     ("unknown bundle kind", lambda tmp: run_bundle("survey", {}, 0, H, tmp),
      ConfigError, r"^unknown experiment kind 'survey'$"),
+    # a chi2 or plateau bundle runs one configuration, so it takes one eta
+    ("chi2 bundle with two etas", lambda tmp: run_bundle(
+        "chi2", {"true_model": Structure.S3, "theta_star": Params(0, 1, 1), "y": 1.5, "sample_sizes": (40,),
+                 "trials": 2, "etas": (0.1, 0.5)}, 0, H, tmp),
+     ConfigError, r"^a chi2 experiment takes one eta, got 2$"),
     # priors
     ("inverse-gamma support", lambda tmp: invgamma_logpdf(0.0, 3.0, 0.5),
      InvalidParameter, r"^inverse-gamma support is \(0, inf\), got 0\.0$"),
+    # lgamma is finite at 2.55e305 and overflows at 2.6e305
+    ("prior shape with overflowing lgamma", lambda tmp: BgeHyper(3, 3, 3, 3, 3, 2.6e305, 0.5, 1),
+     InvalidParameter, r"^hyperparameter alpha6 is too large for a finite lgamma, got 2\.6e\+305$"),
+    ("inverse-gamma shape with overflowing lgamma", lambda tmp: invgamma_logpdf(1.0, 1e308, 0.5),
+     InvalidParameter, r"^shape is too large for a finite lgamma, got 1e\+308$"),
     # rates
     ("RateInput eta", lambda tmp: RateInput(THETA, 0.1, 1.5),
      InvalidParameter, r"^eta must lie in \[0, 1\], got 1\.5$"),

@@ -59,6 +59,31 @@ class TestGammaMap:
             [g.w, g.tau1_sq, g.tau2_sq], [6.0 / 13.0, 13.0, 3.0 / 13.0], rtol=1e-15
         )
 
+    @staticmethod
+    def _written_out(theta):
+        """Both maps as the source writes them, one slot at a time: ``S1 -> S2``
+        with ``s = w^2*tau2_sq + tau1_sq`` and ``S2 -> S1`` with
+        ``s = w^2*tau1_sq + tau2_sq``."""
+        w, t1, t2 = theta.w, theta.tau1_sq, theta.tau2_sq
+        s = w * w * t2 + t1
+        forward = (w * t2 / s, s, t1 * t2 / s)
+        s = w * w * t1 + t2
+        inverse = (w * t1 / s, t1 * t2 / s, s)
+        return forward, inverse
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.floats(-1e5, 1e5),
+        st.floats(1e-8, 1e8),
+        st.floats(1e-8, 1e8),
+    )
+    def test_maps_match_written_out_formulas_bitwise(self, w, t1, t2):
+        theta = Params(w, t1, t2)
+        forward, inverse = self._written_out(theta)
+        g, h = gamma_map(theta), gamma_map_inverse(theta)
+        assert (g.w, g.tau1_sq, g.tau2_sq) == forward
+        assert (h.w, h.tau1_sq, h.tau2_sq) == inverse
+
     @given(weights, variances, variances)
     def test_inverse_roundtrip(self, w, t1, t2):
         theta = Params(w, t1, t2)
