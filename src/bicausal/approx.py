@@ -91,12 +91,17 @@ def loglik_hessian(st: SuffStats, s: Structure, theta: Params) -> np.ndarray:
     """Exact Hessian of the mixed-data log-likelihood at ``theta``.
 
     Cross terms between the weight and its child variance vanish at the MLE
-    but are included so the Hessian is correct at any ``theta``.
+    but are included so the Hessian is correct at any ``theta``. A variance
+    whose cube underflows to 0 (below about 1.4e-108) raises
+    :class:`NumericalDegeneracy`: the curvature it divides is not a float.
     """
     w = theta.w
     d = param_dim(s)
     h = np.zeros((d, d))
-    for i, (f, t) in enumerate(zip(st.factors[s], (theta.tau1_sq, theta.tau2_sq)), start=d - 2):
+    variances = zip(st.factors[s], (theta.tau1_sq, theta.tau2_sq), ("tau1_sq", "tau2_sq"))
+    for i, (f, t, name) in enumerate(variances, start=d - 2):
+        if t * t * t == 0.0:
+            raise NumericalDegeneracy(f"Hessian under {s.value} undefined: {name} = {t!r} cubes to 0")
         h[i, i] = 0.5 * f.count / (t * t) - f.residual(w) / (t * t * t)
         if f.has_parent:
             h[0, 0] = -f.xx / t
@@ -119,7 +124,8 @@ def hessian_diagnostics(st: SuffStats, s: Structure, theta: Params) -> HessianRe
     """Evaluate the analytic Hessian at ``theta`` and report eigenvalue signs.
 
     This is the runtime check behind the Laplace expansion's concavity
-    requirement; it reports rather than raises.
+    requirement; it reports a Hessian that is not negative definite rather
+    than raising.
     """
     h = loglik_hessian(st, s, theta)
     eig = np.linalg.eigvalsh(h)
@@ -219,54 +225,76 @@ def _weight_collapsed(f: Factor, lam: float) -> tuple[float, float]:
     return quad, -0.5 * (math.log(lam) + math.log(xx_lam))  # lam * xx_lam can overflow
 
 
-def _log_variance_integrals(axes: list[tuple[float, float, float]]) -> float:
-    """Sum over the log-variance axes ``(k, mode, offset)`` of ``offset +
-    log(integral(exp(-k*(d + expm1(-d)))))`` over ``d = u - mode``.
+class _AxisFailure(Exception):
+    """A log-variance axis that ``_log_axis_integral`` cannot integrate, as
+    ``(kind, value)``: ``("window", half)`` for a window that keeps boundary
+    mass after 8 widenings, ``("stalled", last)`` for a ladder whose levels
+    never agree. Both values depend on ``k`` alone."""
+
+
+@functools.lru_cache(maxsize=1024)
+def _log_axis_integral(k: float, half: float, ladder: tuple[int, ...]) -> float:
+    """log of the integral of ``exp(-k*(d + expm1(-d)))`` over ``d``, by
+    Gauss-Legendre rules on ``[-half, half]``, ``half = 12*min(1, k^(-1/2))``
+    (12 standard deviations of the curvature ``k``, at most 12).
 
     The integrand is at most 1, and 1 only at ``d = 0``, so the window test
-    needs no nodes: each axis's Gauss-Legendre window ``[-half, half]``
-    starts at ``half = 12*min(1, k^(-1/2))`` (12 standard deviations of the
-    curvature ``k``, at most 12) and widens by 6 while an edge value reaches
-    ``_BOUNDARY_MASS``, at most 8 times. The axes are then evaluated as one
-    array per level of ``_NODE_LADDER``, and each takes its first level
-    within 1e-6 of the one before.
+    needs no nodes: the window widens by 6 while an edge value reaches
+    ``_BOUNDARY_MASS``, at most 8 times. The value is the first level of
+    ``ladder`` within 1e-6 of the one before, each level the ``math.fsum``
+    of its node terms (correctly rounded, so no BLAS kernel shows in the
+    bits). It depends on ``k`` alone (``half`` is a function of it), so it
+    is memoised: a pass over many datasets of a few shapes integrates each
+    distinct ``k`` once. A failure raises :class:`_AxisFailure` and is not
+    cached.
     """
-    log_tol = math.log(_BOUNDARY_MASS)
-    halves = []
-    for k, mode, _ in axes:
+    widenings = 0
+    while not max(-k * (d + math.expm1(-d)) for d in (-half, half)) < math.log(_BOUNDARY_MASS):
+        if widenings == 8:
+            raise _AxisFailure("window", half)
+        half += 6.0
+        widenings += 1
+    prev = math.inf
+    for nodes in ladder:
+        x, w = _gl_rule(nodes)
+        d = half * x
+        level = math.log(half * math.fsum((np.exp(-k * (d + np.expm1(-d))) * w).tolist()))
+        if abs(level - prev) < 1e-6:
+            return level
+        prev = level
+    raise _AxisFailure("stalled", prev)
+
+
+def _log_variance_integrals(axes: list[tuple[float, float, float]]) -> float:
+    """Sum over the log-variance axes ``(k, mode, offset)`` of ``offset +
+    log(integral(exp(-k*(d + expm1(-d)))))`` over ``d = u - mode``, each
+    axis's integral read from the per-``k`` memo ``_log_axis_integral``.
+
+    The checks keep one order: each axis in turn has its half-width checked
+    against the float resolution (and its mode against overflow), then its
+    window; only then does the first axis whose ladder stalled raise.
+    """
+    total, stalled = 0.0, None
+    for k, mode, offset in axes:
         half = _LOG_WINDOW * min(1.0, k**-0.5)
         # d + expm1(-d) is about d*d/2, left over from terms of size d: within
         # a few ulp of d at the window's edge, the integrand is rounding noise.
         # The mode is inf where quad/2 + beta overflows.
         if not (half * half > 4.0 * math.ulp(half) and mode < math.inf):
             raise NonConvergedQuadrature(f"1d window of half-width {half!r} at {mode!r} is below the float resolution")
-        widenings = 0
-        while not max(-k * (d + math.expm1(-d)) for d in (-half, half)) < log_tol:
-            if widenings == 8:
+        try:
+            total += offset + _log_axis_integral(k, half, _NODE_LADDER)
+        except _AxisFailure as e:
+            kind, value = e.args
+            if kind == "window":
                 raise NonConvergedQuadrature(
-                    f"1d window [{mode - half!r}, {mode + half!r}] keeps boundary mass after 8 widenings"
-                )
-            half += 6.0
-            widenings += 1
-        halves.append(half)
-    k_col, half_col = np.array([[a[0]] for a in axes]), np.array([[v] for v in halves])
-    value: dict[int, float] = {}  # axis -> its first level within 1e-6 of the one before
-    prev = [math.inf] * len(axes)
-    for nodes in _NODE_LADDER:
-        x, w = _gl_rule(nodes)
-        d = half_col * x
-        sums = (np.exp(-k_col * (d + np.expm1(-d))) @ w).tolist()
-        level = [math.log(hv * sv) for hv, sv in zip(halves, sums)]
-        for i, (lv, pv) in enumerate(zip(level, prev)):
-            if abs(lv - pv) < 1e-6:
-                value.setdefault(i, lv)
-        if len(value) == len(axes):
-            return sum(a[2] + value[i] for i, a in enumerate(axes))
-        prev = level
-    i = next(i for i in range(len(axes)) if i not in value)
-    raise NonConvergedQuadrature(
-        f"1d refinement stalled at {_NODE_LADDER[-1]} nodes (last value {axes[i][2] + prev[i]!r})"
-    )
+                    f"1d window [{mode - value!r}, {mode + value!r}] keeps boundary mass after 8 widenings"
+                ) from None
+            if stalled is None:
+                stalled = offset + value
+    if stalled is not None:
+        raise NonConvergedQuadrature(f"1d refinement stalled at {_NODE_LADDER[-1]} nodes (last value {stalled!r})")
+    return total
 
 
 def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
@@ -280,8 +308,10 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
     relative to the mode, ``d = u - log(B/k)``, its log is the constant
     ``shape*log(beta) - lgamma(shape) - k*log(B/k) - k`` plus
     ``-k*(d + expm1(-d))``, which is at most 0 and does not cancel at large
-    shapes (``_log_variance_integrals``). Guarded to small datasets
-    (``n + m <= 64``); this is an oracle, not a production path.
+    shapes. Its integral depends on ``k`` alone and is memoised per ``k``
+    (``_log_axis_integral``): datasets of one size under one prior share it.
+    Guarded to small datasets (``n + m <= 64``); this is an oracle, not a
+    production path.
     """
     if st.total > _MAX_DATA_FOR_QUADRATURE:
         raise InvalidParameter(

@@ -1,10 +1,10 @@
 """Command-line interface: simulate, posterior, rates, experiment.
 
 Configuration is a flat ``key = value`` text file with ``[section]`` headers
-(sections: model, prior, simulate, rates, experiment). CLI flags override
-config-file values. Every output file carries its resolved configuration in
-``#``-prefixed header lines, and every command is deterministic given
-(config, seed).
+(sections: model, prior, simulate, posterior, rates, experiment; the keys
+each may hold are ``_CONFIG_KEYS``). CLI flags override config-file values.
+Every output file carries its resolved configuration in ``#``-prefixed
+header lines, and every command is deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -35,9 +35,26 @@ _METHODS = ("exact", "laplace", "quadrature")
 # ---------------------------------------------------------------------------
 
 
+#: The keys each config section may hold: the union of what the four
+#: commands read, so that one file serves every command.
+_CONFIG_KEYS = {
+    "model": ("structure", "w", "tau1_sq", "tau2_sq", "y", "eta"),
+    "prior": ("bge_alpha", "bge_beta", "alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6", "beta", "lambda"),
+    "simulate": ("n", "m", "seed", "out"),
+    "posterior": ("method",),
+    "rates": ("grid_points", "out"),
+    "experiment": ("preset", "kind", "sample_sizes", "trials", "fit_min_size", "seed", "out"),
+}
+#: The settings a preset fixes, which a config may not give beside it.
+_PRESET_FIXES = {"model": _CONFIG_KEYS["model"], "experiment": ("kind", "sample_sizes", "trials", "fit_min_size")}
+
+
 def parse_config(path: str) -> dict[str, dict[str, str]]:
+    """The file's ``{section: {key: value}}``. A line that is not a
+    ``[section]`` header or ``key = value``, or a key outside
+    ``_CONFIG_KEYS``, raises :class:`ConfigError` at ``path:line``."""
     sections: dict[str, dict[str, str]] = {}
-    current = "global"
+    current = None
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -53,7 +70,13 @@ def parse_config(path: str) -> dict[str, dict[str, str]]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        sections.setdefault(current, {})[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        allowed = _CONFIG_KEYS.get(current, ())
+        if key not in allowed:
+            where = "before any [section] header" if current is None else f"in [{current}]"
+            hint = f"expected one of {', '.join(allowed)}" if allowed else f"sections: {', '.join(_CONFIG_KEYS)}"
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} {where} ({hint})")
+        sections.setdefault(current, {})[key] = value.strip()
     return sections
 
 
@@ -114,10 +137,11 @@ def _theta(res: Resolver, args) -> Params:
 
 
 def _hyper(res: Resolver, args) -> BgeHyper:
-    """The explicit ``alpha1..6, beta, lambda`` prior when the config gives one
-    and ``--bge-alpha`` is unset; otherwise the symmetric prior."""
-    if args.bge_alpha is None and any(k.startswith("alpha") for k in res.sections.get("prior", {})):
-        keys = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6", "beta", "lambda")
+    """The explicit ``alpha1..6, beta, lambda`` prior when the config gives
+    any of those keys and ``--bge-alpha`` is unset (each is then required);
+    otherwise the symmetric prior."""
+    keys = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6", "beta", "lambda")
+    if args.bge_alpha is None and not res.sections.get("prior", {}).keys().isdisjoint(keys):
         return BgeHyper(*(res.get_as(float, "prior", k, required=True) for k in keys))
     alpha = res.get_as(float, "prior", "bge_alpha", args.bge_alpha, default=3.0)
     beta = res.get_as(float, "prior", "bge_beta", args.bge_beta, default=0.5)
@@ -337,6 +361,9 @@ def cmd_experiment(args) -> int:
     if preset_name:
         if preset_name.lower() not in xp.PRESETS:
             raise ConfigError(f"unknown preset {preset_name!r}; expected figure1..figure7")
+        fixed = [f"[{sec}] {k}" for sec, keys in _PRESET_FIXES.items() for k in keys if k in res.sections.get(sec, {})]
+        if fixed:
+            raise ConfigError(f"preset {preset_name} fixes its model and design; the config sets {', '.join(fixed)}")
         kind, spec = xp.PRESETS[preset_name.lower()]
     else:
         kind = res.get("experiment", "kind", None, required=True)

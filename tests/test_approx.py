@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as hs
 
 from bicausal import (
@@ -487,6 +487,85 @@ class TestConjugateOracleReference:
         assert abs(quadrature_log_marginal(st, s, h) - want) < 1e-9 * abs(want)
 
 
+def _axis_reference(k):
+    """One log-variance axis integrated with no memo: ``("value", v)``, or the
+    failure's ``(kind, k-only fact)``. Each level is the ``math.fsum`` of
+    its node terms ``exp(-k*(d + expm1(-d))) * w`` with ``d = half * x``."""
+    half = 12.0 * min(1.0, k**-0.5)
+    for widenings in range(9):
+        if max(-k * (d + math.expm1(-d)) for d in (-half, half)) < math.log(1e-10):
+            break
+        if widenings == 8:
+            return "window", half
+        half += 6.0
+    prev = math.inf
+    for nodes in (64, 96, 144, 216, 324, 486, 729):
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        d = half * x
+        level = math.log(half * math.fsum(np.exp(-k * (d + np.expm1(-d))) * w))
+        if abs(level - prev) < 1e-6:
+            return "value", level
+        prev = level
+    return "stalled", prev
+
+
+class TestAxisMemo:
+    """The conjugate oracle's per-axis integral depends on ``k`` alone and is
+    memoised on it; a failure is not cached."""
+
+    @staticmethod
+    def _memoised(k):
+        try:
+            return "value", approx._log_axis_integral(k, 12.0 * min(1.0, k**-0.5), approx._NODE_LADDER)
+        except approx._AxisFailure as e:
+            return e.args
+
+    @given(hs.floats(1e-2, 1e12))
+    @example(0.5)  # widens six times, then converges
+    @example(0.05)  # keeps boundary mass after eight widenings
+    @example(1e26 + 1.5)  # the ladder stalls on rounding noise
+    @settings(max_examples=60, deadline=None)
+    def test_equals_an_uncached_evaluation_bitwise(self, k):
+        want = _axis_reference(k)
+        assert self._memoised(k) == want  # a miss, or a hit from an earlier example
+        assert self._memoised(k) == want
+
+    def test_datasets_of_one_shape_share_their_integrals(self):
+        rng = np.random.default_rng(3)
+        approx._log_axis_integral.cache_clear()
+        for _ in range(32):
+            interv = np.column_stack([rng.normal(size=3), np.full(3, 1.5)])
+            st = suffstats(rng.normal(size=(4, 2)), interv)
+            for s in Structure:
+                quadrature_log_marginal(st, s, WORKLOAD_HYPERS[2])
+        info = approx._log_axis_integral.cache_info()
+        assert info.misses <= 6 and info.hits + info.misses == 32 * 3 * 2
+
+    # (hits, misses) over two calls: both axes stall at one k, so each call
+    # misses twice; node 1's window holds and is cached, node 2's does not
+    @pytest.mark.parametrize(
+        "rows, interv, h, pattern, counts",
+        [
+            ([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]], None, BgeHyper(*[1e26] * 6, 0.5, 1.0),
+             r"^1d refinement stalled at 729 nodes \(last value ", (0, 4)),
+            (np.empty((0, 2)), [[1.0, 1.5], [2.0, 1.5], [0.3, 1.5]], bge_symmetric_hyper(0.55, 0.5),
+             r"^1d window \[.*\] keeps boundary mass after 8 widenings$", (1, 3)),
+        ],
+        ids=["stalled", "window"],
+    )
+    def test_a_failing_axis_is_not_cached(self, rows, interv, h, pattern, counts):
+        st = suffstats(rows, interv)
+        approx._log_axis_integral.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(NonConvergedQuadrature, match=pattern) as info:
+                quadrature_log_marginal(st, Structure.S1, h)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        info = approx._log_axis_integral.cache_info()
+        assert (info.hits, info.misses) == counts
+
+
 class TestGaussLegendreRule:
     def test_one_rule_per_node_count(self, symmetric_hyper, monkeypatch):
         built = []
@@ -498,6 +577,7 @@ class TestGaussLegendreRule:
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
         approx._gl_rule.cache_clear()
+        approx._log_axis_integral.cache_clear()
         st = suffstats(sample_obs(Structure.S1, Params(1, 1, 1), 5, 3))
         for _ in range(2):
             for s in Structure:

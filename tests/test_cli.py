@@ -213,6 +213,20 @@ class TestPosterior:
         assert "category=numerical-degeneracy" in captured.err and "Traceback" not in captured.err
         assert "nan" not in captured.out
 
+    def test_laplace_with_an_underflowing_variance_is_numerical_degeneracy(self, tmp_path, capsys):
+        # tau2_sq of about 1e-256 squares to 0 in the Hessian: the report was
+        # a raw ZeroDivisionError traceback; the exact method scores the file
+        data = tmp_path / "tiny-x2.csv"
+        data.write_text(
+            "regime,x1,x2\nobs,100.0,1e-128\nobs,-50.0,-2e-128\nobs,80.0,0.5e-128\n"
+            "int,3.0,0.5\nint,-4.0,0.5\nint,2.5,0.5\n"
+        )
+        assert run_cli("posterior", data, "--method", "laplace") == 1
+        err = capsys.readouterr().err
+        assert "category=numerical-degeneracy: Hessian under S1 undefined: tau2_sq = " in err
+        assert "Traceback" not in err
+        assert run_cli("posterior", data) == 0
+
     def test_vanishing_moment_ratio_is_quiet(self, tmp_path, capsys):
         # U/V rounds to 0 under S2; log1p(-1) in the discarded branch warned
         data = tmp_path / "tiny-x1.csv"
@@ -496,6 +510,73 @@ class TestConfigParsing:
         obs, interv = read_dataset(str(data))
         np.testing.assert_array_equal(obs, [[1.0, 2.0]])
         np.testing.assert_array_equal(interv, [[0.5, 1.5]])
+
+
+class TestConfigKeys:
+    """Every config key is read by some command, and any other is refused."""
+
+    MODEL_SECTION = "[model]\nstructure = S1\nw = 1\ntau1_sq = 1\ntau2_sq = 1\n"
+
+    def test_preset_with_generative_keys_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # the preset's bundle was written with its own trials and no eta
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[model]\neta = 0.5\nstructure = S2\n[experiment]\ntrials = 3\nsample_sizes = 50,100\n")
+        out = tmp_path / "b"
+        assert run_cli("experiment", "--preset", "figure6", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            "error category=config: preset figure6 fixes its model and design; the config sets "
+            "[model] structure, [model] eta, [experiment] sample_sizes, [experiment] trials"
+        )
+        assert not out.exists()
+
+    def test_misspelt_key_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # the run used the default 100 trials
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(self.MODEL_SECTION + "[experiment]\nkind = concentration\nsample_sizes = 50,100\ntrails = 3\n")
+        out = tmp_path / "b"
+        assert run_cli("experiment", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"category=config: {cfg}:9: unknown key 'trails' in [experiment] (expected one of " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, line, where",
+        [("w = 1\n", 1, "before any [section] header"), ("[model]\n[plot]\nw = 1\n", 3, "in [plot]")],
+    )
+    def test_key_outside_the_known_sections_is_refused(self, tmp_path, capsys, text, line, where):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        assert run_cli("rates", "--config", cfg) == 2
+        assert f"{cfg}:{line}: unknown key 'w' {where} (sections: model, prior," in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["beta", "lambda"])
+    def test_explicit_prior_key_without_the_shapes_is_refused(self, tmp_path, capsys, key):
+        # the symmetric prior ran and the key was dropped
+        data, cfg = tmp_path / "d.csv", tmp_path / "c.ini"
+        data.write_text("regime,x1,x2\nobs,1.0,0.5\nobs,-1.0,0.25\n")
+        cfg.write_text(f"[prior]\n{key} = 50\n")
+        assert run_cli("posterior", data, "--config", cfg) == 2
+        assert "category=config: missing required setting [prior] alpha1" in capsys.readouterr().err
+
+    def test_every_key_is_read_by_some_command(self, tmp_path, monkeypatch):
+        read = set()
+        get = cli.Resolver.get
+
+        def recording(self, section, key, *args, **kwargs):
+            read.add((section, key))
+            return get(self, section, key, *args, **kwargs)
+
+        monkeypatch.setattr(cli.Resolver, "get", recording)
+        data, cfg = tmp_path / "d.csv", tmp_path / "c.ini"
+        run_cli("simulate", "--structure", "S1", *MODEL, "--y", "1.5", "--n", "3", "--m", "2", "--out", data)
+        run_cli("posterior", data)
+        cfg.write_text(TestHyperPrecedence.EXPLICIT)
+        run_cli("posterior", data, "--config", cfg)
+        run_cli("rates", *MODEL, "--y", "0.1", "--grid-points", "5", "--out", tmp_path / "r.csv")
+        cfg.write_text(self.MODEL_SECTION + "[experiment]\nkind = concentration\nsample_sizes = 50,100\ntrials = 1\n")
+        run_cli("experiment", "--config", cfg, "--out", tmp_path / "b")
+        assert read == {(section, key) for section, keys in cli._CONFIG_KEYS.items() for key in keys}
 
 
 MODEL = ["--w", "1.0", "--tau1-sq", "1.0", "--tau2-sq", "1.0"]

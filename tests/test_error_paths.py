@@ -33,6 +33,7 @@ from bicausal import (
     gain_transform,
     invgamma_logpdf,
     ks_test_chi2_1,
+    laplace_log_marginal,
     log_marginal_obs,
     mixed_fisher,
     mle_mixed,
@@ -84,6 +85,12 @@ def _oracle_data():
     return suffstats(sample_obs(Structure.S1, THETA, 6, rng), sample_interv(Structure.S1, THETA, IV, 3, rng))
 
 
+def _tiny_x2_data():
+    """Three observational rows whose x2 is of order 1e-128, and three
+    interventional rows."""
+    return suffstats([[100.0, 1e-128], [-50.0, -2e-128], [80.0, 0.5e-128]], [[3.0, 0.5], [-4.0, 0.5], [2.5, 0.5]])
+
+
 def _mass_near_mle(st, s):
     """A prior with mass only within 1e-3 of the MLE log-variances."""
     mle = mle_mixed(st).for_structure(s)
@@ -113,6 +120,12 @@ CASES = [
     ("conjugate oracle negative quadratic form", lambda tmp: quadrature_log_marginal(
         SuffStats(1.0, 1.0, 1.0 + 1e-10, 0.0, 0.0, 0.0, 2, 0), Structure.S1, BgeHyper(3, 3, 3, 3, 3, 3, 0.5, 1e300)),
      NumericalDegeneracy, r"^negative residual quadratic form"),
+    # tau2_sq of 1.75e-256 squares to 0 in the Hessian; the Laplace route
+    # raised a raw ZeroDivisionError
+    ("Hessian of an underflowing variance", lambda tmp: laplace_log_marginal(
+        _tiny_x2_data(), Structure.S1, lambda t: prior_logpdf(t, Structure.S1, H),
+        mle_mixed(_tiny_x2_data()).for_structure(Structure.S1)),
+     NumericalDegeneracy, r"^Hessian under S1 undefined: tau2_sq = 1\.75e-256 cubes to 0$"),
     # beta of 1e20 puts the variances' mass near 1e19, 44 log units from
     # the MLE: 16 Newton steps of at most 4 per coordinate do not settle
     ("generic oracle search unsettled", lambda tmp: quadrature_log_marginal_generic(
@@ -137,6 +150,11 @@ CASES = [
     ("interventional samples without y", lambda tmp: _cli(
         tmp, "simulate", "--structure", "S1", *_MODEL, "--m", 2, "--out", tmp / "x.csv"),
      ConfigError, r"^interventional samples requested but no intervention value y$"),
+    ("misspelt config key", lambda tmp: _cli(tmp, "rates", *_MODEL, "--y", 1, config="[rates]\ngrid_point = 5\n"),
+     ConfigError, r"^.*run\.cfg:2: unknown key 'grid_point' in \[rates\] \(expected one of grid_points, out\)$"),
+    ("preset beside generative keys", lambda tmp: _cli(
+        tmp, "experiment", "--preset", "figure1", "--out", tmp / "b", config="[model]\nw = 2\n"),
+     ConfigError, r"^preset figure1 fixes its model and design; the config sets \[model\] w$"),
     ("unknown method", lambda tmp: _cli(tmp, "posterior", tmp / "x.csv", config="[posterior]\nmethod = mcmc\n"),
      ConfigError, r"^unknown method 'mcmc'; expected one of \('exact', 'laplace', 'quadrature'\)$"),
     # estimation
