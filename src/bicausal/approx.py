@@ -225,33 +225,27 @@ def _weight_collapsed(f: Factor, lam: float) -> tuple[float, float]:
     return quad, -0.5 * (math.log(lam) + math.log(xx_lam))  # lam * xx_lam can overflow
 
 
-class _AxisFailure(Exception):
-    """A log-variance axis that ``_log_axis_integral`` cannot integrate, as
-    ``(kind, value)``: ``("window", half)`` for a window that keeps boundary
-    mass after 8 widenings, ``("stalled", last)`` for a ladder whose levels
-    never agree. Both values depend on ``k`` alone."""
-
-
 @functools.lru_cache(maxsize=1024)
-def _log_axis_integral(k: float, half: float, ladder: tuple[int, ...]) -> float:
-    """log of the integral of ``exp(-k*(d + expm1(-d)))`` over ``d``, by
+def _log_axis_integral(k: float, half: float, ladder: tuple[int, ...]) -> tuple[str, float]:
+    """The outcome of integrating ``exp(-k*(d + expm1(-d)))`` over ``d``, by
     Gauss-Legendre rules on ``[-half, half]``, ``half = 12*min(1, k^(-1/2))``
-    (12 standard deviations of the curvature ``k``, at most 12).
+    (12 standard deviations of the curvature ``k``, at most 12):
+    ``("value", log integral)``, ``("window", half)`` for a window that keeps
+    boundary mass after 8 widenings, or ``("stalled", last level)``.
 
     The integrand is at most 1, and 1 only at ``d = 0``, so the window test
     needs no nodes: the window widens by 6 while an edge value reaches
     ``_BOUNDARY_MASS``, at most 8 times. The value is the first level of
     ``ladder`` within 1e-6 of the one before, each level the ``math.fsum``
     of its node terms (correctly rounded, so no BLAS kernel shows in the
-    bits). It depends on ``k`` alone (``half`` is a function of it), so it
-    is memoised: a pass over many datasets of a few shapes integrates each
-    distinct ``k`` once. A failure raises :class:`_AxisFailure` and is not
-    cached.
+    bits). The outcome depends on ``k`` alone (``half`` is a function of
+    it), so it is memoised: a pass over many datasets of a few shapes
+    integrates each distinct ``k`` once.
     """
     widenings = 0
     while not max(-k * (d + math.expm1(-d)) for d in (-half, half)) < math.log(_BOUNDARY_MASS):
         if widenings == 8:
-            raise _AxisFailure("window", half)
+            return "window", half
         half += 6.0
         widenings += 1
     prev = math.inf
@@ -260,41 +254,9 @@ def _log_axis_integral(k: float, half: float, ladder: tuple[int, ...]) -> float:
         d = half * x
         level = math.log(half * math.fsum((np.exp(-k * (d + np.expm1(-d))) * w).tolist()))
         if abs(level - prev) < 1e-6:
-            return level
+            return "value", level
         prev = level
-    raise _AxisFailure("stalled", prev)
-
-
-def _log_variance_integrals(axes: list[tuple[float, float, float]]) -> float:
-    """Sum over the log-variance axes ``(k, mode, offset)`` of ``offset +
-    log(integral(exp(-k*(d + expm1(-d)))))`` over ``d = u - mode``, each
-    axis's integral read from the per-``k`` memo ``_log_axis_integral``.
-
-    The checks keep one order: each axis in turn has its half-width checked
-    against the float resolution (and its mode against overflow), then its
-    window; only then does the first axis whose ladder stalled raise.
-    """
-    total, stalled = 0.0, None
-    for k, mode, offset in axes:
-        half = _LOG_WINDOW * min(1.0, k**-0.5)
-        # d + expm1(-d) is about d*d/2, left over from terms of size d: within
-        # a few ulp of d at the window's edge, the integrand is rounding noise.
-        # The mode is inf where quad/2 + beta overflows.
-        if not (half * half > 4.0 * math.ulp(half) and mode < math.inf):
-            raise NonConvergedQuadrature(f"1d window of half-width {half!r} at {mode!r} is below the float resolution")
-        try:
-            total += offset + _log_axis_integral(k, half, _NODE_LADDER)
-        except _AxisFailure as e:
-            kind, value = e.args
-            if kind == "window":
-                raise NonConvergedQuadrature(
-                    f"1d window [{mode - value!r}, {mode + value!r}] keeps boundary mass after 8 widenings"
-                ) from None
-            if stalled is None:
-                stalled = offset + value
-    if stalled is not None:
-        raise NonConvergedQuadrature(f"1d refinement stalled at {_NODE_LADDER[-1]} nodes (last value {stalled!r})")
-    return total
+    return "stalled", prev
 
 
 def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
@@ -310,8 +272,8 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
     ``-k*(d + expm1(-d))``, which is at most 0 and does not cancel at large
     shapes. Its integral depends on ``k`` alone and is memoised per ``k``
     (``_log_axis_integral``): datasets of one size under one prior share it.
-    Guarded to small datasets (``n + m <= 64``); this is an oracle, not a
-    production path.
+    The axes run in node order; the first that fails raises. Guarded to
+    small datasets (``n + m <= 64``); this is an oracle, not a production path.
     """
     if st.total > _MAX_DATA_FOR_QUADRATURE:
         raise InvalidParameter(
@@ -323,12 +285,26 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
     (quad1, const1), (quad2, const2) = (_weight_collapsed(f, h.lam) for f in (f1, f2))
     if quad1 < 0.0 or quad2 < 0.0:
         raise NumericalDegeneracy("negative residual quadratic form in quadrature oracle")
-    axes = []
+    total = 0.0
     for f, quad, shape in zip((f1, f2), (quad1, quad2), h.alphas_for(s)):
         k = 0.5 * f.count + shape
         mode = math.log(0.5 * quad + h.beta) - math.log(k)
-        axes.append((k, mode, shape * math.log(h.beta) - math.lgamma(shape) - k * mode - k))
-    return -(n + 0.5 * m) * _LOG_2PI + const1 + const2 + _log_variance_integrals(axes)
+        offset = shape * math.log(h.beta) - math.lgamma(shape) - k * mode - k
+        half = _LOG_WINDOW * min(1.0, k**-0.5)
+        # d + expm1(-d) is about d*d/2, left over from terms of size d: within
+        # a few ulp of d at the window's edge, the integrand is rounding noise.
+        # The mode is inf where quad/2 + beta overflows.
+        if not (half * half > 4.0 * math.ulp(half) and mode < math.inf):
+            raise NonConvergedQuadrature(f"1d window of half-width {half!r} at {mode!r} is below the float resolution")
+        kind, value = _log_axis_integral(k, half, _NODE_LADDER)
+        if kind == "window":
+            raise NonConvergedQuadrature(
+                f"1d window [{mode - value!r}, {mode + value!r}] keeps boundary mass after 8 widenings"
+            )
+        if kind == "stalled":
+            raise NonConvergedQuadrature(f"1d refinement stalled at {_NODE_LADDER[-1]} nodes (last value {offset + value!r})")
+        total += offset + value
+    return -(n + 0.5 * m) * _LOG_2PI + const1 + const2 + total
 
 
 def _mode_start(st: SuffStats, s: Structure) -> tuple[float, float]:

@@ -138,10 +138,15 @@ def _theta(res: Resolver, args) -> Params:
 
 def _hyper(res: Resolver, args) -> BgeHyper:
     """The explicit ``alpha1..6, beta, lambda`` prior when the config gives
-    any of those keys and ``--bge-alpha`` is unset (each is then required);
-    otherwise the symmetric prior."""
+    any of those keys (each is then required), otherwise the symmetric one;
+    naming both, by key or by flag, raises :class:`ConfigError`."""
     keys = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "alpha6", "beta", "lambda")
-    if args.bge_alpha is None and not res.sections.get("prior", {}).keys().isdisjoint(keys):
+    prior = res.sections.get("prior", {})
+    if not prior.keys().isdisjoint(keys):
+        mixed = [f"[prior] {k}" for k in ("bge_alpha", "bge_beta") if k in prior]
+        mixed += [flag for flag, v in (("--bge-alpha", args.bge_alpha), ("--bge-beta", args.bge_beta)) if v is not None]
+        if mixed:
+            raise ConfigError(f"the explicit [prior] alpha1..lambda prior cannot be given with {', '.join(mixed)}")
         return BgeHyper(*(res.get_as(float, "prior", k, required=True) for k in keys))
     alpha = res.get_as(float, "prior", "bge_alpha", args.bge_alpha, default=3.0)
     beta = res.get_as(float, "prior", "bge_beta", args.bge_beta, default=0.5)

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameter
+from .errors import ArgumentOutOfDomain, ConfigError, InvalidParameter
 from .estimation import SuffStats, _draw_sums
 from .exact import augmented_odds_statistic, posterior
 from .priors import BgeHyper
@@ -257,7 +257,11 @@ def plateau_theory_ratio(cfg: ExperimentConfig) -> float:
     if edge is None:
         raise InvalidParameter("plateau defined for connected true models")
     theta = cfg.theta_star if _node1_is_child(edge) else gamma_map_inverse(cfg.theta_star)
-    return math.exp(-_log_prior_ratio(theta, cfg.hyper))
+    log_ratio = -_log_prior_ratio(theta, cfg.hyper)
+    try:
+        return math.exp(log_ratio)
+    except OverflowError:
+        raise ArgumentOutOfDomain(f"plateau ratio exp({log_ratio!r}) overflows at {theta!r}") from None
 
 
 def run_odds_plateau(cfg: ExperimentConfig) -> ExperimentResult:

@@ -4,7 +4,7 @@ engine itself."""
 import math
 import sys
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -510,15 +510,12 @@ def _axis_reference(k):
 
 
 class TestAxisMemo:
-    """The conjugate oracle's per-axis integral depends on ``k`` alone and is
-    memoised on it; a failure is not cached."""
+    """The conjugate oracle's per-axis outcome depends on ``k`` alone and is
+    memoised on it, a failure as much as a value."""
 
     @staticmethod
     def _memoised(k):
-        try:
-            return "value", approx._log_axis_integral(k, 12.0 * min(1.0, k**-0.5), approx._NODE_LADDER)
-        except approx._AxisFailure as e:
-            return e.args
+        return approx._log_axis_integral(k, 12.0 * min(1.0, k**-0.5), approx._NODE_LADDER)
 
     @given(hs.floats(1e-2, 1e12))
     @example(0.5)  # widens six times, then converges
@@ -541,19 +538,20 @@ class TestAxisMemo:
         info = approx._log_axis_integral.cache_info()
         assert info.misses <= 6 and info.hits + info.misses == 32 * 3 * 2
 
-    # (hits, misses) over two calls: both axes stall at one k, so each call
-    # misses twice; node 1's window holds and is cached, node 2's does not
+    # (hits, misses) over two calls: node 1 stalls, so each call reads one
+    # axis; node 1's integral converges and node 2's window fails, so each
+    # call reads two. The second call reads only hits.
     @pytest.mark.parametrize(
         "rows, interv, h, pattern, counts",
         [
             ([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0]], None, BgeHyper(*[1e26] * 6, 0.5, 1.0),
-             r"^1d refinement stalled at 729 nodes \(last value ", (0, 4)),
+             r"^1d refinement stalled at 729 nodes \(last value ", (1, 1)),
             (np.empty((0, 2)), [[1.0, 1.5], [2.0, 1.5], [0.3, 1.5]], bge_symmetric_hyper(0.55, 0.5),
-             r"^1d window \[.*\] keeps boundary mass after 8 widenings$", (1, 3)),
+             r"^1d window \[.*\] keeps boundary mass after 8 widenings$", (2, 2)),
         ],
         ids=["stalled", "window"],
     )
-    def test_a_failing_axis_is_not_cached(self, rows, interv, h, pattern, counts):
+    def test_a_failing_axis_is_memoised(self, rows, interv, h, pattern, counts):
         st = suffstats(rows, interv)
         approx._log_axis_integral.cache_clear()
         messages = []
@@ -564,6 +562,24 @@ class TestAxisMemo:
         assert messages[0] == messages[1]
         info = approx._log_axis_integral.cache_info()
         assert (info.hits, info.misses) == counts
+
+    # node 1 stalls (shape 1e26) while node 2, on its own, fails its window
+    # (shape 0.05) or its float resolution (1e33): the first failing axis in
+    # node order raises
+    @pytest.mark.parametrize(
+        "s, node1_shape, h, node2_pattern",
+        [
+            (Structure.S1, "alpha1", BgeHyper(1e26, 0.05, 3.0, 3.0, 3.0, 3.0, 0.5, 1.0), r"^1d window \["),
+            (Structure.S2, "alpha3", BgeHyper(3.0, 3.0, 1e26, 1e33, 3.0, 3.0, 0.5, 1.0), r"float resolution$"),
+        ],
+        ids=["window", "resolution"],
+    )
+    def test_the_first_failing_axis_in_node_order_raises(self, s, node1_shape, h, node2_pattern):
+        st = suffstats(np.empty((0, 2)))
+        with pytest.raises(NonConvergedQuadrature, match=r"^1d refinement stalled at 729 nodes \(last value 18897"):
+            quadrature_log_marginal(st, s, h)
+        with pytest.raises(NonConvergedQuadrature, match=node2_pattern):
+            quadrature_log_marginal(st, s, replace(h, **{node1_shape: 3.0}))
 
 
 class TestGaussLegendreRule:

@@ -469,13 +469,32 @@ class TestHyperPrecedence:
         alphas = (h.alpha1, h.alpha2, h.alpha3, h.alpha4, h.alpha5, h.alpha6)
         return "# alpha = " + ",".join("%.17g" % a for a in alphas)
 
-    def test_explicit_list_beats_config_bge_alpha(self, tmp_path):
-        got = self._alpha_header(tmp_path, self.EXPLICIT + "bge_alpha = 5\n")
+    def test_explicit_list(self, tmp_path):
+        got = self._alpha_header(tmp_path, self.EXPLICIT)
         assert got == self._expected(bc.BgeHyper(4, 2.5, 2.5, 3, 3, 3, 0.5, 1))
 
-    def test_bge_alpha_flag_beats_explicit_list(self, tmp_path):
-        got = self._alpha_header(tmp_path, self.EXPLICIT + "bge_alpha = 5\n", "--bge-alpha", "4")
-        assert got == self._expected(bc.bge_symmetric_hyper(4.0, 0.5))
+    @pytest.mark.parametrize(
+        "extra, flags, named",
+        [
+            ("bge_alpha = 5\n", (), "[prior] bge_alpha"),
+            ("", ("--bge-beta", "7"), "--bge-beta"),
+            ("bge_alpha = 5\n", ("--bge-alpha", "4"), "[prior] bge_alpha, --bge-alpha"),
+        ],
+        ids=["config-bge-alpha", "bge-beta-flag", "bge-alpha-flag"],
+    )
+    @pytest.mark.parametrize("command", ["posterior", "experiment"])
+    def test_explicit_list_beside_a_symmetric_setting_exits_2(self, tmp_path, capsys, command, extra, flags, named):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(self.EXPLICIT + extra)
+        data, out = tmp_path / "d.csv", tmp_path / "b"
+        data.write_text("regime,x1,x2\nobs,1.0,0.5\nobs,-1.0,0.25\nobs,0.5,-1.0\n")
+        argv = ("posterior", data) if command == "posterior" else ("experiment", "--preset", "figure1", "--out", out)
+        assert run_cli(*argv, "--config", cfg, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            f"error category=config: the explicit [prior] alpha1..lambda prior cannot be given with {named}"
+        )
+        assert not out.exists()
 
     def test_default_symmetric_prior(self, tmp_path):
         got = self._alpha_header(tmp_path, "")

@@ -37,6 +37,7 @@ from bicausal import (
     log_marginal_obs,
     mixed_fisher,
     mle_mixed,
+    nonident_posterior_limit,
     optimal_eta,
     plateau_theory_ratio,
     posterior,
@@ -155,6 +156,10 @@ CASES = [
     ("preset beside generative keys", lambda tmp: _cli(
         tmp, "experiment", "--preset", "figure1", "--out", tmp / "b", config="[model]\nw = 2\n"),
      ConfigError, r"^preset figure1 fixes its model and design; the config sets \[model\] w$"),
+    ("explicit prior beside a symmetric one", lambda tmp: _cli(
+        tmp, "posterior", tmp / "x.csv", "--bge-alpha", 4,
+        config="[prior]\nalpha1 = 4\nalpha2 = 2.5\nalpha3 = 2.5\nalpha4 = 3\nalpha5 = 3\nalpha6 = 3\nbeta = 0.5\nlambda = 1\n"),
+     ConfigError, r"^the explicit \[prior\] alpha1\.\.lambda prior cannot be given with --bge-alpha$"),
     ("unknown method", lambda tmp: _cli(tmp, "posterior", tmp / "x.csv", config="[posterior]\nmethod = mcmc\n"),
      ConfigError, r"^unknown method 'mcmc'; expected one of \('exact', 'laplace', 'quadrature'\)$"),
     # estimation
@@ -183,6 +188,16 @@ CASES = [
      InvalidParameter, r"^no records at N=5$"),
     ("plateau of S3", lambda tmp: plateau_theory_ratio(_cfg(true_model=Structure.S3, theta_star=Params(0, 1, 1))),
      InvalidParameter, r"^plateau defined for connected true models$"),
+    # the log prior ratio is -1.875e18: its exp overflowed with a raw
+    # OverflowError, through the API and the CLI alike
+    ("plateau ratio overflows", lambda tmp: plateau_theory_ratio(
+        _cfg(theta_star=Params(1e5, 1e-8, 1.0), hyper=bge_symmetric_hyper(3.0, 2.0))),
+     ArgumentOutOfDomain, r"^plateau ratio exp\(1\.87\d+e\+18\) overflows at Params\(w=100000\.0, "),
+    ("plateau ratio overflows through the CLI", lambda tmp: _cli(
+        tmp, "experiment", "--bge-beta", 2, "--out", tmp / "b",
+        config="[model]\nstructure = S1\nw = 1e5\ntau1_sq = 1e-8\ntau2_sq = 1\n"
+               "[experiment]\nkind = plateau\nsample_sizes = 100,1000\ntrials = 3\n"),
+     ArgumentOutOfDomain, r"^plateau ratio exp\(1\.87\d+e\+18\) overflows at "),
     ("plateau experiment on S3", lambda tmp: run_odds_plateau(_cfg(true_model=Structure.S3, theta_star=Params(0, 1, 1))),
      InvalidParameter, r"^plateau experiment requires a connected true model$"),
     ("slope of unequal lengths", lambda tmp: fit_slope([1, 2, 3, 4], [1, 2]),
@@ -227,6 +242,10 @@ CASES = [
      InvalidParameter, r"^gain transform defined for D12/D21 curves, got "),
     ("pseudo-true eta", lambda tmp: pseudo_true_limits(Structure.S1, THETA, 0.1, 1.5),
      InvalidParameter, r"^eta must lie in \[0, 1\], got 1\.5$"),
+    # w^2 = 1e400 overflows s = w^2*tau2_sq + tau1_sq
+    ("log prior ratio overflows", lambda tmp: nonident_posterior_limit(
+        Params(1e200, 1.0, 1.0), BgeHyper(4, 2.5, 2.5, 3, 3, 3, 0.5, 1), Structure.S1),
+     ArgumentOutOfDomain, r"^log prior ratio of S2 to S1 overflows at Params\(w=1e\+200, tau1_sq=1\.0, tau2_sq=1\.0\)$"),
     ("pseudo-true S1 limit undefined", lambda tmp: pseudo_true_limits(Structure.S2, THETA, 0.0, 0.0),
      ArgumentOutOfDomain, r"^pseudo-true S1 limit undefined \(eta = 0 with y = 0\)$"),
     # sem

@@ -2,8 +2,10 @@
 Gaussian-KL mixture cross-check."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +21,7 @@ from bicausal import (
     RateId,
     RateInput,
     Structure,
+    bge_symmetric_hyper,
     d12,
     d13,
     d21,
@@ -38,6 +41,7 @@ from bicausal import (
     suffstats,
 )
 from bicausal.experiments import write_rates_csv
+from bicausal.rates import _log_prior_ratio
 
 from conftest import random_params
 
@@ -499,6 +503,66 @@ class TestNonidentPosteriorLimit:
     def test_zero_weight_rejected(self, symmetric_hyper):
         with pytest.raises(InvalidParameter):
             nonident_posterior_limit(Params(0.0, 1.0, 1.0), symmetric_hyper, Structure.S1)
+
+    def test_a_log_ratio_of_1e18_does_not_overflow(self):
+        # log r is about -1.9e18 here: the S2 limit is 0 and the S1 limit 1
+        theta, h = Params(1e5, 1e-8, 1.0), bge_symmetric_hyper(3.0, 2.0)
+        assert nonident_posterior_limit(theta, h, Structure.S2) == 0.0
+        assert nonident_posterior_limit(theta, h, Structure.S1) == 1.0
+
+
+def _log_prior_ratio_reference(theta, h):
+    """The pulled-back ``S2`` log prior minus the ``S1`` log prior, both
+    densities written out term by term at 100 digits."""
+    with mpmath.workdps(100):
+        w, t1, t2 = (mpmath.mpf(v) for v in (theta.w, theta.tau1_sq, theta.tau2_sq))
+        beta, lam = mpmath.mpf(h.beta), mpmath.mpf(h.lam)
+
+        def invgamma(x, shape):
+            a = mpmath.mpf(shape)
+            return a * mpmath.log(beta) - mpmath.loggamma(a) - (a + 1) * mpmath.log(x) - beta / x
+
+        def normal(x, var):
+            return -(mpmath.log(2 * mpmath.pi * var) + x * x / var) / 2
+
+        s = w * w * t2 + t1  # node 1's variance under S2; its weight and node 2's variance follow
+        w2, t2_s2 = w * t2 / s, t1 * t2 / s
+        log_s2 = invgamma(s, h.alpha3) + invgamma(t2_s2, h.alpha4) + normal(w2, lam * t2_s2) + mpmath.log(t2 / s)
+        log_s1 = invgamma(t1, h.alpha1) + invgamma(t2, h.alpha2) + normal(w, lam * t1)
+        return float(log_s2 - log_s1)
+
+
+_RATIO_HYPERS = [
+    bge_symmetric_hyper(3.0, 0.5),
+    BgeHyper(4.0, 2.5, 2.5, 3.0, 3.0, 3.0, 0.5, 1.0),
+    BgeHyper(2.0, 1.5, 1.8, 2.2, 1.2, 2.8, 0.8, 0.6),
+]
+
+
+class TestLogPriorRatio:
+    @given(
+        hs.floats(-6.0, 6.0),
+        hs.sampled_from([-1.0, 1.0]),
+        hs.floats(-8.0, 8.0),
+        hs.floats(-8.0, 8.0),
+        hs.sampled_from(_RATIO_HYPERS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_the_two_densities(self, log_w, sign, log_t1, log_t2, h):
+        w, t1, t2 = sign * 10.0**log_w, 10.0**log_t1, 10.0**log_t2
+        want = _log_prior_ratio_reference(Params(w, t1, t2), h)
+        # the weight term's factor tau2_sq*(1 - w^2) - tau1_sq cancels near its
+        # zero: a rounding of its two terms is allowed for
+        scale = abs(h.beta - 0.5 / h.lam) * w * w * (t2 * abs(1.0 - w * w) + t1) / (t1 * (w * w * t2 + t1))
+        bound = 1e-14 * max(1.0, abs(want)) + 4.0 * sys.float_info.epsilon * scale
+        assert abs(_log_prior_ratio(Params(w, t1, t2), h) - want) <= bound
+
+    def test_symmetric_hyper_gives_exactly_zero(self):
+        assert _log_prior_ratio(Params(1e5, 1e-8, 1.0), bge_symmetric_hyper(3.0, 0.5)) == 0.0
+
+    def test_an_overflowing_ratio_is_refused(self):
+        with pytest.raises(ArgumentOutOfDomain):
+            _log_prior_ratio(Params(1e200, 1.0, 1.0), _RATIO_HYPERS[1])
 
 
 class TestValidation:
