@@ -270,6 +270,8 @@ def run_odds_plateau(cfg: ExperimentConfig) -> ExperimentResult:
         raise InvalidParameter("plateau experiment is observational-only")
     if _edge(cfg.true_model) is None:
         raise InvalidParameter("plateau experiment requires a connected true model")
+    # the limit depends on the generating law alone: refuse an overflow before any draw
+    plateau_theory_ratio(cfg)
     return run_concentration(cfg)
 
 
@@ -398,18 +400,13 @@ def _fmt(v: float) -> str:
     return _FLOAT % v
 
 
-def _make_dir(path) -> None:
-    """Make directory ``path`` and its parents; failing is a ConfigError."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
-
-
 def _open_output(path):
-    """Open ``path`` for writing text, making its directory; a path that
-    cannot be written is a ConfigError naming it."""
-    _make_dir(Path(path).parent)
+    """Open ``path`` for writing text, making its directories (no other code
+    makes one); a path that cannot be made or written is a ConfigError."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {Path(path).parent}: {exc}") from exc
     try:
         return open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -580,11 +577,13 @@ def run_bundle(kind: str, spec: dict, seed: int, hyper: BgeHyper, outdir) -> lis
 
     ``spec`` has the shape of a :data:`PRESETS` spec; ``seed`` and ``hyper``
     complete its :class:`ExperimentConfig`. A ``chi2`` or ``plateau`` spec
-    takes at most one eta; ``plateau`` is observational and refuses one.
-    Returns one summary line per file written or fit made.
+    takes at most one eta; ``plateau`` is observational and refuses one. All
+    configurations are checked before the first trial, and ``outdir`` is made
+    with its first file. Returns one summary line per file written or fit made.
     """
+    if kind not in ("rates", "chi2", "plateau", "concentration"):
+        raise ConfigError(f"unknown experiment kind {kind!r}")
     outdir = Path(outdir)
-    _make_dir(outdir)
     if kind == "rates":
         lines = []
         for tag, theta, y in spec["sets"]:
@@ -595,20 +594,15 @@ def run_bundle(kind: str, spec: dict, seed: int, hyper: BgeHyper, outdir) -> lis
 
     fields = {k: v for k, v in spec.items() if k not in ("etas", "fit_min_size")}
     min_size = spec.get("fit_min_size", 0)
-    etas = spec.get("etas", (None,))
-    if kind in ("chi2", "plateau") and len(etas) > 1:
-        raise ConfigError(f"a {kind} experiment takes one eta, got {len(etas)}")
-
-    def config(eta: float | None = None) -> ExperimentConfig:
-        return ExperimentConfig(hyper=hyper, eta=eta, base_seed=seed, **fields)
-
+    cfgs = [ExperimentConfig(hyper=hyper, eta=eta, base_seed=seed, **fields) for eta in spec.get("etas") or (None,)]
+    if kind in ("chi2", "plateau") and len(cfgs) > 1:
+        raise ConfigError(f"a {kind} experiment takes one eta, got {len(cfgs)}")
+    cfg = cfgs[0]
     if kind == "chi2":
-        cfg = config(*etas)
         result, ks, pvalue = run_chi2_diagnostic(cfg)
         write_chi2_csv(outdir / "chi2.csv", cfg, result, ks, pvalue)
         return [f"chi2.csv: KS distance {_fmt(ks)}, p-value {_fmt(pvalue)} over {result.trial.size} trials"]
     if kind == "plateau":
-        cfg = config(*etas)
         result = run_odds_plateau(cfg)
         write_plateau_csv(outdir / "plateau.csv", cfg, result)
         largest = cfg.sample_sizes[-1]
@@ -617,25 +611,23 @@ def run_bundle(kind: str, spec: dict, seed: int, hyper: BgeHyper, outdir) -> lis
             f"plateau.csv: mean ratio at n={largest} is {_fmt(_trial_mean(tail))}, "
             f"theory limit {_fmt(plateau_theory_ratio(cfg))}"
         ]
-    if kind == "concentration":
-        lines, slope_rows = [], []
-        for eta in etas:
-            cfg = config(eta)
-            result = run_concentration(cfg)
-            tag = "obs" if eta is None else f"eta{eta:g}"
-            write_concentration_csv(outdir / f"concentration_{tag}.csv", cfg, result)
-            lines.append(f"wrote concentration_{tag}.csv ({result.trial.size} records)")
-            if eta is not None and _edge(cfg.true_model) is not None:
-                fit = fitted_exponent(cfg, result, min_size=min_size)
-                theory = theory_exponent(cfg)
-                slope_rows.append((eta, fit.slope, theory))
-                lines.append(
-                    f"  eta={eta:g}: fitted slope {_fmt(fit.slope)} vs theory {_fmt(-theory)} "
-                    f"(r2 {fit.r_squared:.4f})"
-                )
-        if slope_rows:
-            header = [f"# fit over sizes >= {min_size}", f"# base_seed = {seed}"]
-            write_slopes_csv(outdir / "slopes.csv", slope_rows, header)
-            lines.append("wrote slopes.csv")
-        return lines
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+    lines, slope_rows = [], []
+    for cfg in cfgs:
+        result = run_concentration(cfg)
+        tag = f"eta{cfg.eta:g}" if cfg.mixed else "obs"
+        fitted = cfg.mixed and _edge(cfg.true_model) is not None
+        if fitted:  # before the file is written, so that a refused fit writes nothing
+            fit, theory = fitted_exponent(cfg, result, min_size=min_size), theory_exponent(cfg)
+        write_concentration_csv(outdir / f"concentration_{tag}.csv", cfg, result)
+        lines.append(f"wrote concentration_{tag}.csv ({result.trial.size} records)")
+        if fitted:
+            slope_rows.append((cfg.eta, fit.slope, theory))
+            lines.append(
+                f"  eta={cfg.eta:g}: fitted slope {_fmt(fit.slope)} vs theory {_fmt(-theory)} "
+                f"(r2 {fit.r_squared:.4f})"
+            )
+    if slope_rows:
+        header = [f"# fit over sizes >= {min_size}", f"# base_seed = {seed}"]
+        write_slopes_csv(outdir / "slopes.csv", slope_rows, header)
+        lines.append("wrote slopes.csv")
+    return lines

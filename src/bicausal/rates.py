@@ -107,6 +107,11 @@ def _log1p(t):
     return np.log1p(t) if isinstance(t, np.ndarray) else float(np.log1p(t))
 
 
+def _where(cond, a, b):
+    """``np.where``, or the plain choice for a number."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
 def _log_gap(x: float) -> tuple[float, float]:
     """``log1p(x)`` and the Jensen gap ``x - log1p(x) >= 0``, to a few ulp."""
     lg = math.log1p(x)
@@ -137,7 +142,10 @@ def d21(ri: RateInput) -> float | np.ndarray:
     ``x = w^2*tau1_sq/tau2_sq``, ``c = y^2/tau2_sq`` and
     ``u = eta*x/(eta + (1-eta)*c)`` (``u = x`` when ``c = 0``); while
     ``x <= 1`` it is summed as ``0.5 * [g((1-eta)*u) - g(u) + eta*g(x) +
-    (1-eta)*c*u]``, ``g`` the :func:`_log1pmx`. Vanishes at both boundaries:
+    (1-eta)*c*u]``, ``g`` the :func:`_log1pmx`, with ``c*u`` formed whole as
+    ``u`` underflows at large ``c``. Below ``eta = 1/2``, where ``(1-eta)*u``
+    drops eta's digits, the first two terms are ``log1p(-t)`` or
+    ``g(-t) + t*u`` with ``t = eta*u/(1+u)``. Vanishes at both boundaries:
     observational-only data cannot separate the two connected structures,
     and interventional-only data cannot separate ``S2`` from the
     independence model.
@@ -146,9 +154,13 @@ def d21(ri: RateInput) -> float | np.ndarray:
     eta, etabar = ri.eta, 1.0 - ri.eta
     # one factor of eta cancels when c = 0, which keeps eta = 0 defined
     u = eta * x / (eta + etabar * c) if c else x
+    low = eta < 0.5
+    t = _where(low, eta, 0.0) * u / (1.0 + u)
     if x > 1.0:
-        return 0.5 * (_log1p(etabar * u) - _log1p(u) + eta * _log1p(x))
-    return 0.5 * (_log1pmx(etabar * u) - _log1pmx(u) + eta * _log1pmx(x) + etabar * c * u)
+        return 0.5 * (_where(low, _log1p(-t), _log1p(etabar * u) - _log1p(u)) + eta * _log1p(x))
+    cu = eta * x * (c / (eta + etabar * c)) if c else 0.0
+    drop = _where(low, _log1pmx(-t) + t * u, _log1pmx(etabar * u) - _log1pmx(u))
+    return 0.5 * (drop + eta * _log1pmx(x) + etabar * cu)
 
 
 def obs_kl_s1_vs_s3(theta_star: Params) -> float:
@@ -369,16 +381,22 @@ def kl_mixture_exponent(
 ) -> float:
     """Exponent as ``eta * KL_obs + (1-eta) * KL_int`` against the wrong
     model's pseudo-true law. Independent of the closed forms; used to
-    validate them.
+    validate them. Raises :class:`ArgumentOutOfDomain` where floats cannot.
     """
     limits = pseudo_true_limits(true_model, theta_star, y, eta)
     theta_wrong = limits[wrong_model]
     cov_true = implied_covariance(true_model, theta_star).as_matrix()
     cov_wrong = implied_covariance(wrong_model, theta_wrong).as_matrix()
-    kl_obs = kl_centered_bivariate(cov_true, cov_wrong)
+    try:
+        kl_obs = kl_centered_bivariate(cov_true, cov_wrong)
+    except np.linalg.LinAlgError:
+        kl_obs = math.nan
     m0, m1 = _interv_mean(true_model, theta_star, y), _interv_mean(wrong_model, theta_wrong, y)
     kl_int = kl_univariate(m0, theta_star.tau1_sq, m1, theta_wrong.tau1_sq)
-    return eta * kl_obs + (1.0 - eta) * kl_int
+    out = eta * kl_obs + (1.0 - eta) * kl_int
+    if not math.isfinite(out):
+        raise ArgumentOutOfDomain(f"KL mixture exponent cannot be evaluated at {theta_star!r}, y={y!r}, eta={eta!r}")
+    return out
 
 
 __all__ = [

@@ -601,6 +601,49 @@ class TestConfigKeys:
 MODEL = ["--w", "1.0", "--tau1-sq", "1.0", "--tau2-sq", "1.0"]
 
 
+_S1 = "structure = S1\nw = 1\ntau1_sq = 1\ntau2_sq = 1\n"
+_DESIGN = "sample_sizes = 100,1000\ntrials = 3\n"
+
+
+class TestRefusedExperimentWritesNothing:
+    """An experiment refused for its kind or its configuration exits with its
+    category before a file is written, so its ``--out`` is never made."""
+
+    @pytest.mark.parametrize(
+        "model, experiment, flags, code, message",
+        [
+            (_S1, _DESIGN + "kind = survey\n", [], 2, "category=config: unknown experiment kind 'survey'"),
+            (_S1 + "eta = 0.5\n", _DESIGN + "kind = plateau\n", [], 1,
+             "category=invalid-parameter: plateau experiment is observational-only"),
+            ("structure = S3\nw = 0\ntau1_sq = 1\ntau2_sq = 1\n", _DESIGN + "kind = plateau\n", [], 1,
+             "category=invalid-parameter: plateau experiment requires a connected true model"),
+            (_S1, _DESIGN + "kind = chi2\n", [], 1,
+             "category=invalid-parameter: chi-squared diagnostic requires true model S3"),
+            (_S1, "sample_sizes = 100,1000\ntrials = 0\nkind = concentration\n", [], 1,
+             "category=invalid-parameter: trials must be >= 1, got 0"),
+            (_S1, "sample_sizes = 20,10\ntrials = 3\nkind = concentration\n", [], 1,
+             "category=invalid-parameter: sample_sizes must be a strictly increasing nonempty list"),
+            # the plateau's limit overflows: refused before any draw
+            ("structure = S1\nw = 1e5\ntau1_sq = 1e-8\ntau2_sq = 1\n", _DESIGN + "kind = plateau\n",
+             ["--bge-beta", "2"], 1,
+             "category=argument-out-of-domain: plateau ratio exp(1.8749999998124997e+18) overflows at "
+             "Params(w=100000.0, tau1_sq=1e-08, tau2_sq=1.0)"),
+            # the slope fit needs four sizes: refused before the first file
+            (_S1 + "y = 1\neta = 0.5\n", _DESIGN + "kind = concentration\n", [], 1,
+             "category=invalid-parameter: slope fit needs at least 4 distinct x values"),
+        ],
+        ids=["unknown-kind", "plateau-eta", "plateau-s3", "chi2-s1", "no-trials", "decreasing-sizes",
+             "plateau-overflow", "short-fit"],
+    )
+    def test_exits_with_its_category_and_makes_no_out(self, tmp_path, capsys, model, experiment, flags, code, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[model]\n{model}[experiment]\n{experiment}")
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", cfg, *flags, "--out", out) == code
+        assert capsys.readouterr().err == f"error {message}\n"
+        assert not out.exists()
+
+
 class TestOutputPaths:
     """An output path that cannot be written is a config error naming it."""
 

@@ -32,6 +32,7 @@ from bicausal import (
     fit_slope,
     gain_transform,
     invgamma_logpdf,
+    kl_mixture_exponent,
     ks_test_chi2_1,
     laplace_log_marginal,
     log_marginal_obs,
@@ -248,6 +249,21 @@ CASES = [
      ArgumentOutOfDomain, r"^log prior ratio of S2 to S1 overflows at Params\(w=1e\+200, tau1_sq=1\.0, tau2_sq=1\.0\)$"),
     ("pseudo-true S1 limit undefined", lambda tmp: pseudo_true_limits(Structure.S2, THETA, 0.0, 0.0),
      ArgumentOutOfDomain, r"^pseudo-true S1 limit undefined \(eta = 0 with y = 0\)$"),
+    # the wrong model's pseudo-true covariance is singular in floats: a raw
+    # LinAlgError (d12 is 98.93 here)
+    ("KL mixture of a singular covariance", lambda tmp: kl_mixture_exponent(
+        Structure.S1, Structure.S2, Params(4.3046034750419655e132, 5.4006428999580196e38, 1.8174709033915575),
+        -6.251178741178975e-4, 0.6202134520153778),
+     ArgumentOutOfDomain, r"^KL mixture exponent cannot be evaluated at Params\(w=4\.3046034750419655e\+132, "
+                          r"tau1_sq=5\.4006428999580196e\+38, tau2_sq=1\.8174709033915575\), "
+                          r"y=-0\.0006251178741178975, eta=0\.6202134520153778$"),
+    # its value overflowed to inf (d21 is 90.83 here)
+    ("KL mixture that overflows", lambda tmp: kl_mixture_exponent(
+        Structure.S2, Structure.S1, Params(0.3628557120371152, 2.730808784797448e95, 3.8404028065200246),
+        -6073697475748792.0, 0.84829120827506),
+     ArgumentOutOfDomain, r"^KL mixture exponent cannot be evaluated at Params\(w=0\.3628557120371152, "
+                          r"tau1_sq=2\.730808784797448e\+95, tau2_sq=3\.8404028065200246\), "
+                          r"y=-6073697475748792\.0, eta=0\.84829120827506$"),
     # sem
     ("intervention value", lambda tmp: InterventionSpec(math.inf),
      InvalidParameter, r"^intervention value must be finite, got inf$"),

@@ -15,6 +15,7 @@ from hypothesis import strategies as hs
 import bicausal.exact
 import bicausal.experiments
 from bicausal import (
+    ArgumentOutOfDomain,
     ConfigError,
     ExperimentConfig,
     InterventionSpec,
@@ -26,6 +27,7 @@ from bicausal import (
     SuffStats,
     TrialRecord,
     augmented_odds_statistic,
+    bge_symmetric_hyper,
     chi2_1_cdf,
     fit_slope,
     fitted_exponent,
@@ -425,6 +427,20 @@ class TestPlateau:
             trials=2,
         )
         assert plateau_theory_ratio(cfg) == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflowing_limit_is_refused_before_any_draw(self, monkeypatch):
+        # the limit depends on the generating law alone, so its overflow is
+        # refused before the trials are drawn
+        draws = []
+        original = bicausal.experiments._draw_size
+        monkeypatch.setattr(bicausal.experiments, "_draw_size", lambda *a: draws.append(a) or original(*a))
+        cfg = small_config(
+            hyper=bge_symmetric_hyper(3.0, 2.0), theta_star=Params(1e5, 1e-8, 1.0), eta=None,
+            sample_sizes=(100, 1000), trials=3,
+        )
+        with pytest.raises(ArgumentOutOfDomain, match=r"^plateau ratio exp\(1\.87\d+e\+18\) overflows at "):
+            run_odds_plateau(cfg)
+        assert draws == []
 
 
 class TestChi2Helpers:

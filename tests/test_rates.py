@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from bicausal import (
@@ -370,6 +370,53 @@ class TestDecimalReference:
         table = np.array([ln.split(",") for ln in lines[1:]], dtype=float)
         assert table.shape == (999, 7)
         assert np.all(table[:, 1:] > 0.0)
+
+
+def _ratios_keep_digits(theta, y):
+    """Whether every step of ``d21``'s ratios (``w^2``, ``w^2*tau1_sq``,
+    ``x``, ``y^2``, ``c``) is a normal float, or zero from a zero input, so
+    that none has lost digits to underflow."""
+    w2, y2 = theta.w * theta.w, y * y
+    steps = [(v, theta.w) for v in (w2, w2 * theta.tau1_sq, w2 * theta.tau1_sq / theta.tau2_sq)]
+    steps += [(v, y) for v in (y2, y2 / theta.tau2_sq)]
+    return all(v >= sys.float_info.min or v == source == 0.0 for v, source in steps)
+
+
+def _ref_d21_mp(theta, y, eta):
+    """``d21`` at 700 digits in its log1p form: terms of size ``x`` cancel to
+    about ``x^2``, so at ``x`` near 1e-300 fewer digits do not resolve it."""
+    with mpmath.workdps(700):
+        w, t1, t2, yy, e = (mpmath.mpf(v) for v in (theta.w, theta.tau1_sq, theta.tau2_sq, y, eta))
+        x, c = w * w * t1 / t2, yy * yy / t2
+        u = e * x / (e + (1 - e) * c) if c else x
+        return (mpmath.log1p((1 - e) * u) - mpmath.log1p(u) + e * mpmath.log1p(x)) / 2
+
+
+_EXTREME = hs.one_of(_decade(-150.0, 150.0), _decade(-2.0, 2.0))
+
+
+class TestD21ExtremeMagnitudes:
+    @given(hs.sampled_from([-1.0, 1.0]), _EXTREME, _EXTREME, _EXTREME, hs.one_of(hs.just(0.0), _EXTREME),
+           hs.floats(0.0, 1.0))
+    # u = eta*x/(eta + (1-eta)*c) underflows at c = 2.5e197: the term
+    # (1-eta)*c*u vanished with it, and d21 returned 0 against 8.19e-164
+    @example(-1.0, 4.443652710044642e-91, 2.992341960299697e18, 3.4479293664680952, 9.276504258574735e98,
+             0.9563346594226189)
+    # 1 - eta rounds to 1, so g((1-eta)*u) - g(u) was 0 and d21 -1.53e-301
+    @example(1.0, 1.0, 1.0, 1.0, 0.0, 1e-300)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_700_digit_reference(self, sign, w, t1, t2, y, eta):
+        theta = Params(sign * w, t1, t2)
+        try:
+            value = d21(ri(theta, y, eta))
+        except ArgumentOutOfDomain:
+            assume(False)
+        assert value >= 0.0
+        assume(_ratios_keep_digits(theta, y))
+        want = _ref_d21_mp(theta, y, eta)
+        # as in TestDecimalReference, digits may go as 1/eta or 1/(1 - eta) at the ends
+        err = abs(value - want) * min(eta, 1.0 - eta)
+        assert err <= 1e-12 * abs(want) + sys.float_info.min, (value, float(want))
 
 
 class TestArrayEta:
