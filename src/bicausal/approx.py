@@ -171,7 +171,6 @@ def laplace_log_marginal(
 # Quadrature oracle
 # ---------------------------------------------------------------------------
 
-_MAX_DATA_FOR_QUADRATURE = 64
 _LOG_WINDOW = 12.0
 _MAX_LOG_VARIANCE = math.log(np.finfo(float).max)  # exp of anything beyond is inf or 0
 _MAX_LOG_CENTER = _MAX_LOG_VARIANCE - _LOG_WINDOW  # leaves room for the nodes around a centre
@@ -272,15 +271,8 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
     ``-k*(d + expm1(-d))``, which is at most 0 and does not cancel at large
     shapes. Its integral depends on ``k`` alone and is memoised per ``k``
     (``_log_axis_integral``): datasets of one size under one prior share it.
-    The axes run in node order; the first that fails raises. Guarded to
-    small datasets (``n + m <= 64``); this is an oracle, not a production path.
+    The axes run in node order; the first that fails raises.
     """
-    if st.total > _MAX_DATA_FOR_QUADRATURE:
-        raise InvalidParameter(
-            f"quadrature oracle limited to n + m <= {_MAX_DATA_FOR_QUADRATURE}, "
-            f"got {st.total}"
-        )
-    n, m = st.n, st.m
     f1, f2 = st.factors[s]
     (quad1, const1), (quad2, const2) = (_weight_collapsed(f, h.lam) for f in (f1, f2))
     if quad1 < 0.0 or quad2 < 0.0:
@@ -304,7 +296,7 @@ def quadrature_log_marginal(st: SuffStats, s: Structure, h: BgeHyper) -> float:
         if kind == "stalled":
             raise NonConvergedQuadrature(f"1d refinement stalled at {_NODE_LADDER[-1]} nodes (last value {offset + value!r})")
         total += offset + value
-    return -(n + 0.5 * m) * _LOG_2PI + const1 + const2 + total
+    return -(st.n + 0.5 * st.m) * _LOG_2PI + const1 + const2 + total
 
 
 def _mode_start(st: SuffStats, s: Structure) -> tuple[float, float]:
@@ -517,8 +509,7 @@ def quadrature_log_marginal_generic(
     ``w_nodes`` (weight axis), when either is given, set one fixed level
     and no ladder; the other defaults to it. A fixed level takes the
     search's last point as it is, with the last negative-definite factor
-    found (the identity if none): it has no convergence check. Guarded to
-    ``n + m <= 64``.
+    found (the identity if none): it has no convergence check.
 
     ``prior_logpdf_fn`` is called with a :class:`Params` of Python floats:
     first at the mode search's nodes, then at each level's nodes, outer
@@ -533,8 +524,6 @@ def quadrature_log_marginal_generic(
     calls. A kinked or truncated prior's levels may not agree to 1e-6:
     there the ladder raises, and a fixed level integrates it unchecked.
     """
-    if st.total > _MAX_DATA_FOR_QUADRATURE:
-        raise InvalidParameter(f"generic quadrature limited to n + m <= {_MAX_DATA_FOR_QUADRATURE}")
     start = _mode_start(st, s)
     if not max(abs(start[0]), abs(start[1])) < _MAX_LOG_CENTER:
         raise InvalidParameter(f"log-variances {start!r} beyond +-{_MAX_LOG_CENTER:.1f} overflow the grid")

@@ -29,9 +29,20 @@ def _ratios(theta: Params, y: float) -> tuple[float, float, float, float]:
     observational and interventional excess ``x = w^2*tau2_sq/tau1_sq`` and
     ``z = w^2*y^2/tau1_sq``; under edge 1->2 node 2's ``w^2*tau1_sq/tau2_sq``
     and ``c = y^2/tau2_sq``. Raise :class:`ArgumentOutOfDomain` if one
-    overflows, which would make the exponents NaN or inf."""
-    th, w2 = theta, theta.w * theta.w
-    v = (w2 * th.tau2_sq / th.tau1_sq, w2 * y * y / th.tau1_sq, w2 * th.tau1_sq / th.tau2_sq, y * y / th.tau2_sq)
+    overflows, which would make the exponents NaN or inf. An input beyond
+    ``2^+-200`` could take a step out of the normal range, so there the steps
+    run on ``math.frexp`` mantissas and one ``ldexp`` scales each ratio:
+    bitwise the plain ratio wherever no plain step left the normal range."""
+    w, t1, t2, yv = theta.w, theta.tau1_sq, theta.tau2_sq, y
+    lo, hi, exps = 2.0**-200, 2.0**200, None
+    if not (lo < t1 < hi and lo < t2 < hi and (lo < abs(w) < hi or not w) and (lo < abs(yv) < hi or not yv)):
+        (w, ew), (t1, e1), (t2, e2), (yv, ey) = map(math.frexp, (w, t1, t2, yv))
+        exps = (2 * ew + e2 - e1, 2 * (ew + ey) - e1, 2 * ew + e1 - e2, 2 * ey - e2)
+    v = (w * w * t2 / t1, w * w * yv * yv / t1, w * w * t1 / t2, yv * yv / t2)
+    try:
+        v = tuple(map(math.ldexp, v, exps)) if exps else v
+    except OverflowError:  # a ratio beyond the largest float
+        v = (math.inf,)
     if not all(map(math.isfinite, v)):
         raise ArgumentOutOfDomain(f"second moments overflow at {theta!r}, y={y!r}")
     return v
@@ -166,8 +177,7 @@ def d21(ri: RateInput) -> float | np.ndarray:
 def obs_kl_s1_vs_s3(theta_star: Params) -> float:
     """Observational KL divergence separating ``S1`` from the best ``S3`` fit:
     ``0.5 * log(1 + w^2*tau2_sq/tau1_sq)``."""
-    th = theta_star
-    return 0.5 * math.log1p(th.w * th.w * th.tau2_sq / th.tau1_sq)
+    return 0.5 * math.log1p(_ratios(theta_star, 0.0)[0])
 
 
 def d13(ri: RateInput) -> float | np.ndarray:

@@ -88,11 +88,12 @@ class TestPosterior:
         out = capsys.readouterr().out
         assert "p(S1)=0.33333333333333331" in out
 
-    def test_exact_vs_quadrature_agree(self, tmp_path, capsys):
-        data = self._simulate(tmp_path, n=5)
-        run_cli("posterior", data, "--method", "exact")
+    @pytest.mark.parametrize("n, m", [(5, 0), (300, 100)])
+    def test_exact_vs_quadrature_agree(self, tmp_path, capsys, n, m):
+        data = self._simulate(tmp_path, n=n, m=m)
+        assert run_cli("posterior", data, "--method", "exact") == 0
         exact_out = capsys.readouterr().out
-        run_cli("posterior", data, "--method", "quadrature")
+        assert run_cli("posterior", data, "--method", "quadrature") == 0
         quad_out = capsys.readouterr().out
 
         def marginals(text):
@@ -100,7 +101,9 @@ class TestPosterior:
                 float(l.split("=")[1]) for l in text.splitlines() if l.startswith("log_marginal")
             ]
 
-        for a, b in zip(marginals(exact_out), marginals(quad_out)):
+        exact, quad = marginals(exact_out), marginals(quad_out)
+        assert len(exact) == len(quad) == 3
+        for a, b in zip(exact, quad):
             assert abs(math.expm1(b - a)) < 1e-4
 
     def test_exact_probabilities_match_library(self, tmp_path, capsys):

@@ -138,9 +138,6 @@ CASES = [
     ("generic oracle rule without mass", lambda tmp: quadrature_log_marginal_generic(
         _oracle_data(), Structure.S1, _mass_near_mle(_oracle_data(), Structure.S1), nodes=6, w_nodes=4),
      NonConvergedQuadrature, r"^generic quadrature rule carries no prior-times-likelihood mass$"),
-    ("generic oracle size", lambda tmp: quadrature_log_marginal_generic(
-        suffstats(np.ones((65, 2))), Structure.S1, lambda t: 0.0),
-     InvalidParameter, r"^generic quadrature limited to n \+ m <= 64$"),
     # cli
     ("missing setting", lambda tmp: _cli(tmp, "simulate", "--out", tmp / "x.csv"),
      ConfigError, r"^missing required setting \[model\] structure$"),

@@ -372,14 +372,12 @@ class TestDecimalReference:
         assert np.all(table[:, 1:] > 0.0)
 
 
-def _ratios_keep_digits(theta, y):
-    """Whether every step of ``d21``'s ratios (``w^2``, ``w^2*tau1_sq``,
-    ``x``, ``y^2``, ``c``) is a normal float, or zero from a zero input, so
-    that none has lost digits to underflow."""
-    w2, y2 = theta.w * theta.w, y * y
-    steps = [(v, theta.w) for v in (w2, w2 * theta.tau1_sq, w2 * theta.tau1_sq / theta.tau2_sq)]
-    steps += [(v, y) for v in (y2, y2 / theta.tau2_sq)]
-    return all(v >= sys.float_info.min or v == source == 0.0 for v, source in steps)
+def _ref_d12_mp(theta, y, eta):
+    """``d12`` at 700 digits in its log1p form, as :func:`_ref_d21_mp`."""
+    with mpmath.workdps(700):
+        w, t1, t2, yy, e = (mpmath.mpf(v) for v in (theta.w, theta.tau1_sq, theta.tau2_sq, y, eta))
+        x, z = w * w * t2 / t1, w * w * yy * yy / t1
+        return (mpmath.log1p(e * x + (1 - e) * z) - e * mpmath.log1p(x)) / 2
 
 
 def _ref_d21_mp(theta, y, eta):
@@ -404,19 +402,21 @@ class TestD21ExtremeMagnitudes:
              0.9563346594226189)
     # 1 - eta rounds to 1, so g((1-eta)*u) - g(u) was 0 and d21 -1.53e-301
     @example(1.0, 1.0, 1.0, 1.0, 0.0, 1e-300)
+    # w^2*tau1_sq underflowed to a subnormal and x = w^2*tau1_sq/tau2_sq to
+    # 0, so d21 read 0 against 1.10e-270
+    @example(1.0, 2.29e-117, 5.40e-115, 6.51e-79, 1.66e92, 0.504)
     @settings(max_examples=200, deadline=None)
     def test_matches_a_700_digit_reference(self, sign, w, t1, t2, y, eta):
         theta = Params(sign * w, t1, t2)
         try:
-            value = d21(ri(theta, y, eta))
+            values = d12(ri(theta, y, eta)), d21(ri(theta, y, eta))
         except ArgumentOutOfDomain:
             assume(False)
-        assert value >= 0.0
-        assume(_ratios_keep_digits(theta, y))
-        want = _ref_d21_mp(theta, y, eta)
-        # as in TestDecimalReference, digits may go as 1/eta or 1/(1 - eta) at the ends
-        err = abs(value - want) * min(eta, 1.0 - eta)
-        assert err <= 1e-12 * abs(want) + sys.float_info.min, (value, float(want))
+        assert values[1] >= 0.0
+        for value, want in zip(values, (_ref_d12_mp(theta, y, eta), _ref_d21_mp(theta, y, eta))):
+            # as in TestDecimalReference, digits may go as 1/eta or 1/(1 - eta) at the ends
+            err = abs(value - want) * min(eta, 1.0 - eta)
+            assert err <= 1e-12 * abs(want) + sys.float_info.min, (value, float(want))
 
 
 class TestArrayEta:
