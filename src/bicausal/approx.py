@@ -92,20 +92,24 @@ def loglik_hessian(st: SuffStats, s: Structure, theta: Params) -> np.ndarray:
 
     Cross terms between the weight and its child variance vanish at the MLE
     but are included so the Hessian is correct at any ``theta``. A variance
-    whose cube underflows to 0 (below about 1.4e-108) raises
-    :class:`NumericalDegeneracy`: the curvature it divides is not a float.
+    whose cube underflows to 0 (below about 1.4e-108) or overflows (above
+    about 5.6e102), or an entry that overflows, raises
+    :class:`NumericalDegeneracy`: the curvature is not a float.
     """
     w = theta.w
     d = param_dim(s)
     h = np.zeros((d, d))
     variances = zip(st.factors[s], (theta.tau1_sq, theta.tau2_sq), ("tau1_sq", "tau2_sq"))
     for i, (f, t, name) in enumerate(variances, start=d - 2):
-        if t * t * t == 0.0:
-            raise NumericalDegeneracy(f"Hessian under {s.value} undefined: {name} = {t!r} cubes to 0")
+        cube = t * t * t
+        if cube == 0.0 or cube == math.inf:
+            raise NumericalDegeneracy(f"Hessian under {s.value} undefined: {name} = {t!r} cubes to {cube:g}")
         h[i, i] = 0.5 * f.count / (t * t) - f.residual(w) / (t * t * t)
         if f.has_parent:
             h[0, 0] = -f.xx / t
             h[0, i] = h[i, 0] = -(f.xy - w * f.xx) / (t * t)
+    if not np.isfinite(h).all():
+        raise NumericalDegeneracy(f"Hessian under {s.value} overflows at {theta!r}")
     return h
 
 
@@ -149,7 +153,8 @@ def laplace_log_marginal(
     ``loglik(mle) + (d/2)*log(2*pi) - (1/2)*log det(-H(mle)) + log prior(mle)``
     with the exact analytic Hessian ``H`` assembled from both data regimes.
     The error is ``O(1/N)``. Raises :class:`NonConcaveAtMle` when ``-H`` is
-    not positive definite.
+    not positive definite, and :class:`NumericalDegeneracy` when an entry of
+    ``H`` is not a float (see :func:`loglik_hessian`).
     """
     h = loglik_hessian(st, s, mle)
     neg = -h

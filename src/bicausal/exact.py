@@ -160,10 +160,15 @@ class StructurePosterior:
             return _cells(np.logaddexp(a, b) - self.logp[t])
 
 
+def _log_evidence(st: SuffStats, h: BgeHyper) -> np.ndarray:
+    """The log marginal likelihoods stacked on axis 0 in structure order."""
+    return np.array([log_marginal_mixed(st, s, h) for s in STRUCTURES])
+
+
 def posterior(st: SuffStats, h: BgeHyper) -> StructurePosterior:
     """Structure posterior from the closed-form marginals under a uniform
     structure prior; a batch of statistics gives a batch posterior."""
-    return StructurePosterior.from_logp([log_marginal_mixed(st, s, h) for s in STRUCTURES])
+    return StructurePosterior.from_logp(_log_evidence(st, h))
 
 
 def augmented_odds_statistic(

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ArgumentOutOfDomain, ConfigError, InvalidParameter
 from .estimation import SuffStats, _draw_sums
-from .exact import augmented_odds_statistic, posterior
+from .exact import StructurePosterior, _log_evidence, augmented_odds_statistic
 from .priors import BgeHyper
 from .rates import (
     RateId,
@@ -59,7 +59,7 @@ from .rates import (
     sample_curve,
 )
 from .rates import _CURVE_POINTS, _log_prior_ratio
-from .sem import InterventionSpec, Params, Structure, _edge, _integer, _node1_is_child, gamma_map_inverse
+from .sem import STRUCTURES, InterventionSpec, Params, Structure, _edge, _integer, _node1_is_child, gamma_map_inverse
 # the raw sampler stays bound here: bench/tracing.py wraps it at every module
 # that binds it, and bench/test_bench.py checks this binding
 from .sem import sample_obs  # noqa: F401
@@ -205,34 +205,27 @@ def _draw_size(cfg: ExperimentConfig, size_index: int) -> SuffStats:
     return SuffStats(*sums, n, m, iv.value if m else None)
 
 
-def _size_columns(cfg: ExperimentConfig, size_index: int, chi2: bool) -> list[np.ndarray]:
-    """Whether each trial's evidence is finite, then the result columns at
-    one size, in trial order. ``chi2`` adds the scaled odds statistics."""
-    st = _draw_size(cfg, size_index)
-    post = posterior(st, cfg.hyper)
-    stats = [np.full(cfg.trials, math.nan)] * 2
-    if chi2:
-        stats = [augmented_odds_statistic(st, post, s, cfg.theta_star, cfg.hyper) for s in (Structure.S1, Structure.S2)]
+def _run(cfg: ExperimentConfig, size_indices, chi2: bool = False) -> ExperimentResult:
+    """The result over the trials and the given sizes, rows in ``(trial, N)``
+    order; a cell whose evidence is not finite is skipped and counted. Each
+    size is drawn and scored as one batch; the posterior and the columns are
+    formed once, over every cell. ``chi2`` adds the scaled odds statistics."""
+    batches = [_draw_size(cfg, idx) for idx in size_indices]
+    k = len(batches)
+    # the evidence stacked (structure, trial, size), then flattened trial-major
+    logp = np.stack([_log_evidence(st, cfg.hyper) for st in batches], axis=2)
+    post = StructurePosterior.from_logp(logp.reshape(len(STRUCTURES), -1))
+    stats = np.full((2, post.p.shape[1]), math.nan)
+    for j, st in enumerate(batches if chi2 else ()):  # S1 and S2 against S3, at the size's counts
+        at_size = StructurePosterior(post.logp[:, j::k], post.p[:, j::k])
+        stats[:, j::k] = [augmented_odds_statistic(st, at_size, s, cfg.theta_star, cfg.hyper) for s in STRUCTURES[:2]]
     # ratio_12 saturates to inf far in the tail
     with np.errstate(over="ignore"):
         ratio_12 = np.exp(post.log_odds(Structure.S1, Structure.S2))
-    return [
-        np.isfinite(post.logp).all(axis=0),
-        np.arange(cfg.trials),
-        *(np.full(cfg.trials, v) for v in (cfg.sample_sizes[size_index], st.n, st.m)),
-        post.p.T,
-        post.log_inverse_odds(cfg.true_model),
-        ratio_12,
-        *stats,
-    ]
-
-
-def _run(cfg: ExperimentConfig, size_indices, chi2: bool = False) -> ExperimentResult:
-    """The result over the trials and the given sizes, rows in ``(trial, N)``
-    order; a cell whose evidence is not finite is skipped and counted."""
-    by_size = [_size_columns(cfg, idx, chi2) for idx in size_indices]
-    # stacked (trial, size[, 3]), then flattened trial-major
-    keep, *columns = (np.stack(c, axis=1).reshape(-1, *c[0].shape[1:]) for c in zip(*by_size))
+    keep = np.isfinite(post.logp).all(axis=0)
+    trial = np.repeat(np.arange(cfg.trials), k)
+    counts = np.tile([(st.total, st.n, st.m) for st in batches], (cfg.trials, 1)).T
+    columns = [trial, *counts, post.p.T, post.log_inverse_odds(cfg.true_model), ratio_12, *stats]
     return ExperimentResult(*(c[keep] for c in columns), skipped=int(keep.size - keep.sum()))
 
 

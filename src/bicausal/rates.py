@@ -242,8 +242,10 @@ def optimal_eta(exponent_id: RateId, theta_star: Params, y: float) -> tuple[floa
     ``D21``: ``eta*`` is the unique root in (0, 1) of the cubic numerator of
     d21' (see :func:`_d21_root`). When ``x = w^2*tau1_sq/tau2_sq`` is 0, as
     at ``w = 0`` or where ``w^2`` underflows (``w = 1e-200``), d21 vanishes
-    identically and ``(0.0, 0.0)`` is returned.
+    identically and ``(0.0, 0.0)`` is returned. ``theta_star`` and ``y`` are
+    checked as :class:`RateInput` checks them.
     """
+    RateInput(theta_star, y, 0.0)
     if exponent_id is RateId.D12:
         x, z, _, _ = _ratios(theta_star, y)
         lg, gap = _log_gap(x)
@@ -286,44 +288,54 @@ def gain_transform(curve: RateCurve) -> RateCurve:
     return RateCurve(eta=curve.eta, values=curve.values / (1.0 - curve.eta), exponent_id=new_id)
 
 
+@np.errstate(all="ignore")  # np.float64 fields warn where Python floats overflow silently
 def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta: float) -> dict[Structure, Params]:
     """Almost-sure limits of every structure's MLE given the generating model.
 
     ``eta`` is the limiting observational fraction; ``eta = 1`` gives the
     observational-only limits. The true structure's estimator is consistent;
-    the others converge to pseudo-true values.
+    the others converge to pseudo-true values. A limit that is not a valid
+    ``Params`` in floats (a variance that overflows or underflows to 0)
+    raises :class:`ArgumentOutOfDomain`.
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidParameter(f"eta must lie in [0, 1], got {eta!r}")
+    if not math.isfinite(y):
+        raise InvalidParameter(f"y must be finite, got {y!r}")
     th = theta_star
     etabar = 1.0 - eta
     edge = _edge(true_model, th.w)
     if edge is None:
         return _ByStructure(dict.fromkeys(STRUCTURES, Params(0.0, th.tau1_sq, th.tau2_sq)))
-    if _node1_is_child(edge):
-        w2 = th.w * th.w
-        mix1 = eta * (w2 * th.tau2_sq + th.tau1_sq) + etabar * (w2 * y * y + th.tau1_sq)
-        g = gamma_map(th)
+    try:
+        if _node1_is_child(edge):
+            w2 = th.w * th.w
+            mix1 = eta * (w2 * th.tau2_sq + th.tau1_sq) + etabar * (w2 * y * y + th.tau1_sq)
+            g = gamma_map(th)
+            return _ByStructure({
+                Structure.S1: th,
+                Structure.S2: Params(g.w, mix1, g.tau2_sq),
+                Structure.S3: Params(0.0, mix1, th.tau2_sq),
+            })
+        w2t1 = th.w * th.w * th.tau1_sq
+        s2y = w2t1 + th.tau2_sq
+        den = eta * s2y + etabar * y * y
+        if den <= 0.0:
+            raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")
+        num_var = (
+            eta * th.tau1_sq * th.tau2_sq
+            + eta * etabar * th.w * th.w * (th.tau1_sq * th.tau1_sq)
+            + etabar * y * y * th.tau1_sq
+        )
         return _ByStructure({
-            Structure.S1: th,
-            Structure.S2: Params(g.w, mix1, g.tau2_sq),
-            Structure.S3: Params(0.0, mix1, th.tau2_sq),
+            Structure.S1: Params(eta * th.w * th.tau1_sq / den, num_var / den, s2y),
+            Structure.S2: th,
+            Structure.S3: Params(0.0, th.tau1_sq, s2y),
         })
-    w2t1 = th.w * th.w * th.tau1_sq
-    s2y = w2t1 + th.tau2_sq
-    den = eta * s2y + etabar * y * y
-    if den <= 0.0:
-        raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")
-    num_var = (
-        eta * th.tau1_sq * th.tau2_sq
-        + eta * etabar * th.w * th.w * (th.tau1_sq * th.tau1_sq)
-        + etabar * y * y * th.tau1_sq
-    )
-    return _ByStructure({
-        Structure.S1: Params(eta * th.w * th.tau1_sq / den, num_var / den, s2y),
-        Structure.S2: th,
-        Structure.S3: Params(0.0, th.tau1_sq, s2y),
-    })
+    except InvalidParameter as exc:  # the arguments are valid: a limit has left the floats
+        raise ArgumentOutOfDomain(
+            f"pseudo-true limits cannot be evaluated at {th!r}, y={y!r}, eta={eta!r} (in a limit, {exc})"
+        ) from None
 
 
 def _log_prior_ratio(theta: Params, h: BgeHyper) -> float:
@@ -386,6 +398,7 @@ def kl_univariate(mean0: float, var0: float, mean1: float, var1: float) -> float
     return 0.5 * (var0 / var1 + (mean1 - mean0) * (mean1 - mean0) / var1 - 1.0 + math.log(var1 / var0))
 
 
+@np.errstate(all="ignore")  # np.float64 fields warn where Python floats overflow silently
 def kl_mixture_exponent(
     true_model: Structure, wrong_model: Structure, theta_star: Params, y: float, eta: float
 ) -> float:
@@ -393,17 +406,18 @@ def kl_mixture_exponent(
     model's pseudo-true law. Independent of the closed forms; used to
     validate them. Raises :class:`ArgumentOutOfDomain` where floats cannot.
     """
-    limits = pseudo_true_limits(true_model, theta_star, y, eta)
-    theta_wrong = limits[wrong_model]
-    cov_true = implied_covariance(true_model, theta_star).as_matrix()
-    cov_wrong = implied_covariance(wrong_model, theta_wrong).as_matrix()
+    theta_wrong = pseudo_true_limits(true_model, theta_star, y, eta)[wrong_model]
     try:
+        cov_true = implied_covariance(true_model, theta_star).as_matrix()
+        cov_wrong = implied_covariance(wrong_model, theta_wrong).as_matrix()
         kl_obs = kl_centered_bivariate(cov_true, cov_wrong)
-    except np.linalg.LinAlgError:
-        kl_obs = math.nan
-    m0, m1 = _interv_mean(true_model, theta_star, y), _interv_mean(wrong_model, theta_wrong, y)
-    kl_int = kl_univariate(m0, theta_star.tau1_sq, m1, theta_wrong.tau1_sq)
-    out = eta * kl_obs + (1.0 - eta) * kl_int
+        m0, m1 = _interv_mean(true_model, theta_star, y), _interv_mean(wrong_model, theta_wrong, y)
+        kl_int = kl_univariate(m0, theta_star.tau1_sq, m1, theta_wrong.tau1_sq)
+        out = eta * kl_obs + (1.0 - eta) * kl_int
+    # the arguments passed the checks above: a covariance that Cov2 refuses or
+    # that cannot be inverted has left the floats
+    except (InvalidParameter, np.linalg.LinAlgError):
+        out = math.nan
     if not math.isfinite(out):
         raise ArgumentOutOfDomain(f"KL mixture exponent cannot be evaluated at {theta_star!r}, y={y!r}, eta={eta!r}")
     return out

@@ -31,12 +31,14 @@ from bicausal import (
     bge_symmetric_hyper,
     fit_slope,
     gain_transform,
+    hessian_diagnostics,
     invgamma_logpdf,
     kl_mixture_exponent,
     ks_test_chi2_1,
     laplace_log_marginal,
     log_marginal_obs,
     mixed_fisher,
+    mixing_helps_s1,
     mle_mixed,
     nonident_posterior_limit,
     optimal_eta,
@@ -93,6 +95,32 @@ def _tiny_x2_data():
     return suffstats([[100.0, 1e-128], [-50.0, -2e-128], [80.0, 0.5e-128]], [[3.0, 0.5], [-4.0, 0.5], [2.5, 0.5]])
 
 
+def _scaled_rows():
+    """Four observational rows, column 1 scaled by 1e-42 and column 2 by 1e121."""
+    return suffstats(np.array([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0], [0.25, 1.0]]) * [1e-42, 1e121])
+
+
+def _wide_rows():
+    """Seven observational rows, column 1 scaled by 2.12e129 and column 2 by 2.36e-54."""
+    rows = [[-0.66, -0.89], [-0.19, 0.47], [0.72, 0.55], [-0.46, -1.7], [-0.8, 0.28], [-1.33, 0.25], [-0.59, -0.58]]
+    return suffstats(np.array(rows) * [2.12e129, 2.36e-54])
+
+
+def _far_intervention():
+    """Four observational rows with x1 of order 1e-5, and three interventional
+    rows at y = 1e150."""
+    return suffstats(np.array([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0], [0.25, 1.0]]) * [1e-5, 1.0],
+                     [[1e-5, 1e150], [-2e-5, 1e150], [0.5e-5, 1e150]])
+
+
+#: The public readers of the log-likelihood Hessian, each at a dataset's S1 MLE.
+_HESSIAN_CALLS = (
+    ("Laplace", lambda st: laplace_log_marginal(
+        st, Structure.S1, lambda t: prior_logpdf(t, Structure.S1, H), mle_mixed(st).theta1)),
+    ("diagnostics", lambda st: hessian_diagnostics(st, Structure.S1, mle_mixed(st).theta1)),
+)
+
+
 def _mass_near_mle(st, s):
     """A prior with mass only within 1e-3 of the MLE log-variances."""
     mle = mle_mixed(st).for_structure(s)
@@ -128,6 +156,18 @@ CASES = [
         _tiny_x2_data(), Structure.S1, lambda t: prior_logpdf(t, Structure.S1, H),
         mle_mixed(_tiny_x2_data()).for_structure(Structure.S1)),
      NumericalDegeneracy, r"^Hessian under S1 undefined: tau2_sq = 1\.75e-256 cubes to 0$"),
+    # at the S1 MLE: tau2_sq = 5.8e241 cubes to inf, so its curvature read
+    # 0 - 0 and the Laplace evidence +inf; tau1_sq = 2.2e258 cubes to inf,
+    # its curvature read inf - inf and eigvalsh raised a raw LinAlgError;
+    # with interventions at 1e150, -xx/tau1_sq overflows and the Laplace
+    # evidence read -inf. The diagnostics reported NaN eigenvalues or raised
+    *((f"{name} of {label}", lambda tmp, call=call, data=data: call(data()), NumericalDegeneracy, pattern)
+      for label, data, pattern in (
+          ("tau2_sq = 5.8e241", _scaled_rows, r"^Hessian under S1 undefined: tau2_sq = 5\.78125e\+241 cubes to inf$"),
+          ("tau1_sq = 2.2e258", _wide_rows, r"^Hessian under S1 undefined: tau1_sq = 2\.24\d+e\+258 cubes to inf$"),
+          ("an intervention at 1e150", _far_intervention,
+           r"^Hessian under S1 overflows at Params\(w=-1\.66\d+e-156, tau1_sq=1\.068\d+e-10, "))
+      for name, call in _HESSIAN_CALLS),
     # beta of 1e20 puts the variances' mass near 1e19, 44 log units from
     # the MLE: 16 Newton steps of at most 4 per coordinate do not settle
     ("generic oracle search unsettled", lambda tmp: quadrature_log_marginal_generic(
@@ -261,6 +301,30 @@ CASES = [
      ArgumentOutOfDomain, r"^KL mixture exponent cannot be evaluated at Params\(w=0\.3628557120371152, "
                           r"tau1_sq=2\.730808784797448e\+95, tau2_sq=3\.8404028065200246\), "
                           r"y=-6073697475748792\.0, eta=0\.84829120827506$"),
+    # the S1 limit's variance is inf/inf under a true S2 model: Params
+    # refused it with InvalidParameter, and np.float64 fields also warned
+    *((f"KL mixture past the pseudo-true limits ({kind.__name__})", lambda tmp, kind=kind: kl_mixture_exponent(
+        Structure.S2, Structure.S1,
+        Params(*map(kind, (2.0347571352489576e148, 7.969232515425364e113, 2.738297654744564))),
+        -12.862131650624505, 0.7482485033017541),
+       ArgumentOutOfDomain,
+       r"^pseudo-true limits cannot be evaluated at Params\(w=(np\.float64\()?2\.0347571352489576e\+148"
+       r".*\(in a limit, tau1_sq must be finite, got (np\.float64\()?nan\)?\)$")
+      for kind in (float, np.float64)),
+    # the true covariance's determinant, tau1_sq*tau2_sq = 2.5e-34, cancels
+    # to 0 from terms of 2.5e54: Cov2 raised InvalidParameter (d12 is 16.87)
+    ("KL mixture of a covariance that cancels", lambda tmp: kl_mixture_exponent(
+        Structure.S1, Structure.S2, Params(1.949885276302907e28, 3.059850151013116e-33, 0.08102711465757485),
+        0.021680104655789, 0.8326441476533978),
+     ArgumentOutOfDomain, r"^KL mixture exponent cannot be evaluated at Params\(w=1\.949885276302907e\+28, "),
+    ("pseudo-true y", lambda tmp: pseudo_true_limits(Structure.S1, THETA, math.nan, 0.5),
+     InvalidParameter, r"^y must be finite, got nan$"),
+    # y went unchecked into the ratios: ArgumentOutOfDomain("second moments overflow ...")
+    *((f"{name} at y = {y}", lambda tmp, call=call, y=y: call(y), InvalidParameter, rf"^y must be finite, got {y}$")
+      for name, call in (("optimal eta of D12", lambda y: optimal_eta(RateId.D12, THETA, y)),
+                         ("optimal eta of D21", lambda y: optimal_eta(RateId.D21, THETA, y)),
+                         ("mixing_helps_s1", lambda y: mixing_helps_s1(THETA, y)))
+      for y in (math.nan, math.inf)),
     # sem
     ("intervention value", lambda tmp: InterventionSpec(math.inf),
      InvalidParameter, r"^intervention value must be finite, got inf$"),
