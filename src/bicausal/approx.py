@@ -124,21 +124,32 @@ class HessianReport:
     negative_definite: bool
 
 
+def _neg_logdet(h: np.ndarray) -> float | None:
+    """``log det(-h)`` from the Cholesky factor of ``-h``, or None where ``-h``
+    is not positive definite: unlike eigenvalues, which resolve only to about
+    ``eps*||h||``, the factor decides definiteness at any parameter scaling."""
+    try:
+        chol = np.linalg.cholesky(-h)
+    except np.linalg.LinAlgError:
+        return None
+    return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+
+
 def hessian_diagnostics(st: SuffStats, s: Structure, theta: Params) -> HessianReport:
-    """Evaluate the analytic Hessian at ``theta`` and report eigenvalue signs.
+    """Evaluate the analytic Hessian at ``theta``, its eigenvalues, and the
+    Laplace route's test of negative definiteness.
 
     This is the runtime check behind the Laplace expansion's concavity
     requirement; it reports a Hessian that is not negative definite rather
     than raising.
     """
     h = loglik_hessian(st, s, theta)
-    eig = np.linalg.eigvalsh(h)
     return HessianReport(
         structure=s,
         matrix=h,
-        eigenvalues=eig,
+        eigenvalues=np.linalg.eigvalsh(h),
         determinant=float(np.linalg.det(h)),
-        negative_definite=bool(np.all(eig < 0.0)),
+        negative_definite=_neg_logdet(h) is not None,
     )
 
 
@@ -157,19 +168,17 @@ def laplace_log_marginal(
     ``H`` is not a float (see :func:`loglik_hessian`).
     """
     h = loglik_hessian(st, s, mle)
-    neg = -h
-    eig = np.linalg.eigvalsh(neg)
-    if np.any(eig <= 0.0):
+    logdet = _neg_logdet(h)
+    if logdet is None:
         raise NonConcaveAtMle(
             f"Hessian not negative definite at the supplied MLE for {s.value} "
-            f"(eigenvalues of -H: {eig})"
+            f"(eigenvalues of -H: {np.linalg.eigvalsh(-h)})"
         )
-    _, logdet = np.linalg.slogdet(neg)
     d = param_dim(s)
     log_prior = prior_logpdf_fn(mle)
     if not log_prior < math.inf:
         raise _bad_prior(mle, log_prior)
-    return loglik(st, s, mle) + 0.5 * d * _LOG_2PI - 0.5 * float(logdet) + log_prior
+    return loglik(st, s, mle) + 0.5 * d * _LOG_2PI - 0.5 * logdet + log_prior
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
 """Asymptotic theory: concentration exponents, optimal sample mixing,
 pseudo-true parameter limits, and posterior limits under non-identifiability.
 
-The exponents are eta-weighted mixtures of Kullback-Leibler divergences
-between the true law and the best-fitting wrong-model law, where
-``eta in [0, 1]`` is the limiting observational fraction of the mixed
-dataset. Closed forms are used throughout, for the optimal ratio too
-(:func:`optimal_eta`); the generic Gaussian-KL mixture path
-(:func:`kl_mixture_exponent`) is retained as an independent cross-check,
-not as the production route.
+The exponents are eta-weighted mixtures of Kullback-Leibler divergences from
+the true law to the best-fitting wrong-model law, ``eta in [0, 1]`` the limiting
+observational fraction. Each closed form sums non-negative terms (variance-ratio
+gaps ``rho - 1 - log(rho)`` and squared mean shifts over a variance), so it keeps
+full relative accuracy at every eta and magnitude; so does :func:`optimal_eta`'s
+value. :func:`kl_mixture_exponent` is an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ArgumentOutOfDomain, InvalidParameter
 from .priors import BgeHyper
-from .sem import STRUCTURES, Params, Structure, gamma_map, implied_covariance
-from .sem import _ByStructure, _edge, _interv_mean, _node1_is_child
+from .sem import STRUCTURES, Params, Structure, gamma_map
+from .sem import _ByStructure, _edge, _interv_mean, _node1_is_child, _reverse_edge
 
 
 def _ratios(theta: Params, y: float) -> tuple[float, float, float, float]:
@@ -101,10 +101,9 @@ class RateCurve:
 
 
 def _log1pmx(t):
-    """``log1p(t) - t`` for ``0 <= t <= 1``, to a few ulp. With
-    ``s = t/(2+t) <= 1/3`` it is ``2*atanh(s) - t = 2*(s^3/3 + s^5/5 + ...) - t*s``,
-    so the first-order terms cancel exactly instead of in rounding. The
-    series stops at ``s^35``, below an ulp at ``s = 1/3``."""
+    """``log1p(t) - t`` for ``-1/2 <= t <= 1``, to a few ulp: with ``s = t/(2+t)``,
+    ``|s| <= 1/3``, it is ``2*(s^3/3 + s^5/5 + ...) - t*s``, whose first-order
+    terms cancel exactly, and the series stops at ``s^35``, below an ulp."""
     s = t / (2.0 + t)
     s2 = s * s
     p = 0.0
@@ -113,65 +112,58 @@ def _log1pmx(t):
     return s * s2 * p - t * s
 
 
-def _log1p(t):
-    """``np.log1p``, returned as a ``float`` for a number."""
-    return np.log1p(t) if isinstance(t, np.ndarray) else float(np.log1p(t))
-
-
-def _where(cond, a, b):
-    """``np.where``, or the plain choice for a number."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
-
-
-def _log_gap(x: float) -> tuple[float, float]:
-    """``log1p(x)`` and the Jensen gap ``x - log1p(x) >= 0``, to a few ulp."""
-    lg = math.log1p(x)
-    return lg, (-_log1pmx(x) if x <= 1.0 else x - lg)
+def _gap(t, rho):
+    """``rho - 1 - log(rho) >= 0`` to a few ulp, from ``rho`` and ``t = rho - 1``
+    that the caller forms as products or quotients, never by a cancelling
+    subtraction: ``-log1pmx(t)`` for ``-1/2 <= t <= 1``, else ``t - log(rho)``.
+    Array cells run the series only where they use it, each bitwise its scalar."""
+    if not isinstance(t, np.ndarray):
+        return -_log1pmx(t) if -0.5 <= t <= 1.0 else t - float(np.log(rho))
+    near, out = (t >= -0.5) & (t <= 1.0), np.empty_like(t)
+    out[near], out[~near] = -_log1pmx(t[near]), t[~near] - np.log(rho[~near])
+    return out
 
 
 def d12(ri: RateInput) -> float | np.ndarray:
     """Exponent governing posterior concentration on a true ``S1`` model.
 
-    ``0.5 * [log1p(eta*x + (1-eta)*z) - eta*log1p(x)]`` with
-    ``x = w^2*tau2_sq/tau1_sq`` and ``z = w^2*y^2/tau1_sq``. The logarithms
-    agree to first order, so while ``x, z <= 1`` it is summed as
-    ``0.5 * [g(eta*x + (1-eta)*z) - eta*g(x) + (1-eta)*z]``, ``g`` the
-    :func:`_log1pmx`, which keeps its digits as ``w -> 0``.
+    ``0.5 * [log1p(q) - eta*log1p(x)]`` with ``x = w^2*tau2_sq/tau1_sq``,
+    ``z = w^2*y^2/tau1_sq`` and ``q = eta*x + (1-eta)*z``, summed as
+    ``0.5 * [eta*KL_obs + (1-eta)*KL_int]`` over doubled KLs of non-negative
+    terms, ``KL_obs = gap((1+x)/(1+q))`` and ``KL_int = gap(1/(1+q)) + z/(1+q)``.
     """
     x, z, _, _ = _ratios(ri.theta_star, ri.y)
     eta, etabar = ri.eta, 1.0 - ri.eta
-    mix = eta * x + etabar * z
-    if max(x, z) > 1.0:
-        return 0.5 * (_log1p(mix) - eta * _log1p(x))
-    return 0.5 * (_log1pmx(mix) - eta * _log1pmx(x) + etabar * z)
+    q = eta * x + etabar * z
+    q1 = 1.0 + q
+    kl_obs = _gap(etabar * (x - z) / q1, (1.0 + x) / q1)
+    kl_int = _gap(-q / q1, 1.0 / q1) + z / q1
+    return 0.5 * (eta * kl_obs + etabar * kl_int)
 
 
 def d21(ri: RateInput) -> float | np.ndarray:
     """Exponent governing posterior concentration on a true ``S2`` model.
 
-    ``0.5 * [log1p((1-eta)*u) - log1p(u) + eta*log1p(x)]`` with
-    ``x = w^2*tau1_sq/tau2_sq``, ``c = y^2/tau2_sq`` and
-    ``u = eta*x/(eta + (1-eta)*c)`` (``u = x`` when ``c = 0``); while
-    ``x <= 1`` it is summed as ``0.5 * [g((1-eta)*u) - g(u) + eta*g(x) +
-    (1-eta)*c*u]``, ``g`` the :func:`_log1pmx`, with ``c*u`` formed whole as
-    ``u`` underflows at large ``c``. Below ``eta = 1/2``, where ``(1-eta)*u``
-    drops eta's digits, the first two terms are ``log1p(-t)`` or
-    ``g(-t) + t*u`` with ``t = eta*u/(1+u)``. Vanishes at both boundaries:
-    observational-only data cannot separate the two connected structures,
-    and interventional-only data cannot separate ``S2`` from the
+    ``0.5 * [log1p(v) - log1p(u) + eta*log1p(x)]`` with
+    ``x = w^2*tau1_sq/tau2_sq``, ``c = y^2/tau2_sq``, ``a = eta/(eta +
+    (1-eta)*c)`` (1 when ``c = 0``), ``b = 1 - a``, ``u = a*x`` and
+    ``v = (1-eta)*u``, summed as :func:`d12` is, with
+    ``KL_obs = gap((1+u)/((1+x)(1+v))) + x*b^2/((1+x)(1+u)(1+v))`` and
+    ``KL_int = gap((1+u)/(1+v)) + u*a*c/((1+u)(1+v))``. Vanishes at both
+    boundaries: observational-only data cannot separate the two connected
+    structures, and interventional-only data cannot separate ``S2`` from the
     independence model.
     """
     _, _, x, c = _ratios(ri.theta_star, ri.y)
     eta, etabar = ri.eta, 1.0 - ri.eta
-    # one factor of eta cancels when c = 0, which keeps eta = 0 defined
-    u = eta * x / (eta + etabar * c) if c else x
-    low = eta < 0.5
-    t = _where(low, eta, 0.0) * u / (1.0 + u)
-    if x > 1.0:
-        return 0.5 * (_where(low, _log1p(-t), _log1p(etabar * u) - _log1p(u)) + eta * _log1p(x))
-    cu = eta * x * (c / (eta + etabar * c)) if c else 0.0
-    drop = _where(low, _log1pmx(-t) + t * u, _log1pmx(etabar * u) - _log1pmx(u))
-    return 0.5 * (drop + eta * _log1pmx(x) + etabar * cu)
+    # b and f = 1 - a*eta as quotients; eta cancels from a when c = 0, which keeps eta = 0 defined
+    den = eta + etabar * c
+    a, b, f = (eta / den, etabar * c / den, etabar * (eta + c) / den) if c else (1.0, 0.0, etabar)
+    u, v = a * x, etabar * (a * x)
+    u1, v1, x1 = 1.0 + u, 1.0 + v, 1.0 + x
+    kl_obs = _gap(-(x / x1) * ((f + v) / v1), u1 / x1 / v1) + (x / x1) * (b / u1) * (b / v1)
+    kl_int = _gap(eta * u / v1, u1 / v1) + (u / u1) * (a * c / v1)
+    return 0.5 * (eta * kl_obs + etabar * kl_int)
 
 
 def obs_kl_s1_vs_s3(theta_star: Params) -> float:
@@ -212,7 +204,7 @@ def _d21_root(x: float, c: float) -> float:
     ``m = r*b - 1`` so they keep their digits as ``w -> 0``. d21 is concave,
     so the root is unique; a Newton step that leaves the bracket bisects it.
     """
-    lg, gap = _log_gap(x)
+    lg, gap = math.log1p(x), _gap(x, 1.0 + x)
     r, b = lg / x, 1.0 - c + x
     m = r * (x - c) - gap / x
     coef = (-lg * b, b * m - lg * c, 2.0 * c * m, r * c * c)
@@ -248,7 +240,7 @@ def optimal_eta(exponent_id: RateId, theta_star: Params, y: float) -> tuple[floa
     RateInput(theta_star, y, 0.0)
     if exponent_id is RateId.D12:
         x, z, _, _ = _ratios(theta_star, y)
-        lg, gap = _log_gap(x)
+        lg, gap = math.log1p(x), _gap(x, 1.0 + x)
         num = gap - z * (1.0 + lg)
         eta = num / ((x - z) * lg) if num > 0.0 else 0.0
     elif exponent_id is RateId.D21:
@@ -322,13 +314,10 @@ def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta:
         den = eta * s2y + etabar * y * y
         if den <= 0.0:
             raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")
-        num_var = (
-            eta * th.tau1_sq * th.tau2_sq
-            + eta * etabar * th.w * th.w * (th.tau1_sq * th.tau1_sq)
-            + etabar * y * y * th.tau1_sq
-        )
+        # tau1_sq times a ratio in (0, 1], so no product of raw terms underflows
+        var1 = th.tau1_sq * ((eta * (th.tau2_sq + etabar * w2t1) + etabar * y * y) / den)
         return _ByStructure({
-            Structure.S1: Params(eta * th.w * th.tau1_sq / den, num_var / den, s2y),
+            Structure.S1: Params(eta * th.w * th.tau1_sq / den, var1, s2y),
             Structure.S2: th,
             Structure.S3: Params(0.0, th.tau1_sq, s2y),
         })
@@ -394,8 +383,13 @@ def kl_centered_bivariate(cov0: np.ndarray, cov1: np.ndarray) -> float:
 
 
 def kl_univariate(mean0: float, var0: float, mean1: float, var1: float) -> float:
-    """KL divergence between univariate Gaussians."""
-    return 0.5 * (var0 / var1 + (mean1 - mean0) * (mean1 - mean0) / var1 - 1.0 + math.log(var1 / var0))
+    """KL divergence from ``N(mean0, var0)`` to ``N(mean1, var1)``: half the
+    variance ratio's :func:`_gap` plus half the squared mean shift over
+    ``var1``, so never negative. NaN where a variance lies below the normal
+    range, where it has lost digits."""
+    if min(var0, var1) < sys.float_info.min:
+        return math.nan
+    return 0.5 * (_gap((var0 - var1) / var1, var0 / var1) + (mean1 - mean0) * (mean1 - mean0) / var1)
 
 
 @np.errstate(all="ignore")  # np.float64 fields warn where Python floats overflow silently
@@ -403,21 +397,26 @@ def kl_mixture_exponent(
     true_model: Structure, wrong_model: Structure, theta_star: Params, y: float, eta: float
 ) -> float:
     """Exponent as ``eta * KL_obs + (1-eta) * KL_int`` against the wrong
-    model's pseudo-true law. Independent of the closed forms; used to
-    validate them. Raises :class:`ArgumentOutOfDomain` where floats cannot.
+    model's pseudo-true law, each KL by the chain rule in the wrong model's
+    causal order (the true law's edge reversed where it differs): the parent's
+    marginal KL plus the child's expected conditional KL. Independent of the
+    closed forms, which it validates; :class:`ArgumentOutOfDomain` where floats
+    cannot evaluate it.
     """
     theta_wrong = pseudo_true_limits(true_model, theta_star, y, eta)[wrong_model]
+    edge = _edge(true_model, theta_star.w)
+    p, c = order = _edge(wrong_model) or edge or (0, 1)  # S3 takes the true order, any with no edge
     try:
-        cov_true = implied_covariance(true_model, theta_star).as_matrix()
-        cov_wrong = implied_covariance(wrong_model, theta_wrong).as_matrix()
-        kl_obs = kl_centered_bivariate(cov_true, cov_wrong)
-        m0, m1 = _interv_mean(true_model, theta_star, y), _interv_mean(wrong_model, theta_wrong, y)
-        kl_int = kl_univariate(m0, theta_star.tau1_sq, m1, theta_wrong.tau1_sq)
-        out = eta * kl_obs + (1.0 - eta) * kl_int
-    # the arguments passed the checks above: a covariance that Cov2 refuses or
-    # that cannot be inverted has left the floats
-    except (InvalidParameter, np.linalg.LinAlgError):
+        truth = theta_star if edge in (None, order) else _reverse_edge(edge, theta_star)
+    except InvalidParameter:  # the arguments are valid: a reversed variance has left the floats
         out = math.nan
+    else:
+        t0, t1, dw = (truth.tau1_sq, truth.tau2_sq), (theta_wrong.tau1_sq, theta_wrong.tau2_sq), truth.w - theta_wrong.w
+        # the child's conditional mean shift is dw times the parent, so its square averages dw^2 * t0[p]
+        kl_c = kl_univariate(0.0, t0[c], 0.0, t1[c]) + 0.5 * (dw * dw * t0[p] / t1[c])
+        kl_obs = kl_univariate(0.0, t0[p], 0.0, t1[p]) + kl_c
+        m0, m1 = _interv_mean(true_model, theta_star, y), _interv_mean(wrong_model, theta_wrong, y)
+        out = eta * kl_obs + (1.0 - eta) * kl_univariate(m0, theta_star.tau1_sq, m1, theta_wrong.tau1_sq)
     if not math.isfinite(out):
         raise ArgumentOutOfDomain(f"KL mixture exponent cannot be evaluated at {theta_star!r}, y={y!r}, eta={eta!r}")
     return out

@@ -286,6 +286,25 @@ class TestLaplace:
             )
 
 
+    def test_curvatures_far_apart_are_negative_definite(self, symmetric_hyper):
+        # two rows scaled by about 5e10 and 7e44: at the S2 MLE the curvatures
+        # are -3.5e-43, -3.2e-68 and -8.9e-179, eigvalsh read the smallest
+        # eigenvalue of -H as -7.4e-210, and the route raised NonConcaveAtMle
+        st = suffstats([[-5.26e10, 3.71e44], [-2.47e10, 6.83e44]])
+        mle = mle_mixed(st).theta2
+        assert hessian_diagnostics(st, Structure.S2, mle).negative_definite
+        # log det(-H) from -H scaled to a unit diagonal, then scaled back
+        neg = -loglik_hessian(st, Structure.S2, mle)
+        scale = 1.0 / np.sqrt(np.diag(neg))
+        sign, logdet = np.linalg.slogdet(neg * np.outer(scale, scale))
+        assert sign == 1.0
+        logdet -= 2.0 * float(np.sum(np.log(scale)))
+        want = (loglik(st, Structure.S2, mle) + 1.5 * math.log(2.0 * math.pi) - 0.5 * logdet
+                + prior_logpdf(mle, Structure.S2, symmetric_hyper))
+        lap = laplace_log_marginal(st, Structure.S2, lambda t: prior_logpdf(t, Structure.S2, symmetric_hyper), mle)
+        assert lap == pytest.approx(want, rel=1e-14)
+
+
 class TestQuadratureEngine:
     def test_empty_data_gives_zero(self, symmetric_hyper):
         st = suffstats(np.empty((0, 2)))

@@ -29,6 +29,8 @@ from bicausal import (
     SuffStats,
     augmented_odds_statistic,
     bge_symmetric_hyper,
+    d12,
+    d21,
     fit_slope,
     gain_transform,
     hessian_diagnostics,
@@ -286,21 +288,6 @@ CASES = [
      ArgumentOutOfDomain, r"^log prior ratio of S2 to S1 overflows at Params\(w=1e\+200, tau1_sq=1\.0, tau2_sq=1\.0\)$"),
     ("pseudo-true S1 limit undefined", lambda tmp: pseudo_true_limits(Structure.S2, THETA, 0.0, 0.0),
      ArgumentOutOfDomain, r"^pseudo-true S1 limit undefined \(eta = 0 with y = 0\)$"),
-    # the wrong model's pseudo-true covariance is singular in floats: a raw
-    # LinAlgError (d12 is 98.93 here)
-    ("KL mixture of a singular covariance", lambda tmp: kl_mixture_exponent(
-        Structure.S1, Structure.S2, Params(4.3046034750419655e132, 5.4006428999580196e38, 1.8174709033915575),
-        -6.251178741178975e-4, 0.6202134520153778),
-     ArgumentOutOfDomain, r"^KL mixture exponent cannot be evaluated at Params\(w=4\.3046034750419655e\+132, "
-                          r"tau1_sq=5\.4006428999580196e\+38, tau2_sq=1\.8174709033915575\), "
-                          r"y=-0\.0006251178741178975, eta=0\.6202134520153778$"),
-    # its value overflowed to inf (d21 is 90.83 here)
-    ("KL mixture that overflows", lambda tmp: kl_mixture_exponent(
-        Structure.S2, Structure.S1, Params(0.3628557120371152, 2.730808784797448e95, 3.8404028065200246),
-        -6073697475748792.0, 0.84829120827506),
-     ArgumentOutOfDomain, r"^KL mixture exponent cannot be evaluated at Params\(w=0\.3628557120371152, "
-                          r"tau1_sq=2\.730808784797448e\+95, tau2_sq=3\.8404028065200246\), "
-                          r"y=-6073697475748792\.0, eta=0\.84829120827506$"),
     # the S1 limit's variance is inf/inf under a true S2 model: Params
     # refused it with InvalidParameter, and np.float64 fields also warned
     *((f"KL mixture past the pseudo-true limits ({kind.__name__})", lambda tmp, kind=kind: kl_mixture_exponent(
@@ -311,12 +298,12 @@ CASES = [
        r"^pseudo-true limits cannot be evaluated at Params\(w=(np\.float64\()?2\.0347571352489576e\+148"
        r".*\(in a limit, tau1_sq must be finite, got (np\.float64\()?nan\)?\)$")
       for kind in (float, np.float64)),
-    # the true covariance's determinant, tau1_sq*tau2_sq = 2.5e-34, cancels
-    # to 0 from terms of 2.5e54: Cov2 raised InvalidParameter (d12 is 16.87)
-    ("KL mixture of a covariance that cancels", lambda tmp: kl_mixture_exponent(
-        Structure.S1, Structure.S2, Params(1.949885276302907e28, 3.059850151013116e-33, 0.08102711465757485),
-        0.021680104655789, 0.8326441476533978),
-     ArgumentOutOfDomain, r"^KL mixture exponent cannot be evaluated at Params\(w=1\.949885276302907e\+28, "),
+    # the S1 reversal of a true S2 model has tau1_sq = tau1_sq*tau2_sq/s = 0:
+    # Params refused it with InvalidParameter
+    ("KL mixture past the edge reversal", lambda tmp: kl_mixture_exponent(
+        Structure.S2, Structure.S1, Params(-6.861359044113931e129, 7.2265570454989905e-81, 3.683244644362352e-108),
+        5.2156777299790504e-117, 0.34444960733861085),
+     ArgumentOutOfDomain, r"^KL mixture exponent cannot be evaluated at Params\(w=-6\.861359044113931e\+129, "),
     ("pseudo-true y", lambda tmp: pseudo_true_limits(Structure.S1, THETA, math.nan, 0.5),
      InvalidParameter, r"^y must be finite, got nan$"),
     # y went unchecked into the ratios: ArgumentOutOfDomain("second moments overflow ...")
@@ -331,6 +318,33 @@ CASES = [
     ("negative interventional count", lambda tmp: sample_interv(Structure.S1, THETA, IV, -1, 0),
      InvalidParameter, r"^m must be >= 0, got -1$"),
 ]
+
+# (id, true structure, wrong structure, theta, y, eta, closed form): inputs
+# that the matrix route of kl_mixture_exponent refused, and that the chain
+# rule evaluates
+KL_VALUES = [
+    # the wrong model's pseudo-true covariance was singular in floats (a raw
+    # LinAlgError before it was refused)
+    ("singular covariance", Structure.S1, Structure.S2,
+     Params(4.3046034750419655e132, 5.4006428999580196e38, 1.8174709033915575), -6.251178741178975e-4,
+     0.6202134520153778, d12),
+    # its value overflowed to inf
+    ("overflows", Structure.S2, Structure.S1, Params(0.3628557120371152, 2.730808784797448e95, 3.8404028065200246),
+     -6073697475748792.0, 0.84829120827506, d21),
+    # the true covariance's determinant, tau1_sq*tau2_sq = 2.5e-34, cancelled
+    # to 0 from terms of 2.5e54, and Cov2 refused it
+    ("covariance that cancels", Structure.S1, Structure.S2,
+     Params(1.949885276302907e28, 3.059850151013116e-33, 0.08102711465757485), 0.021680104655789,
+     0.8326441476533978, d12),
+]
+
+
+@pytest.mark.parametrize("true, wrong, theta, y, eta, closed", [c[1:] for c in KL_VALUES],
+                         ids=[c[0] for c in KL_VALUES])
+def test_kl_mixture_value(true, wrong, theta, y, eta, closed):
+    assert kl_mixture_exponent(true, wrong, theta, y, eta) == pytest.approx(
+        closed(RateInput(theta, y, eta)), rel=1e-12)
+
 
 _CATEGORY = {
     ArgumentOutOfDomain: "argument-out-of-domain",

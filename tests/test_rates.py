@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as hs
 
 from bicausal import (
@@ -29,6 +29,7 @@ from bicausal import (
     gain_transform,
     gamma_map,
     kl_mixture_exponent,
+    kl_univariate,
     mixing_helps_s1,
     mle_mixed,
     nonident_posterior_limit,
@@ -242,6 +243,8 @@ def _ref_d12(theta, y, eta):
         ctx.prec = 60
         w2, t1, t2, y2 = _decimals(theta, y)
         e = Decimal(eta)
+        if e == 1:  # both logarithms are log1p(x): d12 is 0, not their rounding
+            return Decimal(0)
         x, z = w2 * t2 / t1, w2 * y2 / t1
         return (_dlog1p(e * x + (1 - e) * z) - e * _dlog1p(x)) / 2
 
@@ -253,6 +256,8 @@ def _ref_d21(theta, y, eta):
         ctx.prec = 60
         w2, t1, t2, y2 = _decimals(theta, y)
         e = Decimal(eta)
+        if e == 1:  # the two logarithms are log(t2/s) and log(s/t2): d21 is 0, not their rounding
+            return Decimal(0)
         a = w2 * t1
         s = a + t2
         inner = -e * a / s if y2 == 0 else -e * e * a / (e * s + (1 - e) * y2)
@@ -326,11 +331,9 @@ class TestDecimalReference:
         theta, y = case
         for f, ref in ((d12, _ref_d12), (d21, _ref_d21)):
             got, want = f(ri(theta, y, eta)), ref(theta, y, eta)
-            if want == 0:
-                assert got == 0.0
-            else:
-                rel = float(abs(Decimal(float(got)) - want) / abs(want))
-                assert rel * min(eta, 1.0 - eta) <= 1e-14, (f.__name__, got, float(want))
+            # a subnormal value carries fewer digits: below the normal range the error is absolute
+            err = abs(Decimal(float(got)) - want)
+            assert err <= Decimal(1e-14) * abs(want) + Decimal(sys.float_info.min), (f.__name__, got, float(want))
 
     def test_exponents_on_a_grid_of_weights(self):
         # every half decade of w at theta = (w, 1, 4): the draws above rarely
@@ -342,7 +345,7 @@ class TestDecimalReference:
                     for f, ref in ((d12, _ref_d12), (d21, _ref_d21)):
                         got, want = f(ri(theta, y, eta)), ref(theta, y, eta)
                         rel = float(abs(Decimal(float(got)) - want) / want)
-                        assert rel * min(eta, 1.0 - eta) <= 1e-14, (f.__name__, w, y, eta)
+                        assert rel <= 1e-14, (f.__name__, w, y, eta)
 
     @given(_weak_to_strong())
     @settings(max_examples=100, deadline=None)
@@ -405,6 +408,9 @@ class TestD21ExtremeMagnitudes:
     # w^2*tau1_sq underflowed to a subnormal and x = w^2*tau1_sq/tau2_sq to
     # 0, so d21 read 0 against 1.10e-270
     @example(1.0, 2.29e-117, 5.40e-115, 6.51e-79, 1.66e92, 0.504)
+    # the last row of figure1's rates_a.csv: the logarithms cancelled to
+    # O(1 - eta), and d12 was off by 1.7e-7 relative, d21 by 3.6e-8
+    @example(1.0, 1.0, 1.0, 4.0, 0.1, 1.0 - 1e-9)
     @settings(max_examples=200, deadline=None)
     def test_matches_a_700_digit_reference(self, sign, w, t1, t2, y, eta):
         theta = Params(sign * w, t1, t2)
@@ -414,9 +420,62 @@ class TestD21ExtremeMagnitudes:
             assume(False)
         assert values[1] >= 0.0
         for value, want in zip(values, (_ref_d12_mp(theta, y, eta), _ref_d21_mp(theta, y, eta))):
-            # as in TestDecimalReference, digits may go as 1/eta or 1/(1 - eta) at the ends
-            err = abs(value - want) * min(eta, 1.0 - eta)
-            assert err <= 1e-12 * abs(want) + sys.float_info.min, (value, float(want))
+            assert abs(value - want) <= 1e-12 * abs(want) + sys.float_info.min, (value, float(want))
+
+
+def _ref_all_mp(theta, y, eta):
+    """The four exponents at 700 digits, keyed by their functions."""
+    with mpmath.workdps(700):
+        w, t1, t2, e = (mpmath.mpf(v) for v in (theta.w, theta.tau1_sq, theta.tau2_sq, eta))
+        r12, r21 = _ref_d12_mp(theta, y, eta), _ref_d21_mp(theta, y, eta)
+        return {d12: r12, d21: r21, d13: r12 + e * mpmath.log1p(w * w * t2 / t1) / 2,
+                d23: e * mpmath.log1p(w * w * t1 / t2) / 2}
+
+
+#: eta over [1e-300, 1 - 1e-16]: uniform, log-uniform towards 0 and towards 1
+_ETAS_FULL = hs.one_of(
+    hs.floats(1e-300, 1.0 - 1e-16), _decade(-300.0, 0.0), _decade(-16.0, 0.0).map(lambda d: 1.0 - d)
+).filter(lambda e: 1e-300 <= e <= 1.0 - 1e-16)
+#: (true structure, wrong structure) of each exponent's KL mixture
+_KL_PAIRS = {d12: (Structure.S1, Structure.S2), d21: (Structure.S2, Structure.S1),
+             d13: (Structure.S1, Structure.S3), d23: (Structure.S2, Structure.S3)}
+
+
+class TestMpmathReference:
+    """Every rate route against a 700-digit reference, at magnitudes of
+    1e+-150 and eta over [1e-300, 1 - 1e-16], with Python-float and
+    ``np.float64`` fields (a RuntimeWarning fails the test)."""
+
+    @given(hs.sampled_from([-1.0, 1.0]), _EXTREME, _EXTREME, _EXTREME, hs.one_of(hs.just(0.0), _EXTREME),
+           _ETAS_FULL, hs.sampled_from([float, np.float64]))
+    @example(1.0, 1.0, 1.0, 4.0, 0.1, 1e-300, float)
+    @example(1.0, 1.0, 1.0, 4.0, 0.1, 1.0 - 1e-16, np.float64)
+    @settings(max_examples=200, deadline=None)
+    def test_every_route_keeps_its_digits(self, sign, w, t1, t2, y, eta, kind):
+        theta = Params(*map(kind, (sign * w, t1, t2)))
+        try:
+            r = ri(theta, y, eta)
+        except ArgumentOutOfDomain:
+            reject()
+        want = _ref_all_mp(theta, y, eta)
+        # the closed forms are sums of non-negative terms, each to a few ulp
+        for f in (d12, d21, d13, d23):
+            assert abs(f(r) - want[f]) <= 1e-14 * abs(want[f]) + sys.float_info.min, f.__name__
+        for rid, f in ((RateId.D12, d12), (RateId.D21, d21)):
+            eta_star, value = optimal_eta(rid, theta, y)
+            best = _ref_all_mp(theta, y, eta_star)[f]
+            assert abs(value - best) <= 1e-14 * abs(best) + sys.float_info.min, rid
+        # the KL route reads the rounded pseudo-true limits: a variance ratio
+        # off by a relative eps moves a gap term by about eps*sqrt(2*gap),
+        # and two variances one rounding apart give a gap near eps^2
+        for f, models in _KL_PAIRS.items():
+            try:
+                value = kl_mixture_exponent(*models, theta, y, eta)
+            except ArgumentOutOfDomain:
+                continue
+            assert value >= 0.0
+            scale = abs(want[f])  # a value below 1e-1000 may read as a tiny negative at 700 digits
+            assert abs(value - want[f]) <= 1e-12 * scale + 1e-14 * mpmath.sqrt(scale) + 1e-30, models
 
 
 class TestArrayEta:
@@ -436,11 +495,9 @@ class TestGainTransform:
     def test_constant_gain_when_mixture_collapses(self):
         curve = sample_curve(RateId.D12, UNIT, 1.0, num=101)
         gain = gain_transform(curve)
-        # near the eta clamp the 1/(1-eta) division amplifies rounding, so
-        # constancy holds to ~1e-7 there and to 1e-12 on the interior
-        np.testing.assert_allclose(gain.values, 0.5 * math.log(2.0), atol=1e-6)
-        interior = gain.values[gain.eta < 0.99]
-        np.testing.assert_allclose(interior, 0.5 * math.log(2.0), rtol=1e-12)
+        # d12 keeps its relative accuracy as eta -> 1, so the 1/(1-eta)
+        # division keeps the constant to rounding up to the eta clamp
+        np.testing.assert_allclose(gain.values, 0.5 * math.log(2.0), rtol=1e-12)
         assert gain.exponent_id is RateId.D12_GAIN
 
     def test_monotone_nondecreasing(self):
@@ -500,10 +557,10 @@ class TestKlMixtureIdentity:
             y = float(rng.uniform(0.2, 2.5))
             eta = float(rng.uniform(0.02, 0.98))
             assert d12(ri(theta, y, eta)) == pytest.approx(
-                kl_mixture_exponent(Structure.S1, Structure.S2, theta, y, eta), abs=1e-9
+                kl_mixture_exponent(Structure.S1, Structure.S2, theta, y, eta), rel=1e-12
             )
             assert d21(ri(theta, y, eta)) == pytest.approx(
-                kl_mixture_exponent(Structure.S2, Structure.S1, theta, y, eta), abs=1e-9
+                kl_mixture_exponent(Structure.S2, Structure.S1, theta, y, eta), rel=1e-12
             )
 
     def test_d13_and_d23(self):
@@ -513,11 +570,24 @@ class TestKlMixtureIdentity:
             y = float(rng.uniform(0.2, 2.5))
             eta = float(rng.uniform(0.02, 0.98))
             assert d13(ri(theta, y, eta)) == pytest.approx(
-                kl_mixture_exponent(Structure.S1, Structure.S3, theta, y, eta), abs=1e-9
+                kl_mixture_exponent(Structure.S1, Structure.S3, theta, y, eta), rel=1e-12
             )
             assert d23(ri(theta, y, eta)) == pytest.approx(
-                kl_mixture_exponent(Structure.S2, Structure.S3, theta, y, eta), abs=1e-9
+                kl_mixture_exponent(Structure.S2, Structure.S3, theta, y, eta), rel=1e-12
             )
+
+    # var0/var1 - 1 + log(var1/var0) cancels: it read -1.2e-32 at var1 = 1 + 2^-52
+    @pytest.mark.parametrize("mean0, var0, mean1, var1", [
+        (0.0, 1.0, 0.0, 1.0 + 2.0**-52), (0.0, 1.0, 0.0, 1.0 - 2.0**-53), (0.0, 3.0, 0.0, 3.0 * (1.0 + 1e-9)),
+        (0.0, 1.0, 0.0, 1.0 - 1e-7), (1.0, 2.0, 3.0, 4.0), (0.0, 1e-300, 1e-150, 1e-280),
+    ])
+    def test_univariate_kl_against_reference(self, mean0, var0, mean1, var1):
+        with mpmath.workdps(50):
+            m0, v0, m1, v1 = map(mpmath.mpf, (mean0, var0, mean1, var1))
+            want = float((v0 / v1 - 1 + (m1 - m0) ** 2 / v1 + mpmath.log(v1 / v0)) / 2)
+        got = kl_univariate(mean0, var0, mean1, var1)
+        assert got >= 0.0
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestNonidentPosteriorLimit:
@@ -644,6 +714,9 @@ class TestValidation:
             RateInput(UNIT, 1e200, 0.5)
 
     def test_pseudo_true_limit_overflow_is_a_library_error(self):
-        # tau1_sq^2 overflows inside the S1 limit of a true S2 model
+        # w^2*tau1_sq overflows, so the S1 limit of a true S2 model leaves the floats
         with pytest.raises(BicausalError):
-            pseudo_true_limits(Structure.S2, Params(1.0, 1e200, 1.0), 1.0, 0.5)
+            pseudo_true_limits(Structure.S2, Params(1e150, 1e10, 1.0), 1.0, 0.5)
+        # tau1_sq^2 = 1e400 once overflowed inside this limit, which is representable
+        lim = pseudo_true_limits(Structure.S2, Params(1.0, 1e200, 1.0), 1.0, 0.5)[Structure.S1]
+        np.testing.assert_allclose(lim.as_array(), [1.0, 5e199, 1e200], rtol=1e-15)
