@@ -230,10 +230,9 @@ def suffstats(obs, interv=None) -> SuffStats:
     return SuffStats(s1x, s2x, s12x, s1y, s2y, s12y, n, m, y)
 
 
-def _chi2(rng: np.random.Generator, k: int, size: int | None = None):
-    """A chi-squared draw with ``k >= 0`` degrees of freedom (``size`` of
-    them as an array); ``chi2(0)`` is exactly 0, which
-    ``Generator.chisquare`` rejects."""
+def _chi2(rng: np.random.Generator, k: int, size: int):
+    """``size`` chi-squared draws with ``k >= 0`` degrees of freedom; ``chi2(0)``
+    is exactly 0, which ``Generator.chisquare`` rejects."""
     return 2.0 * rng.standard_gamma(0.5 * k, size)
 
 
@@ -273,10 +272,11 @@ def sample_suffstats(
     ``seed`` is anything :func:`numpy.random.default_rng` accepts, or a
     generator to draw from; a fixed seed determines the result bitwise.
     """
-    sums = _draw_sums(s, theta, n, m, iv, np.random.default_rng(seed))
-    return SuffStats(*sums, n, m, iv.value if m else None)
+    sums = _draw_sums(s, theta, n, m, iv, np.random.default_rng(seed), 1)
+    return SuffStats(*(float(v[0]) for v in sums), n, m, iv.value if m else None)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow comes out as inf, which SuffStats rejects
 def _draw_sums(
     s: Structure,
     theta: Params,
@@ -284,18 +284,12 @@ def _draw_sums(
     m: int,
     iv: InterventionSpec | None,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
 ) -> tuple:
-    """The six sums ``(s1x, s2x, s12x, s1y, s2y, s12y)`` of
-    :func:`sample_suffstats` draws from ``rng``, not yet validated as
-    :class:`SuffStats`: numbers for ``size=None``, else arrays of ``size``
-    independent draws.
-
-    Each variate is drawn for every row before the next one is, so one row
-    takes the same values from the generator as the scalar draw, and
-    ``size=1`` is that draw bitwise. The Monte Carlo harness draws a block
-    of trials per call and validates them once as a batch.
-    """
+    """The six sums ``(s1x, s2x, s12x, s1y, s2y, s12y)`` of ``size``
+    independent :func:`sample_suffstats` draws from ``rng``, as arrays not yet
+    validated as :class:`SuffStats`. Each variate is drawn for every row
+    before the next one is, so a row's values do not depend on ``size``."""
     if n < 0 or m < 0:
         raise InvalidParameter(f"counts must be >= 0, got n={n}, m={m}")
     if m > 0 and iv is None:
@@ -304,12 +298,11 @@ def _draw_sums(
     edge = _edge(s, w)
     p, c = edge or (0, 1)
     tp, tc = tau[p], tau[c]
-    # both square roots are correctly rounded, so rows match the numbers
-    sqrt, zero = (math.sqrt, 0.0) if size is None else (np.sqrt, np.zeros(size))
+    zero = np.zeros(size)
     spp = spc = scc = zero
     if n > 0:
         # (u, 0) and (v, sqrt(tc) * c) are the rows of L A
-        u = sqrt(tp * _chi2(rng, n, size))
+        u = np.sqrt(tp * _chi2(rng, n, size))
         v = w * u + math.sqrt(tc) * rng.standard_normal(size)
         spp, spc, scc = u * u, u * v, v * v + tc * _chi2(rng, n - 1, size)
     sq = [zero, zero]
@@ -319,8 +312,7 @@ def _draw_sums(
     y = iv.value
     sum_y1 = m * _interv_mean(s, theta, y) + math.sqrt(tau[0] * m) * rng.standard_normal(size)
     s1y = sum_y1 * sum_y1 / m + tau[0] * _chi2(rng, m - 1, size)
-    # adding zero makes a column of the constant; it is never -0.0, so the
-    # number is unchanged
+    # adding zero makes a column of the constant; it is never -0.0, so no bit changes
     return sq[0], sq[1], spc, s1y, m * y * y + zero, y * sum_y1
 
 

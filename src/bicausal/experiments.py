@@ -54,7 +54,6 @@ from .rates import (
     d12,
     d21,
     gain_transform,
-    mixing_helps_s1,
     optimal_eta,
     sample_curve,
 )
@@ -211,19 +210,17 @@ def _run(cfg: ExperimentConfig, size_indices, chi2: bool = False) -> ExperimentR
     size is drawn and scored as one batch; the posterior and the columns are
     formed once, over every cell. ``chi2`` adds the scaled odds statistics."""
     batches = [_draw_size(cfg, idx) for idx in size_indices]
-    k = len(batches)
     # the evidence stacked (structure, trial, size), then flattened trial-major
     logp = np.stack([_log_evidence(st, cfg.hyper) for st in batches], axis=2)
     post = StructurePosterior.from_logp(logp.reshape(len(STRUCTURES), -1))
     stats = np.full((2, post.p.shape[1]), math.nan)
-    for j, st in enumerate(batches if chi2 else ()):  # S1 and S2 against S3, at the size's counts
-        at_size = StructurePosterior(post.logp[:, j::k], post.p[:, j::k])
-        stats[:, j::k] = [augmented_odds_statistic(st, at_size, s, cfg.theta_star, cfg.hyper) for s in STRUCTURES[:2]]
+    if chi2:  # S1 and S2 against S3; a chi-squared run has one size, whose batch holds every cell
+        stats[:] = [augmented_odds_statistic(batches[0], post, s, cfg.theta_star, cfg.hyper) for s in STRUCTURES[:2]]
     # ratio_12 saturates to inf far in the tail
     with np.errstate(over="ignore"):
         ratio_12 = np.exp(post.log_odds(Structure.S1, Structure.S2))
     keep = np.isfinite(post.logp).all(axis=0)
-    trial = np.repeat(np.arange(cfg.trials), k)
+    trial = np.repeat(np.arange(cfg.trials), len(batches))
     counts = np.tile([(st.total, st.n, st.m) for st in batches], (cfg.trials, 1)).T
     columns = [trial, *counts, post.p.T, post.log_inverse_odds(cfg.true_model), ratio_12, *stats]
     return ExperimentResult(*(c[keep] for c in columns), skipped=int(keep.size - keep.sum()))
@@ -504,8 +501,8 @@ def write_rates_csv(
     ]
     gains = [gain_transform(c) for c in curves[:2]]
     columns = [curves[0].eta] + [c.values for c in curves + gains]
-    helps = mixing_helps_s1(theta, y)
     eta12, v12 = optimal_eta(RateId.D12, theta, y)
+    helps = eta12 > 0.0  # mixing_helps_s1, read from the optimum it is defined by
     eta21, v21 = optimal_eta(RateId.D21, theta, y)
     header = list(header_lines) + [
         f"# mixing_helps_s1 = {helps}",

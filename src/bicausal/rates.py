@@ -18,9 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ArgumentOutOfDomain, InvalidParameter
+from .errors import ArgumentOutOfDomain, BicausalError, InvalidParameter
 from .priors import BgeHyper
-from .sem import STRUCTURES, Params, Structure, gamma_map
+from .sem import STRUCTURES, Cov2, Params, Structure, gamma_map
 from .sem import _ByStructure, _edge, _interv_mean, _node1_is_child, _reverse_edge
 
 
@@ -311,13 +311,14 @@ def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta:
             })
         w2t1 = th.w * th.w * th.tau1_sq
         s2y = w2t1 + th.tau2_sq
-        den = eta * s2y + etabar * y * y
-        if den <= 0.0:
+        e = eta if y else 1.0  # at y = 0 eta cancels from both ratios, where its products could underflow
+        den = e * s2y + etabar * y * y
+        if den <= 0.0 or not (eta or y):
             raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")
         # tau1_sq times a ratio in (0, 1], so no product of raw terms underflows
-        var1 = th.tau1_sq * ((eta * (th.tau2_sq + etabar * w2t1) + etabar * y * y) / den)
+        var1 = th.tau1_sq * ((e * (th.tau2_sq + etabar * w2t1) + etabar * y * y) / den)
         return _ByStructure({
-            Structure.S1: Params(eta * th.w * th.tau1_sq / den, var1, s2y),
+            Structure.S1: Params(e * th.w * th.tau1_sq / den, var1, s2y),
             Structure.S2: th,
             Structure.S3: Params(0.0, th.tau1_sq, s2y),
         })
@@ -373,23 +374,46 @@ def nonident_posterior_limit(
 
 
 def kl_centered_bivariate(cov0: np.ndarray, cov1: np.ndarray) -> float:
-    """KL divergence between centered bivariate Gaussians ``N(0, cov0)`` and
-    ``N(0, cov1)``."""
-    inv1 = np.linalg.inv(cov1)
-    tr = float(np.trace(inv1 @ cov0))
-    _, ld0 = np.linalg.slogdet(cov0)
-    _, ld1 = np.linalg.slogdet(cov1)
-    return 0.5 * (tr - 2.0 + float(ld1 - ld0))
+    """KL divergence from ``N(0, cov0)`` to ``N(0, cov1)`` by :func:`_kl_chain` in
+    node order; :class:`InvalidParameter` for a matrix that is not symmetric
+    positive definite, :class:`ArgumentOutOfDomain` where the value overflows."""
+    laws = []
+    for c in map(np.asarray, (cov0, cov1)):
+        if c.shape != (2, 2) or c[0, 1] != c[1, 0]:
+            raise InvalidParameter(f"covariance not a symmetric 2x2 matrix: {c.tolist()}")
+        v = Cov2(float(c[0, 0]), float(c[0, 1]), float(c[1, 1]))
+        laws.append(Params(v.c12 / v.c11, v.c11, v.c22 - v.c12 / v.c11 * v.c12))  # node 2 regressed on node 1
+    out = _kl_chain(*laws, 0, 1)
+    if not math.isfinite(out):
+        raise ArgumentOutOfDomain(f"KL divergence overflows from {laws[0]!r} to {laws[1]!r}")
+    return out
 
 
 def kl_univariate(mean0: float, var0: float, mean1: float, var1: float) -> float:
     """KL divergence from ``N(mean0, var0)`` to ``N(mean1, var1)``: half the
     variance ratio's :func:`_gap` plus half the squared mean shift over
-    ``var1``, so never negative. NaN where a variance lies below the normal
-    range, where it has lost digits."""
-    if min(var0, var1) < sys.float_info.min:
-        return math.nan
-    return 0.5 * (_gap((var0 - var1) / var1, var0 / var1) + (mean1 - mean0) * (mean1 - mean0) / var1)
+    ``var1``, so never negative. A non-finite mean, or a variance not positive
+    and finite, raises :class:`InvalidParameter`; a variance below the normal
+    range, which has lost digits, or a value floats cannot hold,
+    :class:`ArgumentOutOfDomain`."""
+    if not (math.isfinite(mean0) and math.isfinite(mean1) and 0.0 < var0 < math.inf and 0.0 < var1 < math.inf):
+        raise InvalidParameter(f"KL needs finite means and positive, finite variances, got {mean0, var0, mean1, var1}")
+    rho = var0 / var1
+    if min(var0, var1) < sys.float_info.min or not rho:
+        raise ArgumentOutOfDomain(f"KL variance below the normal range, or their ratio 0: {var0!r}, {var1!r}")
+    out = 0.5 * (_gap((var0 - var1) / var1, rho) + (mean1 - mean0) * (mean1 - mean0) / var1)
+    if not math.isfinite(out):
+        raise ArgumentOutOfDomain(f"KL of N({mean0!r}, {var0!r}) to N({mean1!r}, {var1!r}) overflows")
+    return out
+
+
+def _kl_chain(th0: Params, th1: Params, p: int, c: int) -> float:
+    """KL between two laws with parent ``p`` and child ``c`` by the chain rule: the
+    parent's KL plus the child's expected conditional KL, never negative."""
+    t0, t1, dw = (th0.tau1_sq, th0.tau2_sq), (th1.tau1_sq, th1.tau2_sq), th0.w - th1.w
+    # the child's conditional mean shift is dw times the parent, so its square averages dw^2 * t0[p]
+    kl_c = kl_univariate(0.0, t0[c], 0.0, t1[c]) + 0.5 * (dw * dw * t0[p] / t1[c])
+    return kl_univariate(0.0, t0[p], 0.0, t1[p]) + kl_c
 
 
 @np.errstate(all="ignore")  # np.float64 fields warn where Python floats overflow silently
@@ -397,26 +421,21 @@ def kl_mixture_exponent(
     true_model: Structure, wrong_model: Structure, theta_star: Params, y: float, eta: float
 ) -> float:
     """Exponent as ``eta * KL_obs + (1-eta) * KL_int`` against the wrong
-    model's pseudo-true law, each KL by the chain rule in the wrong model's
-    causal order (the true law's edge reversed where it differs): the parent's
-    marginal KL plus the child's expected conditional KL. Independent of the
-    closed forms, which it validates; :class:`ArgumentOutOfDomain` where floats
-    cannot evaluate it.
+    model's pseudo-true law, ``KL_obs`` by :func:`_kl_chain` in the wrong
+    model's causal order (the true law's edge reversed where it differs).
+    Independent of the closed forms, which it validates;
+    :class:`ArgumentOutOfDomain` where floats cannot evaluate it.
     """
     theta_wrong = pseudo_true_limits(true_model, theta_star, y, eta)[wrong_model]
     edge = _edge(true_model, theta_star.w)
     p, c = order = _edge(wrong_model) or edge or (0, 1)  # S3 takes the true order, any with no edge
     try:
         truth = theta_star if edge in (None, order) else _reverse_edge(edge, theta_star)
-    except InvalidParameter:  # the arguments are valid: a reversed variance has left the floats
-        out = math.nan
-    else:
-        t0, t1, dw = (truth.tau1_sq, truth.tau2_sq), (theta_wrong.tau1_sq, theta_wrong.tau2_sq), truth.w - theta_wrong.w
-        # the child's conditional mean shift is dw times the parent, so its square averages dw^2 * t0[p]
-        kl_c = kl_univariate(0.0, t0[c], 0.0, t1[c]) + 0.5 * (dw * dw * t0[p] / t1[c])
-        kl_obs = kl_univariate(0.0, t0[p], 0.0, t1[p]) + kl_c
+        kl_obs = _kl_chain(truth, theta_wrong, p, c)
         m0, m1 = _interv_mean(true_model, theta_star, y), _interv_mean(wrong_model, theta_wrong, y)
         out = eta * kl_obs + (1.0 - eta) * kl_univariate(m0, theta_star.tau1_sq, m1, theta_wrong.tau1_sq)
+    except BicausalError:  # the arguments are valid: a reversed variance or a KL term has left the floats
+        out = math.nan
     if not math.isfinite(out):
         raise ArgumentOutOfDomain(f"KL mixture exponent cannot be evaluated at {theta_star!r}, y={y!r}, eta={eta!r}")
     return out

@@ -35,7 +35,9 @@ from bicausal import (
     gain_transform,
     hessian_diagnostics,
     invgamma_logpdf,
+    kl_centered_bivariate,
     kl_mixture_exponent,
+    kl_univariate,
     ks_test_chi2_1,
     laplace_log_marginal,
     log_marginal_obs,
@@ -306,6 +308,33 @@ CASES = [
      ArgumentOutOfDomain, r"^KL mixture exponent cannot be evaluated at Params\(w=-6\.861359044113931e\+129, "),
     ("pseudo-true y", lambda tmp: pseudo_true_limits(Structure.S1, THETA, math.nan, 0.5),
      InvalidParameter, r"^y must be finite, got nan$"),
+    # each of these KLs read nan
+    *((f"KL of {name}", lambda tmp, args=args: kl_univariate(*args), InvalidParameter,
+       r"^KL needs finite means and positive, finite variances, got " + pattern)
+      for name, args, pattern in (("a negative variance", (0.0, -1.0, 0.0, 1.0), r"\(0\.0, -1\.0, 0\.0, 1\.0\)$"),
+                                  ("a NaN mean", (math.nan, 1.0, 0.0, 1.0), r"\(nan, 1\.0, 0\.0, 1\.0\)$"),
+                                  ("an infinite variance", (0.0, math.inf, 0.0, 1.0), r"\(0\.0, inf, 0\.0, 1\.0\)$"))),
+    ("KL of a subnormal variance", lambda tmp: kl_univariate(0.0, 1e-310, 0.0, 1.0),
+     ArgumentOutOfDomain, r"^KL variance below the normal range, or their ratio 0: 1e-310, 1\.0$"),
+    ("KL of a variance ratio that underflows", lambda tmp: kl_univariate(0.0, 1e-300, 0.0, 1e300),
+     ArgumentOutOfDomain, r"^KL variance below the normal range, or their ratio 0: 1e-300, 1e\+300$"),
+    ("KL that overflows", lambda tmp: kl_univariate(1e200, 1.0, -1e200, 1.0),
+     ArgumentOutOfDomain, r"^KL of N\(1e\+200, 1\.0\) to N\(-1e\+200, 1\.0\) overflows$"),
+    # the matrix route raised a raw LinAlgError on the singular matrix, and
+    # read -1.40 against the negative diagonal and 0.033 for an asymmetric one
+    *((f"bivariate KL of {name}", lambda tmp, cov=cov: kl_centered_bivariate(np.eye(2), np.array(cov)),
+       InvalidParameter, pattern)
+      for name, cov, pattern in (
+          ("a singular matrix", [[1.0, 1.0], [1.0, 1.0]], r"^covariance not positive definite: "),
+          ("a negative diagonal", [[-1.0, 0.0], [0.0, -2.0]], r"^covariance not positive definite: "),
+          ("an asymmetric matrix", [[1.0, 0.2], [0.3, 1.0]],
+           r"^covariance not a symmetric 2x2 matrix: \[\[1\.0, 0\.2\], \[0\.3, 1\.0\]\]$"))),
+    # the weight shift 1e5 squared over a residual variance of 1e-300: the
+    # matrix route read inf, with an overflow warning
+    ("bivariate KL that overflows", lambda tmp: kl_centered_bivariate(
+        np.array([[1.0, 1e5], [1e5, 1e10 + 1.0]]), np.array([[1.0, 0.0], [0.0, 1e-300]])),
+     ArgumentOutOfDomain, r"^KL divergence overflows from Params\(w=100000\.0, tau1_sq=1\.0, tau2_sq=1\.0\) to "
+                          r"Params\(w=0\.0, tau1_sq=1\.0, tau2_sq=1e-300\)$"),
     # y went unchecked into the ratios: ArgumentOutOfDomain("second moments overflow ...")
     *((f"{name} at y = {y}", lambda tmp, call=call, y=y: call(y), InvalidParameter, rf"^y must be finite, got {y}$")
       for name, call in (("optimal eta of D12", lambda y: optimal_eta(RateId.D12, THETA, y)),

@@ -427,8 +427,7 @@ class TestSampleSuffStats:
         seed=hs.integers(0, 2**64 - 1),
     )
     def test_one_row_draw_is_the_scalar_draw(self, s, n, m, w, t1, t2, y, seed):
-        # the vector body with one row takes the scalar draw's variates and
-        # gives its numbers bitwise
+        # sample_suffstats is the draw of one row, its numbers bitwise the row's
         theta, iv = Params(0.0 if s is Structure.S3 else w, t1, t2), InterventionSpec(y)
         row = estimation._draw_sums(s, theta, n, m, iv, np.random.default_rng(seed), 1)
         st = sample_suffstats(s, theta, n, m, iv, seed=seed)

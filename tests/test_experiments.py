@@ -89,10 +89,10 @@ class _Replay(np.random.Generator):
         self.values = iter(values)
 
     def standard_gamma(self, shape, size=None):
-        return next(self.values)
+        return np.full(size, next(self.values))
 
     def standard_normal(self, size=None):
-        return next(self.values)
+        return np.full(size, next(self.values))
 
 
 def reference_statistics(cfg, size_index):

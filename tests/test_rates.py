@@ -3,6 +3,7 @@ Gaussian-KL mixture cross-check."""
 
 import math
 import sys
+import warnings
 from decimal import Decimal, localcontext
 
 import mpmath
@@ -28,6 +29,8 @@ from bicausal import (
     d23,
     gain_transform,
     gamma_map,
+    implied_covariance,
+    kl_centered_bivariate,
     kl_mixture_exponent,
     kl_univariate,
     mixing_helps_s1,
@@ -548,6 +551,58 @@ class TestPseudoTrueLimits:
                 triple.for_structure(s).as_array(), lims[s].as_array(), rtol=0.03, atol=0.01
             )
 
+    # at y = 0, eta*w*tau1_sq and eta*s rounded as subnormals: the S1 weight
+    # read 4.2% and 1.1e-5 off
+    @pytest.mark.parametrize("theta, eta", [(Params(2.0, 3.0, 0.5), 5e-324), (Params(1e-10, 1.0, 1.0), 1e-310)])
+    def test_s1_limit_keeps_its_digits_where_eta_underflows(self, theta, eta):
+        got = pseudo_true_limits(Structure.S2, theta, 0.0, eta)[Structure.S1]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            w, t1, t2, e = map(Decimal, (theta.w, theta.tau1_sq, theta.tau2_sq, eta))
+            den = e * (w * w * t1 + t2)
+            want = (e * w * t1 / den, t1 * e * (t2 + (1 - e) * w * w * t1) / den)
+        assert abs(got.w - float(want[0])) <= 1e-14 * float(abs(want[0]))
+        assert abs(got.tau1_sq - float(want[1])) <= 1e-14 * float(want[1])
+
+
+def _kl_bivariate_mp(cov0, cov1):
+    """``KL(N(0, cov0) || N(0, cov1))`` at 50 digits, by the matrix formula."""
+    with mpmath.workdps(50):
+        (a, b, _, d), (p, q, _, r) = (map(mpmath.mpf, np.ravel(c)) for c in (cov0, cov1))
+        det0, det1 = a * d - b * b, p * r - q * q
+        return (((r * a - 2 * q * b + p * d) / det1) - 2 + mpmath.log(det1 / det0)) / 2
+
+
+class TestKlCenteredBivariate:
+    def test_nearby_matrices(self):
+        # the matrix route read -1.1e-16, its terms cancelling
+        c = np.array([[1.0, 0.3], [0.3, 1.0]])
+        assert kl_centered_bivariate(c, c * (1 + 1e-9)) == 5.000000820737076e-19
+
+    def test_against_a_50_digit_reference(self):
+        rng = np.random.default_rng(29)
+
+        def cov():
+            s1, s2 = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            c12 = rng.uniform(-0.99, 0.99) * math.sqrt(s1 * s2)
+            return np.array([[s1, c12], [c12, s2]])
+
+        for _ in range(300):
+            cov0, cov1 = cov(), cov()
+            got, want = kl_centered_bivariate(cov0, cov1), _kl_bivariate_mp(cov0, cov1)
+            assert got >= 0.0
+            assert abs(got - want) <= 1e-12 * want + 1e-14 * mpmath.sqrt(want) + 1e-30, (cov0, cov1)
+
+    def test_is_the_chain_rule_of_the_kl_mixture(self):
+        # at eta = 1 kl_mixture_exponent is the KL from the true covariance to
+        # the wrong model's pseudo-true one, whatever node order it sums in
+        theta = Params(0.8, 1.5, 0.6)
+        for true, wrong in ((Structure.S1, Structure.S3), (Structure.S2, Structure.S3)):
+            lim = pseudo_true_limits(true, theta, 1.2, 1.0)[wrong]
+            got = kl_centered_bivariate(implied_covariance(true, theta).as_matrix(),
+                                        implied_covariance(wrong, lim).as_matrix())
+            assert got == pytest.approx(kl_mixture_exponent(true, wrong, theta, 1.2, 1.0), rel=1e-14)
+
 
 class TestKlMixtureIdentity:
     def test_d12_and_d21(self):
@@ -720,3 +775,92 @@ class TestValidation:
         # tau1_sq^2 = 1e400 once overflowed inside this limit, which is representable
         lim = pseudo_true_limits(Structure.S2, Params(1.0, 1e200, 1.0), 1.0, 0.5)[Structure.S1]
         np.testing.assert_allclose(lim.as_array(), [1.0, 5e199, 1e200], rtol=1e-15)
+
+
+#: eta over [5e-324, 1]: uniform, and log-uniform down to the smallest subnormal
+_ETAS_TO_SUBNORMAL = hs.one_of(hs.floats(5e-324, 1.0), _decade(-323.3, 0.0).filter(lambda e: 5e-324 <= e <= 1.0))
+_SIGNED = hs.tuples(hs.sampled_from([-1.0, 1.0]), _EXTREME).map(lambda t: t[0] * t[1])
+_NON_FINITE = hs.sampled_from([math.nan, math.inf, -math.inf])
+#: the refusals a rate-layer call may raise, with their categories
+_REFUSALS = {InvalidParameter: "invalid-parameter", ArgumentOutOfDomain: "argument-out-of-domain"}
+
+
+@hs.composite
+def _covariance(draw):
+    """``(matrix, kind)``: a symmetric matrix of magnitudes 1e+-150 whose
+    correlation lies in [-1, 1] ("pd", including the singular |r| = 1), one
+    with a correlation beyond 1 or a non-positive diagonal ("indefinite"), or
+    one whose off-diagonal entries differ by an ulp ("asymmetric")."""
+    a, d = draw(_EXTREME), draw(_EXTREME)
+    kind = draw(hs.sampled_from(["pd", "indefinite", "asymmetric"]))
+    r = draw(hs.one_of(hs.floats(-1.0, 1.0), hs.sampled_from([-1.0, 1.0])))
+    if kind == "indefinite":
+        if draw(hs.booleans()):
+            r = draw(hs.sampled_from([-1.0, 1.0])) * draw(hs.floats(1.01, 10.0))
+        else:
+            a = draw(hs.sampled_from([-a, 0.0]))
+    c12 = r * math.sqrt(abs(a) * d)
+    c21 = math.nextafter(c12, math.inf) if kind == "asymmetric" else c12
+    return np.array([[a, c12], [c21, d]]), kind
+
+
+def _outcome(call, *args):
+    """A call's value with warnings as errors, or the type of its refusal,
+    checked against its category."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return call(*args)
+    except tuple(_REFUSALS) as exc:
+        assert exc.category == _REFUSALS[type(exc)]
+        return type(exc)
+
+
+def _refusal_or_kl(call, *args):
+    """A KL call's :func:`_outcome`, its value checked finite and non-negative."""
+    out = _outcome(call, *args)
+    assert isinstance(out, type) or (math.isfinite(out) and out >= 0.0), (args, out)
+    return out
+
+
+class TestRateLayerFuzz:
+    """Every call of the KL and pseudo-true routes returns a finite value (a
+    KL at least 0) or refuses with its category, at magnitudes of 1e+-150,
+    eta down to the smallest subnormal, and matrices that are singular,
+    indefinite or asymmetric; any warning fails."""
+
+    @given(hs.one_of(_SIGNED, hs.just(0.0), _NON_FINITE), hs.one_of(_EXTREME, hs.just(1e-310), hs.just(0.0),
+           _SIGNED, _NON_FINITE), _SIGNED, _EXTREME)
+    @settings(max_examples=100, deadline=None)
+    def test_kl_univariate(self, mean0, var0, mean1, var1):
+        out = _refusal_or_kl(kl_univariate, mean0, var0, mean1, var1)
+        if not (math.isfinite(mean0) and 0.0 < var0 < math.inf):
+            assert out is InvalidParameter
+        elif var0 < sys.float_info.min:
+            assert out is ArgumentOutOfDomain
+
+    @given(_covariance(), _covariance())
+    @settings(max_examples=100, deadline=None)
+    def test_kl_centered_bivariate(self, cov0, cov1):
+        out = _refusal_or_kl(kl_centered_bivariate, cov0[0], cov1[0])
+        if (cov0[1], cov1[1]) != ("pd", "pd"):
+            assert out is InvalidParameter
+
+    @given(hs.sampled_from(list(_KL_PAIRS.values())), hs.sampled_from([-1.0, 1.0]), _EXTREME, _EXTREME, _EXTREME,
+           hs.one_of(hs.just(0.0), _SIGNED), _ETAS_TO_SUBNORMAL, hs.sampled_from([float, np.float64]))
+    @example((Structure.S2, Structure.S1), 1.0, 2.0, 3.0, 0.5, 0.0, 5e-324, float)
+    @settings(max_examples=100, deadline=None)
+    def test_kl_mixture_exponent(self, models, sign, w, t1, t2, y, eta, kind):
+        out = _refusal_or_kl(kl_mixture_exponent, *models, Params(*map(kind, (sign * w, t1, t2))), y, eta)
+        assert out is not InvalidParameter
+
+    @given(hs.sampled_from(list(Structure)), hs.sampled_from([-1.0, 1.0]), _EXTREME, _EXTREME, _EXTREME,
+           hs.one_of(hs.just(0.0), _SIGNED), _ETAS_TO_SUBNORMAL, hs.sampled_from([float, np.float64]))
+    @example(Structure.S2, 1.0, 2.0, 3.0, 0.5, 0.0, 5e-324, float)
+    @settings(max_examples=100, deadline=None)
+    def test_pseudo_true_limits(self, true, sign, w, t1, t2, y, eta, kind):
+        theta = Params(*map(kind, (0.0 if true is Structure.S3 else sign * w, t1, t2)))
+        out = _outcome(pseudo_true_limits, true, theta, y, eta)
+        assert out is not InvalidParameter
+        for lim in () if out is ArgumentOutOfDomain else out.values():
+            assert all(map(math.isfinite, lim.as_array())) and lim.tau1_sq > 0.0 and lim.tau2_sq > 0.0
