@@ -49,42 +49,42 @@ def fisher(
     regime: Regime,
     iv: InterventionSpec | None = None,
 ) -> np.ndarray:
-    """Expected information of one sample of the given regime at ``theta``,
-    as a diagonal matrix (the parameters are orthogonal in this model).
-
-    Interventional blocks are singular: the regime carries no information
-    about parameters that do not enter the post-intervention law (the edge
-    weight and node-2 variance under ``S2``/``S3``, node-2 variance under
-    ``S1``).
-    """
-    edge = _edge(s)
-    tau = (theta.tau1_sq, theta.tau2_sq)
-    info = [0.5 / (t * t) for t in tau]  # the two variances'
-    if regime is Regime.INTERVENTIONAL:
-        if iv is None:
-            raise InvalidParameter("interventional regime requires an InterventionSpec")
-        # node 2 is fixed; the weight shows only through node 1 as its child
-        info[1] = 0.0
-        w_info = iv.value * iv.value / tau[0] if _node1_is_child(edge) else 0.0
-    elif edge is not None:
-        w_info = tau[edge[0]] / tau[edge[1]]
-    return np.diag(info if edge is None else [w_info, *info])
+    """Expected information of one sample of the given regime at ``theta``:
+    :func:`mixed_fisher` at ``eta = 1`` or, for the singular interventional
+    block, at ``eta = 0``."""
+    return mixed_fisher(s, theta, 1.0 if regime is Regime.OBSERVATIONAL else 0.0, iv)
 
 
 def mixed_fisher(
     s: Structure, theta: Params, eta: float, iv: InterventionSpec | None = None
 ) -> np.ndarray:
-    """``eta``-weighted per-sample information ``eta*I_obs + (1-eta)*I_int``.
+    """``eta``-weighted per-sample information ``eta*I_obs + (1-eta)*I_int``,
+    a diagonal matrix (the parameters are orthogonal in this model).
 
-    With ``eta = 1`` the interventional block (and ``iv``) is not needed.
+    The intervention fixes node 2, so only observational rows inform its
+    variance and, except under ``S1``, the weight; with ``eta = 1`` ``iv`` is
+    not needed. An entry that is not a finite float (a variance below about
+    5e-155, or a weight entry that overflows) raises
+    :class:`NumericalDegeneracy`.
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidParameter(f"eta must lie in [0, 1], got {eta!r}")
-    fx = fisher(s, theta, Regime.OBSERVATIONAL)
-    if eta == 1.0:
-        return fx
-    fy = fisher(s, theta, Regime.INTERVENTIONAL, iv)
-    return eta * fx + (1.0 - eta) * fy
+    if eta < 1.0 and iv is None:
+        raise InvalidParameter("interventional regime requires an InterventionSpec")
+    edge, tau = _edge(s), np.array([theta.tau1_sq, theta.tau2_sq])
+    with np.errstate(divide="ignore", over="ignore"):  # a non-finite entry is refused below
+        v1, v2 = 0.5 / (tau * tau)
+        # a regime with no rows adds exactly nothing, even a term that is not finite
+        info = {"tau1_sq": v1, "tau2_sq": eta * v2 if eta > 0.0 else 0.0}
+        if edge is not None:
+            w = eta * (tau[edge[0]] / tau[edge[1]]) if eta > 0.0 else 0.0
+            if eta < 1.0 and _node1_is_child(edge):
+                w += (1.0 - eta) * (iv.value * iv.value / tau[0])
+            info = {"w": w, **info}
+    for name, v in info.items():
+        if not math.isfinite(v):
+            raise NumericalDegeneracy(f"information under {s.value} is not finite: its {name} entry at {theta!r}")
+    return np.diag(list(info.values()))
 
 
 def loglik_hessian(st: SuffStats, s: Structure, theta: Params) -> np.ndarray:
@@ -141,14 +141,19 @@ def hessian_diagnostics(st: SuffStats, s: Structure, theta: Params) -> HessianRe
 
     This is the runtime check behind the Laplace expansion's concavity
     requirement; it reports a Hessian that is not negative definite rather
-    than raising.
+    than raising. A determinant that overflows raises
+    :class:`NumericalDegeneracy`.
     """
     h = loglik_hessian(st, s, theta)
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(h))
+    if not math.isfinite(det):
+        raise NumericalDegeneracy(f"Hessian determinant under {s.value} overflows at {theta!r}")
     return HessianReport(
         structure=s,
         matrix=h,
         eigenvalues=np.linalg.eigvalsh(h),
-        determinant=float(np.linalg.det(h)),
+        determinant=det,
         negative_definite=_neg_logdet(h) is not None,
     )
 

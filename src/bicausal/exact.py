@@ -36,11 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import mixed_fisher
 from .errors import InvalidParameter, NumericalDegeneracy
 from .estimation import SuffStats
-from .priors import BgeHyper, prior_logpdf
-from .sem import _INDEX, _LOG_2PI, STRUCTURES, InterventionSpec, Params, Structure, _edge
+from .priors import BgeHyper
+from .sem import _INDEX, STRUCTURES, Params, Structure, _edge, _node1_is_child
 
 _LOG_PI = math.log(math.pi)
 
@@ -181,18 +180,19 @@ def augmented_odds_statistic(
     """Bias-corrected scaled log posterior odds of ``i`` against ``S3``.
 
     ``post`` is ``posterior(st, h)``; the odds are read from its evidence.
-    For a batch, the result is an array with one statistic per cell; the
-    prior ratio and the information determinants depend only on the counts
-    and ``theta_star`` and are computed once.
+    For a batch, the result is an array with one statistic per cell.
 
     Under a true independence model with parameters ``theta_star`` the
     statistic converges in distribution to chi-squared with one degree of
-    freedom. It is the scaled odds ``2*log(sqrt(N) * p_i/p_3)`` with the
-    asymptotically constant terms removed: twice the log prior-density ratio
-    at ``theta_star``, the dimension constant ``log(2*pi)``, and the log ratio
-    of the (sample-ratio weighted) per-sample information determinants.
+    freedom. It is the scaled odds ``2*log(sqrt(N) * p_i/p_3)`` less the
+    Laplace constant (Kass & Raftery 1995), at ``w = 0`` ``2*gap -
+    log(lam*M)``: ``gap`` is the variance priors' log ratio, and ``lam*M``
+    joins the weight prior's density at 0 to the ratio of the weighted
+    information determinants, ``M`` being the parent's ``eta``-mixture
+    second moment.
     """
-    if _edge(i) is None:
+    edge = _edge(i)
+    if edge is None:
         raise InvalidParameter(f"statistic defined for S1 or S2 against S3, got {i}")
     if theta_star.w != 0.0:
         raise InvalidParameter(
@@ -202,17 +202,14 @@ def augmented_odds_statistic(
     if n_total <= 0:
         raise InvalidParameter("statistic undefined for empty data")
     eta = st.n / n_total
-    iv = InterventionSpec(value=st.y) if st.m > 0 else None
-
-    log_odds = post.log_odds(i, Structure.S3)
-    log_prior_ratio = prior_logpdf(theta_star, i, h) - prior_logpdf(theta_star, Structure.S3, h)
-    det_i = float(np.prod(np.diag(mixed_fisher(i, theta_star, eta, iv))))
-    det_3 = float(np.prod(np.diag(mixed_fisher(Structure.S3, theta_star, eta, iv))))
-    if det_i <= 0.0 or det_3 <= 0.0:
+    tau = (theta_star.tau1_sq, theta_star.tau2_sq)
+    m_i = eta * tau[edge[0]]
+    if st.m > 0 and _node1_is_child(edge):
+        m_i += (1.0 - eta) * st.y * st.y
+    # with no observational row node 2's variance carries no information either
+    if not (st.n > 0 and m_i > 0.0):
         raise NumericalDegeneracy("weighted information determinant not positive")
-    return (
-        2.0 * (0.5 * math.log(n_total) + log_odds)
-        - 2.0 * log_prior_ratio
-        - _LOG_2PI
-        + math.log(det_i / det_3)
-    )
+    # the variance priors' log ratio from the prior's cached constants; their beta/tau terms cancel
+    (_, *node_i), (_, *node_3) = h._prior_constants[i], h._prior_constants[Structure.S3]
+    gap = sum(c_i - c_3 - (p_i - p_3) * math.log(t) for (c_i, p_i), (c_3, p_3), t in zip(node_i, node_3, tau))
+    return math.log(n_total) + 2.0 * post.log_odds(i, Structure.S3) - 2.0 * gap + math.log(h.lam) + math.log(m_i)

@@ -311,12 +311,18 @@ def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta:
             })
         w2t1 = th.w * th.w * th.tau1_sq
         s2y = w2t1 + th.tau2_sq
-        e = eta if y else 1.0  # at y = 0 eta cancels from both ratios, where its products could underflow
-        den = e * s2y + etabar * y * y
+        # both ratios are homogeneous in (eta, y^2): at y = 0 eta cancels, and
+        # else both scale up by 4^j, exactly, so that neither underflows
+        e, v = 1.0, y
+        if y:
+            top = 2 * math.frexp(y)[1]  # about y^2's binary exponent
+            j = max(0, -max(top, math.frexp(eta)[1] if eta else top) // 2)
+            e, v = math.ldexp(eta, 2 * j), math.ldexp(y, j)
+        den = e * s2y + etabar * v * v
         if den <= 0.0 or not (eta or y):
             raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")
         # tau1_sq times a ratio in (0, 1], so no product of raw terms underflows
-        var1 = th.tau1_sq * ((e * (th.tau2_sq + etabar * w2t1) + etabar * y * y) / den)
+        var1 = th.tau1_sq * ((e * (th.tau2_sq + etabar * w2t1) + etabar * v * v) / den)
         return _ByStructure({
             Structure.S1: Params(e * th.w * th.tau1_sq / den, var1, s2y),
             Structure.S2: th,

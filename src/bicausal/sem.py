@@ -148,9 +148,14 @@ class Cov2:
     c22: float
 
     def __post_init__(self) -> None:
-        det = self.c11 * self.c22 - self.c12 * self.c12
-        # NaN fails every comparison; an overflowed determinant is rejected
-        if not (self.c11 > 0.0 and 0.0 < det < math.inf):
+        # the matrix scaled by powers of two, exactly, to diagonals in [1/2, 2):
+        # its determinant decides as c11*c22 - c12^2 does where that is a normal
+        # float, and cannot overflow (a c12 past 2^4 is indefinite either way)
+        (m1, e1), (m2, e2), (m12, e12) = map(math.frexp, (self.c11, self.c22, self.c12))
+        c11, c22 = math.ldexp(m1, e1 % 2), math.ldexp(m2, e2 % 2)
+        c12 = math.ldexp(m12, min(e12 - e1 // 2 - e2 // 2, 4))
+        # NaN fails every comparison
+        if not (0.0 < c11 < math.inf and 0.0 < c22 < math.inf and c11 * c22 - c12 * c12 > 0.0):
             raise InvalidParameter(
                 f"covariance not positive definite: "
                 f"[[{self.c11}, {self.c12}], [{self.c12}, {self.c22}]]"

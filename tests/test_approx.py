@@ -5,6 +5,7 @@ import math
 import sys
 import warnings
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as hs
 from bicausal import (
     BgeHyper,
     BicausalError,
+    Cov2,
     DegenerateData,
     InterventionSpec,
     InvalidParameter,
@@ -23,15 +25,18 @@ from bicausal import (
     Params,
     Regime,
     Structure,
+    augmented_odds_statistic,
     bge_symmetric_hyper,
     fisher,
     hessian_diagnostics,
+    implied_covariance,
     laplace_log_marginal,
     log_marginal_mixed,
     loglik,
     loglik_hessian,
     mixed_fisher,
     mle_mixed,
+    posterior,
     prior_logpdf,
     quadrature_log_marginal,
     quadrature_log_marginal_generic,
@@ -1109,3 +1114,105 @@ class TestPriorCallbackRobustness:
         mle = mle_mixed(st).for_structure(Structure.S1)
         with pytest.raises(InvalidParameter, match=r"\+inf at Params\("):
             laplace_log_marginal(st, Structure.S1, lambda t: math.inf, mle)
+
+
+#: the category of each refusal an information-layer call may raise
+_INFO_REFUSALS = {InvalidParameter: "invalid-parameter", NumericalDegeneracy: "numerical-degeneracy"}
+_VARIANCE = hs.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_MAGNITUDE = hs.tuples(hs.sampled_from([-1.0, 1.0]), hs.floats(-150.0, 150.0)).map(lambda t: t[0] * 10.0 ** t[1])
+_INFO_ETAS = hs.one_of(hs.sampled_from([0.0, 1.0, 5e-324]), hs.floats(0.0, 1.0), hs.floats(-323.3, 0.0).map(
+    lambda e: min(10.0 ** e, 1.0)))
+
+
+def _info_outcome(call, *args):
+    """A call's value with warnings as errors, or the type of its refusal,
+    checked against its category."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return call(*args)
+    except tuple(_INFO_REFUSALS) as exc:
+        assert exc.category == _INFO_REFUSALS[type(exc)]
+        return type(exc)
+
+
+@hs.composite
+def _scaled_stats(draw):
+    """Sufficient statistics of up to 9 observational and 9 interventional
+    rows, each column scaled by 10^U(-150, 150), at a y of the same range;
+    None where the sums leave the floats (``suffstats`` refuses them)."""
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    n, m = draw(hs.integers(0, 9)), draw(hs.integers(0, 9))
+    scale = np.array([abs(draw(_MAGNITUDE)), abs(draw(_MAGNITUDE))])
+    interv = np.column_stack([rng.standard_normal(m) * scale[0], np.full(m, draw(_MAGNITUDE))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return suffstats(rng.standard_normal((n, 2)) * scale, interv)
+    except InvalidParameter:
+        return None
+
+
+class TestInformationLayerFuzz:
+    """Every call of the information layer returns finite numbers or refuses
+    with its category, at variances of 1e+-300, weights and y of 1e+-150 and
+    eta of 0, 1 and the smallest subnormal; any warning fails."""
+
+    @given(hs.sampled_from(list(Structure)), _MAGNITUDE, _VARIANCE, _VARIANCE, _MAGNITUDE, _INFO_ETAS)
+    @example(Structure.S1, 1.0, 1e-160, 1.0, 1.5, 0.5)
+    @example(Structure.S3, 0.0, 1e-300, 1.0, 1.5, 5e-324)
+    @settings(max_examples=150, deadline=None)
+    def test_fisher_and_mixed_fisher(self, s, w, t1, t2, y, eta):
+        theta, iv = Params(0.0 if s is Structure.S3 else w, t1, t2), InterventionSpec(y)
+        for call, args in ((fisher, (Regime.OBSERVATIONAL,)), (fisher, (Regime.INTERVENTIONAL, iv)),
+                           (mixed_fisher, (eta, iv))):
+            out = _info_outcome(call, s, theta, *args)
+            assert out is NumericalDegeneracy or np.isfinite(out).all()
+            # only a variance below about 5e-155, or a weight entry past the
+            # floats, has an information that is not a float
+            assert out is not NumericalDegeneracy or min(t1, t2) < 1e-150 or max(t1 / t2, t2 / t1, y * y / t1) > 1e300
+
+    @given(_scaled_stats(), hs.sampled_from(list(Structure)), _MAGNITUDE, _VARIANCE, _VARIANCE)
+    @settings(max_examples=100, deadline=None)
+    def test_hessian_and_diagnostics(self, st, s, w, t1, t2):
+        assume(st is not None)
+        theta = Params(0.0 if s is Structure.S3 else w, t1, t2)
+        out = _info_outcome(loglik_hessian, st, s, theta)
+        assert out is NumericalDegeneracy or np.isfinite(out).all()
+        report = _info_outcome(hessian_diagnostics, st, s, theta)
+        assert report is NumericalDegeneracy or (
+            np.isfinite(report.eigenvalues).all() and math.isfinite(report.determinant))
+
+    @given(_scaled_stats(), hs.sampled_from([Structure.S1, Structure.S2]), _VARIANCE, _VARIANCE,
+           hs.sampled_from([bge_symmetric_hyper(3.0, 0.5), BgeHyper(2.0, 1.5, 1.8, 2.2, 1.2, 2.8, 0.8, 0.6),
+                            BgeHyper(1e12, 0.01, 30.0, 1e6, 0.5, 1e12, 1e-300, 1e300)]))
+    @settings(max_examples=100, deadline=None)
+    def test_augmented_odds_statistic(self, st, s, t1, t2, h):
+        assume(st is not None)
+        post = _info_outcome(posterior, st, h)
+        assume(not isinstance(post, type))
+        out = _info_outcome(augmented_odds_statistic, st, post, s, Params(0.0, t1, t2), h)
+        assert isinstance(out, type) or math.isfinite(out)
+        if st.n == 0:
+            assert out is (InvalidParameter if st.m == 0 else NumericalDegeneracy)
+
+    @given(hs.sampled_from(list(Structure)), _MAGNITUDE, _VARIANCE, _VARIANCE)
+    @settings(max_examples=100, deadline=None)
+    def test_implied_covariance(self, s, w, t1, t2):
+        theta = Params(0.0 if s is Structure.S3 else w, t1, t2)
+        out = _info_outcome(implied_covariance, s, theta)
+        assert out is InvalidParameter or all(map(math.isfinite, (out.c11, out.c12, out.c22)))
+        if s is Structure.S3:  # a diagonal matrix of positive variances
+            assert out == Cov2(t1, 0.0, t2)
+
+    @given(_VARIANCE, _VARIANCE, hs.one_of(hs.floats(-1.0, 1.0), hs.floats(-10.0, 10.0)),
+           hs.one_of(hs.none(), _VARIANCE.map(lambda v: -v), _VARIANCE))
+    @settings(max_examples=150, deadline=None)
+    def test_cov2(self, c11, c22, r, c12):
+        # a correlation r, or an off-diagonal entry of any size
+        c12 = r * math.sqrt(c11) * math.sqrt(c22) if c12 is None else c12
+        out = _info_outcome(Cov2, c11, c12, c22)
+        # the exact determinant, away from the few ulp where its rounding decides
+        det = Fraction(c11) * Fraction(c22) - Fraction(c12) ** 2
+        if abs(det) > Fraction(1, 10 ** 12) * Fraction(c11) * Fraction(c22):
+            assert (out is InvalidParameter) == (det < 0)

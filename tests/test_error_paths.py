@@ -25,12 +25,14 @@ from bicausal import (
     RateCurve,
     RateId,
     RateInput,
+    Regime,
     Structure,
     SuffStats,
     augmented_odds_statistic,
     bge_symmetric_hyper,
     d12,
     d21,
+    fisher,
     fit_slope,
     gain_transform,
     hessian_diagnostics,
@@ -137,6 +139,20 @@ CASES = [
     # approx
     ("mixed_fisher eta", lambda tmp: mixed_fisher(Structure.S1, THETA, 1.5, IV),
      InvalidParameter, r"^eta must lie in \[0, 1\], got 1\.5$"),
+    # tau1_sq^2 underflows to 0: a raw ZeroDivisionError before
+    ("information of a tiny tau1_sq", lambda tmp: fisher(
+        Structure.S1, Params(1.0, 1e-300, 1.0), Regime.INTERVENTIONAL, IV),
+     NumericalDegeneracy, r"^information under S1 is not finite: its tau1_sq entry at Params\(w=1\.0, tau1_sq=1e-300, "),
+    # 0.5/tau2_sq^2 overflows: an inf entry before
+    ("information of a tiny tau2_sq", lambda tmp: mixed_fisher(Structure.S3, Params(0.0, 1.0, 1e-160), 0.5, IV),
+     NumericalDegeneracy, r"^information under S3 is not finite: its tau2_sq entry at Params\(w=0\.0, "),
+    ("weight information overflows", lambda tmp: fisher(
+        Structure.S2, Params(1.0, 1e300, 1e-10), Regime.OBSERVATIONAL),
+     NumericalDegeneracy, r"^information under S2 is not finite: its w entry at Params\(w=1\.0, tau1_sq=1e\+300, "),
+    # finite entries whose determinant overflows: inf and a RuntimeWarning before
+    ("Hessian determinant overflows", lambda tmp: hessian_diagnostics(
+        suffstats([[1.0, 1e100]]), Structure.S1, Params(0.0, 1.0, 1e-16)),
+     NumericalDegeneracy, r"^Hessian determinant under S1 overflows at Params\(w=0\.0, tau1_sq=1\.0, tau2_sq=1e-16\)$"),
     # shapes of 1e26: the window is 1.2e-12 wide, and d + expm1(-d), about
     # d*d/2 from terms of size d, keeps rounding noise of 1e-4 of itself
     # that holds successive levels apart

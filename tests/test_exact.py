@@ -22,7 +22,9 @@ from bicausal import (
     bge_symmetric_hyper,
     log_marginal_mixed,
     log_marginal_obs,
+    mixed_fisher,
     posterior,
+    prior_logpdf,
     quadrature_log_marginal,
     sample_interv,
     sample_obs,
@@ -320,7 +322,49 @@ class TestPosterior:
             prev = p3
 
 
+def _matrix_route_statistic(st, post, i, theta, h):
+    """Reference: the statistic as the Laplace constant's general form writes
+    it, from the public ``prior_logpdf`` and ``mixed_fisher``: twice the log
+    prior ratio at ``theta``, ``log(2*pi)`` and the log ratio of the
+    eta-weighted information determinants."""
+    total = st.n + st.m
+    eta, iv = st.n / total, InterventionSpec(st.y) if st.m > 0 else None
+    log_prior_ratio = prior_logpdf(theta, i, h) - prior_logpdf(theta, Structure.S3, h)
+    det_i, det_3 = (float(np.prod(np.diag(mixed_fisher(s, theta, eta, iv)))) for s in (i, Structure.S3))
+    return (2.0 * (0.5 * math.log(total) + post.log_odds(i, Structure.S3)) - 2.0 * log_prior_ratio
+            - math.log(2.0 * math.pi) + math.log(det_i / det_3))
+
+
 class TestAugmentedOdds:
+    def test_closed_form_matches_matrix_route(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            theta = Params(0.0, *np.exp(rng.uniform(-3.0, 3.0, 2)))
+            n, m = int(rng.integers(2, 501)), int(rng.integers(0, 301))
+            iv = InterventionSpec(float(rng.uniform(-3.0, 3.0)))
+            st = suffstats(sample_obs(Structure.S3, theta, n, rng), sample_interv(Structure.S3, theta, iv, m, rng))
+            h = HYPER_SETTINGS[int(rng.integers(3))]
+            post = posterior(st, h)
+            for s in (Structure.S1, Structure.S2):
+                got = augmented_odds_statistic(st, post, s, theta, h)
+                assert abs(got - _matrix_route_statistic(st, post, s, theta, h)) <= 1e-13
+
+    def test_no_observational_row_is_refused(self, symmetric_hyper):
+        # node 2's variance is then uninformed, under S1 as under S2
+        st = suffstats(np.empty((0, 2)), [[1.0, 1.5], [2.0, 1.5]])
+        for s in (Structure.S1, Structure.S2):
+            with pytest.raises(NumericalDegeneracy, match="^weighted information determinant not positive$"):
+                augmented_odds_statistic(st, posterior(st, symmetric_hyper), s, Params(0, 1, 1), symmetric_hyper)
+
+    @pytest.mark.parametrize("tau1_sq", [1e-160, 1e-300])
+    def test_finite_at_tiny_variances(self, symmetric_hyper, tau1_sq):
+        # the matrix route read NaN at 1e-160 and divided by zero at 1e-300
+        theta, iv = Params(0.0, tau1_sq, 1.0), InterventionSpec(1.5)
+        st = suffstats(sample_obs(Structure.S3, theta, 200, 3), sample_interv(Structure.S3, theta, iv, 200, 4))
+        post = posterior(st, symmetric_hyper)
+        for s in (Structure.S1, Structure.S2):
+            assert math.isfinite(augmented_odds_statistic(st, post, s, theta, symmetric_hyper))
+
     def test_rejects_connected_theta(self, symmetric_hyper):
         st = suffstats(sample_obs(Structure.S3, Params(0, 1, 1), 100, 0))
         post = posterior(st, symmetric_hyper)

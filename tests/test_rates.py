@@ -551,16 +551,18 @@ class TestPseudoTrueLimits:
                 triple.for_structure(s).as_array(), lims[s].as_array(), rtol=0.03, atol=0.01
             )
 
-    # at y = 0, eta*w*tau1_sq and eta*s rounded as subnormals: the S1 weight
-    # read 4.2% and 1.1e-5 off
-    @pytest.mark.parametrize("theta, eta", [(Params(2.0, 3.0, 0.5), 5e-324), (Params(1e-10, 1.0, 1.0), 1e-310)])
-    def test_s1_limit_keeps_its_digits_where_eta_underflows(self, theta, eta):
-        got = pseudo_true_limits(Structure.S2, theta, 0.0, eta)[Structure.S1]
+    # eta*w*tau1_sq and eta*s rounded as subnormals, at y = 0 and where y*y
+    # underflows: the S1 weight read 4.2%, 1.1e-5 and 4.2% off
+    @pytest.mark.parametrize("theta, y, eta", [(Params(2.0, 3.0, 0.5), 0.0, 5e-324),
+                                               (Params(1e-10, 1.0, 1.0), 0.0, 1e-310),
+                                               (Params(2.0, 3.0, 0.5), 1e-170, 5e-324)])
+    def test_s1_limit_keeps_its_digits_where_eta_underflows(self, theta, y, eta):
+        got = pseudo_true_limits(Structure.S2, theta, y, eta)[Structure.S1]
         with localcontext() as ctx:
             ctx.prec = 60
-            w, t1, t2, e = map(Decimal, (theta.w, theta.tau1_sq, theta.tau2_sq, eta))
-            den = e * (w * w * t1 + t2)
-            want = (e * w * t1 / den, t1 * e * (t2 + (1 - e) * w * w * t1) / den)
+            w, t1, t2, e, yy = map(Decimal, (theta.w, theta.tau1_sq, theta.tau2_sq, eta, y))
+            den = e * (w * w * t1 + t2) + (1 - e) * yy * yy
+            want = (e * w * t1 / den, t1 * (e * (t2 + (1 - e) * w * w * t1) + (1 - e) * yy * yy) / den)
         assert abs(got.w - float(want[0])) <= 1e-14 * float(abs(want[0]))
         assert abs(got.tau1_sq - float(want[1])) <= 1e-14 * float(want[1])
 
@@ -574,6 +576,11 @@ def _kl_bivariate_mp(cov0, cov1):
 
 
 class TestKlCenteredBivariate:
+    def test_determinant_beyond_the_floats(self):
+        # Cov2 refused 1e160*I as not positive definite: its determinant overflowed
+        want = 0.5 * (2e-160 - 2.0 + 320.0 * math.log(10.0))
+        assert kl_centered_bivariate(np.eye(2), 1e160 * np.eye(2)) == pytest.approx(want, rel=1e-14)
+
     def test_nearby_matrices(self):
         # the matrix route read -1.1e-16, its terms cancelling
         c = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -857,6 +864,7 @@ class TestRateLayerFuzz:
     @given(hs.sampled_from(list(Structure)), hs.sampled_from([-1.0, 1.0]), _EXTREME, _EXTREME, _EXTREME,
            hs.one_of(hs.just(0.0), _SIGNED), _ETAS_TO_SUBNORMAL, hs.sampled_from([float, np.float64]))
     @example(Structure.S2, 1.0, 2.0, 3.0, 0.5, 0.0, 5e-324, float)
+    @example(Structure.S2, 1.0, 2.0, 3.0, 0.5, 1e-170, 5e-324, float)
     @settings(max_examples=100, deadline=None)
     def test_pseudo_true_limits(self, true, sign, w, t1, t2, y, eta, kind):
         theta = Params(*map(kind, (0.0 if true is Structure.S3 else sign * w, t1, t2)))

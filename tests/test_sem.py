@@ -252,6 +252,33 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             Cov2(1.0, 2.0, 1.0)
 
+    # positive definite matrices whose c11*c22 overflows or underflows, which
+    # the determinant test refused as "not positive definite"
+    @pytest.mark.parametrize("make, want", [
+        (lambda: Cov2(1e160, 0.0, 1e160), (1e160, 0.0, 1e160)),
+        (lambda: Cov2(1e-170, -1e-171, 1e-170), (1e-170, -1e-171, 1e-170)),
+        (lambda: Cov2(1e300, 5e154, 1e10), (1e300, 5e154, 1e10)),
+        (lambda: implied_covariance(Structure.S3, Params(0.0, 1e160, 1e160)), (1e160, 0.0, 1e160)),
+    ], ids=["diagonal 1e160", "diagonal 1e-170", "mixed scales", "S3 covariance at 1e160"])
+    def test_cov2_accepts_products_beyond_the_floats(self, make, want):
+        c = make()
+        assert (c.c11, c.c12, c.c22) == want
+
+    def test_cov2_decides_as_the_determinant_where_it_is_a_normal_float(self):
+        # near-singular matrices: correlations within a few ulp of +-1
+        rng = np.random.default_rng(31)
+        for _ in range(10_000):
+            c11, c22 = 10.0 ** rng.uniform(-150.0, 150.0, 2)
+            r = 1.0 - int(rng.integers(-4, 6)) * 2.0 ** -53 * float(rng.choice([0.5, 1.0, 2.0]))
+            c12 = float(rng.choice([-1.0, 1.0])) * r * math.sqrt(c11) * math.sqrt(c22)
+            det = c11 * c22 - c12 * c12
+            try:
+                Cov2(c11, c12, c22)
+                accepted = True
+            except InvalidParameter:
+                accepted = False
+            assert accepted == (det > 0.0), (c11, c12, c22)
+
     def test_overflowing_squares_raise_library_errors(self):
         # squares are products: x ** 2 raises a bare OverflowError here
         with pytest.raises(BicausalError):
