@@ -171,11 +171,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError("interventional samples requested but no intervention value y")
 
     rng = np.random.default_rng(seed)
-    blocks = [("obs", sample_obs(s, theta, n, rng))]
+    data = sample_obs(s, theta, n, rng)
     if m > 0:
-        blocks.append(("int", sample_interv(s, theta, InterventionSpec(y), m, rng)))
-    rows = ((regime, a, b) for regime, data in blocks for a, b in data.tolist())
-    xp._write_table(out, res.header_lines(), "regime,x1,x2", "sgg", rows)
+        data = np.concatenate([data, sample_interv(s, theta, InterventionSpec(y), m, rng)])
+    regime = ["obs"] * n + ["int"] * m
+    xp._write_table(out, res.header_lines(), "regime,x1,x2", "sgg", (regime, data[:, 0], data[:, 1]))
     print(f"wrote {n} observational + {m} interventional samples to {out}")
     return 0
 

@@ -74,7 +74,8 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float | np.n
         norm = (a1 + a2) * math.log(beta2) - (n + 0.5 * m) * _LOG_PI + lg1 + lg2
         norm = norm - math.lgamma(a1) - math.lgamma(a2)
         with np.errstate(all="ignore"):
-            out = norm - k1 * np.log(f1.yy + beta2) - k2 * np.log(f2.yy + beta2)
+            # the node terms summed first, so that relabelling the nodes keeps the bits
+            out = norm - (k1 * np.log(f1.yy + beta2) + k2 * np.log(f2.yy + beta2))
         return _finite_cells(out, s)
 
     nodes = ((f1, a1, k1), (f2, a2, k2))

@@ -39,7 +39,7 @@ import math
 import numbers
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -407,18 +407,21 @@ def _open_output(path):
 _WRITE_BLOCK = 4096
 
 
-def _write_table(path, header, columns: str, formats: str, rows) -> None:
+def _write_table(path, header, columns: str, formats: str, cols) -> None:
     """Write one CSV table, making its directory: the ``#`` header lines, the
-    column-name row, then one line per row tuple. ``formats`` has one letter
-    per column: ``d`` for a count, ``g`` for a float, ``s`` for a string."""
+    column-name row, then one line per row of ``cols``, one list or 1-d array
+    per column, all of one length. ``formats`` has one letter per column:
+    ``d`` for a count, ``g`` for a float, ``s`` for a string."""
     fmt = ",".join(_FORMATS[f] for f in formats) + "\n"
-    rows = iter(rows)
     with _open_output(path) as fh:
         fh.writelines(f"{line}\n" for line in header)
         fh.write(f"{columns}\n")
-        # one format call per block of rows: the same bytes as one per row
-        while block := tuple(chain.from_iterable(islice(rows, _WRITE_BLOCK))):
-            fh.write(fmt * (len(block) // len(formats)) % block)
+        # one format call per block of rows: the same bytes as one per row;
+        # an array converts to Python numbers a block at a time
+        for start in range(0, len(cols[0]), _WRITE_BLOCK):
+            part = [c[start : start + _WRITE_BLOCK] for c in cols]
+            part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
+            fh.write(fmt * len(part[0]) % tuple(chain.from_iterable(zip(*part))))
 
 
 def _header_lines(cfg: ExperimentConfig, extra: dict | None = None) -> list[str]:
@@ -456,16 +459,15 @@ def write_concentration_csv(path, cfg: ExperimentConfig, result: ExperimentResul
             f"# log_inv_odds_quantiles N={total}: "
             f"q10={_fmt(q10)} q50={_fmt(q50)} q90={_fmt(q90)}"
         )
-    columns = (result.trial, result.total, result.n, result.m, *result.p.T, result.log_inv_odds)
-    rows = zip(*(c.tolist() for c in columns))
-    _write_table(path, header, "trial,N,n,m,p_s1,p_s2,p_s3,log_inv_odds", "ddddgggg", rows)
+    cols = (result.trial, result.total, result.n, result.m, *result.p.T, result.log_inv_odds)
+    _write_table(path, header, "trial,N,n,m,p_s1,p_s2,p_s3,log_inv_odds", "ddddgggg", cols)
 
 
 def write_plateau_csv(path, cfg: ExperimentConfig, result: ExperimentResult) -> None:
     limit = plateau_theory_ratio(cfg)
     header = _header_lines(cfg, {"skipped": result.skipped})
-    rows = zip(result.trial.tolist(), result.n.tolist(), result.ratio_12.tolist(), repeat(limit))
-    _write_table(path, header, "trial,n,ratio_12,theory_limit", "ddgg", rows)
+    cols = (result.trial, result.n, result.ratio_12, [limit] * len(result.trial))
+    _write_table(path, header, "trial,n,ratio_12,theory_limit", "ddgg", cols)
 
 
 def write_chi2_csv(
@@ -474,17 +476,14 @@ def write_chi2_csv(
     header = _header_lines(
         cfg, {"skipped": result.skipped, "ks_statistic": _fmt(ks), "ks_pvalue": _fmt(pvalue)}
     )
-    rows = zip(*(c.tolist() for c in (result.trial, result.stat_s1, result.stat_s2)))
-    _write_table(path, header, "trial,stat_s1,stat_s2", "dgg", rows)
+    _write_table(path, header, "trial,stat_s1,stat_s2", "dgg", (result.trial, result.stat_s1, result.stat_s2))
 
 
 def write_slopes_csv(path, rows: list[tuple[float, float, float]], header_lines: list[str]) -> None:
     """Rows are (eta, fitted_slope, theory_exponent)."""
-    table = (
-        (eta, slope, theory, abs(slope + theory) / abs(theory) if theory != 0.0 else math.nan)
-        for eta, slope, theory in rows
-    )
-    _write_table(path, header_lines, "eta,fitted_slope,theory_exponent,rel_err", "gggg", table)
+    eta, slope, theory = ([r[i] for r in rows] for i in range(3))
+    rel_err = [abs(s + t) / abs(t) if t != 0.0 else math.nan for s, t in zip(slope, theory)]
+    _write_table(path, header_lines, "eta,fitted_slope,theory_exponent,rel_err", "gggg", (eta, slope, theory, rel_err))
 
 
 def write_rates_csv(
@@ -509,7 +508,7 @@ def write_rates_csv(
         f"# optimal_eta_d12 = {_fmt(eta12)} (value {_fmt(v12)})",
         f"# optimal_eta_d21 = {_fmt(eta21)} (value {_fmt(v21)})",
     ]
-    _write_table(path, header, "eta,d12,d21,d13,d23,d12_gain,d21_gain", "g" * len(columns), zip(*columns))
+    _write_table(path, header, "eta,d12,d21,d13,d23,d12_gain,d21_gain", "g" * len(columns), columns)
     return helps, (eta12, v12), (eta21, v21)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,13 +40,18 @@ def _ratios(theta: Params, y: float) -> tuple[float, float, float, float]:
         (w, ew), (t1, e1), (t2, e2), (yv, ey) = map(math.frexp, (w, t1, t2, yv))
         exps = (2 * ew + e2 - e1, 2 * (ew + ey) - e1, 2 * ew + e1 - e2, 2 * ey - e2)
     v = (w * w * t2 / t1, w * w * yv * yv / t1, w * w * t1 / t2, yv * yv / t2)
-    try:
-        v = tuple(map(math.ldexp, v, exps)) if exps else v
-    except OverflowError:  # a ratio beyond the largest float
-        v = (math.inf,)
+    v = tuple(map(_ldexp, v, exps)) if exps else v
     if not all(map(math.isfinite, v)):
         raise ArgumentOutOfDomain(f"second moments overflow at {theta!r}, y={y!r}")
     return v
+
+
+def _ldexp(m: float, e: int) -> float:
+    """``m * 2**e``, infinite with the sign of ``m`` beyond the largest float."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
 
 
 @dataclass(frozen=True)
@@ -100,15 +106,35 @@ class RateCurve:
             raise InvalidParameter("curve values must be finite")
 
 
+#: Bounds on ``|s|`` and the last power of :func:`_log1pmx`'s series past
+#: each count of them: the terms dropped weigh at most ``|s|^k/(k+2)`` of the
+#: value, as ``s^37`` does at ``|s| = 1/3``.
+_SERIES_BOUNDS, _SERIES_LAST = (2.0**-6, 2.0**-3), (11, 19, 35)
+#: Each series' coefficients ``2/k``, from its last power down.
+_SERIES_COEFS = tuple(tuple(2.0 / k for k in range(last, 1, -2)) for last in _SERIES_LAST)
+
+
 def _log1pmx(t):
     """``log1p(t) - t`` for ``-1/2 <= t <= 1``, to a few ulp: with ``s = t/(2+t)``,
     ``|s| <= 1/3``, it is ``2*(s^3/3 + s^5/5 + ...) - t*s``, whose first-order
-    terms cancel exactly, and the series stops at ``s^35``, below an ulp."""
+    terms cancel exactly, and the series stops below an ulp, at the last power
+    that the count of bounds below ``|s|`` picks. Array cells run the longest
+    series in place, and a cell restarts at ``2/k`` at its own last power
+    ``k``, as a float's series starts: so each is bitwise its scalar."""
     s = t / (2.0 + t)
     s2 = s * s
-    p = 0.0
-    for k in range(35, 1, -2):
-        p = p * s2 + 2.0 / k
+    if not isinstance(t, np.ndarray):
+        p = 0.0
+        for c in _SERIES_COEFS[bisect_left(_SERIES_BOUNDS, abs(s))]:
+            p = p * s2 + c
+    else:
+        a, p = np.abs(s), np.zeros_like(s)
+        restarts = dict(zip(_SERIES_LAST, _SERIES_BOUNDS))
+        for k, c in zip(range(_SERIES_LAST[-1], 1, -2), _SERIES_COEFS[-1]):
+            p *= s2
+            p += c
+            if k in restarts:
+                p[a <= restarts[k]] = c
     return s * s2 * p - t * s
 
 
@@ -321,10 +347,14 @@ def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta:
         den = e * s2y + etabar * v * v
         if den <= 0.0 or not (eta or y):
             raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")
-        # tau1_sq times a ratio in (0, 1], so no product of raw terms underflows
-        var1 = th.tau1_sq * ((e * (th.tau2_sq + etabar * w2t1) + etabar * v * v) / den)
+        num = e * (th.tau2_sq + etabar * w2t1) + etabar * v * v
+        # tau1_sq*(num/den) and e*w*tau1_sq/den on frexp mantissas, so that no
+        # step leaves the normal range: bitwise the plain products wherever
+        # their steps were normal floats
+        (me, xe), (mw, xw), (mt, xt), (mn, xn), (md, xd) = map(math.frexp, (e, th.w, th.tau1_sq, num, den))
+        w1, var1 = _ldexp(me * mw * mt / md, xe + xw + xt - xd), _ldexp(mt * (mn / md), xt + xn - xd)
         return _ByStructure({
-            Structure.S1: Params(e * th.w * th.tau1_sq / den, var1, s2y),
+            Structure.S1: Params(w1, var1, s2y),
             Structure.S2: th,
             Structure.S3: Params(0.0, th.tau1_sq, s2y),
         })

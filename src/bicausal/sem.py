@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import ArgumentOutOfDomain, InvalidParameter
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -224,7 +224,8 @@ def gamma_log_jacobian_det(theta: Params) -> float:
 def implied_covariance(s: Structure, theta: Params) -> Cov2:
     """Covariance of the observational law under structure ``s``.
 
-    ``S3`` requires ``w = 0``.
+    ``S3`` requires ``w = 0``. Where the covariance of valid parameters is
+    singular in floats, or overflows, :class:`ArgumentOutOfDomain` is raised.
     """
     edge = _edge(s, theta.w)
     var = [theta.tau1_sq, theta.tau2_sq]
@@ -232,7 +233,10 @@ def implied_covariance(s: Structure, theta: Params) -> Cov2:
         return Cov2(c11=var[0], c12=0.0, c22=var[1])
     (p, c), w = edge, theta.w
     var[c] = w * w * var[p] + var[c]
-    return Cov2(c11=var[0], c12=w * var[p], c22=var[1])
+    try:
+        return Cov2(c11=var[0], c12=w * var[p], c22=var[1])
+    except InvalidParameter as exc:  # the parameters are valid: the matrix has left the floats
+        raise ArgumentOutOfDomain(f"covariance under {s.value} at {theta!r} cannot be held in floats ({exc})") from None
 
 
 def _norm_logpdf(x: float, var: float) -> float:

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as hs
 
 from bicausal import (
+    ArgumentOutOfDomain,
     BgeHyper,
     BicausalError,
     Cov2,
@@ -1124,15 +1125,15 @@ _INFO_ETAS = hs.one_of(hs.sampled_from([0.0, 1.0, 5e-324]), hs.floats(0.0, 1.0),
     lambda e: min(10.0 ** e, 1.0)))
 
 
-def _info_outcome(call, *args):
+def _info_outcome(call, *args, refusals=_INFO_REFUSALS):
     """A call's value with warnings as errors, or the type of its refusal,
-    checked against its category."""
+    one of ``refusals``, checked against its category."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return call(*args)
-    except tuple(_INFO_REFUSALS) as exc:
-        assert exc.category == _INFO_REFUSALS[type(exc)]
+    except tuple(refusals) as exc:
+        assert exc.category == refusals[type(exc)]
         return type(exc)
 
 
@@ -1200,8 +1201,9 @@ class TestInformationLayerFuzz:
     @settings(max_examples=100, deadline=None)
     def test_implied_covariance(self, s, w, t1, t2):
         theta = Params(0.0 if s is Structure.S3 else w, t1, t2)
-        out = _info_outcome(implied_covariance, s, theta)
-        assert out is InvalidParameter or all(map(math.isfinite, (out.c11, out.c12, out.c22)))
+        # valid parameters whose covariance is singular in floats are out of its domain
+        out = _info_outcome(implied_covariance, s, theta, refusals={ArgumentOutOfDomain: "argument-out-of-domain"})
+        assert out is ArgumentOutOfDomain or all(map(math.isfinite, (out.c11, out.c12, out.c22)))
         if s is Structure.S3:  # a diagonal matrix of positive variances
             assert out == Cov2(t1, 0.0, t2)
 

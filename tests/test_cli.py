@@ -58,6 +58,28 @@ class TestSimulate:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "509dab9ff815d7f4ad08511a1695d470bbca001ff9bdc93518567f02c854782e"
 
+    @pytest.mark.parametrize("extra, rows", [([], 0), (["--m", "3", "--y", "1.5"], 3)],
+                             ids=["empty", "interventional only"])
+    def test_no_observational_rows(self, tmp_path, capsys, extra, rows):
+        # zero-row blocks write the header and column row; the header-only
+        # file reads back as the empty dataset
+        paths = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out in paths:
+            assert run_cli(
+                "simulate", "--structure", "S1", "--w", "1.0", "--tau1-sq", "1.0", "--tau2-sq", "1.0",
+                "--n", "0", *extra, "--seed", "3", "--out", out,
+            ) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        lines = [l for l in paths[0].read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "regime,x1,x2" and len(lines) == 1 + rows
+        assert all(l.startswith("int,") and l.endswith(",1.5") for l in lines[1:])
+        capsys.readouterr()
+        assert run_cli("posterior", paths[0]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and f"(n=0, m={rows})" in out
+        if not rows:
+            assert "p(S1)=0.33333333333333331, p(S2)=0.33333333333333331, p(S3)=0.33333333333333331" in out
+
     def test_header_records_config(self, tmp_path):
         out = tmp_path / "d.csv"
         run_cli(

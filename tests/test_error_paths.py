@@ -36,6 +36,7 @@ from bicausal import (
     fit_slope,
     gain_transform,
     hessian_diagnostics,
+    implied_covariance,
     invgamma_logpdf,
     kl_centered_bivariate,
     kl_mixture_exponent,
@@ -362,6 +363,12 @@ CASES = [
      InvalidParameter, r"^intervention value must be finite, got inf$"),
     ("negative interventional count", lambda tmp: sample_interv(Structure.S1, THETA, IV, -1, 0),
      InvalidParameter, r"^m must be >= 0, got -1$"),
+    # c11 = 1e20 + 1 rounds to c12^2/c22: the matrix was refused as an invalid parameter
+    ("covariance singular in floats", lambda tmp: implied_covariance(Structure.S1, Params(1e10, 1.0, 1.0)),
+     ArgumentOutOfDomain, r"^covariance under S1 at Params\(w=10000000000\.0, tau1_sq=1\.0, tau2_sq=1\.0\) "
+                          r"cannot be held in floats \(covariance not positive definite: "),
+    ("S3 covariance with a weight", lambda tmp: implied_covariance(Structure.S3, Params(0.5, 1.0, 1.0)),
+     InvalidParameter, r"^S3 requires w = 0, got w=0\.5$"),
 ]
 
 # (id, true structure, wrong structure, theta, y, eta, closed form): inputs

@@ -417,7 +417,8 @@ def _three_branch_log_marginal(st, s, h):
             - math.lgamma(a1)
             - math.lgamma(a2)
         )
-        out = norm - (a1 + 0.5 * (n + m)) * np.log(s1x_beta + s1y) - (a2 + 0.5 * n) * np.log(s2x_beta)
+        # the node terms summed before they are subtracted, as the evidence sums them
+        out = norm - ((a1 + 0.5 * (n + m)) * np.log(s1x_beta + s1y) + (a2 + 0.5 * n) * np.log(s2x_beta))
         return out if batch else float(out)
     if s is Structure.S1:
         a_c, a_o = h.alpha1, h.alpha2

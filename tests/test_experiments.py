@@ -648,10 +648,23 @@ class TestCsv:
         rows = list(zip(*columns))
         header = ["# a = 1", "# b = x"]
         path = tmp_path / "t.csv"
-        bicausal.experiments._write_table(path, header, "cols", formats, iter(rows))
+        bicausal.experiments._write_table(path, header, "cols", formats, columns)
         fmt = ",".join(bicausal.experiments._FORMATS[f] for f in formats) + "\n"
         want = "# a = 1\n# b = x\ncols\n" + "".join(fmt % row for row in rows)
         assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("n", [0, 1, 4097])
+    def test_table_takes_list_and_array_columns(self, tmp_path, n):
+        # a column is a list or a 1-d array (a strided view too); the bytes
+        # are those of the same values passed as lists
+        data = np.random.default_rng(n).standard_normal((n, 2))
+        cols = (np.arange(n), ["obs"] * n, data[:, 0], data[:, 1].tolist(), np.full(n, 0.1))
+        as_lists = [c if isinstance(c, list) else c.tolist() for c in cols]
+        paths = tmp_path / "mixed.csv", tmp_path / "lists.csv"
+        for path, columns in zip(paths, (cols, as_lists)):
+            bicausal.experiments._write_table(path, ["# k = v"], "i,s,a,b,c", "dsggg", columns)
+        want = "# k = v\ni,s,a,b,c\n" + "".join("%d,%s,%.17g,%.17g,%.17g\n" % row for row in zip(*as_lists))
+        assert paths[0].read_bytes() == paths[1].read_bytes() == want.encode()
 
     @pytest.mark.parametrize("make", ["directory", "parent_is_file"])
     def test_unwritable_table_path_is_config_error(self, tmp_path, make):
@@ -662,7 +675,7 @@ class TestCsv:
             (tmp_path / "f").write_text("x")
             path = tmp_path / "f" / "t.csv"
         with pytest.raises(ConfigError, match=re.escape(str(path.parent if make == "parent_is_file" else path))):
-            bicausal.experiments._write_table(path, [], "a", "d", [(1,)])
+            bicausal.experiments._write_table(path, [], "a", "d", ([1],))
 
 
 @pytest.mark.parametrize("preset", ["figure2", "figure5", "figure6"])

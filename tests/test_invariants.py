@@ -1,0 +1,104 @@
+"""Exact invariances, pinned bitwise by property: relabelling the two nodes of
+observational data, and scaling the rate layer's inputs by powers of two."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from bicausal import (
+    BgeHyper,
+    Params,
+    RateInput,
+    Structure,
+    SuffStats,
+    d12,
+    d13,
+    d21,
+    d23,
+    log_marginal_mixed,
+    posterior,
+    suffstats,
+)
+
+S1, S2, S3 = Structure.S1, Structure.S2, Structure.S3
+#: Each structure's image when node 1 and node 2 trade places.
+_RELABELLED = ((S1, S2), (S2, S1), (S3, S3))
+
+
+@hs.composite
+def _relabel_hypers(draw):
+    """Priors that relabelling maps onto themselves: S1's child and root
+    shapes are S2's (alpha1 = alpha4, alpha2 = alpha3), and S3's two are equal."""
+    child, root, free = (draw(hs.floats(0.6, 20.0)) for _ in range(3))
+    return BgeHyper(child, root, root, child, free, free, draw(hs.floats(0.05, 5.0)), draw(hs.floats(0.05, 5.0)))
+
+
+@hs.composite
+def _observational_rows(draw, max_rows=40):
+    """Up to ``max_rows`` coupled rows, each column at its own scale."""
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    n = draw(hs.integers(0, max_rows))
+    x1 = rng.standard_normal(n) * 10.0 ** draw(hs.floats(-3.0, 3.0))
+    x2 = draw(hs.floats(-5.0, 5.0)) * x1 + rng.standard_normal(n) * 10.0 ** draw(hs.floats(-3.0, 3.0))
+    return np.column_stack([x1, x2])
+
+
+def _swapped(st: SuffStats) -> SuffStats:
+    """Observational statistics with the nodes' columns traded."""
+    return SuffStats(st.s2x, st.s1x, st.s12x, st.s1y, st.s2y, st.s12y, st.n, 0)
+
+
+def _assert_relabelled(st: SuffStats, sw: SuffStats, h: BgeHyper) -> None:
+    for s, image in _RELABELLED:
+        got, want = log_marginal_mixed(sw, s, h), log_marginal_mixed(st, image, h)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (s, got, want)
+    post, post_sw = posterior(st, h), posterior(sw, h)
+    assert post_sw.logp.tobytes() == post.logp[[1, 0, 2]].tobytes()
+    assert post_sw.p.tobytes() == post.p[[1, 0, 2]].tobytes()
+
+
+class TestRelabelling:
+    """Trading the nodes of observational data trades S1 and S2 and keeps
+    S3, bit for bit, under a prior that relabelling keeps."""
+
+    @given(_observational_rows(), _relabel_hypers())
+    @settings(max_examples=150, deadline=None)
+    def test_single_dataset(self, rows, h):
+        st = suffstats(rows)
+        sw = suffstats(rows[:, ::-1].copy())
+        assert sw == _swapped(st)
+        _assert_relabelled(st, sw, h)
+
+    @given(hs.integers(1, 40), hs.integers(1, 6), hs.integers(0, 2**32 - 1), _relabel_hypers())
+    @settings(max_examples=100, deadline=None)
+    def test_batch(self, n, cells, seed, h):
+        rng = np.random.default_rng(seed)
+        stats = [suffstats(rng.standard_normal((n, 2)) @ rng.standard_normal((2, 2))) for _ in range(cells)]
+        s1x, s2x, s12x = (np.array([getattr(st, name) for st in stats]) for name in ("s1x", "s2x", "s12x"))
+        zeros = np.zeros(cells)
+        st = SuffStats(s1x, s2x, s12x, zeros, zeros, zeros, n, 0)
+        _assert_relabelled(st, _swapped(st), h)
+
+
+_SIGNED = hs.tuples(hs.sampled_from([-1.0, 1.0]), hs.floats(-20.0, 20.0)).map(lambda t: t[0] * 10.0 ** t[1])
+_POSITIVE = hs.floats(-30.0, 30.0).map(lambda e: 10.0**e)
+
+
+class TestPowerOfTwoScaling:
+    """The exponents read the ratios ``w^2*tau2_sq/tau1_sq``,
+    ``w^2*y^2/tau1_sq``, ``w^2*tau1_sq/tau2_sq`` and ``y^2/tau2_sq``, which
+    scaling both variances by ``4^k`` and ``y`` by ``2^k`` keeps exactly; so
+    each exponent keeps its bits."""
+
+    @given(hs.one_of(hs.just(0.0), _SIGNED), _POSITIVE, _POSITIVE, hs.one_of(hs.just(0.0), _SIGNED),
+           hs.one_of(hs.sampled_from([0.0, 1.0]), hs.floats(0.0, 1.0)), hs.integers(-60, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_exponents_keep_their_bits(self, w, t1, t2, y, eta, k):
+        scaled = Params(w, math.ldexp(t1, 2 * k), math.ldexp(t2, 2 * k)), math.ldexp(y, k)
+        grid = np.array([eta, 0.25, 0.5, 0.75])
+        for e in (eta, grid):
+            base, other = RateInput(Params(w, t1, t2), y, e), RateInput(*scaled, e)
+            for f in (d12, d21, d13, d23):
+                assert np.asarray(f(base)).tobytes() == np.asarray(f(other)).tobytes(), (f.__name__, e)

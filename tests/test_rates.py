@@ -552,10 +552,12 @@ class TestPseudoTrueLimits:
             )
 
     # eta*w*tau1_sq and eta*s rounded as subnormals, at y = 0 and where y*y
-    # underflows: the S1 weight read 4.2%, 1.1e-5 and 4.2% off
+    # underflows: the S1 weight read 4.2%, 1.1e-5 and 4.2% off; and e*w did
+    # after the (eta, y^2) scaling, where |w| is tiny and tau1_sq large: 17% off
     @pytest.mark.parametrize("theta, y, eta", [(Params(2.0, 3.0, 0.5), 0.0, 5e-324),
                                                (Params(1e-10, 1.0, 1.0), 0.0, 1e-310),
-                                               (Params(2.0, 3.0, 0.5), 1e-170, 5e-324)])
+                                               (Params(2.0, 3.0, 0.5), 1e-170, 5e-324),
+                                               (Params(6.85e-73, 9.6e141, 5.4e-74), -4.6e-37, 5e-324)])
     def test_s1_limit_keeps_its_digits_where_eta_underflows(self, theta, y, eta):
         got = pseudo_true_limits(Structure.S2, theta, y, eta)[Structure.S1]
         with localcontext() as ctx:
