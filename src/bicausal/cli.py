@@ -19,7 +19,7 @@ import numpy as np
 
 from . import experiments as xp
 from .approx import laplace_log_marginal, quadrature_log_marginal
-from .errors import BicausalError, ConfigError, DataFormatError, DegenerateData
+from .errors import BicausalError, ConfigError, DataFormatError, DegenerateData, InvalidParameter
 from .estimation import mle_mixed, suffstats
 from .exact import StructurePosterior, log_marginal_mixed
 from .experiments import _fmt
@@ -167,6 +167,8 @@ def cmd_simulate(args) -> int:
     seed = res.get_as(int, "simulate", "seed", args.seed, default=0)
     out = res.get("simulate", "out", args.out, required=True)
     y = res.get_as(float, "model", "y", args.y, default=None)
+    if m < 0:  # sample_interv, which checks m, runs only where m > 0
+        raise InvalidParameter(f"m must be >= 0, got {m}")
     if m > 0 and y is None:
         raise ConfigError("interventional samples requested but no intervention value y")
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ArgumentOutOfDomain, BicausalError, InvalidParameter
 from .priors import BgeHyper
-from .sem import STRUCTURES, Cov2, Params, Structure, gamma_map
-from .sem import _ByStructure, _edge, _interv_mean, _node1_is_child, _reverse_edge
+from .sem import STRUCTURES, Cov2, Params, Structure
+from .sem import _ByStructure, _edge, _interv_mean, _node1_is_child, _product, _reverse_edge
 
 
 def _ratios(theta: Params, y: float) -> tuple[float, float, float, float]:
@@ -31,27 +31,19 @@ def _ratios(theta: Params, y: float) -> tuple[float, float, float, float]:
     ``z = w^2*y^2/tau1_sq``; under edge 1->2 node 2's ``w^2*tau1_sq/tau2_sq``
     and ``c = y^2/tau2_sq``. Raise :class:`ArgumentOutOfDomain` if one
     overflows, which would make the exponents NaN or inf. An input beyond
-    ``2^+-200`` could take a step out of the normal range, so there the steps
-    run on ``math.frexp`` mantissas and one ``ldexp`` scales each ratio:
-    bitwise the plain ratio wherever no plain step left the normal range."""
+    ``2^+-200`` could take a step out of the normal range, so there each
+    ratio is a ``sem._product`` on ``math.frexp`` mantissas: bitwise the
+    plain ratio wherever no plain step left the normal range."""
     w, t1, t2, yv = theta.w, theta.tau1_sq, theta.tau2_sq, y
-    lo, hi, exps = 2.0**-200, 2.0**200, None
-    if not (lo < t1 < hi and lo < t2 < hi and (lo < abs(w) < hi or not w) and (lo < abs(yv) < hi or not yv)):
-        (w, ew), (t1, e1), (t2, e2), (yv, ey) = map(math.frexp, (w, t1, t2, yv))
-        exps = (2 * ew + e2 - e1, 2 * (ew + ey) - e1, 2 * ew + e1 - e2, 2 * ey - e2)
-    v = (w * w * t2 / t1, w * w * yv * yv / t1, w * w * t1 / t2, yv * yv / t2)
-    v = tuple(map(_ldexp, v, exps)) if exps else v
+    lo, hi = 2.0**-200, 2.0**200
+    if lo < t1 < hi and lo < t2 < hi and (lo < abs(w) < hi or not w) and (lo < abs(yv) < hi or not yv):
+        v = (w * w * t2 / t1, w * w * yv * yv / t1, w * w * t1 / t2, yv * yv / t2)
+    else:
+        v = (_product(w, w, t2, over=t1), _product(w, w, yv, yv, over=t1), _product(w, w, t1, over=t2),
+             _product(yv, yv, over=t2))
     if not all(map(math.isfinite, v)):
         raise ArgumentOutOfDomain(f"second moments overflow at {theta!r}, y={y!r}")
     return v
-
-
-def _ldexp(m: float, e: int) -> float:
-    """``m * 2**e``, infinite with the sign of ``m`` beyond the largest float."""
-    try:
-        return math.ldexp(m, e)
-    except OverflowError:
-        return math.copysign(math.inf, m)
 
 
 @dataclass(frozen=True)
@@ -310,54 +302,25 @@ def gain_transform(curve: RateCurve) -> RateCurve:
 def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta: float) -> dict[Structure, Params]:
     """Almost-sure limits of every structure's MLE given the generating model.
 
-    ``eta`` is the limiting observational fraction; ``eta = 1`` gives the
-    observational-only limits. The true structure's estimator is consistent;
-    the others converge to pseudo-true values. A limit that is not a valid
-    ``Params`` in floats (a variance that overflows or underflows to 0)
-    raises :class:`ArgumentOutOfDomain`.
+    ``eta`` is the limiting observational fraction. The true structure's
+    estimator is consistent; the other connected one converges to the true
+    edge reversed over the eta-mixture (``sem._reverse_edge``; at ``eta = 1``
+    ``gamma_map``'s reversal), ``S3`` to each node's variance where it is a
+    root. A limit that is not a valid ``Params`` in floats (a variance that
+    overflows or underflows to 0) raises :class:`ArgumentOutOfDomain`.
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidParameter(f"eta must lie in [0, 1], got {eta!r}")
     if not math.isfinite(y):
         raise InvalidParameter(f"y must be finite, got {y!r}")
     th = theta_star
-    etabar = 1.0 - eta
     edge = _edge(true_model, th.w)
     if edge is None:
         return _ByStructure(dict.fromkeys(STRUCTURES, Params(0.0, th.tau1_sq, th.tau2_sq)))
     try:
-        if _node1_is_child(edge):
-            w2 = th.w * th.w
-            mix1 = eta * (w2 * th.tau2_sq + th.tau1_sq) + etabar * (w2 * y * y + th.tau1_sq)
-            g = gamma_map(th)
-            return _ByStructure({
-                Structure.S1: th,
-                Structure.S2: Params(g.w, mix1, g.tau2_sq),
-                Structure.S3: Params(0.0, mix1, th.tau2_sq),
-            })
-        w2t1 = th.w * th.w * th.tau1_sq
-        s2y = w2t1 + th.tau2_sq
-        # both ratios are homogeneous in (eta, y^2): at y = 0 eta cancels, and
-        # else both scale up by 4^j, exactly, so that neither underflows
-        e, v = 1.0, y
-        if y:
-            top = 2 * math.frexp(y)[1]  # about y^2's binary exponent
-            j = max(0, -max(top, math.frexp(eta)[1] if eta else top) // 2)
-            e, v = math.ldexp(eta, 2 * j), math.ldexp(y, j)
-        den = e * s2y + etabar * v * v
-        if den <= 0.0 or not (eta or y):
-            raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")
-        num = e * (th.tau2_sq + etabar * w2t1) + etabar * v * v
-        # tau1_sq*(num/den) and e*w*tau1_sq/den on frexp mantissas, so that no
-        # step leaves the normal range: bitwise the plain products wherever
-        # their steps were normal floats
-        (me, xe), (mw, xw), (mt, xt), (mn, xn), (md, xd) = map(math.frexp, (e, th.w, th.tau1_sq, num, den))
-        w1, var1 = _ldexp(me * mw * mt / md, xe + xw + xt - xd), _ldexp(mt * (mn / md), xt + xn - xd)
-        return _ByStructure({
-            Structure.S1: Params(w1, var1, s2y),
-            Structure.S2: th,
-            Structure.S3: Params(0.0, th.tau1_sq, s2y),
-        })
+        other = _reverse_edge(edge, th, eta, y)
+        s1, s2 = (th, other) if _node1_is_child(edge) else (other, th)
+        return _ByStructure(zip(STRUCTURES, (s1, s2, Params(0.0, s2.tau1_sq, s1.tau2_sq))))
     except InvalidParameter as exc:  # the arguments are valid: a limit has left the floats
         raise ArgumentOutOfDomain(
             f"pseudo-true limits cannot be evaluated at {th!r}, y={y!r}, eta={eta!r} (in a limit, {exc})"

@@ -185,19 +185,49 @@ class InterventionSpec:
             raise InvalidParameter(f"intervention value must be finite, got {self.value!r}")
 
 
-def _reverse_edge(edge: tuple[int, int], theta: Params) -> Params:
-    """The observationally equivalent parameters with ``edge`` reversed.
+def _product(*factors: float, over: float = 1.0) -> float:
+    """``((a*b)*...)/over`` on ``math.frexp`` mantissas, scaled by one ``ldexp``:
+    bitwise the plain form where its steps are normal floats, and else keeps its digits."""
+    m, e = 1.0, 0
+    for x in factors:
+        mx, ex = math.frexp(x)
+        m, e = m * mx, e + ex
+    mo, eo = math.frexp(over)
+    try:
+        return math.ldexp(m / mo, e - eo)
+    except OverflowError:  # past the largest float
+        return math.copysign(math.inf, m)
 
-    With ``s = w^2*tau_parent + tau_child`` the weight becomes
-    ``w*tau_parent/s``, the old child (the new parent) has variance ``s``
-    and the old parent ``tau1_sq*tau2_sq/s``. Since ``s >= tau_child > 0``
-    the division never degenerates.
+
+def _reverse_edge(edge: tuple[int, int], theta: Params, eta: float = 1.0, y: float = 0.0) -> Params:
+    """The best fit with ``edge`` reversed, on data whose observational
+    fraction is ``eta`` and whose other rows fix node 2 at ``y``: node 1 is
+    free in every row, node 2 in the observational ones alone. At ``eta = 1``
+    (``y`` unread) it is the observationally equivalent reversal: with
+    ``s = w^2*tau_parent + tau_child``, the weight ``w*tau_parent/s`` and the
+    variances ``s`` (old child) and ``tau1_sq*tau2_sq/s`` (old parent). Below
+    it, node 1 as the old child takes its mixture second moment, and as the
+    old parent its regression over every row, whose ratios are homogeneous in
+    ``(eta, y^2)``: at ``y = 0`` eta cancels, and else both are scaled up by
+    ``4^j``, exactly. Each product and quotient is a :func:`_product`.
     """
-    p, c = edge
-    tau = [theta.tau1_sq, theta.tau2_sq]
-    s = theta.w * theta.w * tau[p] + tau[c]
-    w = theta.w * tau[p] / s
-    tau[p], tau[c] = tau[0] * tau[1] / s, s
+    (p, c), w, tau = edge, theta.w, [theta.tau1_sq, theta.tau2_sq]
+    w2tp = _product(w, w, tau[p])
+    var_c = den = s = w2tp + tau[c]
+    e, num, etabar = 1.0, tau[c], 1.0 - eta
+    if eta < 1.0 and c == 0:
+        var_c = _product(eta, s) + _product(etabar, _product(w, w, y, y) + tau[c])
+    elif eta < 1.0:
+        top = 2 * math.frexp(y)[1]  # about y^2's binary exponent
+        j = max(0, -max(top, math.frexp(eta)[1] if eta else top) // 2)
+        e, v = (math.ldexp(eta, 2 * j), math.ldexp(y, j)) if y else (1.0, 0.0)
+        vv = _product(etabar, v, v)
+        den = _product(e, s) + vv
+        if den <= 0.0 or not (eta or y):
+            raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")
+        num = _product(e, tau[c] + _product(etabar, w2tp)) + vv
+    w = _product(e, w, tau[p], over=den)
+    tau[p], tau[c] = _product(tau[p], num, over=den), var_c
     return Params(w, *tau)
 
 
@@ -217,7 +247,7 @@ def gamma_log_jacobian_det(theta: Params) -> float:
 
     The determinant is ``tau2_sq / (w^2*tau2_sq + tau1_sq)``, always positive.
     """
-    s = theta.w * theta.w * theta.tau2_sq + theta.tau1_sq
+    s = _product(theta.w, theta.w, theta.tau2_sq) + theta.tau1_sq
     return math.log(theta.tau2_sq) - math.log(s)
 
 

@@ -90,6 +90,16 @@ class TestSimulate:
         assert any("model.structure = S3" in l for l in header)
         assert any("simulate.seed = 1" in l for l in header)
 
+    @pytest.mark.parametrize("extra", [["--y", "1.5"], []], ids=["with y", "without y"])
+    def test_negative_m_is_refused_before_writing(self, tmp_path, capsys, extra):
+        # sample_interv, which refuses a negative m, runs only where m > 0
+        out = tmp_path / "f.csv"
+        argv = ["simulate", "--structure", "S1", *MODEL, "--n", "2", "--m", "-3", *extra, "--out", out]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error category=invalid-parameter: m must be >= 0, got -3\n"
+        assert captured.out == "" and not out.exists()
+
 
 class TestPosterior:
     def _simulate(self, tmp_path, n=5, m=0, seed=3):

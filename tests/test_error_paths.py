@@ -210,6 +210,9 @@ CASES = [
     ("interventional samples without y", lambda tmp: _cli(
         tmp, "simulate", "--structure", "S1", *_MODEL, "--m", 2, "--out", tmp / "x.csv"),
      ConfigError, r"^interventional samples requested but no intervention value y$"),
+    ("simulate with a negative m", lambda tmp: _cli(
+        tmp, "simulate", "--structure", "S1", *_MODEL, "--n", 2, "--m", -3, "--y", 1.5, "--out", tmp / "x.csv"),
+     InvalidParameter, r"^m must be >= 0, got -3$"),
     ("misspelt config key", lambda tmp: _cli(tmp, "rates", *_MODEL, "--y", 1, config="[rates]\ngrid_point = 5\n"),
      ConfigError, r"^.*run\.cfg:2: unknown key 'grid_point' in \[rates\] \(expected one of grid_points, out\)$"),
     ("preset beside generative keys", lambda tmp: _cli(

@@ -1,15 +1,19 @@
 """Exact invariances, pinned bitwise by property: relabelling the two nodes of
-observational data, and scaling the rate layer's inputs by powers of two."""
+observational data, and scaling the rate layer's and the edge reversal's
+inputs by powers of two."""
 
 import math
+import sys
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from bicausal import (
     BgeHyper,
+    BicausalError,
     Params,
+    RateId,
     RateInput,
     Structure,
     SuffStats,
@@ -17,8 +21,13 @@ from bicausal import (
     d13,
     d21,
     d23,
+    gamma_map,
+    gamma_map_inverse,
     log_marginal_mixed,
+    optimal_eta,
     posterior,
+    pseudo_true_limits,
+    quadrature_log_marginal,
     suffstats,
 )
 
@@ -43,6 +52,14 @@ def _observational_rows(draw, max_rows=40):
     x1 = rng.standard_normal(n) * 10.0 ** draw(hs.floats(-3.0, 3.0))
     x2 = draw(hs.floats(-5.0, 5.0)) * x1 + rng.standard_normal(n) * 10.0 ** draw(hs.floats(-3.0, 3.0))
     return np.column_stack([x1, x2])
+
+
+def _outcome(f, *args):
+    """``f(*args)``'s value, bit for bit, or the type of error it raises."""
+    try:
+        return np.asarray(f(*args)).tobytes()
+    except BicausalError as exc:
+        return type(exc)
 
 
 def _swapped(st: SuffStats) -> SuffStats:
@@ -81,6 +98,13 @@ class TestRelabelling:
         st = SuffStats(s1x, s2x, s12x, zeros, zeros, zeros, n, 0)
         _assert_relabelled(st, _swapped(st), h)
 
+    @given(_observational_rows(), _relabel_hypers())
+    @settings(max_examples=60, deadline=None)
+    def test_quadrature_oracle(self, rows, h):
+        st, sw = suffstats(rows), suffstats(rows[:, ::-1].copy())
+        for s, image in _RELABELLED:
+            assert _outcome(quadrature_log_marginal, sw, s, h) == _outcome(quadrature_log_marginal, st, image, h), s
+
 
 _SIGNED = hs.tuples(hs.sampled_from([-1.0, 1.0]), hs.floats(-20.0, 20.0)).map(lambda t: t[0] * 10.0 ** t[1])
 _POSITIVE = hs.floats(-30.0, 30.0).map(lambda e: 10.0**e)
@@ -102,3 +126,62 @@ class TestPowerOfTwoScaling:
             base, other = RateInput(Params(w, t1, t2), y, e), RateInput(*scaled, e)
             for f in (d12, d21, d13, d23):
                 assert np.asarray(f(base)).tobytes() == np.asarray(f(other)).tobytes(), (f.__name__, e)
+
+
+def _normal(v: float) -> bool:
+    return sys.float_info.min <= abs(v) <= sys.float_info.max
+
+
+def _ldexp(v: float, k: int) -> float:
+    """``v * 2^k``: exact in the normal range, rounded below it, inf past it."""
+    try:
+        return math.ldexp(v, k)
+    except OverflowError:
+        return math.inf
+
+
+def _scaled(p: Params, k: int) -> np.ndarray:
+    """``p`` with both variances times ``4^k``."""
+    return np.array([p.w, _ldexp(p.tau1_sq, 2 * k), _ldexp(p.tau2_sq, 2 * k)])
+
+
+class TestReversalScaling:
+    """Scaling both variances by ``4^k`` and ``y`` by ``2^k``, with ``w``
+    fixed, keeps every weight of both maps and of the pseudo-true limits and
+    scales every variance by ``4^k``, bit for bit, wherever the result is a
+    normal float: their products are formed on frexp mantissas. A call
+    refuses only where a scaled result or the reversal's ``s`` leaves the
+    normal range. ``optimal_eta``, which reads ratios alone, keeps its bits."""
+
+    @given(hs.one_of(hs.just(0.0), _SIGNED), _POSITIVE, _POSITIVE, hs.one_of(hs.just(0.0), _SIGNED),
+           hs.one_of(hs.sampled_from([0.0, 1.0, 5e-324]), hs.floats(0.0, 1.0)), hs.integers(-500, 500))
+    @settings(max_examples=200, deadline=None)
+    def test_maps_and_limits_scale_exactly(self, w, t1, t2, y, eta, k):
+        base, (_, *taus), ys = Params(w, t1, t2), _scaled(Params(w, t1, t2), k), _ldexp(y, k)
+        assume(all(map(_normal, taus)) and (_normal(ys) or not y))
+        scaled = Params(w, *taus)
+        s1, s2 = gamma_map(base).tau1_sq, gamma_map_inverse(base).tau2_sq  # each reversal's s
+        calls = [(lambda th, yv: {S2: gamma_map(th)}, s1), (lambda th, yv: {S1: gamma_map_inverse(th)}, s2)]
+        calls += [(lambda th, yv, t=t: pseudo_true_limits(t, th, yv, eta), s) for t, s in ((S1, s1), (S2, s2))]
+        for call, s in calls:
+            try:
+                want = {key: _scaled(p, k) for key, p in call(base, y).items()}
+            except BicausalError:  # eta = y = 0 under a true S2 model
+                continue
+            try:
+                got = call(scaled, ys)
+            except BicausalError:
+                assert not (_normal(_ldexp(s, 2 * k)) and all(_normal(v) for p in want.values() for v in p if v))
+                continue
+            for key, fields in want.items():
+                keep = [_normal(v) or not v for v in fields]
+                assert got[key].as_array()[keep].tobytes() == fields[keep].tobytes(), (key, got[key], fields)
+
+    @given(hs.one_of(hs.just(0.0), _SIGNED), _POSITIVE, _POSITIVE, hs.one_of(hs.just(0.0), _SIGNED),
+           hs.integers(-500, 500))
+    @settings(max_examples=100, deadline=None)
+    def test_optimal_eta_keeps_its_bits(self, w, t1, t2, y, k):
+        (_, *taus), ys = _scaled(Params(w, t1, t2), k), _ldexp(y, k)
+        assume(all(map(_normal, taus)) and (_normal(ys) or not y))
+        for rid in (RateId.D12, RateId.D21):
+            assert _outcome(optimal_eta, rid, Params(w, t1, t2), y) == _outcome(optimal_eta, rid, Params(w, *taus), ys)

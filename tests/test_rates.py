@@ -28,7 +28,9 @@ from bicausal import (
     d21,
     d23,
     gain_transform,
+    gamma_log_jacobian_det,
     gamma_map,
+    gamma_map_inverse,
     implied_covariance,
     kl_centered_bivariate,
     kl_mixture_exponent,
@@ -567,6 +569,112 @@ class TestPseudoTrueLimits:
             want = (e * w * t1 / den, t1 * (e * (t2 + (1 - e) * w * w * t1) + (1 - e) * yy * yy) / den)
         assert abs(got.w - float(want[0])) <= 1e-14 * float(abs(want[0]))
         assert abs(got.tau1_sq - float(want[1])) <= 1e-14 * float(want[1])
+
+
+#: Seed of the reversal sweep, fixed before its test was written.
+_REVERSAL_SEED = 0
+#: Extreme magnitudes: |w| to 1e+-165, variances to 1e+-300, y to 1e+-150.
+_WIDE_W = hs.one_of(hs.just(0.0), hs.tuples(hs.sampled_from([-1.0, 1.0]), _decade(-165.0, 165.0)).map(
+    lambda t: t[0] * t[1]))
+_WIDE_TAU = _decade(-300.0, 300.0)
+_WIDE_Y = hs.one_of(hs.just(0.0), _decade(-150.0, 150.0))
+
+
+def _reversal_draws(rng, n):
+    """``n`` draws of ``(w, tau1_sq, tau2_sq, y, eta)``: ``|w|`` from 10^U(+-165)
+    or a normal times e^U(+-3), each variance from 10^U(+-300) or e^U(+-3),
+    ``y`` 0 or +-10^U(+-150), ``eta`` one of 0, 1, 5e-324 and U(0, 1)."""
+    for _ in range(n):
+        if rng.random() < 0.5:
+            w = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-165.0, 165.0)
+        else:
+            w = rng.standard_normal() * math.exp(rng.uniform(-3.0, 3.0))
+        t1, t2 = (10.0 ** rng.uniform(-300.0, 300.0) if rng.random() < 0.5 else math.exp(rng.uniform(-3.0, 3.0))
+                  for _ in range(2))
+        y = 0.0 if rng.random() < 0.25 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-150.0, 150.0)
+        yield tuple(map(float, (w, t1, t2, y, (0.0, 1.0, 5e-324, rng.uniform())[rng.integers(4)])))
+
+
+def _normal(v):
+    return sys.float_info.min <= abs(v) <= sys.float_info.max
+
+
+def _reversal_misses(w, t1, t2, y, eta):
+    """The fields of both maps and of the pseudo-true limits that are more
+    than 1e-14 off an 80-digit reference, where it is a normal float (a 0
+    must be exact), and the log-Jacobian more than 1e-15 of its two logs off;
+    and each call that refuses although its ``s`` and every field it returns
+    are normal floats."""
+    theta, misses = Params(w, t1, t2), []
+    with mpmath.workdps(80):
+        w, t1, t2, yy, e = map(mpmath.mpf, (w, t1, t2, y, eta))
+        s1, s2 = w * w * t2 + t1, w * w * t1 + t2  # node 1's and node 2's observational variance
+        mix1, den = e * s1 + (1 - e) * (w * w * yy * yy + t1), e * s2 + (1 - e) * yy * yy
+        calls = [(gamma_map, (theta,), {None: (w * t2 / s1, s1, t1 * t2 / s1)}, s1),
+                 (gamma_map_inverse, (theta,), {None: (w * t1 / s2, t1 * t2 / s2, s2)}, s2),
+                 (pseudo_true_limits, (Structure.S1, theta, y, eta),
+                  {Structure.S1: (w, t1, t2), Structure.S2: (w * t2 / s1, mix1, t1 * t2 / s1),
+                   Structure.S3: (0, mix1, t2)}, s1)]
+        if den:  # at eta = y = 0 the S1 limit of a true S2 model is undefined
+            num = e * (t2 + (1 - e) * w * w * t1) + (1 - e) * yy * yy
+            calls.append((pseudo_true_limits, (Structure.S2, theta, y, eta),
+                          {Structure.S1: (e * w * t1 / den, t1 * num / den, s2), Structure.S2: (w, t1, t2),
+                           Structure.S3: (0, t1, s2)}, s2))
+        for f, args, want, s in calls:
+            try:
+                out = f(*args)
+            except ArgumentOutOfDomain if f is pseudo_true_limits else InvalidParameter:
+                if _normal(s) and all(map(_normal, (v for fields in want.values() for v in fields if v))):
+                    misses.append((f.__name__, args, "refused"))
+                continue
+            for key, fields in want.items():
+                got = out if key is None else out[key]
+                misses += [(f.__name__, args, key, i, g, mpmath.nstr(r, 17))
+                           for i, (g, r) in enumerate(zip(got.as_array(), fields))
+                           if (_normal(r) and not abs(g - r) <= 1e-14 * abs(r) if r else g != 0)]
+        if _normal(s1):
+            logs = mpmath.log(t2), mpmath.log(s1)
+            if not abs(gamma_log_jacobian_det(theta) - (logs[0] - logs[1])) <= 1e-15 * (abs(logs[0]) + abs(logs[1])):
+                misses.append(("gamma_log_jacobian_det", theta))
+    return misses
+
+
+class TestEdgeReversalReference:
+    """One body reverses an edge for both maps and for the pseudo-true limits,
+    with every product on frexp mantissas: each field holds an 80-digit
+    reference, and at eta = 1 a limit is its map, bit for bit."""
+
+    #: where plain products lost digits: the reversed tau2_sq of a tiny
+    #: tau1_sq*tau2_sq read 2.3% off, the reversed weight of a tiny w*tau1_sq
+    #: read 0 against 3.7e-297, and the log-Jacobian of a subnormal w*w read
+    #: 736.4067379055011 against 736.40670790712823
+    POINTS = [(-7.459552422120487, 4.512029488677232e-114, 1.1212662742947803e-210, 0.0, 1.0),
+              (1.289889138892309e-118, 5.355020632231876e-62, 1.5360310771001508e-240, 0.0, 1.0),
+              (1.234e-160, 1e-300, 1.1e300, 0.0, 1.0),
+              (6.85e-73, 9.6e141, 5.4e-74, -4.6e-37, 5e-324)]
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_points(self, point):
+        assert _reversal_misses(*point) == []
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(_REVERSAL_SEED)
+        misses = [m for draw in _reversal_draws(rng, 1500) for m in _reversal_misses(*draw)]
+        assert not misses, (len(misses), misses[:5])
+
+    @given(_WIDE_W, _WIDE_TAU, _WIDE_TAU, _WIDE_Y)
+    @settings(max_examples=300, deadline=None)
+    def test_observational_limits_are_the_maps_bitwise(self, w, t1, t2, y):
+        theta = Params(w, t1, t2)
+        for true, other, reverse in ((Structure.S1, Structure.S2, gamma_map),
+                                     (Structure.S2, Structure.S1, gamma_map_inverse)):
+            try:
+                want = reverse(theta).as_array().tobytes()
+            except InvalidParameter:  # a reversed variance has left the floats
+                with pytest.raises(ArgumentOutOfDomain):
+                    pseudo_true_limits(true, theta, y, 1.0)
+                continue
+            assert pseudo_true_limits(true, theta, y, 1.0)[other].as_array().tobytes() == want
 
 
 def _kl_bivariate_mp(cov0, cov1):
