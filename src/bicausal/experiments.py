@@ -345,8 +345,6 @@ def chi2_1_cdf(x: float) -> float:
 
 def _kolmogorov_sf(t: float) -> float:
     """Survival function of the Kolmogorov distribution (asymptotic series)."""
-    if t <= 0.0:
-        return 1.0
     total = 0.0
     for k in range(1, 101):
         term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * t * t)

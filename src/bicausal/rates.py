@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ArgumentOutOfDomain, BicausalError, InvalidParameter
 from .priors import BgeHyper
 from .sem import STRUCTURES, Cov2, Params, Structure
-from .sem import _ByStructure, _edge, _interv_mean, _node1_is_child, _product, _reverse_edge
+from .sem import _ByStructure, _edge, _interv_mean, _log_scale, _node1_is_child, _product, _reverse_edge, _scale_gap
 
 
 def _ratios(theta: Params, y: float) -> tuple[float, float, float, float]:
@@ -330,16 +330,18 @@ def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta:
 def _log_prior_ratio(theta: Params, h: BgeHyper) -> float:
     """Log of the pulled-back ``S2`` prior over the ``S1`` prior at ``theta``
     (``S1`` coordinates), in closed form: in floats the two log-densities'
-    difference loses every digit where ``w^2/tau1_sq`` is large."""
-    w, t1, t2, a = theta.w, theta.tau1_sq, theta.tau2_sq, abs(theta.w)
+    difference loses every digit where ``w^2/tau1_sq`` is large. Its
+    ``log s`` and weight term, ``s = w^2*tau2_sq + tau1_sq``, are
+    ``sem._log_scale`` and ``sem._scale_gap``: neither overflows before its
+    value does, and where every step is a normal float both are bitwise the
+    plain arithmetic."""
+    w, t1, t2 = theta.w, theta.tau1_sq, theta.tau2_sq
     a1, a2, a3, a4 = h.alpha1, h.alpha2, h.alpha3, h.alpha4
-    s = w * w * t2 + t1
     out = (
         (math.lgamma(a1) - math.lgamma(a4)) + (math.lgamma(a2) - math.lgamma(a3))
-        + ((a3 - a1) + (a4 - a2)) * math.log(h.beta) + (a4 - a3 - 0.5) * math.log(s)
+        + ((a3 - a1) + (a4 - a2)) * math.log(h.beta) + (a4 - a3 - 0.5) * _log_scale(w, t2, t1)
         + (a1 - a4) * math.log(t1) + (a2 - a4 + 0.5) * math.log(t2)
-        # tau2_sq - s, with 1 - w^2 as (1 - |w|)(1 + |w|): w*w rounds near |w| = 1
-        + (h.beta - 0.5 / h.lam) * (w * w) * ((1.0 - a) * (1.0 + a) * t2 - t1) / t1 / s
+        + _scale_gap(h.beta - 0.5 / h.lam, w, t2, t1)
     )
     if not math.isfinite(out):
         raise ArgumentOutOfDomain(f"log prior ratio of S2 to S1 overflows at {theta!r}")

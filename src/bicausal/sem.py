@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +34,8 @@ import numpy as np
 from .errors import ArgumentOutOfDomain, InvalidParameter
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_2 = math.log(2.0)
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 class Structure(str, Enum):
@@ -185,18 +188,84 @@ class InterventionSpec:
             raise InvalidParameter(f"intervention value must be finite, got {self.value!r}")
 
 
-def _product(*factors: float, over: float = 1.0) -> float:
-    """``((a*b)*...)/over`` on ``math.frexp`` mantissas, scaled by one ``ldexp``:
-    bitwise the plain form where its steps are normal floats, and else keeps its digits."""
+def _scaled(*factors, over=1.0) -> tuple[float, int]:
+    """``((a*b)*...)/over`` as a mantissa and a power of two, ``(m, e)``, of
+    floats or such pairs: the mantissas round as the plain form does where its
+    steps are normal floats, and cannot overflow."""
     m, e = 1.0, 0
     for x in factors:
-        mx, ex = math.frexp(x)
+        mx, ex = x if type(x) is tuple else math.frexp(x)
         m, e = m * mx, e + ex
-    mo, eo = math.frexp(over)
+    mo, eo = over if type(over) is tuple else math.frexp(over)
+    return m / mo, e - eo
+
+
+def _float(x: float | tuple[float, int]) -> float:
+    """A float as it is, or a ``math.frexp`` pair by one ``ldexp``, rounded
+    below the normal range and infinite past the largest float."""
+    if type(x) is not tuple:
+        return x
     try:
-        return math.ldexp(m / mo, e - eo)
-    except OverflowError:  # past the largest float
-        return math.copysign(math.inf, m)
+        return math.ldexp(*x)
+    except OverflowError:
+        return math.copysign(math.inf, x[0])
+
+
+def _product(*factors, over=1.0) -> float:
+    """:func:`_scaled` as a float: bitwise the plain form where its steps are
+    normal floats, and else keeps its digits."""
+    return _float(_scaled(*factors, over=over))
+
+
+def _sum(a, b) -> tuple[float, int]:
+    """``a + b`` of two floats or pairs as a ``math.frexp`` pair, rounded
+    once: bitwise the plain sum where both terms are normal floats."""
+    ma, ea = a if type(a) is tuple else math.frexp(a)
+    mb, eb = b if type(b) is tuple else math.frexp(b)
+    e = max(ea, eb) if ma and mb else ea if ma else eb  # a zero term has no exponent
+    m, k = math.frexp(math.ldexp(ma, ea - e) + math.ldexp(mb, eb - e))
+    return m, e + k
+
+
+def _scale(w: float, tau_parent: float, tau_child: float) -> float | tuple[float, int]:
+    """The reversal's scale ``s = w^2*tau_parent + tau_child``, the old child's
+    variance; the one body that forms it, for the edge reversal,
+    :func:`gamma_log_jacobian_det`, :func:`implied_covariance` and the
+    plateau's log prior ratio. Where every step is a normal float it is the
+    plain float, else a ``math.frexp`` pair that cannot overflow."""
+    ww = w * w
+    wwt = ww * tau_parent
+    s = wwt + tau_child
+    if _TINY <= ww and _TINY <= wwt and s <= _HUGE:
+        return s
+    return _sum(_scaled(w, w, tau_parent), tau_child)
+
+
+def _log(x: float | tuple[float, int]) -> float:
+    """``log`` of a float or a ``math.frexp`` pair: ``math.log`` of its float
+    where that is a normal float, else the mantissa's log plus the exponent's."""
+    if type(x) is not tuple:
+        return math.log(x)
+    m, e = x
+    return math.log(math.ldexp(m, e)) if -1022 < e < 1025 else math.log(m) + e * _LOG_2
+
+
+def _log_scale(w: float, tau_parent: float, tau_child: float) -> float:
+    """``log s`` of :func:`_scale`: finite wherever ``s`` leaves the floats, and
+    bitwise the plain ``math.log(s)`` where ``s`` is a normal float."""
+    return _log(_scale(w, tau_parent, tau_child))
+
+
+def _scale_gap(coef: float, w: float, tau_parent: float, tau_child: float) -> float:
+    """``coef*w^2*(tau_parent - s)/tau_child/s``, in that order, with
+    ``tau_parent - s`` as ``(1 - |w|)(1 + |w|)*tau_parent - tau_child`` (``w*w``
+    rounds near ``|w| = 1``): ``coef`` times the change the reversal makes in
+    the child's ``w^2/tau`` (``w'^2/tau_parent' - w^2/tau_child``). Formed on
+    pairs, so it overflows only where its value does, a zero ``coef`` gives 0,
+    and it is bitwise the plain form where every step is a normal float."""
+    a = abs(w)
+    d = _sum(_scaled(1.0 - a, 1.0 + a, tau_parent), -tau_child)
+    return _product(_scaled(coef, _scaled(w, w), d, over=tau_child), over=_scale(w, tau_parent, tau_child))
 
 
 def _reverse_edge(edge: tuple[int, int], theta: Params, eta: float = 1.0, y: float = 0.0) -> Params:
@@ -209,25 +278,27 @@ def _reverse_edge(edge: tuple[int, int], theta: Params, eta: float = 1.0, y: flo
     it, node 1 as the old child takes its mixture second moment, and as the
     old parent its regression over every row, whose ratios are homogeneous in
     ``(eta, y^2)``: at ``y = 0`` eta cancels, and else both are scaled up by
-    ``4^j``, exactly. Each product and quotient is a :func:`_product`.
+    ``4^j``, exactly. ``s`` is :func:`_scale`'s, and every sum and quotient
+    that holds it, or ``y^2``, is formed on pairs until a field is taken, so
+    a field that is a normal float is returned whether or not ``s`` is; each
+    is bitwise the plain arithmetic where its steps are normal floats.
     """
     (p, c), w, tau = edge, theta.w, [theta.tau1_sq, theta.tau2_sq]
-    w2tp = _product(w, w, tau[p])
-    var_c = den = s = w2tp + tau[c]
+    den = var_c = s = _scale(w, tau[p], tau[c])
     e, num, etabar = 1.0, tau[c], 1.0 - eta
     if eta < 1.0 and c == 0:
-        var_c = _product(eta, s) + _product(etabar, _product(w, w, y, y) + tau[c])
+        var_c = _sum(_scaled(eta, s), _scaled(etabar, _sum(_scaled(w, w, y, y), tau[c])))
     elif eta < 1.0:
         top = 2 * math.frexp(y)[1]  # about y^2's binary exponent
         j = max(0, -max(top, math.frexp(eta)[1] if eta else top) // 2)
         e, v = (math.ldexp(eta, 2 * j), math.ldexp(y, j)) if y else (1.0, 0.0)
-        vv = _product(etabar, v, v)
-        den = _product(e, s) + vv
-        if den <= 0.0 or not (eta or y):
+        vv = _scaled(etabar, v, v)
+        den = _sum(_scaled(e, s), vv)
+        if not den[0] > 0.0 or not (eta or y):
             raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")
-        num = _product(e, tau[c] + _product(etabar, w2tp)) + vv
+        num = _sum(_scaled(e, _sum(tau[c], _scaled(etabar, _scaled(w, w, tau[p])))), vv)
     w = _product(e, w, tau[p], over=den)
-    tau[p], tau[c] = _product(tau[p], num, over=den), var_c
+    tau[p], tau[c] = _product(tau[p], num, over=den), _float(var_c)
     return Params(w, *tau)
 
 
@@ -245,10 +316,11 @@ def gamma_map_inverse(theta: Params) -> Params:
 def gamma_log_jacobian_det(theta: Params) -> float:
     """``log |det J|`` of :func:`gamma_map` at ``theta``.
 
-    The determinant is ``tau2_sq / (w^2*tau2_sq + tau1_sq)``, always positive.
+    The determinant is ``tau2_sq / s``, always positive, with
+    :func:`_log_scale`'s ``log s``: finite wherever ``s`` leaves the floats,
+    and bitwise the plain ``math.log(s)`` where ``s`` is a normal float.
     """
-    s = _product(theta.w, theta.w, theta.tau2_sq) + theta.tau1_sq
-    return math.log(theta.tau2_sq) - math.log(s)
+    return math.log(theta.tau2_sq) - _log_scale(theta.w, theta.tau2_sq, theta.tau1_sq)
 
 
 def implied_covariance(s: Structure, theta: Params) -> Cov2:
@@ -262,7 +334,7 @@ def implied_covariance(s: Structure, theta: Params) -> Cov2:
     if edge is None:
         return Cov2(c11=var[0], c12=0.0, c22=var[1])
     (p, c), w = edge, theta.w
-    var[c] = w * w * var[p] + var[c]
+    var[c] = _float(_scale(w, var[p], var[c]))
     try:
         return Cov2(c11=var[0], c12=w * var[p], c22=var[1])
     except InvalidParameter as exc:  # the parameters are valid: the matrix has left the floats

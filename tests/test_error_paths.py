@@ -304,21 +304,22 @@ CASES = [
      InvalidParameter, r"^gain transform defined for D12/D21 curves, got "),
     ("pseudo-true eta", lambda tmp: pseudo_true_limits(Structure.S1, THETA, 0.1, 1.5),
      InvalidParameter, r"^eta must lie in \[0, 1\], got 1\.5$"),
-    # w^2 = 1e400 overflows s = w^2*tau2_sq + tau1_sq
+    # log r is about 3.3e398
     ("log prior ratio overflows", lambda tmp: nonident_posterior_limit(
-        Params(1e200, 1.0, 1.0), BgeHyper(4, 2.5, 2.5, 3, 3, 3, 0.5, 1), Structure.S1),
+        Params(1e200, 1.0, 1.0), BgeHyper(2.0, 1.5, 1.8, 2.2, 1.2, 2.8, 0.8, 0.6), Structure.S1),
      ArgumentOutOfDomain, r"^log prior ratio of S2 to S1 overflows at Params\(w=1e\+200, tau1_sq=1\.0, tau2_sq=1\.0\)$"),
     ("pseudo-true S1 limit undefined", lambda tmp: pseudo_true_limits(Structure.S2, THETA, 0.0, 0.0),
      ArgumentOutOfDomain, r"^pseudo-true S1 limit undefined \(eta = 0 with y = 0\)$"),
-    # the S1 limit's variance is inf/inf under a true S2 model: Params
-    # refused it with InvalidParameter, and np.float64 fields also warned
+    # the S1 limit's node-2 variance is s = w^2*tau1_sq + tau2_sq, about
+    # 3.3e410, under a true S2 model: Params refuses it with InvalidParameter,
+    # and np.float64 fields must refuse it the same way, without a warning
     *((f"KL mixture past the pseudo-true limits ({kind.__name__})", lambda tmp, kind=kind: kl_mixture_exponent(
         Structure.S2, Structure.S1,
         Params(*map(kind, (2.0347571352489576e148, 7.969232515425364e113, 2.738297654744564))),
         -12.862131650624505, 0.7482485033017541),
        ArgumentOutOfDomain,
        r"^pseudo-true limits cannot be evaluated at Params\(w=(np\.float64\()?2\.0347571352489576e\+148"
-       r".*\(in a limit, tau1_sq must be finite, got (np\.float64\()?nan\)?\)$")
+       r".*\(in a limit, tau2_sq must be finite, got (np\.float64\()?inf\)?\)$")
       for kind in (float, np.float64)),
     # the S1 reversal of a true S2 model has tau1_sq = tau1_sq*tau2_sq/s = 0:
     # Params refused it with InvalidParameter
@@ -369,6 +370,13 @@ CASES = [
     # c11 = 1e20 + 1 rounds to c12^2/c22: the matrix was refused as an invalid parameter
     ("covariance singular in floats", lambda tmp: implied_covariance(Structure.S1, Params(1e10, 1.0, 1.0)),
      ArgumentOutOfDomain, r"^covariance under S1 at Params\(w=10000000000\.0, tau1_sq=1\.0, tau2_sq=1\.0\) "
+                          r"cannot be held in floats \(covariance not positive definite: "),
+    # w*w is subnormal, and c11 = w^2*tau2_sq + tau1_sq is about 1.09e-36 while the
+    # determinant over c11*c22 is tau1_sq/c11, about 5e-179: rounding w*w first
+    # gave a c11 whose matrix looked positive definite
+    ("covariance singular in floats, w*w subnormal", lambda tmp: implied_covariance(
+        Structure.S1, Params(-1.1886222515277935e-158, 5.500650180731747e-215, 7.74252364705834e+279)),
+     ArgumentOutOfDomain, r"^covariance under S1 at Params\(w=-1\.1886222515277935e-158, .*"
                           r"cannot be held in floats \(covariance not positive definite: "),
     ("S3 covariance with a weight", lambda tmp: implied_covariance(Structure.S3, Params(0.5, 1.0, 1.0)),
      InvalidParameter, r"^S3 requires w = 0, got w=0\.5$"),

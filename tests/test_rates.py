@@ -603,28 +603,28 @@ def _reversal_misses(w, t1, t2, y, eta):
     """The fields of both maps and of the pseudo-true limits that are more
     than 1e-14 off an 80-digit reference, where it is a normal float (a 0
     must be exact), and the log-Jacobian more than 1e-15 of its two logs off;
-    and each call that refuses although its ``s`` and every field it returns
-    are normal floats."""
+    and each call that refuses although every field it returns is a normal
+    float, whether or not its ``s = w^2*tau_parent + tau_child`` is."""
     theta, misses = Params(w, t1, t2), []
     with mpmath.workdps(80):
         w, t1, t2, yy, e = map(mpmath.mpf, (w, t1, t2, y, eta))
         s1, s2 = w * w * t2 + t1, w * w * t1 + t2  # node 1's and node 2's observational variance
         mix1, den = e * s1 + (1 - e) * (w * w * yy * yy + t1), e * s2 + (1 - e) * yy * yy
-        calls = [(gamma_map, (theta,), {None: (w * t2 / s1, s1, t1 * t2 / s1)}, s1),
-                 (gamma_map_inverse, (theta,), {None: (w * t1 / s2, t1 * t2 / s2, s2)}, s2),
+        calls = [(gamma_map, (theta,), {None: (w * t2 / s1, s1, t1 * t2 / s1)}),
+                 (gamma_map_inverse, (theta,), {None: (w * t1 / s2, t1 * t2 / s2, s2)}),
                  (pseudo_true_limits, (Structure.S1, theta, y, eta),
                   {Structure.S1: (w, t1, t2), Structure.S2: (w * t2 / s1, mix1, t1 * t2 / s1),
-                   Structure.S3: (0, mix1, t2)}, s1)]
+                   Structure.S3: (0, mix1, t2)})]
         if den:  # at eta = y = 0 the S1 limit of a true S2 model is undefined
             num = e * (t2 + (1 - e) * w * w * t1) + (1 - e) * yy * yy
             calls.append((pseudo_true_limits, (Structure.S2, theta, y, eta),
                           {Structure.S1: (e * w * t1 / den, t1 * num / den, s2), Structure.S2: (w, t1, t2),
-                           Structure.S3: (0, t1, s2)}, s2))
-        for f, args, want, s in calls:
+                           Structure.S3: (0, t1, s2)}))
+        for f, args, want in calls:
             try:
                 out = f(*args)
             except ArgumentOutOfDomain if f is pseudo_true_limits else InvalidParameter:
-                if _normal(s) and all(map(_normal, (v for fields in want.values() for v in fields if v))):
+                if all(map(_normal, (v for fields in want.values() for v in fields if v))):
                     misses.append((f.__name__, args, "refused"))
                 continue
             for key, fields in want.items():
@@ -632,10 +632,9 @@ def _reversal_misses(w, t1, t2, y, eta):
                 misses += [(f.__name__, args, key, i, g, mpmath.nstr(r, 17))
                            for i, (g, r) in enumerate(zip(got.as_array(), fields))
                            if (_normal(r) and not abs(g - r) <= 1e-14 * abs(r) if r else g != 0)]
-        if _normal(s1):
-            logs = mpmath.log(t2), mpmath.log(s1)
-            if not abs(gamma_log_jacobian_det(theta) - (logs[0] - logs[1])) <= 1e-15 * (abs(logs[0]) + abs(logs[1])):
-                misses.append(("gamma_log_jacobian_det", theta))
+        logs = mpmath.log(t2), mpmath.log(s1)
+        if not abs(gamma_log_jacobian_det(theta) - (logs[0] - logs[1])) <= 1e-15 * (abs(logs[0]) + abs(logs[1])):
+            misses.append(("gamma_log_jacobian_det", theta))
     return misses
 
 
@@ -647,11 +646,21 @@ class TestEdgeReversalReference:
     #: where plain products lost digits: the reversed tau2_sq of a tiny
     #: tau1_sq*tau2_sq read 2.3% off, the reversed weight of a tiny w*tau1_sq
     #: read 0 against 3.7e-297, and the log-Jacobian of a subnormal w*w read
-    #: 736.4067379055011 against 736.40670790712823
+    #: 736.4067379055011 against 736.40670790712823; and where s overflows
+    #: although the value does not: the S2 limit (-4.09e-125, 5.36e63,
+    #: 1.11e-250) of a true S1 model was refused, at eta = 0 too, and the
+    #: log-Jacobian read -inf against -921.0340371976183; and where y^2 or
+    #: w^2*y^2 overflows: the S1 limit of a true S2 model at eta = 0 is the
+    #: truth, and node 1's mixture moment at eta = 1 - 2^-53 is about 1.1e294
     POINTS = [(-7.459552422120487, 4.512029488677232e-114, 1.1212662742947803e-210, 0.0, 1.0),
               (1.289889138892309e-118, 5.355020632231876e-62, 1.5360310771001508e-240, 0.0, 1.0),
               (1.234e-160, 1e-300, 1.1e300, 0.0, 1.0),
-              (6.85e-73, 9.6e141, 5.4e-74, -4.6e-37, 5e-324)]
+              (6.85e-73, 9.6e141, 5.4e-74, -4.6e-37, 5e-324),
+              (-2.442613755997142e124, 0.06650976965612826, 5.891042551265339e81, -2.997497558050209e-93, 5e-324),
+              (-2.442613755997142e124, 0.06650976965612826, 5.891042551265339e81, -2.997497558050209e-93, 0.0),
+              (1e200, 1.0, 1.0, 0.0, 1.0),
+              (0.0, 6.53996952628337e296, 6.53996952628337e296, -2.5573364124188608e154, 0.0),
+              (1.0, 1.0, 1.0, 1e155, 1.0 - 2.0**-53)]
 
     @pytest.mark.parametrize("point", POINTS)
     def test_points(self, point):
@@ -800,10 +809,10 @@ class TestNonidentPosteriorLimit:
         assert nonident_posterior_limit(theta, h, Structure.S1) == 1.0
 
 
-def _log_prior_ratio_reference(theta, h):
+def _log_prior_ratio_reference(theta, h, dps=100):
     """The pulled-back ``S2`` log prior minus the ``S1`` log prior, both
-    densities written out term by term at 100 digits."""
-    with mpmath.workdps(100):
+    densities written out term by term at ``dps`` digits."""
+    with mpmath.workdps(dps):
         w, t1, t2 = (mpmath.mpf(v) for v in (theta.w, theta.tau1_sq, theta.tau2_sq))
         beta, lam = mpmath.mpf(h.beta), mpmath.mpf(h.lam)
 
@@ -849,9 +858,19 @@ class TestLogPriorRatio:
     def test_symmetric_hyper_gives_exactly_zero(self):
         assert _log_prior_ratio(Params(1e5, 1e-8, 1.0), bge_symmetric_hyper(3.0, 0.5)) == 0.0
 
+    # s = w^2*tau2_sq + tau1_sq and the weight term's w^2*(tau2_sq - s) leave
+    # the floats where the ratio does not: each of these was refused; the two
+    # densities cancel terms of 1e400 at w = 1e200, so the reference needs 500 digits
+    @pytest.mark.parametrize("w, h", [(1e200, _RATIO_HYPERS[0]), (1e200, _RATIO_HYPERS[1]), (1e150, _RATIO_HYPERS[2])])
+    def test_beyond_the_floats_of_s(self, w, h):
+        theta = Params(w, 1.0, 1.0)
+        want = _log_prior_ratio_reference(theta, h, dps=500)  # 0 under the symmetric prior, and so exactly
+        assert abs(_log_prior_ratio(theta, h) - want) <= 1e-14 * abs(want)
+
     def test_an_overflowing_ratio_is_refused(self):
+        # log r is about 3.3e398 here
         with pytest.raises(ArgumentOutOfDomain):
-            _log_prior_ratio(Params(1e200, 1.0, 1.0), _RATIO_HYPERS[1])
+            _log_prior_ratio(Params(1e200, 1.0, 1.0), _RATIO_HYPERS[2])
 
 
 class TestValidation:

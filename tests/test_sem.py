@@ -269,6 +269,16 @@ class TestValidation:
         c = make()
         assert (c.c11, c.c12, c.c22) == want
 
+    # c11 = w^2*tau2_sq + tau1_sq where w*w is subnormal (rounded first, c11 was
+    # 5.6e-6 off) or overflows (c11 was inf, and the matrix refused)
+    @pytest.mark.parametrize("theta, want", [
+        (Params(1e-160, 1e-20, 1e300), (2e-20, 1e140, 1e300)),
+        (Params(1e155, 1e10, 1e-300), (2e10, 1e-145, 1e-300)),
+    ], ids=["w*w subnormal", "w*w overflows"])
+    def test_implied_covariance_where_w_squared_leaves_the_floats(self, theta, want):
+        c = implied_covariance(Structure.S1, theta)
+        assert (c.c11, c.c12, c.c22) == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_cov2_decides_as_the_determinant_where_it_is_a_normal_float(self):
         # near-singular matrices: correlations within a few ulp of +-1
         rng = np.random.default_rng(31)
