@@ -6,21 +6,25 @@ specialization of the mixed-data ones, and the code path is shared so the
 reduction is exact.
 
 The evidence reads the structure's per-node factors
-(:attr:`~bicausal.estimation.SuffStats.factors`). For a connected structure
-it is a ratio of powers of three augmented second moments, ``U = child.xx +
-1/lam`` (the child's regressor moment augmented by the weight-prior
-precision), ``V = root.yy + 2*beta`` (the root's moment augmented by the
-variance-prior rate) and ``Delta = (child.yy + 2*beta) * U - child.xy^2``
-(the augmented cross-moment determinant), times gamma-function and
-``(2*beta)``/``pi`` normalizers; ``S3`` is a product of two root terms. The
-``U``/``V`` powers are grouped as ``A*log(U/V) + (A-B)*log(V)`` with
-``log(U/V)`` computed by ``log1p((U-V)/V)`` while ``U/V`` lies in ``[1/2,
-2]``, where ``U - V = (child.xx - root.yy) + (1/lam - 2*beta)``, and by
-``log(U) - log(V)`` outside that band, where the rounding of ``U - V`` would
-be amplified by ``V/U``. Under score-equivalent hyperparameters on
-observational data ``U == V`` bitwise and ``A == B``, so the terms cancel
-exactly instead of through large-term subtraction; this is what makes the
-equal-mass property hold to machine precision at any sample size.
+(:attr:`~bicausal.estimation.SuffStats.factors`) as a sum of per-node local
+scores (Geiger & Heckerman 2002; Kuipers, Moffa & Heckerman 2014). ``S3``'s
+is its two root terms, ``-k*log(yy + 2*beta)`` per node (``k`` the posterior
+shape), plus gamma-function and ``(2*beta)``/``pi`` normalizers. A connected
+structure's adds one difference to it: for each node whose shape is not its
+``S3`` shape, its lgamma pairs and ``-(a - a_S3)*(log(yy + 2*beta) -
+log(2*beta))``; for the child, ``-(log(U) + log(lam))/2 - k*log1p(-rho^2)``,
+with ``U = xx + 1/lam`` and ``rho^2 = xy^2/((yy + 2*beta)*U)``, refused where
+the augmented determinant ``(yy + 2*beta)*U - xy^2`` is not positive.
+
+The node terms are summed before the child's term is added and ``rho^2``'s
+product commutes, so relabelling the nodes of observational data, under a
+prior with ``alpha1 = alpha4``, ``alpha2 = alpha3`` and ``alpha5 = alpha6``,
+exchanges the ``S1`` and ``S2`` evidences and keeps ``S3``'s, bit for bit.
+Under score-equivalent hyperparameters (``1/lam = 2*beta = 1``) on
+observational data the child keeps its ``S3`` shape, and its ``log(xx +
+1/lam)/2`` is the root's shape change ``log(yy + 2*beta)/2``, one expression
+of one moment: the two cancel exactly, and ``S1`` and ``S2`` tie bitwise at
+any sample size.
 
 The evidence, the posterior and the odds statistic take one dataset or a
 batch of datasets (a :class:`~bicausal.estimation.SuffStats` with array
@@ -53,7 +57,7 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float | np.n
     """Log marginal likelihood of the mixed dataset under structure ``s``.
 
     ``m = 0`` gives the observational-only value exactly. An empty dataset
-    gives 0 for every structure.
+    gives 0 for every structure, up to rounding.
 
     One dataset gives a ``float`` and raises :class:`NumericalDegeneracy`
     when the augmented determinant is not positive, or when the value is not
@@ -61,58 +65,50 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float | np.n
     such cells, or infinite, without a warning. Every logarithm of the data
     is numpy's, so both give the same bits.
     """
-    n, m, batch = st.n, st.m, np.ndim(st.s1x) > 0
-    f1, f2 = st.factors[s]
-    a1, a2 = h.alphas_for(s)
-    beta2 = 2.0 * h.beta
+    n, m, beta2 = st.n, st.m, 2.0 * h.beta
+    (a1, a2), (f1, f2) = h.alphas_for(Structure.S3), st.factors[s]
     k1, k2 = a1 + 0.5 * f1.count, a2 + 0.5 * f2.count  # posterior shapes
-    # the data lgamma terms in node order; the two bodies group them
-    # differently, and regrouping would move the values' last bits
-    lg1, lg2 = math.lgamma(k1), math.lgamma(k2)
-
-    if not (f1.has_parent or f2.has_parent):
-        norm = (a1 + a2) * math.log(beta2) - (n + 0.5 * m) * _LOG_PI + lg1 + lg2
-        norm = norm - math.lgamma(a1) - math.lgamma(a2)
-        with np.errstate(all="ignore"):
-            # the node terms summed first, so that relabelling the nodes keeps the bits
-            out = norm - (k1 * np.log(f1.yy + beta2) + k2 * np.log(f2.yy + beta2))
-        return _finite_cells(out, s)
-
-    nodes = ((f1, a1, k1), (f2, a2, k2))
-    (child, a_c, k_c), (root, a_o, k_o) = nodes if f1.has_parent else nodes[::-1]
-    coef_u = a_c + 0.5 * (child.count - 1)
-    norm = (a_c + a_o) * math.log(beta2) - 0.5 * math.log(h.lam) - (n + 0.5 * m) * _LOG_PI + (lg1 + lg2)
-    norm = norm - math.lgamma(a_c) - math.lgamma(a_o)
+    norm = (a1 + a2) * math.log(beta2) - (n + 0.5 * m) * _LOG_PI + math.lgamma(k1) + math.lgamma(k2)
+    norm = norm - math.lgamma(a1) - math.lgamma(a2)
     with np.errstate(all="ignore"):
-        u = child.xx + 1.0 / h.lam
-        v = root.yy + beta2
-        u_minus_v = (child.xx - root.yy) + (1.0 / h.lam - beta2)
-        delta = (child.yy + beta2) * u - child.xy * child.xy
-        positive = delta > 0.0
-        if not (batch or positive):
-            raise NumericalDegeneracy(
-                f"augmented determinant non-positive ({float(delta)!r}); sufficient statistics corrupted"
-            )
-        # log(U/V): log1p near 1, exactly zero when U == V; log(U) - log(V)
-        # far from it, where log1p is computed and discarded (-inf at r = -1)
-        r = u_minus_v / v
-        log_v = np.log(v)
-        log_u_over_v = np.where((r >= -0.5) & (r <= 1.0), np.log1p(r), np.log(u) - log_v)
-        out = (
-            norm
-            + coef_u * log_u_over_v
-            + (coef_u - k_o) * log_v
-            - k_c * np.log(np.where(positive, delta, np.nan))
-        )
-    return _finite_cells(out, s)
-
-
-def _finite_cells(out, s: Structure) -> float | np.ndarray:
-    """``_cells(out)`` of an evidence; one dataset's must be finite."""
+        v = (f1.yy + beta2, f2.yy + beta2)
+        log_v = (np.log(v[0]), np.log(v[1]))
+        # the node terms summed first, so that relabelling the nodes keeps the bits
+        out = norm - (k1 * log_v[0] + k2 * log_v[1])
+        if s is not Structure.S3:
+            out = out + _local_score_difference(st, s, h, v, log_v)
     out = _cells(out)
     if isinstance(out, float) and not math.isfinite(out):
         raise NumericalDegeneracy(f"log marginal likelihood under {s.value} is {out!r}: an augmented moment overflows")
     return out
+
+
+def _local_score_difference(st: SuffStats, s: Structure, h: BgeHyper, v, log_v):
+    """The log evidence of the connected structure ``s`` less S3's, from each
+    node's local score: the shape change of every node whose shape is not its
+    S3 shape, then the child's regression on its parent. ``v`` and ``log_v``
+    are each node's ``yy + 2*beta`` and its log; numpy's ``errstate`` is the
+    caller's."""
+    nodes, shapes, roots = st.factors[s], h.alphas_for(s), h.alphas_for(Structure.S3)
+    lg, terms, log_beta2 = 0.0, [], math.log(2.0 * h.beta)
+    for f, a, a3, log_vf in zip(nodes, shapes, roots, log_v):
+        if a != a3:
+            pair = math.lgamma(a + 0.5 * f.count) - math.lgamma(a3 + 0.5 * f.count)
+            lg += pair - (math.lgamma(a) - math.lgamma(a3))
+            terms.append((a3 - a) * (log_vf - log_beta2))
+    c = 0 if nodes[0].has_parent else 1
+    child, k = nodes[c], shapes[c] + 0.5 * nodes[c].count
+    u = child.xx + 1.0 / h.lam
+    # Delta = (yy + 2*beta)*U - xy^2 is positive exactly where p > q
+    p, q = v[c] * u, child.xy * child.xy
+    positive = p > q
+    if np.ndim(positive) == 0 and not positive:  # one dataset
+        raise NumericalDegeneracy(f"augmented determinant non-positive ({float(p - q)!r}); sufficient statistics corrupted")
+    # where Delta <= 0 the divisor is 0, so rho^2 is inf or NaN and the cell NaN
+    rho2 = q / (positive * p)
+    # the node terms summed first, so that relabelling the nodes keeps the bits
+    terms = sum(terms[1:], terms[0]) if terms else 0.0
+    return (lg - 0.5 * math.log(h.lam)) + ((terms - 0.5 * np.log(u)) - k * np.log1p(-rho2))
 
 
 def log_marginal_obs(st: SuffStats, s: Structure, h: BgeHyper) -> float:

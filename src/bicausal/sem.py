@@ -277,11 +277,11 @@ def _reverse_edge(edge: tuple[int, int], theta: Params, eta: float = 1.0, y: flo
     variances ``s`` (old child) and ``tau1_sq*tau2_sq/s`` (old parent). Below
     it, node 1 as the old child takes its mixture second moment, and as the
     old parent its regression over every row, whose ratios are homogeneous in
-    ``(eta, y^2)``: at ``y = 0`` eta cancels, and else both are scaled up by
-    ``4^j``, exactly. ``s`` is :func:`_scale`'s, and every sum and quotient
-    that holds it, or ``y^2``, is formed on pairs until a field is taken, so
-    a field that is a normal float is returned whether or not ``s`` is; each
-    is bitwise the plain arithmetic where its steps are normal floats.
+    ``(eta, y^2)``: at ``y = 0`` eta cancels. ``s`` is :func:`_scale`'s, and
+    every sum and quotient that holds it, or ``y^2``, is formed on pairs
+    until a field is taken, so a field that is a normal float is returned
+    whether or not ``s`` is; each is bitwise the plain arithmetic where its
+    steps are normal floats.
     """
     (p, c), w, tau = edge, theta.w, [theta.tau1_sq, theta.tau2_sq]
     den = var_c = s = _scale(w, tau[p], tau[c])
@@ -289,10 +289,7 @@ def _reverse_edge(edge: tuple[int, int], theta: Params, eta: float = 1.0, y: flo
     if eta < 1.0 and c == 0:
         var_c = _sum(_scaled(eta, s), _scaled(etabar, _sum(_scaled(w, w, y, y), tau[c])))
     elif eta < 1.0:
-        top = 2 * math.frexp(y)[1]  # about y^2's binary exponent
-        j = max(0, -max(top, math.frexp(eta)[1] if eta else top) // 2)
-        e, v = (math.ldexp(eta, 2 * j), math.ldexp(y, j)) if y else (1.0, 0.0)
-        vv = _scaled(etabar, v, v)
+        e, vv = eta if y else 1.0, _scaled(etabar, y, y)
         den = _sum(_scaled(e, s), vv)
         if not den[0] > 0.0 or not (eta or y):
             raise ArgumentOutOfDomain("pseudo-true S1 limit undefined (eta = 0 with y = 0)")

@@ -1,4 +1,3 @@
-import os
 import re
 
 import numpy as np
@@ -8,10 +7,10 @@ from hypothesis import strategies as hs
 
 from bicausal import Params, bge_symmetric_hyper
 
-# HYPOTHESIS_PROFILE=ci runs every property on the same examples each run and
-# prints the blob that reproduces a failure
-settings.register_profile("ci", derandomize=True, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+# every property runs on the same examples each run, with no example database,
+# and prints the blob that reproduces a failure
+settings.register_profile("derandomized", derandomize=True, print_blob=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
-"""Exact invariances, pinned bitwise by property: relabelling the two nodes of
+"""Exact invariances, pinned by property: relabelling the two nodes of
 observational data, and scaling the rate layer's and the edge reversal's
-inputs by powers of two."""
+inputs by powers of two, bitwise; scaling the evidence's data by a power of
+two, to a few rounding errors."""
 
 import math
 import sys
@@ -30,6 +31,7 @@ from bicausal import (
     quadrature_log_marginal,
     suffstats,
 )
+from bicausal.estimation import _SUMS
 
 S1, S2, S3 = Structure.S1, Structure.S2, Structure.S3
 #: Each structure's image when node 1 and node 2 trade places.
@@ -188,3 +190,43 @@ class TestReversalScaling:
         assume(all(map(_normal, taus)) and (_normal(ys) or not y))
         for rid in (RateId.D12, RateId.D21):
             assert _outcome(optimal_eta, rid, Params(w, t1, t2), y) == _outcome(optimal_eta, rid, Params(w, *taus), ys)
+
+
+_SHAPES = hs.floats(0.1, 20.0)
+
+
+def _term_size(st: SuffStats, h: BgeHyper) -> float:
+    """The size of the evidence's largest terms: over the nodes, (the largest
+    shape + count/2) times (1 + |log(yy + 2*beta)| + |log(2*beta)| + |log lam|)."""
+    shape = max(h.alphas_for(S1) + h.alphas_for(S2) + h.alphas_for(S3))
+    logs = abs(math.log(2.0 * h.beta)) + abs(math.log(h.lam))
+    return sum((shape + 0.5 * f.count) * (1.0 + abs(math.log(f.yy + 2.0 * h.beta)) + logs) for f in st.factors[S3])
+
+
+class TestEvidenceScaling:
+    """Multiplying the data and ``y`` by ``2^k``, ``beta`` by ``4^k`` and
+    dividing ``lam`` by ``4^k`` maps each prior onto the scaled one, so every
+    log evidence shifts by the Jacobian of the ``2n + m`` free coordinates,
+    ``-(2n + m)*k*log 2``: in floats within 4 eps of the two evidences' term
+    sizes (at most 0.81 eps on 20,000 random draws). Both calls refuse, or
+    neither."""
+
+    @given(hs.lists(hs.tuples(_SIGNED, _SIGNED), max_size=12), hs.lists(_SIGNED, max_size=8),
+           _SIGNED, hs.lists(_SHAPES, min_size=6, max_size=6), _POSITIVE, _POSITIVE, hs.integers(-150, 150))
+    @settings(max_examples=200, deadline=None)
+    def test_evidence_shifts_by_the_jacobian(self, pairs, y1, y, shapes, beta, lam, k):
+        st = suffstats(np.array(pairs).reshape(-1, 2), np.column_stack([y1, np.full(len(y1), y)]) if y1 else None)
+        sums = [getattr(st, name) for name in _SUMS]
+        scaled_sums = [math.ldexp(v, 2 * k) for v in sums]
+        assume(all(math.ldexp(v, -2 * k) == u for u, v in zip(sums, scaled_sums)))
+        h = BgeHyper(*shapes, beta, lam)
+        hk = BgeHyper(*shapes, math.ldexp(beta, 2 * k), math.ldexp(lam, -2 * k))
+        scaled = SuffStats(*scaled_sums, st.n, st.m, math.ldexp(y, k) if st.m else None)
+        shift, bound = -(2 * st.n + st.m) * k * math.log(2.0), 4.0 * sys.float_info.epsilon * (
+            _term_size(st, h) + _term_size(scaled, hk))
+        for s in Structure:
+            got, want = _outcome(log_marginal_mixed, st, s, h), _outcome(log_marginal_mixed, scaled, s, hk)
+            if isinstance(got, type) or isinstance(want, type):
+                assert got is want, s
+                continue
+            assert abs(np.frombuffer(want)[0] - np.frombuffer(got)[0] - shift) <= bound, s
