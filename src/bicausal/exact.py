@@ -12,15 +12,16 @@ is its two root terms, ``-k*log(yy + 2*beta)`` per node (``k`` the posterior
 shape), plus gamma-function and ``(2*beta)``/``pi`` normalizers. A connected
 structure's adds one difference to it: for each node whose shape is not its
 ``S3`` shape, its lgamma pairs and ``-(a - a_S3)*(log(yy + 2*beta) -
-log(2*beta))``; for the child, ``-(log(U) + log(lam))/2 - k*log1p(-rho^2)``,
-with ``U = xx + 1/lam`` and ``rho^2 = xy^2/((yy + 2*beta)*U)``, refused where
-the augmented determinant ``(yy + 2*beta)*U - xy^2`` is not positive.
+log(2*beta))``, the ``log(2*beta)`` part kept with the constants; for the
+child, ``-(log(U) + log(lam))/2 - k*log1p(-rho^2)``, with ``U = xx + 1/lam``
+and ``rho^2 = xy^2/((yy + 2*beta)*U)``, refused where the augmented
+determinant ``(yy + 2*beta)*U - xy^2`` is not positive.
 
 The node terms are summed before the child's term is added and ``rho^2``'s
 product commutes, so relabelling the nodes of observational data, under a
 prior with ``alpha1 = alpha4``, ``alpha2 = alpha3`` and ``alpha5 = alpha6``,
 exchanges the ``S1`` and ``S2`` evidences and keeps ``S3``'s, bit for bit.
-Under score-equivalent hyperparameters (``1/lam = 2*beta = 1``) on
+Under score-equivalent hyperparameters with ``1/lam = 2*beta`` on
 observational data the child keeps its ``S3`` shape, and its ``log(xx +
 1/lam)/2`` is the root's shape change ``log(yy + 2*beta)/2``, one expression
 of one moment: the two cancel exactly, and ``S1`` and ``S2`` tie bitwise at
@@ -66,7 +67,8 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float | np.n
     is numpy's, so both give the same bits.
     """
     n, m, beta2 = st.n, st.m, 2.0 * h.beta
-    (a1, a2), (f1, f2) = h.alphas_for(Structure.S3), st.factors[s]
+    roots, nodes = h.alphas_for(Structure.S3), st.factors[s]
+    (a1, a2), (f1, f2) = roots, nodes
     k1, k2 = a1 + 0.5 * f1.count, a2 + 0.5 * f2.count  # posterior shapes
     norm = (a1 + a2) * math.log(beta2) - (n + 0.5 * m) * _LOG_PI + math.lgamma(k1) + math.lgamma(k2)
     norm = norm - math.lgamma(a1) - math.lgamma(a2)
@@ -76,26 +78,26 @@ def log_marginal_mixed(st: SuffStats, s: Structure, h: BgeHyper) -> float | np.n
         # the node terms summed first, so that relabelling the nodes keeps the bits
         out = norm - (k1 * log_v[0] + k2 * log_v[1])
         if s is not Structure.S3:
-            out = out + _local_score_difference(st, s, h, v, log_v)
+            out = out + _local_score_difference(nodes, h.alphas_for(s), roots, h, v, log_v)
     out = _cells(out)
     if isinstance(out, float) and not math.isfinite(out):
         raise NumericalDegeneracy(f"log marginal likelihood under {s.value} is {out!r}: an augmented moment overflows")
     return out
 
 
-def _local_score_difference(st: SuffStats, s: Structure, h: BgeHyper, v, log_v):
-    """The log evidence of the connected structure ``s`` less S3's, from each
-    node's local score: the shape change of every node whose shape is not its
-    S3 shape, then the child's regression on its parent. ``v`` and ``log_v``
-    are each node's ``yy + 2*beta`` and its log; numpy's ``errstate`` is the
-    caller's."""
-    nodes, shapes, roots = st.factors[s], h.alphas_for(s), h.alphas_for(Structure.S3)
+def _local_score_difference(nodes, shapes, roots, h: BgeHyper, v, log_v):
+    """The log evidence of a connected structure less S3's, from each node's
+    local score: the shape change of every node whose prior shape (in
+    ``shapes``) is not its S3 shape (in ``roots``), then the child's
+    regression on its parent. ``nodes`` are the structure's factors, ``v``
+    and ``log_v`` each node's ``yy + 2*beta`` and its log; numpy's
+    ``errstate`` is the caller's."""
     lg, terms, log_beta2 = 0.0, [], math.log(2.0 * h.beta)
     for f, a, a3, log_vf in zip(nodes, shapes, roots, log_v):
         if a != a3:
             pair = math.lgamma(a + 0.5 * f.count) - math.lgamma(a3 + 0.5 * f.count)
-            lg += pair - (math.lgamma(a) - math.lgamma(a3))
-            terms.append((a3 - a) * (log_vf - log_beta2))
+            lg += (pair - (math.lgamma(a) - math.lgamma(a3))) + (a - a3) * log_beta2
+            terms.append((a3 - a) * log_vf)
     c = 0 if nodes[0].has_parent else 1
     child, k = nodes[c], shapes[c] + 0.5 * nodes[c].count
     u = child.xx + 1.0 / h.lam
@@ -104,8 +106,9 @@ def _local_score_difference(st: SuffStats, s: Structure, h: BgeHyper, v, log_v):
     positive = p > q
     if np.ndim(positive) == 0 and not positive:  # one dataset
         raise NumericalDegeneracy(f"augmented determinant non-positive ({float(p - q)!r}); sufficient statistics corrupted")
-    # where Delta <= 0 the divisor is 0, so rho^2 is inf or NaN and the cell NaN
-    rho2 = q / (positive * p)
+    # the divisor is 0 where Delta <= 0 and NaN where p overflows, as Delta
+    # then does: rho^2 is inf or NaN there, and the cell NaN
+    rho2 = q / ((positive & (p < math.inf)) * p)
     # the node terms summed first, so that relabelling the nodes keeps the bits
     terms = sum(terms[1:], terms[0]) if terms else 0.0
     return (lg - 0.5 * math.log(h.lam)) + ((terms - 0.5 * np.log(u)) - k * np.log1p(-rho2))

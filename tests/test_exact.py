@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from bicausal import (
@@ -146,11 +146,13 @@ class TestScoreEquivalence:
         hs.floats(-1.0, 1.0),
         hs.floats(0.5, 50.0, exclude_min=True),
     )
+    @example(6, 46.0, 35.0, 0.0, 1.0)  # ties at beta = 1/4 only if the root's log(2*beta) is a constant
     @settings(max_examples=300, deadline=None)
     def test_equal_connected_marginals_property(self, n, s1x, s2x, r, alpha):
-        h = bge_symmetric_hyper(alpha, 0.5)
         st = SuffStats(s1x, s2x, r * math.sqrt(s1x * s2x), 0.0, 0.0, 0.0, n, 0)
-        assert _score_or_error(st, Structure.S1, h) == _score_or_error(st, Structure.S2, h)
+        # 1/lam = 2*beta at beta = 1/2 and at beta = 1/4, where log(2*beta) is not 0
+        for h in (bge_symmetric_hyper(alpha, 0.5), BgeHyper(alpha, alpha - 0.5, alpha - 0.5, alpha, alpha, alpha, 0.25, 2.0)):
+            assert _score_or_error(st, Structure.S1, h) == _score_or_error(st, Structure.S2, h)
 
 
 CORRUPT_OBS = (1e20, 1e20, 1e20 * (1.0 + 4e-10))  # Cauchy-Schwarz holds within its slack only
@@ -636,6 +638,27 @@ class TestOverflowingEvidence:
         for s in Structure:
             got = log_marginal_mixed(batch, s, BgeHyper(3, 3, 3, 3, 3, 3, 5e307, 1.0))
             assert got.shape == (2,) and not np.isfinite(got).any()
+
+
+class TestOverflowingDeterminant:
+    """``(yy + 2*beta)*U`` beyond the largest float while both moments and
+    ``xy^2`` are finite: one dataset's connected evidence raises as when an
+    augmented moment overflows, and a batch keeps the cell non-finite, not
+    the finite value that ``rho^2 = xy^2/inf = 0`` would give."""
+
+    ST = SuffStats(1e154, 1e154, 6e153, 0.0, 0.0, 0.0, n=2, m=0)
+    H = BgeHyper(3, 3, 3, 3, 3, 3, 5e153, 1e-154)  # yy + 2*beta = xx + 1/lam = 2e154
+
+    @pytest.mark.parametrize("s", [Structure.S1, Structure.S2])
+    def test_one_dataset_raises(self, s):
+        with pytest.raises(NumericalDegeneracy, match=rf"^log marginal likelihood under {s.value} is nan: "):
+            log_marginal_mixed(self.ST, s, self.H)
+
+    def test_batch_cell_stays_non_finite(self):
+        batch = SuffStats(*(np.array([getattr(self.ST, f), 1.0]) for f in _SUMS), self.ST.n, 0)
+        for s in (Structure.S1, Structure.S2):
+            got = log_marginal_mixed(batch, s, self.H)
+            assert np.isnan(got[0]) and np.isfinite(got[1])
 
 
 def _evidence_mp(st, s, h):
