@@ -24,8 +24,10 @@ from .sem import (
     Structure,
     _ByStructure,
     _edge,
+    _float_field,
     _node1_is_child,
     _norm_logpdf,
+    _real,
     _s3_weight_error,
     gamma_log_jacobian_det,
     gamma_map,
@@ -50,7 +52,7 @@ class BgeHyper:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            v = getattr(self, f.name)
+            v = _float_field(self, f.name)
             if not (math.isfinite(v) and v > 0.0):
                 raise InvalidParameter(f"hyperparameter {f.name} must be positive, got {v!r}")
             if f.name.startswith("alpha"):
@@ -89,6 +91,7 @@ def bge_symmetric_hyper(alpha: float, beta: float) -> BgeHyper:
     resulting posterior puts exactly equal mass on ``S1`` and ``S2`` for any
     observational dataset.
     """
+    alpha, beta = _real("alpha", alpha), _real("beta", beta)
     if not alpha > 0.5:
         raise InvalidParameter(f"alpha must exceed 1/2, got {alpha!r}")
     return BgeHyper(
@@ -105,6 +108,7 @@ def bge_symmetric_hyper(alpha: float, beta: float) -> BgeHyper:
 
 def invgamma_logpdf(x: float, shape: float, rate: float) -> float:
     """Log-density of ``IG(shape, rate)`` at ``x > 0``."""
+    x, shape, rate = map(_real, ("x", "shape", "rate"), (x, shape, rate))
     if x <= 0.0:
         raise _support_error(x)
     return shape * math.log(rate) - _lgamma("shape", shape) - (shape + 1.0) * math.log(x) - rate / x

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ArgumentOutOfDomain, BicausalError, InvalidParameter
 from .priors import BgeHyper
-from .sem import STRUCTURES, Cov2, Params, Structure
-from .sem import _ByStructure, _edge, _interv_mean, _log_scale, _node1_is_child, _product, _reverse_edge, _scale_gap
+from .sem import STRUCTURES, Cov2, Params, Structure, _ByStructure, _edge, _float_field, _interv_mean, _log
+from .sem import _node1_is_child, _product, _real, _reverse_edge, _scale, _scale_gap
 
 
 def _ratios(theta: Params, y: float) -> tuple[float, float, float, float]:
@@ -62,10 +62,10 @@ class RateInput:
     def __post_init__(self) -> None:
         # NaN fails both comparisons; np.all costs a float 100 times the
         # chained comparison
-        eta = self.eta
+        eta = self.eta if isinstance(self.eta, np.ndarray) else _float_field(self, "eta")
         if not (np.all((eta >= 0.0) & (eta <= 1.0)) if isinstance(eta, np.ndarray) else 0.0 <= eta <= 1.0):
             raise InvalidParameter(f"eta must lie in [0, 1], got {self.eta!r}")
-        if not math.isfinite(self.y):
+        if not math.isfinite(_float_field(self, "y")):
             raise InvalidParameter(f"y must be finite, got {self.y!r}")
         _ratios(self.theta_star, self.y)
 
@@ -255,7 +255,7 @@ def optimal_eta(exponent_id: RateId, theta_star: Params, y: float) -> tuple[floa
     identically and ``(0.0, 0.0)`` is returned. ``theta_star`` and ``y`` are
     checked as :class:`RateInput` checks them.
     """
-    RateInput(theta_star, y, 0.0)
+    y = RateInput(theta_star, y, 0.0).y
     if exponent_id is RateId.D12:
         x, z, _, _ = _ratios(theta_star, y)
         lg, gap = math.log1p(x), _gap(x, 1.0 + x)
@@ -298,7 +298,6 @@ def gain_transform(curve: RateCurve) -> RateCurve:
     return RateCurve(eta=curve.eta, values=curve.values / (1.0 - curve.eta), exponent_id=new_id)
 
 
-@np.errstate(all="ignore")  # np.float64 fields warn where Python floats overflow silently
 def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta: float) -> dict[Structure, Params]:
     """Almost-sure limits of every structure's MLE given the generating model.
 
@@ -309,6 +308,7 @@ def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta:
     root. A limit that is not a valid ``Params`` in floats (a variance that
     overflows or underflows to 0) raises :class:`ArgumentOutOfDomain`.
     """
+    y, eta = _real("y", y), _real("eta", eta)
     if not 0.0 <= eta <= 1.0:
         raise InvalidParameter(f"eta must lie in [0, 1], got {eta!r}")
     if not math.isfinite(y):
@@ -332,14 +332,14 @@ def _log_prior_ratio(theta: Params, h: BgeHyper) -> float:
     (``S1`` coordinates), in closed form: in floats the two log-densities'
     difference loses every digit where ``w^2/tau1_sq`` is large. Its
     ``log s`` and weight term, ``s = w^2*tau2_sq + tau1_sq``, are
-    ``sem._log_scale`` and ``sem._scale_gap``: neither overflows before its
-    value does, and where every step is a normal float both are bitwise the
-    plain arithmetic."""
+    ``sem._log`` of ``sem._scale``'s pair and ``sem._scale_gap``: neither
+    overflows before its value does, and where every step is a normal float
+    both are bitwise the plain arithmetic."""
     w, t1, t2 = theta.w, theta.tau1_sq, theta.tau2_sq
     a1, a2, a3, a4 = h.alpha1, h.alpha2, h.alpha3, h.alpha4
     out = (
         (math.lgamma(a1) - math.lgamma(a4)) + (math.lgamma(a2) - math.lgamma(a3))
-        + ((a3 - a1) + (a4 - a2)) * math.log(h.beta) + (a4 - a3 - 0.5) * _log_scale(w, t2, t1)
+        + ((a3 - a1) + (a4 - a2)) * math.log(h.beta) + (a4 - a3 - 0.5) * _log(_scale(w, t2, t1))
         + (a1 - a4) * math.log(t1) + (a2 - a4 + 0.5) * math.log(t2)
         + _scale_gap(h.beta - 0.5 / h.lam, w, t2, t1)
     )
@@ -382,7 +382,7 @@ def kl_centered_bivariate(cov0: np.ndarray, cov1: np.ndarray) -> float:
     for c in map(np.asarray, (cov0, cov1)):
         if c.shape != (2, 2) or c[0, 1] != c[1, 0]:
             raise InvalidParameter(f"covariance not a symmetric 2x2 matrix: {c.tolist()}")
-        v = Cov2(float(c[0, 0]), float(c[0, 1]), float(c[1, 1]))
+        v = Cov2(c[0, 0], c[0, 1], c[1, 1])
         laws.append(Params(v.c12 / v.c11, v.c11, v.c22 - v.c12 / v.c11 * v.c12))  # node 2 regressed on node 1
     out = _kl_chain(*laws, 0, 1)
     if not math.isfinite(out):
@@ -397,6 +397,7 @@ def kl_univariate(mean0: float, var0: float, mean1: float, var1: float) -> float
     and finite, raises :class:`InvalidParameter`; a variance below the normal
     range, which has lost digits, or a value floats cannot hold,
     :class:`ArgumentOutOfDomain`."""
+    mean0, var0, mean1, var1 = map(_real, ("mean0", "var0", "mean1", "var1"), (mean0, var0, mean1, var1))
     if not (math.isfinite(mean0) and math.isfinite(mean1) and 0.0 < var0 < math.inf and 0.0 < var1 < math.inf):
         raise InvalidParameter(f"KL needs finite means and positive, finite variances, got {mean0, var0, mean1, var1}")
     rho = var0 / var1
@@ -417,7 +418,6 @@ def _kl_chain(th0: Params, th1: Params, p: int, c: int) -> float:
     return kl_univariate(0.0, t0[p], 0.0, t1[p]) + kl_c
 
 
-@np.errstate(all="ignore")  # np.float64 fields warn where Python floats overflow silently
 def kl_mixture_exponent(
     true_model: Structure, wrong_model: Structure, theta_star: Params, y: float, eta: float
 ) -> float:
@@ -427,6 +427,7 @@ def kl_mixture_exponent(
     Independent of the closed forms, which it validates;
     :class:`ArgumentOutOfDomain` where floats cannot evaluate it.
     """
+    y, eta = _real("y", y), _real("eta", eta)
     theta_wrong = pseudo_true_limits(true_model, theta_star, y, eta)[wrong_model]
     edge = _edge(true_model, theta_star.w)
     p, c = order = _edge(wrong_model) or edge or (0, 1)  # S3 takes the true order, any with no edge

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,7 +34,6 @@ from .errors import ArgumentOutOfDomain, InvalidParameter
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_2 = math.log(2.0)
-_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 class Structure(str, Enum):
@@ -97,6 +95,23 @@ def _integer(name: str, v) -> int:
     raise InvalidParameter(f"{name} must be a finite integer, got {v!r}")
 
 
+def _real(name: str, v) -> float:
+    """``v`` as a Python float, so that a numpy scalar computes as the float of
+    its value does; a value that is not a real number is refused."""
+    if isinstance(v, numbers.Real):
+        return float(v)
+    raise InvalidParameter(f"{name} must be a real number, got {v!r}")
+
+
+def _float_field(obj, name: str) -> float:
+    """Field ``name`` of the frozen ``obj``, stored as its :func:`_real` float."""
+    v = getattr(obj, name)
+    if type(v) is not float:
+        v = _real(name, v)
+        object.__setattr__(obj, name, v)
+    return v
+
+
 def param_dim(s: Structure) -> int:
     """Free-parameter count: 3 for the connected structures, 2 for ``S3``."""
     return 2 if _edge(s) is None else 3
@@ -107,7 +122,7 @@ class Params:
     """Edge weight and the two noise variances ``(w, tau1_sq, tau2_sq)``.
 
     Both variances must be strictly positive. ``w`` may be any real; pass
-    ``w = 0`` for parameters attached to ``S3``.
+    ``w = 0`` for parameters attached to ``S3``. Each is held as a float.
     """
 
     w: float
@@ -116,7 +131,7 @@ class Params:
 
     def __post_init__(self) -> None:
         for name in ("w", "tau1_sq", "tau2_sq"):
-            v = getattr(self, name)
+            v = _float_field(self, name)
             if not math.isfinite(v):
                 raise InvalidParameter(f"{name} must be finite, got {v!r}")
         if self.tau1_sq <= 0.0 or self.tau2_sq <= 0.0:
@@ -151,18 +166,11 @@ class Cov2:
     c22: float
 
     def __post_init__(self) -> None:
-        # the matrix scaled by powers of two, exactly, to diagonals in [1/2, 2):
-        # its determinant decides as c11*c22 - c12^2 does where that is a normal
-        # float, and cannot overflow (a c12 past 2^4 is indefinite either way)
-        (m1, e1), (m2, e2), (m12, e12) = map(math.frexp, (self.c11, self.c22, self.c12))
-        c11, c22 = math.ldexp(m1, e1 % 2), math.ldexp(m2, e2 % 2)
-        c12 = math.ldexp(m12, min(e12 - e1 // 2 - e2 // 2, 4))
-        # NaN fails every comparison
-        if not (0.0 < c11 < math.inf and 0.0 < c22 < math.inf and c11 * c22 - c12 * c12 > 0.0):
-            raise InvalidParameter(
-                f"covariance not positive definite: "
-                f"[[{self.c11}, {self.c12}], [{self.c12}, {self.c22}]]"
-            )
+        # the determinant on pairs decides as c11*c22 - c12^2 does where that is
+        # a normal float, and cannot overflow; NaN fails every comparison
+        c11, c12, c22 = (_float_field(self, name) for name in ("c11", "c12", "c22"))
+        if not (0.0 < c11 < math.inf and 0.0 < c22 < math.inf and _sum(_scaled(c11, c22), _scaled(-c12, c12))[0] > 0.0):
+            raise InvalidParameter(f"covariance not positive definite: [[{c11}, {c12}], [{c12}, {c22}]]")
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.c11, self.c12], [self.c12, self.c22]])
@@ -184,7 +192,7 @@ class InterventionSpec:
             raise InvalidParameter(
                 f"only interventions on node 2 are supported, got target={self.target}"
             )
-        if not math.isfinite(self.value):
+        if not math.isfinite(_float_field(self, "value")):
             raise InvalidParameter(f"intervention value must be finite, got {self.value!r}")
 
 
@@ -200,11 +208,9 @@ def _scaled(*factors, over=1.0) -> tuple[float, int]:
     return m / mo, e - eo
 
 
-def _float(x: float | tuple[float, int]) -> float:
-    """A float as it is, or a ``math.frexp`` pair by one ``ldexp``, rounded
-    below the normal range and infinite past the largest float."""
-    if type(x) is not tuple:
-        return x
+def _float(x: tuple[float, int]) -> float:
+    """A ``math.frexp`` pair by one ``ldexp``, rounded below the normal range
+    and infinite past the largest float."""
     try:
         return math.ldexp(*x)
     except OverflowError:
@@ -227,33 +233,20 @@ def _sum(a, b) -> tuple[float, int]:
     return m, e + k
 
 
-def _scale(w: float, tau_parent: float, tau_child: float) -> float | tuple[float, int]:
+def _scale(w: float, tau_parent: float, tau_child: float) -> tuple[float, int]:
     """The reversal's scale ``s = w^2*tau_parent + tau_child``, the old child's
-    variance; the one body that forms it, for the edge reversal,
-    :func:`gamma_log_jacobian_det`, :func:`implied_covariance` and the
-    plateau's log prior ratio. Where every step is a normal float it is the
-    plain float, else a ``math.frexp`` pair that cannot overflow."""
-    ww = w * w
-    wwt = ww * tau_parent
-    s = wwt + tau_child
-    if _TINY <= ww and _TINY <= wwt and s <= _HUGE:
-        return s
+    variance, as a ``math.frexp`` pair that cannot overflow: bitwise the plain
+    float where every step is a normal float. The one body that forms it, for
+    the edge reversal, :func:`gamma_log_jacobian_det`,
+    :func:`implied_covariance` and the plateau's log prior ratio."""
     return _sum(_scaled(w, w, tau_parent), tau_child)
 
 
-def _log(x: float | tuple[float, int]) -> float:
-    """``log`` of a float or a ``math.frexp`` pair: ``math.log`` of its float
-    where that is a normal float, else the mantissa's log plus the exponent's."""
-    if type(x) is not tuple:
-        return math.log(x)
+def _log(x: tuple[float, int]) -> float:
+    """``log`` of a ``math.frexp`` pair: ``math.log`` of its float where that is
+    a normal float, else the mantissa's log plus the exponent's."""
     m, e = x
     return math.log(math.ldexp(m, e)) if -1022 < e < 1025 else math.log(m) + e * _LOG_2
-
-
-def _log_scale(w: float, tau_parent: float, tau_child: float) -> float:
-    """``log s`` of :func:`_scale`: finite wherever ``s`` leaves the floats, and
-    bitwise the plain ``math.log(s)`` where ``s`` is a normal float."""
-    return _log(_scale(w, tau_parent, tau_child))
 
 
 def _scale_gap(coef: float, w: float, tau_parent: float, tau_child: float) -> float:
@@ -313,11 +306,11 @@ def gamma_map_inverse(theta: Params) -> Params:
 def gamma_log_jacobian_det(theta: Params) -> float:
     """``log |det J|`` of :func:`gamma_map` at ``theta``.
 
-    The determinant is ``tau2_sq / s``, always positive, with
-    :func:`_log_scale`'s ``log s``: finite wherever ``s`` leaves the floats,
-    and bitwise the plain ``math.log(s)`` where ``s`` is a normal float.
+    The determinant is ``tau2_sq / s``, always positive, with ``log s`` the
+    :func:`_log` of :func:`_scale`'s pair: finite wherever ``s`` leaves the
+    floats, and bitwise the plain ``math.log(s)`` where ``s`` is a normal float.
     """
-    return math.log(theta.tau2_sq) - _log_scale(theta.w, theta.tau2_sq, theta.tau1_sq)
+    return math.log(theta.tau2_sq) - _log(_scale(theta.w, theta.tau2_sq, theta.tau1_sq))
 
 
 def implied_covariance(s: Structure, theta: Params) -> Cov2:

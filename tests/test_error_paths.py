@@ -365,6 +365,9 @@ CASES = [
     # sem
     ("intervention value", lambda tmp: InterventionSpec(math.inf),
      InvalidParameter, r"^intervention value must be finite, got inf$"),
+    # a raw TypeError from math.isfinite before
+    ("a weight that is not a number", lambda tmp: Params("1", 1, 1),
+     InvalidParameter, r"^w must be a real number, got '1'$"),
     ("negative interventional count", lambda tmp: sample_interv(Structure.S1, THETA, IV, -1, 0),
      InvalidParameter, r"^m must be >= 0, got -1$"),
     # c11 = 1e20 + 1 rounds to c12^2/c22: the matrix was refused as an invalid parameter

@@ -1,6 +1,7 @@
 """Concentration exponents: closed forms, limits, concavity, optima, and the
 Gaussian-KL mixture cross-check."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -16,11 +17,14 @@ from bicausal import (
     ArgumentOutOfDomain,
     BgeHyper,
     BicausalError,
+    Cov2,
+    InterventionSpec,
     InvalidParameter,
     Params,
     RateCurve,
     RateId,
     RateInput,
+    STRUCTURES,
     Structure,
     bge_symmetric_hyper,
     d12,
@@ -32,17 +36,26 @@ from bicausal import (
     gamma_map,
     gamma_map_inverse,
     implied_covariance,
+    interv_logpdf_y1,
+    invgamma_logpdf,
     kl_centered_bivariate,
     kl_mixture_exponent,
     kl_univariate,
+    loglik,
+    loglik_hessian,
     mixing_helps_s1,
     mle_mixed,
     nonident_posterior_limit,
     obs_kl_s1_vs_s3,
+    obs_logpdf,
     optimal_eta,
+    param_dim,
     posterior,
+    prior_logpdf,
     pseudo_true_limits,
+    pushforward_prior_logpdf,
     sample_curve,
+    sample_interv,
     sample_obs,
     suffstats,
 )
@@ -1005,3 +1018,135 @@ class TestRateLayerFuzz:
         assert out is not InvalidParameter
         for lim in () if out is ArgumentOutOfDomain else out.values():
             assert all(map(math.isfinite, lim.as_array())) and lim.tau1_sq > 0.0 and lim.tau2_sq > 0.0
+
+
+#: each numpy scalar type with the magnitudes of its values: TestRateLayerFuzz's
+#: for float64, float32's own range, and integers up to 1e18 for int64
+_SCALAR_MAGNITUDES = {
+    np.float64: _EXTREME,
+    np.float32: hs.one_of(_decade(-40.0, 38.0), _decade(-2.0, 2.0)),
+    np.int64: hs.one_of(hs.integers(1, 100), _decade(0.0, 18.0).map(int)),
+}
+_SCALAR_ETAS = {np.float64: _ETAS_TO_SUBNORMAL, np.float32: hs.floats(0.0, 1.0), np.int64: hs.sampled_from([0, 1])}
+_SCALAR_NAMES = ("w", "t1", "t2", "y", "eta", "a1", "a2", "a3", "a4", "a5", "a6", "beta", "lam", "x1", "x2", "mean")
+#: five observational rows and three interventional ones, at y = 1.5
+_SCALAR_DATA = suffstats([[0.3, -1.2], [1.1, 0.4], [-0.7, 0.9], [2.0, 1.6], [-1.4, -0.2]],
+                         [[0.8, 1.5], [-0.5, 1.5], [1.9, 1.5]])
+
+
+def _scalars(kind, **values):
+    """The arguments of :data:`_SCALAR_CALLS` as scalars of ``kind``; a name
+    not given is 1."""
+    return {name: kind(values.get(name, 1)) for name in _SCALAR_NAMES}
+
+
+@hs.composite
+def _scalar_arguments(draw):
+    """``(s, args)``: a structure, and every numeric argument as a numpy
+    scalar of one type; ``w`` is 0 under ``S3``."""
+    s, kind = draw(hs.sampled_from(list(Structure))), draw(hs.sampled_from(list(_SCALAR_MAGNITUDES)))
+    magnitude = _SCALAR_MAGNITUDES[kind]
+    values = {name: draw(magnitude) for name in _SCALAR_NAMES}
+    for name in ("w", "y", "x1", "x2", "mean"):
+        values[name] *= draw(hs.sampled_from([-1, 1, 0 if name in ("w", "y") else 1]))
+    values["eta"] = draw(_SCALAR_ETAS[kind])
+    values["w"] *= s is not Structure.S3
+    return s, _scalars(kind, **values)
+
+
+def _theta(a):
+    return Params(a["w"], a["t1"], a["t2"])
+
+
+def _hyper(a):
+    return BgeHyper(a["a1"], a["a2"], a["a3"], a["a4"], a["a5"], a["a6"], a["beta"], a["lam"])
+
+
+def _rate_input(a):
+    return RateInput(_theta(a), a["y"], a["eta"])
+
+
+#: a call of every public function of sem, priors and rates, and of loglik and
+#: loglik_hessian, on a structure and the arguments of :func:`_scalars`
+_SCALAR_CALLS = {
+    "Params": lambda s, a: _theta(a),
+    "Cov2": lambda s, a: Cov2(a["t1"], a["w"], a["t2"]),
+    "param_dim": lambda s, a: param_dim(s),
+    "gamma_map": lambda s, a: gamma_map(_theta(a)),
+    "gamma_map_inverse": lambda s, a: gamma_map_inverse(_theta(a)),
+    "gamma_log_jacobian_det": lambda s, a: gamma_log_jacobian_det(_theta(a)),
+    "implied_covariance": lambda s, a: implied_covariance(s, _theta(a)),
+    "obs_logpdf": lambda s, a: obs_logpdf((a["x1"], a["x2"]), s, _theta(a)),
+    "interv_logpdf_y1": lambda s, a: interv_logpdf_y1(a["x1"], s, _theta(a), InterventionSpec(a["y"])),
+    "sample_obs": lambda s, a: sample_obs(s, _theta(a), 3, 0),
+    "sample_interv": lambda s, a: sample_interv(s, _theta(a), InterventionSpec(a["y"]), 3, 0),
+    "BgeHyper": lambda s, a: _hyper(a),
+    "bge_symmetric_hyper": lambda s, a: bge_symmetric_hyper(a["a1"], a["beta"]),
+    "invgamma_logpdf": lambda s, a: invgamma_logpdf(a["t1"], a["a1"], a["beta"]),
+    "prior_logpdf": lambda s, a: prior_logpdf(_theta(a), s, _hyper(a)),
+    "pushforward_prior_logpdf": lambda s, a: pushforward_prior_logpdf(_theta(a), _hyper(a)),
+    "RateInput": lambda s, a: _rate_input(a),
+    "d12": lambda s, a: d12(_rate_input(a)),
+    "d21": lambda s, a: d21(_rate_input(a)),
+    "d13": lambda s, a: d13(_rate_input(a)),
+    "d23": lambda s, a: d23(_rate_input(a)),
+    "obs_kl_s1_vs_s3": lambda s, a: obs_kl_s1_vs_s3(_theta(a)),
+    "mixing_helps_s1": lambda s, a: mixing_helps_s1(_theta(a), a["y"]),
+    "optimal_eta D12": lambda s, a: optimal_eta(RateId.D12, _theta(a), a["y"]),
+    "optimal_eta D21": lambda s, a: optimal_eta(RateId.D21, _theta(a), a["y"]),
+    "sample_curve": lambda s, a: gain_transform(sample_curve(RateId.D12, _theta(a), a["y"], num=5)),
+    "pseudo_true_limits": lambda s, a: pseudo_true_limits(s, _theta(a), a["y"], a["eta"]),
+    "nonident_posterior_limit": lambda s, a: nonident_posterior_limit(_theta(a), _hyper(a), s),
+    "kl_centered_bivariate": lambda s, a: kl_centered_bivariate(
+        np.array([[a["t1"], a["w"]], [a["w"], a["t2"]]]), np.array([[a["t2"], a["x1"]], [a["x1"], a["t1"]]])),
+    "kl_univariate": lambda s, a: kl_univariate(a["mean"], a["t1"], a["x1"], a["t2"]),
+    "kl_mixture_exponent": lambda s, a: kl_mixture_exponent(
+        s, STRUCTURES[(STRUCTURES.index(s) + 1) % 3], _theta(a), a["y"], a["eta"]),
+    "loglik": lambda s, a: loglik(_SCALAR_DATA, s, _theta(a)),
+    "loglik_hessian": lambda s, a: loglik_hessian(_SCALAR_DATA, s, _theta(a)),
+}
+
+
+def _bits(x):
+    """``x`` as comparable bits: a float by its type and hex, an array by its
+    dtype, shape and bytes, and a dataclass, mapping or sequence by its parts."""
+    if isinstance(x, float):
+        return type(x), x.hex()
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return type(x), tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (dict, tuple, list)):
+        return type(x), tuple((k, _bits(v)) for k, v in (x.items() if isinstance(x, dict) else enumerate(x)))
+    return type(x), x
+
+
+def _behaviour(call, *args):
+    """A call's value as :func:`_bits`, or its refusal's type, category and
+    message; a warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return _bits(call(*args))
+        except BicausalError as exc:
+            return type(exc), exc.category, str(exc)
+
+
+class TestNumpyScalarArguments:
+    """numpy float64, float32 and integral int64 arguments behave as the Python
+    floats of their values do in every call of :data:`_SCALAR_CALLS`: the same
+    bits, or the same refusal with the same message, and no warning."""
+
+    @given(_scalar_arguments())
+    # a float32 w*w overflowed where s is a float, and the refusal named inf
+    @example((Structure.S1, _scalars(np.float32, w=1e20, t2=1e20, eta=0.5, y=0.5)))
+    # d12 was a float32, 1.8e-7 off the float64 value
+    @example((Structure.S1, _scalars(np.float32, w=1.1, t1=1.3, t2=4.7, y=0.1, eta=0.3)))
+    # w*w overflowed in float64 scalars with a RuntimeWarning
+    @example((Structure.S2, _scalars(np.float64, w=1e160, t1=1e-100, y=1e-3)))
+    @settings(max_examples=100, deadline=None)
+    def test_as_python_floats(self, drawn):
+        s, args = drawn
+        floats = {name: float(v) for name, v in args.items()}
+        for name, call in _SCALAR_CALLS.items():
+            assert _behaviour(call, s, args) == _behaviour(call, s, floats), name
