@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateData, InvalidParameter
 from .sem import _EDGES, _INDEX, _LOG_2PI, STRUCTURES, InterventionSpec, Params, Structure, _ByStructure
-from .sem import _edge, _integer, _interv_mean
+from .sem import _edge, _float_field, _integer, _interv_mean
 
 # Variance estimates at or below this are treated as exactly degenerate.
 _VARIANCE_FLOOR = 1e-300
@@ -139,7 +139,7 @@ class SuffStats:
             raise InvalidParameter(f"counts must be >= 0, got n={self.n}, m={self.m}")
         if self.y is None and self.m > 0:
             raise InvalidParameter("y must be set when m > 0")
-        if self.y is not None and not math.isfinite(self.y):
+        if self.y is not None and not math.isfinite(_float_field(self, "y")):
             raise InvalidParameter(_NON_FINITE.format("y", self.y))
         sums = [getattr(self, name) for name in _SUMS]
         try:
@@ -272,6 +272,7 @@ def sample_suffstats(
     ``seed`` is anything :func:`numpy.random.default_rng` accepts, or a
     generator to draw from; a fixed seed determines the result bitwise.
     """
+    n, m = _integer("n", n), _integer("m", m)
     sums = _draw_sums(s, theta, n, m, iv, np.random.default_rng(seed), 1)
     return SuffStats(*(float(v[0]) for v in sums), n, m, iv.value if m else None)
 

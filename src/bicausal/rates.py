@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ArgumentOutOfDomain, BicausalError, InvalidParameter
 from .priors import BgeHyper
-from .sem import STRUCTURES, Cov2, Params, Structure, _ByStructure, _edge, _float_field, _interv_mean, _log
+from .sem import STRUCTURES, Cov2, Params, Structure, _ByStructure, _edge, _float_field, _integer, _interv_mean, _log
 from .sem import _node1_is_child, _product, _real, _reverse_edge, _scale, _scale_gap
 
 
@@ -67,7 +67,8 @@ class RateInput:
             raise InvalidParameter(f"eta must lie in [0, 1], got {self.eta!r}")
         if not math.isfinite(_float_field(self, "y")):
             raise InvalidParameter(f"y must be finite, got {self.y!r}")
-        _ratios(self.theta_star, self.y)
+        # kept for the exponents, outside the dataclass fields
+        object.__setattr__(self, "_ratios", _ratios(self.theta_star, self.y))
 
 
 class RateId(str, Enum):
@@ -150,7 +151,7 @@ def d12(ri: RateInput) -> float | np.ndarray:
     ``0.5 * [eta*KL_obs + (1-eta)*KL_int]`` over doubled KLs of non-negative
     terms, ``KL_obs = gap((1+x)/(1+q))`` and ``KL_int = gap(1/(1+q)) + z/(1+q)``.
     """
-    x, z, _, _ = _ratios(ri.theta_star, ri.y)
+    x, z, _, _ = ri._ratios
     eta, etabar = ri.eta, 1.0 - ri.eta
     q = eta * x + etabar * z
     q1 = 1.0 + q
@@ -172,7 +173,7 @@ def d21(ri: RateInput) -> float | np.ndarray:
     structures, and interventional-only data cannot separate ``S2`` from the
     independence model.
     """
-    _, _, x, c = _ratios(ri.theta_star, ri.y)
+    _, _, x, c = ri._ratios
     eta, etabar = ri.eta, 1.0 - ri.eta
     # b and f = 1 - a*eta as quotients; eta cancels from a when c = 0, which keeps eta = 0 defined
     den = eta + etabar * c
@@ -193,13 +194,13 @@ def obs_kl_s1_vs_s3(theta_star: Params) -> float:
 def d13(ri: RateInput) -> float | np.ndarray:
     """Exponent against the independence model for a true ``S1`` model:
     ``d12 + eta * obs_kl_s1_vs_s3``. Dominates ``d12`` except at ``eta = 0``."""
-    return d12(ri) + ri.eta * obs_kl_s1_vs_s3(ri.theta_star)
+    return d12(ri) + ri.eta * (0.5 * math.log1p(ri._ratios[0]))  # bitwise obs_kl_s1_vs_s3's
 
 
 def d23(ri: RateInput) -> float | np.ndarray:
     """Exponent against the independence model for a true ``S2`` model:
     ``(eta/2) * log(1 + w^2*tau1_sq/tau2_sq)``."""
-    return 0.5 * ri.eta * math.log1p(_ratios(ri.theta_star, ri.y)[2])
+    return 0.5 * ri.eta * math.log1p(ri._ratios[2])
 
 
 def mixing_helps_s1(theta_star: Params, y: float) -> bool:
@@ -255,18 +256,18 @@ def optimal_eta(exponent_id: RateId, theta_star: Params, y: float) -> tuple[floa
     identically and ``(0.0, 0.0)`` is returned. ``theta_star`` and ``y`` are
     checked as :class:`RateInput` checks them.
     """
-    y = RateInput(theta_star, y, 0.0).y
+    ri = RateInput(theta_star, y, 0.0)
     if exponent_id is RateId.D12:
-        x, z, _, _ = _ratios(theta_star, y)
+        x, z, _, _ = ri._ratios
         lg, gap = math.log1p(x), _gap(x, 1.0 + x)
         num = gap - z * (1.0 + lg)
         eta = num / ((x - z) * lg) if num > 0.0 else 0.0
     elif exponent_id is RateId.D21:
-        _, _, x, c = _ratios(theta_star, y)
+        _, _, x, c = ri._ratios
         eta = _d21_root(x, c) if x else 0.0
     else:
         raise InvalidParameter(f"optimal_eta defined for D12/D21, got {exponent_id}")
-    return eta, _RATE_FUNCS[exponent_id](RateInput(theta_star, y, eta))
+    return eta, _RATE_FUNCS[exponent_id](RateInput(theta_star, ri.y, eta))
 
 
 _RATE_FUNCS = {RateId.D12: d12, RateId.D21: d21, RateId.D13: d13, RateId.D23: d23}
@@ -276,11 +277,16 @@ _ETA_CLAMP = 1e-9
 
 
 def sample_curve(exponent_id: RateId, theta_star: Params, y: float, num: int = _CURVE_POINTS) -> RateCurve:
-    """Evaluate one exponent on ``num`` evenly spaced points of
+    """Evaluate one exponent on ``num >= 1`` evenly spaced points of
     ``[1e-9, 1 - 1e-9]``."""
     f = _RATE_FUNCS.get(exponent_id)
     if f is None:
         raise InvalidParameter(f"cannot sample curve for {exponent_id}")
+    num = _integer("num", num)
+    if num < 1:
+        raise InvalidParameter(f"num must be >= 1, got {num}")
+    if num > sys.maxsize // 8:  # numpy describes no array of more than sys.maxsize bytes
+        raise ArgumentOutOfDomain(f"num = {num} points are more than an array can hold")
     eta_grid = np.linspace(_ETA_CLAMP, 1.0 - _ETA_CLAMP, num)
     return RateCurve(eta=eta_grid, values=f(RateInput(theta_star, y, eta_grid)), exponent_id=exponent_id)
 
@@ -306,7 +312,7 @@ def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta:
     edge reversed over the eta-mixture (``sem._reverse_edge``; at ``eta = 1``
     ``gamma_map``'s reversal), ``S3`` to each node's variance where it is a
     root. A limit that is not a valid ``Params`` in floats (a variance that
-    overflows or underflows to 0) raises :class:`ArgumentOutOfDomain`.
+    overflows or underflows to 0) is the reversal's :class:`ArgumentOutOfDomain`.
     """
     y, eta = _real("y", y), _real("eta", eta)
     if not 0.0 <= eta <= 1.0:
@@ -317,14 +323,9 @@ def pseudo_true_limits(true_model: Structure, theta_star: Params, y: float, eta:
     edge = _edge(true_model, th.w)
     if edge is None:
         return _ByStructure(dict.fromkeys(STRUCTURES, Params(0.0, th.tau1_sq, th.tau2_sq)))
-    try:
-        other = _reverse_edge(edge, th, eta, y)
-        s1, s2 = (th, other) if _node1_is_child(edge) else (other, th)
-        return _ByStructure(zip(STRUCTURES, (s1, s2, Params(0.0, s2.tau1_sq, s1.tau2_sq))))
-    except InvalidParameter as exc:  # the arguments are valid: a limit has left the floats
-        raise ArgumentOutOfDomain(
-            f"pseudo-true limits cannot be evaluated at {th!r}, y={y!r}, eta={eta!r} (in a limit, {exc})"
-        ) from None
+    other = _reverse_edge(edge, th, eta, y)
+    s1, s2 = (th, other) if _node1_is_child(edge) else (other, th)
+    return _ByStructure(zip(STRUCTURES, (s1, s2, Params(0.0, s2.tau1_sq, s1.tau2_sq))))
 
 
 def _log_prior_ratio(theta: Params, h: BgeHyper) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -86,20 +87,27 @@ def _node1_is_child(edge: tuple[int, int] | None) -> bool:
 
 
 def _integer(name: str, v) -> int:
-    """``v`` as an ``int``; a float is accepted only when it is integral."""
+    """``v`` as an ``int`` that a float can hold; a float is accepted only
+    when it is integral."""
     try:
-        return operator.index(v)  # int, bool and numpy integers
+        i = operator.index(v)  # int, bool and numpy integers
     except TypeError:
-        if isinstance(v, numbers.Real) and float(v).is_integer():  # not inf or NaN
+        if isinstance(v, numbers.Real) and _real(name, v).is_integer():  # not inf or NaN
             return int(v)
-    raise InvalidParameter(f"{name} must be a finite integer, got {v!r}")
+        raise InvalidParameter(f"{name} must be a finite integer, got {v!r}") from None
+    _real(name, i)  # refuses an integer past the floats
+    return i
 
 
 def _real(name: str, v) -> float:
     """``v`` as a Python float, so that a numpy scalar computes as the float of
-    its value does; a value that is not a real number is refused."""
+    its value does; a value that is not a real number, or an integer past the
+    largest float, is refused."""
     if isinstance(v, numbers.Real):
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:  # not by repr: past 4,300 digits an int's repr raises
+            raise InvalidParameter(f"{name} is beyond the range of a float") from None
     raise InvalidParameter(f"{name} must be a real number, got {v!r}")
 
 
@@ -273,8 +281,8 @@ def _reverse_edge(edge: tuple[int, int], theta: Params, eta: float = 1.0, y: flo
     ``(eta, y^2)``: at ``y = 0`` eta cancels. ``s`` is :func:`_scale`'s, and
     every sum and quotient that holds it, or ``y^2``, is formed on pairs
     until a field is taken, so a field that is a normal float is returned
-    whether or not ``s`` is; each is bitwise the plain arithmetic where its
-    steps are normal floats.
+    whether or not ``s`` is, bitwise the plain arithmetic where its steps
+    are normal floats; a field past the floats is :class:`ArgumentOutOfDomain`.
     """
     (p, c), w, tau = edge, theta.w, [theta.tau1_sq, theta.tau2_sq]
     den = var_c = s = _scale(w, tau[p], tau[c])
@@ -289,7 +297,9 @@ def _reverse_edge(edge: tuple[int, int], theta: Params, eta: float = 1.0, y: flo
         num = _sum(_scaled(e, _sum(tau[c], _scaled(etabar, _scaled(w, w, tau[p])))), vv)
     w = _product(e, w, tau[p], over=den)
     tau[p], tau[c] = _product(tau[p], num, over=den), _float(var_c)
-    return Params(w, *tau)
+    if not (math.isfinite(w) and 0.0 < tau[0] < math.inf and 0.0 < tau[1] < math.inf):
+        raise ArgumentOutOfDomain(f"edge reversal of {theta!r} at y={y!r}, eta={eta!r} leaves the floats: {(w, *tau)}")
+    return _trusted_params(w, *tau)
 
 
 def gamma_map(theta: Params) -> Params:
@@ -367,6 +377,17 @@ def interv_logpdf_y1(y1: float, s: Structure, theta: Params, iv: InterventionSpe
     return _norm_logpdf(float(y1) - _interv_mean(s, theta, iv.value), theta.tau1_sq)
 
 
+def _count(name: str, v) -> int:
+    """``v`` as a count of samples: an integer at least 0 whose ``(v, 2)``
+    float64 array numpy can describe, refused before any draw."""
+    v = _integer(name, v)
+    if v < 0:
+        raise InvalidParameter(f"{name} must be >= 0, got {v}")
+    if v > sys.maxsize // 16:  # numpy describes no array of more than sys.maxsize bytes
+        raise ArgumentOutOfDomain(f"{name} = {v} samples are more than an array can hold")
+    return v
+
+
 def sample_obs(
     s: Structure, theta: Params, n: int, seed: int | np.random.Generator
 ) -> np.ndarray:
@@ -378,9 +399,7 @@ def sample_obs(
     :func:`implied_covariance` exactly. A fixed seed fully determines the
     output.
     """
-    n = _integer("n", n)
-    if n < 0:
-        raise InvalidParameter(f"n must be >= 0, got {n}")
+    n = _count("n", n)
     edge = _edge(s, theta.w)
     out = np.random.default_rng(seed).standard_normal((n, 2)) * np.sqrt([theta.tau1_sq, theta.tau2_sq])
     if edge is not None:
@@ -401,9 +420,7 @@ def sample_interv(
     Column 0 holds the free node ``Y1`` distributed per
     :func:`interv_logpdf_y1`; column 1 is identically ``iv.value``.
     """
-    m = _integer("m", m)
-    if m < 0:
-        raise InvalidParameter(f"m must be >= 0, got {m}")
+    m = _count("m", m)
     z = np.random.default_rng(seed).standard_normal(m)
     out = np.empty((m, 2))
     out[:, 0] = _interv_mean(s, theta, iv.value) + math.sqrt(theta.tau1_sq) * z

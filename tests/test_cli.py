@@ -100,6 +100,20 @@ class TestSimulate:
         assert captured.err == "error category=invalid-parameter: m must be >= 0, got -3\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("counts, message", [
+        (["--n", str(10**30)], f"argument-out-of-domain: n = {10**30} samples are more than an array can hold"),
+        (["--n", "2", "--m", str(10**30)],
+         f"argument-out-of-domain: m = {10**30} samples are more than an array can hold"),
+        (["--n", str(10**400)], "invalid-parameter: n is beyond the range of a float"),
+    ], ids=["n-1e30", "m-1e30", "n-401-digits"])
+    def test_counts_past_an_array_are_refused_before_writing(self, tmp_path, capsys, counts, message):
+        # numpy describes no (1e30, 2) array, and no float holds 10**400
+        out = tmp_path / "f.csv"
+        assert run_cli("simulate", "--structure", "S1", *MODEL, *counts, "--y", "1.5", "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error category={message}\n"
+        assert captured.out == "" and not out.exists()
+
 
 class TestPosterior:
     def _simulate(self, tmp_path, n=5, m=0, seed=3):
@@ -651,7 +665,7 @@ class TestRefusedExperimentWritesNothing:
             (_S1 + "eta = 0.5\n", _DESIGN + "kind = plateau\n", [], 1,
              "category=invalid-parameter: plateau experiment is observational-only"),
             ("structure = S3\nw = 0\ntau1_sq = 1\ntau2_sq = 1\n", _DESIGN + "kind = plateau\n", [], 1,
-             "category=invalid-parameter: plateau experiment requires a connected true model"),
+             "category=invalid-parameter: plateau defined for connected true models"),
             (_S1, _DESIGN + "kind = chi2\n", [], 1,
              "category=invalid-parameter: chi-squared diagnostic requires true model S3"),
             (_S1, "sample_sizes = 100,1000\ntrials = 0\nkind = concentration\n", [], 1,

@@ -56,10 +56,10 @@ from bicausal import (
     quadrature_log_marginal,
     quadrature_log_marginal_generic,
     run_concentration,
-    run_odds_plateau,
     sample_curve,
     sample_interv,
     sample_obs,
+    sample_suffstats,
     suffstats,
     theory_exponent,
 )
@@ -229,6 +229,15 @@ CASES = [
      InvalidParameter, r"^counts must be >= 0, got n=-1, m=0$"),
     ("m without y", lambda tmp: SuffStats(1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 2, 1, None),
      InvalidParameter, r"^y must be set when m > 0$"),
+    # integers past the floats: a raw OverflowError from float() before, here
+    # and in every row below that takes 10**400
+    ("posterior of a count past the floats", lambda tmp: posterior(SuffStats(1, 1, 0.5, 0, 0, 0, 10**400, 0), H),
+     InvalidParameter, r"^n is beyond the range of a float$"),
+    ("statistics with y past the floats", lambda tmp: SuffStats(1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 2, 1, 10**400),
+     InvalidParameter, r"^y is beyond the range of a float$"),
+    ("drawn statistics of a count past the floats", lambda tmp: sample_suffstats(
+        Structure.S1, THETA, 10**400, seed=0),
+     InvalidParameter, r"^n is beyond the range of a float$"),
     ("MLE weight overflows", lambda tmp: mle_mixed(suffstats([[1e-160, 1e150], [2e-160, -1e150]], [[1.0, 0.0]])),
      DegenerateData, r"^S\d MLE: weight estimate non-finite$"),
     # exact
@@ -246,6 +255,13 @@ CASES = [
      InvalidParameter, r"^smallest sample size must be >= 2$"),
     ("no trials", lambda tmp: _cfg(trials=0),
      InvalidParameter, r"^trials must be >= 1, got 0$"),
+    ("experiment y past the floats", lambda tmp: _cfg(y=10**400, eta=0.5),
+     InvalidParameter, r"^y is beyond the range of a float$"),
+    # the refusal's repr of the integer raised a raw ValueError past 4,300 digits
+    ("experiment eta of 5,001 digits", lambda tmp: _cfg(eta=10**5000),
+     InvalidParameter, r"^eta is beyond the range of a float$"),
+    ("concentration at a size past the floats", lambda tmp: run_concentration(_cfg(sample_sizes=(10**400,))),
+     InvalidParameter, r"^sample size is beyond the range of a float$"),
     ("no records at a size", lambda tmp: run_concentration(_cfg(sample_sizes=(4, 8), trials=2)).mean_log_inv_odds(5),
      InvalidParameter, r"^no records at N=5$"),
     ("plateau of S3", lambda tmp: plateau_theory_ratio(_cfg(true_model=Structure.S3, theta_star=Params(0, 1, 1))),
@@ -260,8 +276,6 @@ CASES = [
         config="[model]\nstructure = S1\nw = 1e5\ntau1_sq = 1e-8\ntau2_sq = 1\n"
                "[experiment]\nkind = plateau\nsample_sizes = 100,1000\ntrials = 3\n"),
      ArgumentOutOfDomain, r"^plateau ratio exp\(1\.87\d+e\+18\) overflows at "),
-    ("plateau experiment on S3", lambda tmp: run_odds_plateau(_cfg(true_model=Structure.S3, theta_star=Params(0, 1, 1))),
-     InvalidParameter, r"^plateau experiment requires a connected true model$"),
     ("slope of unequal lengths", lambda tmp: fit_slope([1, 2, 3, 4], [1, 2]),
      InvalidParameter, r"^x and y must be 1d arrays of equal length$"),
     ("exponent of observational data", lambda tmp: theory_exponent(_cfg()),
@@ -283,6 +297,8 @@ CASES = [
     # lgamma is finite at 2.55e305 and overflows at 2.6e305
     ("prior shape with overflowing lgamma", lambda tmp: BgeHyper(3, 3, 3, 3, 3, 2.6e305, 0.5, 1),
      InvalidParameter, r"^hyperparameter alpha6 is too large for a finite lgamma, got 2\.6e\+305$"),
+    ("symmetric prior shape past the floats", lambda tmp: bge_symmetric_hyper(10**400, 0.5),
+     InvalidParameter, r"^alpha is beyond the range of a float$"),
     ("inverse-gamma shape with overflowing lgamma", lambda tmp: invgamma_logpdf(1.0, 1e308, 0.5),
      InvalidParameter, r"^shape is too large for a finite lgamma, got 1e\+308$"),
     # rates
@@ -290,6 +306,8 @@ CASES = [
      InvalidParameter, r"^eta must lie in \[0, 1\], got 1\.5$"),
     ("RateInput y", lambda tmp: RateInput(THETA, math.nan, 0.5),
      InvalidParameter, r"^y must be finite, got nan$"),
+    ("RateInput y past the floats", lambda tmp: RateInput(THETA, 10**400, 0.5),
+     InvalidParameter, r"^y is beyond the range of a float$"),
     ("RateInput eta array", lambda tmp: RateInput(THETA, 0.1, np.array([0.5, math.nan])),
      InvalidParameter, r"^eta must lie in \[0, 1\], got array\(\[0\.5, nan\]\)$"),
     ("curve lengths", lambda tmp: RateCurve(np.array([0.5]), np.array([1.0, 2.0]), RateId.D12),
@@ -300,6 +318,16 @@ CASES = [
      InvalidParameter, r"^optimal_eta defined for D12/D21, got "),
     ("curve of a gain", lambda tmp: sample_curve(RateId.D12_GAIN, THETA, 0.1),
      InvalidParameter, r"^cannot sample curve for "),
+    # np.linspace raised a raw ValueError at -1, an empty curve came back at
+    # 0, and 2.5 raised a raw TypeError (as 5.0 did; it now gives 5 points)
+    *((f"curve of {num} points", lambda tmp, num=num: sample_curve(RateId.D12, THETA, 0.1, num=num),
+       InvalidParameter, pattern)
+      for num, pattern in ((-1, r"^num must be >= 1, got -1$"), (0, r"^num must be >= 1, got 0$"),
+                           (2.5, r"^num must be a finite integer, got 2\.5$"))),
+    # numpy describes no 1e30-point grid: a raw ValueError ("Maximum allowed
+    # size exceeded") from np.linspace before, and a traceback from the CLI
+    ("curve of 1e30 points", lambda tmp: _cli(tmp, "rates", *_MODEL, "--y", 0.5, "--grid-points", 10**30),
+     ArgumentOutOfDomain, rf"^num = {10**30} points are more than an array can hold$"),
     ("gain of D13", lambda tmp: gain_transform(sample_curve(RateId.D13, THETA, 0.1, num=5)),
      InvalidParameter, r"^gain transform defined for D12/D21 curves, got "),
     ("pseudo-true eta", lambda tmp: pseudo_true_limits(Structure.S1, THETA, 0.1, 1.5),
@@ -311,18 +339,18 @@ CASES = [
     ("pseudo-true S1 limit undefined", lambda tmp: pseudo_true_limits(Structure.S2, THETA, 0.0, 0.0),
      ArgumentOutOfDomain, r"^pseudo-true S1 limit undefined \(eta = 0 with y = 0\)$"),
     # the S1 limit's node-2 variance is s = w^2*tau1_sq + tau2_sq, about
-    # 3.3e410, under a true S2 model: Params refuses it with InvalidParameter,
-    # and np.float64 fields must refuse it the same way, without a warning
+    # 3.3e410, under a true S2 model: the edge reversal refuses it, and
+    # np.float64 fields must refuse it the same way, without a warning
     *((f"KL mixture past the pseudo-true limits ({kind.__name__})", lambda tmp, kind=kind: kl_mixture_exponent(
         Structure.S2, Structure.S1,
         Params(*map(kind, (2.0347571352489576e148, 7.969232515425364e113, 2.738297654744564))),
         -12.862131650624505, 0.7482485033017541),
        ArgumentOutOfDomain,
-       r"^pseudo-true limits cannot be evaluated at Params\(w=(np\.float64\()?2\.0347571352489576e\+148"
-       r".*\(in a limit, tau2_sq must be finite, got (np\.float64\()?inf\)?\)$")
+       r"^edge reversal of Params\(w=2\.0347571352489576e\+148, .*\) at y=-12\.862131650624505, "
+       r"eta=0\.7482485033017541 leaves the floats: \(4\.914591440307925e-149, 2\.0062662132946627e\+113, inf\)$")
       for kind in (float, np.float64)),
-    # the S1 reversal of a true S2 model has tau1_sq = tau1_sq*tau2_sq/s = 0:
-    # Params refused it with InvalidParameter
+    # the S1 reversal of a true S2 model has tau1_sq = tau1_sq*tau2_sq/s = 0,
+    # which the reversal refuses
     ("KL mixture past the edge reversal", lambda tmp: kl_mixture_exponent(
         Structure.S2, Structure.S1, Params(-6.861359044113931e129, 7.2265570454989905e-81, 3.683244644362352e-108),
         5.2156777299790504e-117, 0.34444960733861085),
@@ -368,6 +396,19 @@ CASES = [
     # a raw TypeError from math.isfinite before
     ("a weight that is not a number", lambda tmp: Params("1", 1, 1),
      InvalidParameter, r"^w must be a real number, got '1'$"),
+    ("weight past the floats", lambda tmp: Params(10**400, 1, 1),
+     InvalidParameter, r"^w is beyond the range of a float$"),
+    # repr(10**5000) itself raises ValueError past 4,300 digits
+    ("weight of 5,001 digits", lambda tmp: Params(10**5000, 1, 1),
+     InvalidParameter, r"^w is beyond the range of a float$"),
+    ("intervention value past the floats", lambda tmp: InterventionSpec(10**400),
+     InvalidParameter, r"^value is beyond the range of a float$"),
+    # numpy describes no (1e30, 2) array: a raw ValueError ("Maximum allowed
+    # dimension exceeded") before; refused now before any draw
+    ("observational count past an array", lambda tmp: sample_obs(Structure.S1, THETA, 10**30, 0),
+     ArgumentOutOfDomain, rf"^n = {10**30} samples are more than an array can hold$"),
+    ("interventional count past an array", lambda tmp: sample_interv(Structure.S1, THETA, IV, 10**30, 0),
+     ArgumentOutOfDomain, rf"^m = {10**30} samples are more than an array can hold$"),
     ("negative interventional count", lambda tmp: sample_interv(Structure.S1, THETA, IV, -1, 0),
      InvalidParameter, r"^m must be >= 0, got -1$"),
     # c11 = 1e20 + 1 rounds to c12^2/c22: the matrix was refused as an invalid parameter
